@@ -32,6 +32,7 @@ from .errors import DoubleHopfError, NonFiniteState
 __all__ = ["main", "build_parser"]
 
 _FMT = ".17g"
+_ROW_BLOCK = 65536  # trajectory CSV rows formatted per block
 
 
 def _f(v: float) -> str:
@@ -218,6 +219,19 @@ def _resolve_point(args) -> tuple:
     return k0 + args.alpha1, tau0 + args.alpha2
 
 
+def _trajectory_rows(traj: nfde_sim.Trajectory, stride: int):
+    """(t, x, y, theta, y_delayed) at every stride-th sample.
+
+    Converted to Python floats one block of _ROW_BLOCK rows at a time, so a
+    dense export holds one block of row objects instead of five
+    whole-trajectory lists.
+    """
+    cols = (traj.t, traj.x, traj.y, traj.theta, traj.y_delayed())
+    span = _ROW_BLOCK * stride
+    for lo in range(0, len(traj), span):
+        yield from zip(*(c[lo : lo + span : stride].tolist() for c in cols))
+
+
 def cmd_simulate(args) -> int:
     k, tau = _resolve_point(args)
     params = SystemParams(args.epsilon, args.mu, k, tau)
@@ -234,19 +248,10 @@ def cmd_simulate(args) -> int:
         label = None
         label_error = f"{type(exc).__name__}: {exc}"
 
-    stride = max(1, args.stride)
-    ts = traj.t[::stride]
-    ydel = traj.y_delayed()[::stride]
     _write_csv(
         f"{args.out}.trajectory.csv",
         ["t", "x", "y", "theta", "y_delayed"],
-        zip(
-            ts.tolist(),
-            traj.x[::stride].tolist(),
-            traj.y[::stride].tolist(),
-            traj.theta[::stride].tolist(),
-            ydel.tolist(),
-        ),
+        _trajectory_rows(traj, max(1, args.stride)),
     )
     _write_csv(
         f"{args.out}.section.csv",
@@ -274,8 +279,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_line_t(args) -> int:
     iotas = [float(s) for s in args.iota.split(",") if s.strip() != ""]
+    hh = hopf_hopf.find_hopf_hopf(
+        args.epsilon, args.mu, args.j_plus, args.j_minus, *args.bracket
+    )
     rows = nfde_sim.line_T_scan(
         iotas,
+        hh=hh,
         epsilon=args.epsilon,
         mu=args.mu,
         x0=args.x0,
@@ -384,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("line-t", help="classify attractors along the transition ray")
     _add_instance_args(p)
+    _add_point_args(p)
     p.add_argument("--iota", default="2.0,2.4,2.5,2.6", help="comma-separated scales")
     p.add_argument("--x0", type=float, default=0.1)
     p.add_argument("--y0", type=float, default=0.0)
@@ -401,33 +411,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> None:
+    """Install the values of a ``--config`` file as subcommand defaults.
+
+    Explicit flags still win, because they are parsed after this.
+    """
+    if "--config" not in argv:
+        return
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        raise ValueError("--config needs a file path")
+    raw = _load_config(argv[at])
+    typed = {}
+    for key, val in raw.items():
+        if key in ("bracket",):
+            typed[key] = _parse_bracket(val)
+        elif val.lower() in ("true", "false"):
+            typed[key] = val.lower() == "true"
+        else:
+            try:
+                typed[key] = int(val)
+            except ValueError:
+                try:
+                    typed[key] = float(val)
+                except ValueError:
+                    typed[key] = val
+    for sp in parser._dh_subparsers.values():  # type: ignore[attr-defined]
+        known = {a.dest for a in sp._actions}
+        sp.set_defaults(**{k: v for k, v in typed.items() if k in known})
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
 
-    # config file supplies defaults; explicit flags win
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        raw = _load_config(cfg_path)
-        typed = {}
-        for key, val in raw.items():
-            if key in ("bracket",):
-                typed[key] = _parse_bracket(val)
-            elif val.lower() in ("true", "false"):
-                typed[key] = val.lower() == "true"
-            else:
-                try:
-                    typed[key] = int(val)
-                except ValueError:
-                    try:
-                        typed[key] = float(val)
-                    except ValueError:
-                        typed[key] = val
-        for sp in parser._dh_subparsers.values():  # type: ignore[attr-defined]
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in typed.items() if k in known})
-
     try:
+        _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except NonFiniteState as exc:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,6 +119,9 @@ class Trajectory:
     Arrays x, y, dy (= y') live on t = 0, h, 2h, ...; theta and dtheta are
     stored for theta-form runs and reconstructed on demand otherwise.  The
     constant initial history extends every evaluation to t <= 0.
+
+    Simulated trajectories own the integrator's sample buffers: the arrays
+    are writable views of them, not copies.
     """
 
     def __init__(
@@ -356,17 +359,52 @@ class _ThetaStepper:
 
 
 
+# Post-transient delay windows of theta-form runs, shared with
+# divergence_exponent so that a simulate-then-exponent pair at one protocol
+# point integrates the transient once.  Key: (params, x0, y0, h, transient);
+# value: the five stepper buffers (x, y, theta, y', theta') over the N + 1
+# samples ending at step max(ceil(transient/h), N).  FIFO, at most
+# _WINDOW_CACHE_SIZE entries of 5*(N + 1) doubles each.
+_WINDOW_CACHE_SIZE = 8
+_windows: Dict[tuple, Tuple[array, ...]] = {}
+
+
+def _window_key(cfg: SimConfig) -> tuple:
+    return (cfg.params, cfg.x0, cfg.y0, cfg.h, cfg.transient)
+
+
+def _transient_steps(cfg: SimConfig) -> int:
+    return max(int(math.ceil(cfg.transient / cfg.h)), cfg.n_delay)
+
+
+def _store_window(cfg: SimConfig, st: _ThetaStepper) -> None:
+    a = st.j - st.N
+    _windows[_window_key(cfg)] = tuple(
+        buf[a : st.j + 1] for buf in (st.xs, st.ys, st.ths, st.dys, st.dths)
+    )
+    while len(_windows) > _WINDOW_CACHE_SIZE:
+        del _windows[next(iter(_windows))]
+
+
 def _run_theta(cfg: SimConfig) -> Trajectory:
     stepper = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
-    stepper.step(int(round(cfg.t_end / cfg.h)))
+    n_steps = int(round(cfg.t_end / cfg.h))
+    n_tr = _transient_steps(cfg)
+    if n_tr <= n_steps:
+        stepper.step(n_tr)
+        _store_window(cfg, stepper)
+        n_steps -= n_tr
+    stepper.step(n_steps)
+    # the stepper is dropped here, so its buffers are never resized again
+    # and the trajectory can view them without a copy
     return Trajectory(
         cfg.params, cfg.h, cfg.n_delay,
-        np.frombuffer(stepper.xs, np.float64).copy(),
-        np.frombuffer(stepper.ys, np.float64).copy(),
-        np.frombuffer(stepper.dys, np.float64).copy(),
+        np.frombuffer(stepper.xs, np.float64),
+        np.frombuffer(stepper.ys, np.float64),
+        np.frombuffer(stepper.dys, np.float64),
         cfg.x0, cfg.y0,
-        np.frombuffer(stepper.ths, np.float64).copy(),
-        np.frombuffer(stepper.dths, np.float64).copy(),
+        np.frombuffer(stepper.ths, np.float64),
+        np.frombuffer(stepper.dths, np.float64),
     )
 
 
@@ -450,9 +488,9 @@ def _run_neutral(cfg: SimConfig) -> Trajectory:
 
     return Trajectory(
         p, h, N,
-        np.frombuffer(xs, np.float64).copy(),
-        np.frombuffer(ys, np.float64).copy(),
-        np.frombuffer(dys, np.float64).copy(),
+        np.frombuffer(xs, np.float64),
+        np.frombuffer(ys, np.float64),
+        np.frombuffer(dys, np.float64),
         x0, y0,
     )
 
@@ -568,12 +606,27 @@ def poincare(
     )
 
 
+_NN_BLOCK_ELEMS = 1 << 20  # pairwise distances held at once by _nn_stats
+
+
 def _nn_stats(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbor distances and indices of the two nearest points."""
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1)[:, :2]
-    return np.sqrt(np.min(d2, axis=1)), order
+    """Nearest-neighbor distances and indices of the two nearest points.
+
+    Squared distances are formed for a block of rows at a time, so memory
+    stays at O(_NN_BLOCK_ELEMS) instead of O(n^2); each row's values and
+    argsort are those of the whole-matrix formula.
+    """
+    n = len(pts)
+    rows = max(1, _NN_BLOCK_ELEMS // max(n, 1))
+    nn2 = np.empty(n)
+    order = np.empty((n, 2), dtype=np.intp)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        d2 = np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        order[lo:hi] = np.argsort(d2, axis=1)[:, :2]
+        nn2[lo:hi] = np.min(d2, axis=1)
+    return np.sqrt(nn2), order
 
 
 def classify_section(
@@ -672,7 +725,12 @@ def divergence_exponent(
 
     The theta formulation is used regardless of cfg.formulation (the two
     formulations integrate the same initial-value problem).  cfg.transient
-    positions the reference before measurement begins.
+    positions the reference before measurement begins.  The reference
+    starts from the post-transient delay window of an earlier theta-form
+    run with the same parameters, initial data, step and transient (a
+    simulate_theta call or a previous estimate) when one is still held in
+    a small module-level store, and integrates the transient otherwise;
+    the result is bit-identical either way.
     """
     if not 1e-10 <= delta0 <= 1e-6:
         raise ValueError(f"delta0 must lie in [1e-10, 1e-6], got {delta0}")
@@ -684,9 +742,15 @@ def divergence_exponent(
         raise ValueError("renorm_T must cover at least one step")
 
     ref = _ThetaStepper(p, cfg.x0, cfg.y0, h)
-    n_tr = max(int(math.ceil(cfg.transient / h)), ref.N)
-    ref.step(n_tr)
-    ref.trim()
+    stored = _windows.get(_window_key(cfg))
+    if stored is None:
+        ref.step(_transient_steps(cfg))
+        ref.trim()
+        _store_window(cfg, ref)
+    else:
+        # the state step(n_tr); trim() reaches: the window at j = N
+        ref.xs, ref.ys, ref.ths, ref.dys, ref.dths = (array("d", b) for b in stored)
+        ref.j = ref.N
 
     clone = _ThetaStepper(p, cfg.x0, cfg.y0, h)
     clone.xs = array("d", ref.xs)

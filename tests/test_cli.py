@@ -3,6 +3,7 @@ import json
 import pytest
 
 import doublehopf as dh
+from doublehopf import cli, nfde_sim
 from doublehopf.chareq import SystemParams
 from doublehopf.cli import main
 
@@ -204,3 +205,55 @@ def test_json_table_format(tmp_path):
                    "--out", str(out2)) == 0
     data = json.loads(out2.read_text())
     assert data["rows"][0]["label"] == "skipped_origin"
+
+
+@pytest.mark.parametrize("stride,formulation", [(1, "theta_form"),
+                                                (3, "neutral_form")])
+def test_trajectory_export_blocks_match_whole_arrays(
+    tmp_path, monkeypatch, hh, stride, formulation
+):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 16)
+    out = tmp_path / "run"
+    assert run_cli(
+        "simulate", "--alpha1", "-0.1", "--alpha2", "0.1", "--h-div", "50",
+        "--t-end", "60", "--transient", "5", "--stride", str(stride),
+        "--formulation", formulation, "--out", str(out),
+    ) == 0
+    params = SystemParams(EPS, MU, hh.k0 - 0.1, hh.tau0 + 0.1)
+    traj = nfde_sim.simulate(nfde_sim.SimConfig.from_divisor(
+        params, 0.1, 0.0, 50, 60.0, 5.0, formulation))
+    assert len(traj) % (16 * stride) != 0  # ends in a partial block
+    assert len(traj) > 2 * 16 * stride
+    whole = tmp_path / "whole.csv"
+    cli._write_csv(
+        str(whole),
+        ["t", "x", "y", "theta", "y_delayed"],
+        zip(traj.t[::stride].tolist(), traj.x[::stride].tolist(),
+            traj.y[::stride].tolist(), traj.theta[::stride].tolist(),
+            traj.y_delayed()[::stride].tolist()),
+    )
+    assert (tmp_path / "run.trajectory.csv").read_bytes() == whole.read_bytes()
+
+
+def test_config_as_last_argument(tmp_path, capsys):
+    assert run_cli("analyze", "--out", str(tmp_path / "a.json"), "--config") == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+
+
+def test_line_t_locates_point_from_options(tmp_path, capsys):
+    args = ("line-t", "--epsilon", "0.2", "--j-plus", "2", "--j-minus", "1",
+            "--bracket", "2.46:4.98", "--iota", "1.0", "--no-exponent")
+    out = tmp_path / "t.csv"
+    # a short run reaches the classifier: the point was located and is
+    # admissible, and too few crossings is the typed error that remains
+    assert run_cli(*args, "--t-end", "200", "--transient", "100",
+                   "--out", str(out)) == 1
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "InsufficientData"
+    assert run_cli(*args, "--h-div", "100", "--t-end", "3000",
+                   "--transient", "100", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    hh = dh.find_hopf_hopf(0.2, MU, 2, 1, 2.46, 4.98)
+    assert float(rows[0][1]) == hh.k0 + 0.1
+    assert rows[0][3] == "fixed_point"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import doublehopf as dh
+from doublehopf import nfde_sim
 from doublehopf.chareq import SystemParams
 from doublehopf.errors import InsufficientData, NonFiniteState
 from doublehopf.nfde_sim import PoincareSection, Trajectory
@@ -291,3 +292,72 @@ def test_line_t_scan_insufficient_data_propagates(hh):
             [2.0], hh=hh, h_div=100, t_end=40.0, transient=10.0,
             compute_exponent=False,
         )
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """An empty post-transient window store for the duration of one test."""
+    store = {}
+    monkeypatch.setattr(nfde_sim, "_windows", store)
+    return store
+
+
+def test_theta_run_matches_one_unsplit_stepper_run(hh, windows):
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=200.0, transient=60.0)
+    traj = dh.simulate_theta(cfg)
+    assert len(windows) == 1  # the run stopped at the transient once
+    st = nfde_sim._ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
+    st.step(int(round(cfg.t_end / cfg.h)))
+    for got, buf in ((traj.x, st.xs), (traj.y, st.ys), (traj.dy, st.dys),
+                     (traj.theta, st.ths), (traj.dtheta, st.dths)):
+        assert got.flags.writeable
+        assert np.array_equal(got, np.frombuffer(buf, np.float64))
+
+
+def test_divergence_exponent_reuses_window_bitwise(hh, windows):
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=400.0, transient=200.0)
+    cold = []
+    for d0 in (1e-8, 1e-10):
+        windows.clear()
+        cold.append(dh.divergence_exponent(cfg, d0, 10.0, 50))
+        assert len(windows) == 1
+    windows.clear()
+    dh.simulate_theta(cfg)
+    assert len(windows) == 1
+    warm = [dh.divergence_exponent(cfg, d0, 10.0, 50) for d0 in (1e-8, 1e-10)]
+    assert [v.hex() for v in warm] == [v.hex() for v in cold]
+    assert len(windows) == 1
+
+
+def test_neutral_run_leaves_window_store_empty(hh, windows):
+    cfg = cfg_at(hh, -0.1, 0.1, h_div=50, t_end=100.0, transient=50.0,
+                 formulation="neutral_form")
+    nfde_sim.simulate(cfg)
+    dh.simulate_neutral(cfg)
+    assert windows == {}
+
+
+def test_window_store_is_bounded_fifo(hh, windows):
+    cap = nfde_sim._WINDOW_CACHE_SIZE
+    cfgs = [cfg_at(hh, -0.1, 0.1, x0=0.1 + 0.01 * i, h_div=20, t_end=30.0,
+                   transient=10.0) for i in range(cap + 3)]
+    for i, cfg in enumerate(cfgs):
+        dh.simulate_theta(cfg)
+        assert len(windows) == min(i + 1, cap)
+    assert list(windows) == [nfde_sim._window_key(c) for c in cfgs[-cap:]]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_nn_stats_blocks_match_whole_matrix(monkeypatch, block):
+    monkeypatch.setattr(nfde_sim, "_NN_BLOCK_ELEMS", block)
+    rng = np.random.default_rng(11)
+    for n in (3, 40, 257):
+        pts = rng.uniform(-1, 1, size=(n, 2))
+        pts[n // 2] = pts[0]  # duplicate points tie at distance zero
+        pts[-1] = pts[1]
+        pts[-2] = pts[1]
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        nn, order = nfde_sim._nn_stats(pts)
+        assert np.array_equal(nn, np.sqrt(np.min(d2, axis=1)))
+        assert np.array_equal(order, np.argsort(d2, axis=1)[:, :2])
