@@ -6,11 +6,23 @@ After scaling, the radial dynamics of the slow/fast oscillation amplitudes
     r1' = r1*(c1 + r1^2 + b0*r2^2)
     r2' = r2*(c2 + c0*r1^2 + d0*r2^2)
 
-truncated at third order.  Its nonnegative equilibria and limit cycles
+truncated at third order.  Its nonnegative equilibria and periodic orbits
 translate back to invariant sets of the full delayed system: the origin to
 the trivial equilibrium, an axis equilibrium to a periodic orbit of the
-corresponding mode, an interior equilibrium to a 2-torus, and a planar
-limit cycle to a 3-torus.
+corresponding mode, an interior equilibrium to a 2-torus, and a periodic
+amplitude orbit to a 3-torus.
+
+In the squared radii u = r1^2, v = r2^2 the truncation is the planar
+Lotka-Volterra system u' = 2u(c1 + u + b0*v), v' = 2v(c2 + c0*u + d0*v).
+With the Dulac function u^(a-1)*v^(b-1), for the (a, b) that cancel the
+linear terms, its divergence is a positive multiple of the trace of the
+Jacobian at the interior equilibrium (Hofbauer & Sigmund, Evolutionary
+Games and Population Dynamics, 1998, ch. 5).  So the system has no
+isolated periodic orbit: a periodic orbit must surround the interior
+equilibrium, and there is one only when that trace vanishes, as a center
+family filling the region around a linear center.  predict_attractor
+therefore decides the attractors algebraically; simulate_amplitude and
+find_attractor integrate the system and serve as its independent oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +36,12 @@ import numpy as np
 from . import normalform
 from .errors import DegenerateDet, WrongCase
 from .normalform import UnfoldingParams, ViaLines
+
+# Relative tolerance of the zero-trace test for a center at the interior
+# equilibrium.  On the D5 probes of the worked instance's double-Hopf
+# points |trace|/scale stays below 3e-13; every other region with an
+# interior equilibrium has at least 0.33.
+_CENTER_TOL = 1e-9
 
 __all__ = [
     "AmplitudeState",
@@ -236,6 +254,24 @@ def _representative_alpha(region: int, lines: ViaLines, radius: float) -> np.nda
     return radius * np.array([math.cos(theta), math.sin(theta)])
 
 
+def _probe_params(
+    region: int, u: UnfoldingParams, radius: float
+) -> Tuple[float, float, float, float, float]:
+    """Amplitude parameters (c1, c2, b0, c0, d0) at a region's representative point.
+
+    The truncated system is self-similar under (r, t) -> (s*r, t/s^2),
+    c -> s^2*c, so (c1, c2) is normalized to unit length: the portrait is
+    unchanged and all rates are O(1) for the find_attractor oracle.
+    """
+    alpha = _representative_alpha(region, normalform.via_lines(u), radius)
+    c1 = float(u.c1_map @ alpha)
+    c2 = float(u.c2_map @ alpha)
+    scale = math.hypot(c1, c2)
+    if scale == 0.0:
+        raise ValueError("representative point maps to the origin")
+    return (c1 / scale, c2 / scale, u.b0, u.c0, float(u.d0))
+
+
 def predict_attractor(
     region: int,
     u: UnfoldingParams,
@@ -243,56 +279,48 @@ def predict_attractor(
 ) -> AttractorPrediction:
     """Stable object of the amplitude system in one case-VIa region.
 
-    Evaluated at a representative parameter point (bisector at ``radius``,
-    see _representative_alpha), from the closed-form equilibria first and
-    by simulation when no equilibrium is stable.
+    Decided in closed form at a representative parameter point (bisector at
+    ``radius``, see _representative_alpha and _probe_params):
 
-    The cubic truncation is degenerate across the D4/D5 band: in the
-    squared radii it is a quadratic Lotka-Volterra system, whose interior
-    Hopf carries no isolated cycle (a center family sits exactly on the
+    1. torus3 when the interior equilibrium is a linear center: zero trace,
+       |r1^2 + d0*r2^2| <= _CENTER_TOL*(r1^2 + |d0|*r2^2), and positive
+       determinant, d0 - b0*c0 > 0 (det J = 4*r1^2*r2^2*(d0 - b0*c0)).  The
+       center family of periodic amplitude orbits then surrounds it.
+    2. Otherwise the first stable equilibrium in the order interior (torus2),
+       r2_axis (periodic, mode 2), r1_axis (periodic, mode 1), origin
+       (trivial_eq).
+    3. Otherwise none_stable: by the Dulac argument of the module docstring
+       the system has no isolated periodic orbit that could attract.
+
+    The cubic truncation is degenerate across the D4/D5 band: its interior
+    Hopf carries no isolated cycle (the center family sits exactly on the
     L5 ray, slow spirals on either side; the band between the true L4 and
     L5 opens only at the uncomputed quadratic order).  D5 is therefore
-    probed on the shared L4/L5 ray itself, where the bounded recurrent
-    center orbit stands in for the amplitude limit cycle.
+    probed on the shared L4/L5 ray itself, where the center family stands
+    in for the amplitude limit cycle.  No amplitude orbit is integrated.
     """
     if not 1 <= region <= 8:
         raise ValueError(f"region must be 1..8, got {region}")
     case = u.case if u.case is not None else normalform.classify_unfolding(u)
     if case != "VIa":
         raise WrongCase(f"attractor map defined for case VIa, not {case}")
-    lines = normalform.via_lines(u)
-
-    def params_of(a):
-        # the truncated system is self-similar under (r, t) -> (s*r, t/s^2),
-        # c -> s^2*c, so normalizing (c1, c2) to unit length keeps the
-        # portrait and makes all rates O(1) for the simulation probes
-        c1 = float(u.c1_map @ a)
-        c2 = float(u.c2_map @ a)
-        scale = math.hypot(c1, c2)
-        if scale == 0.0:
-            raise ValueError("representative point maps to the origin")
-        return (c1 / scale, c2 / scale, u.b0, u.c0, float(u.d0))
-
-    alpha = _representative_alpha(region, lines, radius)
-    params = params_of(alpha)
-    eqs = equilibria(*params)
-    stable = [e for e in eqs if e.stable]
-    for kind in ("interior", "r2_axis", "r1_axis", "origin"):
-        for e in stable:
-            if e.kind == kind:
-                if kind == "interior":
-                    return AttractorPrediction("torus2", None, region)
-                if kind == "origin":
-                    return AttractorPrediction("trivial_eq", None, region)
-                mode = 1 if kind == "r1_axis" else 2
-                return AttractorPrediction("periodic", mode, region)
-    # no stable equilibrium: look for a bounded recurrent amplitude orbit
-    interior = next((e for e in eqs if e.kind == "interior"), None)
+    params = _probe_params(region, u, radius)
+    _, _, b0, c0, d0 = params
+    eqs = {e.kind: e for e in equilibria(*params)}
+    interior = eqs.get("interior")
     if interior is not None:
-        s0 = (interior.state.r1 * 0.995, interior.state.r2 * 0.995)
-    else:
-        s0 = (0.05, 0.05)
-    label, _ = find_attractor(params, s0, t_end=4000.0, h=0.01)
-    if label == "cycle":
-        return AttractorPrediction("torus3", None, region)
+        r1_sq = interior.state.r1 ** 2
+        r2_sq = interior.state.r2 ** 2
+        half_trace = r1_sq + d0 * r2_sq
+        zero_trace = abs(half_trace) <= _CENTER_TOL * (r1_sq + abs(d0) * r2_sq)
+        if zero_trace and d0 - b0 * c0 > 0.0:
+            return AttractorPrediction("torus3", None, region)
+    for kind, label, mode in (
+        ("interior", "torus2", None),
+        ("r2_axis", "periodic", 2),
+        ("r1_axis", "periodic", 1),
+        ("origin", "trivial_eq", None),
+    ):
+        if kind in eqs and eqs[kind].stable:
+            return AttractorPrediction(label, mode, region)
     return AttractorPrediction("none_stable", None, region)

@@ -40,6 +40,7 @@ __all__ = [
     "eval_char",
     "char_deriv",
     "w_poly",
+    "gain_bound",
     "check_hypotheses",
     "hopf_frequencies",
     "tau_branch",
@@ -161,17 +162,22 @@ def w_poly(epsilon: float, mu: float, k: float) -> WPoly:
     return WPoly(a, b, c)
 
 
-def check_hypotheses(epsilon: float, mu: float, k: float) -> dict:
-    """Admissibility conditions for two positive Hopf frequencies.
-
-    h1: the gain bound k < min(1/eps, (1+mu)/eps - eps*(1+mu)/2), which
-        forces c > 0 and b < 0 in the frequency quadratic.
-    h2: positive discriminant b^2 - 4ac of the frequency quadratic.
-    """
-    h1 = k < min(
+def gain_bound(epsilon: float, mu: float) -> float:
+    """Supremum min(1/eps, (1+mu)/eps - eps*(1+mu)/2) of the gains allowed by h1."""
+    return min(
         1.0 / epsilon,
         (1.0 + mu) / epsilon - epsilon * (1.0 + mu) / 2.0,
     )
+
+
+def check_hypotheses(epsilon: float, mu: float, k: float) -> dict:
+    """Admissibility conditions for two positive Hopf frequencies.
+
+    h1: the gain bound k < gain_bound(eps, mu), which forces c > 0 and
+        b < 0 in the frequency quadratic.
+    h2: positive discriminant b^2 - 4ac of the frequency quadratic.
+    """
+    h1 = k < gain_bound(epsilon, mu)
     h2 = w_poly(epsilon, mu, k).discriminant > 0.0
     return {"h1": bool(h1), "h2": bool(h2)}
 

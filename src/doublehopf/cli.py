@@ -348,10 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="table output format for hopf-curves and line-t (scalar "
         "reports are always JSON, sampled trajectories always CSV)",
     )
-    parser.add_argument(
-        "--seedless", action="store_true",
-        help="reserved; all computation is already deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     parser._dh_subparsers = {}  # type: ignore[attr-defined]
 

@@ -9,11 +9,12 @@ gap function g(k) = tau_jp^+(k) - tau_jm^-(k) by scan-and-bisect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from .chareq import check_hypotheses, hopf_frequencies, tau_branch
-from .errors import NoSignChange
+from .chareq import check_hypotheses, gain_bound, hopf_frequencies, tau_branch
+from .errors import HypothesisViolated, NoSignChange
 
 __all__ = [
     "HopfHopfPoint",
@@ -75,15 +76,27 @@ def find_hopf_hopf(
 ) -> HopfHopfPoint:
     """Intersection of the tau_{j_plus}^+ and tau_{j_minus}^- curves in [k_lo, k_hi].
 
-    The bracket is scanned on 400 points for a sign change of the delay gap,
-    then bisected until |gap| < 1e-10.  Raises NoSignChange when the gap has
-    constant sign on the bracket, HypothesisViolated when any scanned gain
-    leaves the admissible region.
+    k_hi is first clipped to the largest float below the closed-form gain
+    bound of h1 (chareq.gain_bound).  The bracket is then scanned on 400
+    points for a sign change of the delay gap and bisected until
+    |gap| < 1e-10.  Raises NoSignChange when the gap has constant sign on
+    the bracket, HypothesisViolated when the clipped bracket is empty or a
+    scanned gain still fails h2.
     """
     if not k_lo < k_hi:
         raise ValueError("need k_lo < k_hi")
+    k_max = math.nextafter(gain_bound(epsilon, mu), -math.inf)
+    k_hi = min(k_hi, k_max)
+    if not k_lo < k_hi:
+        raise HypothesisViolated(
+            f"gain bracket starts at {k_lo}, beyond the h1 bound {k_max!r}"
+        )
 
-    ks = [k_lo + (k_hi - k_lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
+    # the min only touches a point that would round onto the bound itself
+    ks = [
+        min(k_lo + (k_hi - k_lo) * i / (_SCAN_POINTS - 1), k_max)
+        for i in range(_SCAN_POINTS)
+    ]
     gaps = [_gap(epsilon, mu, k, j_plus, j_minus) for k in ks]
 
     lo = hi = None

@@ -117,8 +117,9 @@ class Trajectory:
     """Uniform-grid solution samples with cubic Hermite dense output.
 
     Arrays x, y, dy (= y') live on t = 0, h, 2h, ...; theta and dtheta are
-    stored for theta-form runs and reconstructed on demand otherwise.  The
-    constant initial history extends every evaluation to t <= 0.
+    stored for theta-form runs and otherwise each reconstructed on its own
+    first read.  The constant initial history extends every evaluation to
+    t <= 0.
 
     Simulated trajectories own the integrator's sample buffers: the arrays
     are writable views of them, not copies.
@@ -183,35 +184,32 @@ class Trajectory:
     @property
     def theta(self) -> np.ndarray:
         if self._theta is None:
-            self._theta, self._dtheta = self._rebuild_theta()
+            self._theta = self._rebuild_memory(self.x, self.x0)
         return self._theta
 
     @property
     def dtheta(self) -> np.ndarray:
         if self._dtheta is None:
-            self._theta, self._dtheta = self._rebuild_theta()
+            self._dtheta = self._rebuild_memory(self.y, 0.0)
         return self._dtheta
 
-    def _rebuild_theta(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _rebuild_memory(self, src: np.ndarray, hist: float) -> np.ndarray:
+        """m = (1-mu)*src + mu*m(t - tau) on the grid, with history m = hist.
+
+        theta is the memory of x (history x0), dtheta that of y (history 0).
+        """
         if self.params is None:
             raise ValueError("synthetic trajectory carries no feedback memory")
         mu = self.params.mu
-        n = len(self.x)
+        n = len(src)
         nd = self.n_delay
-        th = np.empty(n)
-        dth = np.empty(n)
+        m = np.empty(n)
         for lo in range(0, n, nd):
             hi = min(lo + nd, n)
-            if lo == 0:
-                th_del = np.full(hi - lo, self.x0)
-                dth_del = np.zeros(hi - lo)
-                # node 0 uses the history fixed point directly
-            else:
-                th_del = th[lo - nd : hi - nd]
-                dth_del = dth[lo - nd : hi - nd]
-            th[lo:hi] = (1.0 - mu) * self.x[lo:hi] + mu * th_del
-            dth[lo:hi] = (1.0 - mu) * self.y[lo:hi] + mu * dth_del
-        return th, dth
+            # node 0 uses the history fixed point directly
+            delayed = np.full(hi - lo, hist) if lo == 0 else m[lo - nd : hi - nd]
+            m[lo:hi] = (1.0 - mu) * src[lo:hi] + mu * delayed
+        return m
 
     def y_delayed(self) -> np.ndarray:
         """Grid samples of y(t - tau); exact buffer reads plus history fill."""

@@ -4,10 +4,30 @@ import numpy as np
 import pytest
 
 import doublehopf as dh
+from doublehopf import amplitude
 from doublehopf.amplitude import AmplitudeState, find_attractor
 from doublehopf.errors import DegenerateDet, WrongCase
 
-from conftest import draw_amplitude_params, grid_scan_oracle
+from conftest import EPS, MU, draw_amplitude_params, grid_scan_oracle
+
+# (j_plus, j_minus) of the four case-VIa double-Hopf points of the worked
+# instance inside the admissible gain interval 2.72 < k < 9.99
+LADDER_POINTS = ((1, 1), (2, 1), (3, 1), (3, 2))
+
+# case-VIa attractor table: region -> (kind, mode)
+VIA_TABLE = {1: ("none_stable", None), 2: ("none_stable", None),
+             3: ("none_stable", None), 4: ("none_stable", None),
+             5: ("torus3", None), 6: ("torus2", None),
+             7: ("periodic", 2), 8: ("trivial_eq", None)}
+
+
+@pytest.fixture(scope="module")
+def ladder_unfoldings():
+    out = {}
+    for jp, jm in LADDER_POINTS:
+        hh = dh.find_hopf_hopf(EPS, MU, jp, jm, 2.72, 9.99)
+        out[jp, jm] = dh.unfolding_params(dh.nf_coefficients(hh, EPS, MU))
+    return out
 
 
 def test_rhs_origin_fixed():
@@ -148,6 +168,36 @@ def test_predict_attractor_by_region(unfolding, region, kind, mode):
     assert pred.kind == kind
     assert pred.mode == mode
     assert pred.region == region
+
+
+def test_predict_attractor_closed_form_at_ladder_points(
+    ladder_unfoldings, monkeypatch
+):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("predict_attractor integrated the amplitude system")
+
+    monkeypatch.setattr(amplitude, "simulate_amplitude", no_simulation)
+    monkeypatch.setattr(amplitude, "find_attractor", no_simulation)
+    got, want = {}, {}
+    for point, u in ladder_unfoldings.items():
+        for region, kind_mode in VIA_TABLE.items():
+            pred = dh.predict_attractor(region, u)
+            got[point, region] = (pred.kind, pred.mode)
+            want[point, region] = kind_mode
+    assert got == want
+
+
+@pytest.mark.parametrize("point", LADDER_POINTS, ids=lambda p: f"{p[0]}-{p[1]}")
+def test_center_rule_matches_simulation_oracle(ladder_unfoldings, point):
+    # D5's probe sits on the center family (torus3), D4's beside it: an
+    # orbit started next to the interior point recurs only in D5
+    u = ladder_unfoldings[point]
+    for region, is_cycle in ((5, True), (4, False)):
+        params = amplitude._probe_params(region, u, 0.1)
+        interior = [e for e in dh.equilibria(*params) if e.kind == "interior"][0]
+        s0 = (interior.state.r1 * 0.995, interior.state.r2 * 0.995)
+        label, _ = find_attractor(params, s0, t_end=4000.0, h=0.01)
+        assert (label == "cycle") == is_cycle, (region, label)
 
 
 def test_predict_attractor_wrong_case():

@@ -52,6 +52,34 @@ def test_bracket_outside_admissible_region():
         dh.find_hopf_hopf(EPS, MU, 1, 1, 2.5, 3.1)
 
 
+@pytest.mark.parametrize("k_hi", [12.0, 10.0])
+def test_bracket_clipped_to_gain_bound(k_hi):
+    # h1 caps the gain at 1/eps = 10 here; the bracket is clipped below it
+    pt = dh.find_hopf_hopf(EPS, MU, 1, 1, 4.5, k_hi)
+    assert pt.k0 == pytest.approx(REF_K0, abs=1e-8)
+    assert pt.tau0 == pytest.approx(REF_TAU0, abs=1e-8)
+
+
+def test_bracket_beyond_gain_bound():
+    from doublehopf.errors import HypothesisViolated
+
+    with pytest.raises(HypothesisViolated):
+        dh.find_hopf_hopf(EPS, MU, 1, 1, 10.0, 12.0)
+
+
+def test_admissible_bracket_scan_points_unchanged(monkeypatch):
+    seen = []
+    gap = dh.hopf_hopf._gap
+
+    def recording_gap(epsilon, mu, k, j_plus, j_minus):
+        seen.append(k)
+        return gap(epsilon, mu, k, j_plus, j_minus)
+
+    monkeypatch.setattr(dh.hopf_hopf, "_gap", recording_gap)
+    dh.find_hopf_hopf(EPS, MU, 1, 1, 4.5, 5.2)
+    assert seen[:400] == [4.5 + (5.2 - 4.5) * i / 399 for i in range(400)]
+
+
 def test_resonance_reference_point(hh):
     res = dh.resonance_check(hh.omega1, hh.omega2)
     assert res["nonresonant"] is True

@@ -64,6 +64,20 @@ def test_neutral_memory_reconstruction_matches_theta(hh):
     assert np.max(np.abs(tr_t.theta - tr_n.theta)) < 1e-8
 
 
+def test_neutral_memory_rebuilds_each_array_on_first_read(hh):
+    cfg = cfg_at(hh, -0.1, 0.1, h_div=50, t_end=30.0, formulation="neutral_form")
+    traj = dh.simulate_neutral(cfg)
+    theta = traj.theta
+    assert traj._dtheta is None  # reading theta leaves dtheta unbuilt
+    # node-by-node recursion m[n] = (1-mu)*src[n] + mu*m[n-N], history hist
+    nd = cfg.n_delay
+    for got, src, hist in ((theta, traj.x, cfg.x0), (traj.dtheta, traj.y, 0.0)):
+        ref = []
+        for n, v in enumerate(src):
+            ref.append((1.0 - MU) * float(v) + MU * (hist if n < nd else ref[n - nd]))
+        assert np.array_equal(got, ref)
+
+
 def test_decay_toward_stable_equilibrium(hh):
     # inside the stable region the amplitude envelope shrinks
     cfg = cfg_at(hh, -0.1, -0.08, h_div=500, t_end=500.0)
