@@ -163,8 +163,10 @@ def simulate_amplitude(
     """
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
-    c1, c2, b0, c0, d0 = params
-    r1, r2 = (s0.r1, s0.r2) if isinstance(s0, AmplitudeState) else (s0[0], s0[1])
+    # Python floats: numpy scalars warn on the stage overflow before an escape
+    c1, c2, b0, c0, d0 = (float(v) for v in params)
+    start = (s0.r1, s0.r2) if isinstance(s0, AmplitudeState) else (s0[0], s0[1])
+    r1, r2 = float(start[0]), float(start[1])
     n = int(round(t_end / h))
     kept = n // store_stride + 1
     path = np.empty((kept, 2))

@@ -5,24 +5,28 @@ feedback memory theta(t) = (1-mu)*x(t) + mu*theta(t-tau) is equivalent to a
 neutral delay system in (x, y=x').  Linearized about the origin, nontrivial
 solutions e^{lam*t} exist when
 
-    lam^2 - mu*lam^2*e^{-lam*tau} - eps*lam + eps*mu*lam*e^{-lam*tau}
-        - mu*e^{-lam*tau} + 1 - eps*k*(1-mu) = 0.
+    Delta(lam) = lam^2 - mu*lam^2*e^{-lam*tau} - eps*lam + eps*mu*lam*e^{-lam*tau}
+                 - mu*e^{-lam*tau} + 1 - eps*k*(1-mu) = 0.
+
+``eval_char`` and ``char_deriv`` are the one implementation of Delta and
+Delta'; both take a complex scalar or a numpy array.  The Newton root
+finder, the Hopf residual oracles and the eigenbasis normalizers of
+``normalform`` all evaluate them.
 
 A pure-imaginary root lam = i*omega requires rho = omega^2 to be a root of
 the real quadratic W(rho) = a*rho^2 + b*rho + c.  Under the gain bound (h1)
 and positive discriminant (h2) there are exactly two admissible frequencies
-omega_minus < omega_plus, each generating a ladder of critical delays
-tau_j = tau_0 + 2*pi*j/omega.  This module computes those quantities, the
-crossing direction of roots at each critical delay, the resulting stability
-windows of the origin, and a numerical root finder for the characteristic
-function used as an independent spectral oracle.
+omega_minus < omega_plus.  ``hopf_branch`` turns each into a ladder of
+critical delays tau_j = tau_0 + j*2*pi/omega (a ``HopfBranch``); every
+critical delay in the package is a rung of such a ladder.  This module also
+gives the crossing direction of roots at each critical delay and the
+resulting stability windows of the origin.
 
 All frequencies and delays here are in the original (unrescaled) time.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -104,11 +108,18 @@ class HopfFrequencies:
 
 @dataclass(frozen=True)
 class HopfBranch:
-    """One ladder of critical delays tau_j = tau0 + j*period_step."""
+    """One ladder of critical delays tau_j = tau0 + j*period_step.
+
+    ``omega`` is the branch frequency and omega*tau0 lies in [0, 2*pi).
+    """
 
     sign: str
+    omega: float
     tau0: float
-    period_step: float
+
+    @property
+    def period_step(self) -> float:
+        return 2.0 * math.pi / self.omega
 
     def tau(self, j: int) -> float:
         return self.tau0 + j * self.period_step
@@ -126,32 +137,41 @@ class StabilityWindows:
     m: Optional[int] = None
 
 
-def eval_char(lam: complex, p: SystemParams) -> complex:
-    """Characteristic function of the linearized neutral system at ``lam``."""
-    e = cmath.exp(-lam * p.tau)
-    lam2 = lam * lam
-    return (
-        lam2
-        - p.mu * lam2 * e
-        - p.epsilon * lam
-        + p.epsilon * p.mu * lam * e
+def eval_char(lam, p: SystemParams):
+    """Characteristic function Delta(lam) of the linearized neutral system.
+
+    ``lam`` is a complex scalar or a numpy array.  A scalar is evaluated as
+    a 1-element contiguous array, so it runs through the same vectorized
+    numpy loops as an array's elements and gets the same bits.
+    """
+    z = np.ascontiguousarray(lam, dtype=complex)
+    e = np.exp(-z * p.tau)
+    z2 = z * z
+    val = (
+        z2
+        - p.mu * z2 * e
+        - p.epsilon * z
+        + p.epsilon * p.mu * z * e
         - p.mu * e
         + 1.0
         - p.epsilon * p.k * (1.0 - p.mu)
     )
+    return val if np.ndim(lam) else val[0]
 
 
-def char_deriv(lam: complex, p: SystemParams) -> complex:
-    """d/dlam of the characteristic function (used by the Newton root finder)."""
-    e = cmath.exp(-lam * p.tau)
+def char_deriv(lam, p: SystemParams):
+    """Derivative Delta'(lam), for the same arguments as ``eval_char``."""
+    z = np.ascontiguousarray(lam, dtype=complex)
+    e = np.exp(-z * p.tau)
     mu, eps, tau = p.mu, p.epsilon, p.tau
-    return (
-        2.0 * lam
+    val = (
+        2.0 * z
         - eps
-        - mu * (2.0 * lam - tau * lam * lam) * e
-        + eps * mu * (1.0 - tau * lam) * e
+        - mu * (2.0 * z - tau * z * z) * e
+        + eps * mu * (1.0 - tau * z) * e
         + mu * tau * e
     )
+    return val if np.ndim(lam) else val[0]
 
 
 def w_poly(epsilon: float, mu: float, k: float) -> WPoly:
@@ -213,36 +233,28 @@ def _cos_sin_rhs(omega: float, epsilon: float, mu: float, k: float) -> Tuple[flo
     return (p * r + q * s) / den, (-p * s + q * r) / den
 
 
-def _select_omega(epsilon: float, mu: float, k: float, sign: str) -> float:
+def hopf_branch(epsilon: float, mu: float, k: float, sign: str) -> HopfBranch:
+    """Ladder of critical delays on the fast ('plus') or slow ('minus') branch.
+
+    The base delay tau_0 is the unique solution of the cos/sin pair with
+    omega*tau_0 = atan2(sin, cos) mod 2*pi, in [0, 2*pi).  Raises
+    ValueError for an unknown sign and HypothesisViolated outside the
+    admissible region.
+    """
+    if sign not in ("plus", "minus"):
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     freqs = hopf_frequencies(epsilon, mu, k)
-    if sign == "plus":
-        return freqs.omega_plus
-    if sign == "minus":
-        return freqs.omega_minus
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    omega = freqs.omega_plus if sign == "plus" else freqs.omega_minus
+    cos_v, sin_v = _cos_sin_rhs(omega, epsilon, mu, k)
+    theta = math.atan2(sin_v, cos_v) % (2.0 * math.pi)
+    return HopfBranch(sign, omega, theta / omega)
 
 
 def tau_branch(epsilon: float, mu: float, k: float, sign: str, j: int = 0) -> float:
-    """Critical delay tau_j on the given frequency branch.
-
-    The base delay tau_0 is the unique solution of the cos/sin pair with
-    omega*tau_0 in [0, 2*pi); the arccos branch is resolved by the sign of
-    the sin right-hand side.  Higher rungs add 2*pi*j/omega.
-    """
+    """Critical delay tau_j = hopf_branch(...).tau(j) on the given branch."""
     if j < 0 or int(j) != j:
         raise ValueError(f"branch index j must be a nonnegative integer, got {j}")
-    omega = _select_omega(epsilon, mu, k, sign)
-    cos_v, sin_v = _cos_sin_rhs(omega, epsilon, mu, k)
-    theta = math.acos(min(1.0, max(-1.0, cos_v)))
-    if abs(math.sin(theta) - sin_v) > 1e-6:
-        theta = 2.0 * math.pi - theta
-    return (theta + 2.0 * math.pi * j) / omega
-
-
-def hopf_branch(epsilon: float, mu: float, k: float, sign: str) -> HopfBranch:
-    """Branch record bundling tau_0 with its rung spacing 2*pi/omega."""
-    omega = _select_omega(epsilon, mu, k, sign)
-    return HopfBranch(sign, tau_branch(epsilon, mu, k, sign, 0), 2.0 * math.pi / omega)
+    return hopf_branch(epsilon, mu, k, sign).tau(j)
 
 
 def transversality_sign(
@@ -253,9 +265,8 @@ def transversality_sign(
     Equals the sign of W'(rho) at rho = omega^2: +1 on the fast branch
     (roots cross rightward), -1 on the slow branch.
     """
-    omega = _select_omega(epsilon, mu, k, sign)
-    w = w_poly(epsilon, mu, k)
-    d = w.deriv(omega * omega)
+    omega = hopf_branch(epsilon, mu, k, sign).omega
+    d = w_poly(epsilon, mu, k).deriv(omega * omega)
     if abs(d) < tol:
         raise DegenerateRoot(f"|W'({omega}^2)| = {abs(d)} below tolerance {tol}")
     return 1 if d > 0 else -1
@@ -269,12 +280,13 @@ def stability_windows(epsilon: float, mu: float, k: float) -> StabilityWindows:
     where the ordering fails.  Empty (m = None) when already tau_0^- >
     tau_0^+: the origin is then unstable for every delay.
     """
+    slow = hopf_branch(epsilon, mu, k, "minus")
+    fast = hopf_branch(epsilon, mu, k, "plus")
     windows: List[Tuple[float, float]] = []
     j = 0
     prev_hi = 0.0
     while True:
-        lo = tau_branch(epsilon, mu, k, "minus", j)
-        hi = tau_branch(epsilon, mu, k, "plus", j)
+        lo, hi = slow.tau(j), fast.tau(j)
         if lo >= hi or (j > 0 and lo <= prev_hi):
             break
         windows.append((lo, hi))
@@ -283,32 +295,6 @@ def stability_windows(epsilon: float, mu: float, k: float) -> StabilityWindows:
     if not windows:
         return StabilityWindows((), None)
     return StabilityWindows(tuple(windows), len(windows))
-
-
-def _eval_char_vec(z: np.ndarray, p: SystemParams) -> np.ndarray:
-    e = np.exp(-z * p.tau)
-    z2 = z * z
-    return (
-        z2
-        - p.mu * z2 * e
-        - p.epsilon * z
-        + p.epsilon * p.mu * z * e
-        - p.mu * e
-        + 1.0
-        - p.epsilon * p.k * (1.0 - p.mu)
-    )
-
-
-def _char_deriv_vec(z: np.ndarray, p: SystemParams) -> np.ndarray:
-    e = np.exp(-z * p.tau)
-    mu, eps, tau = p.mu, p.epsilon, p.tau
-    return (
-        2.0 * z
-        - eps
-        - mu * (2.0 * z - tau * z * z) * e
-        + eps * mu * (1.0 - tau * z) * e
-        + mu * tau * e
-    )
 
 
 def rightmost_roots(
@@ -342,15 +328,15 @@ def rightmost_roots(
     ims = np.linspace(0.0, im_max, grid_n)
     z = (res[:, None] + 1j * ims[None, :]).ravel().astype(complex)
     for _ in range(60):
-        f = _eval_char_vec(z, p)
-        df = _char_deriv_vec(z, p)
+        f = eval_char(z, p)
+        df = char_deriv(z, p)
         safe = np.abs(df) > 1e-300
         step = np.zeros_like(z)
         step[safe] = f[safe] / df[safe]
         z = z - step
         np.nan_to_num(z, copy=False, nan=1e9, posinf=1e9, neginf=-1e9)
 
-    resid = np.abs(_eval_char_vec(z, p))
+    resid = np.abs(eval_char(z, p))
     ok = (
         (resid < 1e-12)
         & (z.real >= re_min - 1e-12)

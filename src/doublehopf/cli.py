@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reports are always JSON, sampled trajectories always CSV)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser._dh_subparsers = {}  # type: ignore[attr-defined]
 
     p = sub.add_parser("hopf-curves", help="tabulate the Hopf curves in the k-tau plane")
     _add_instance_args(p)
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", type=int, default=3, help="highest ladder index")
     p.add_argument("--out", default="hopf_curves.csv")
     p.set_defaults(func=cmd_hopf_curves)
-    parser._dh_subparsers["hopf-curves"] = p  # type: ignore[attr-defined]
 
     p = sub.add_parser("analyze", help="locate the double-Hopf point and unfold it")
     _add_instance_args(p)
@@ -365,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resonance-tol", type=float, default=1e-3)
     p.add_argument("--out", default="analysis.json")
     p.set_defaults(func=cmd_analyze)
-    parser._dh_subparsers["analyze"] = p  # type: ignore[attr-defined]
 
     p = sub.add_parser("simulate", help="integrate at an offset from the critical point")
     _add_instance_args(p)
@@ -385,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1, help="trajectory CSV decimation")
     p.add_argument("--out", default="run", help="output file prefix")
     p.set_defaults(func=cmd_simulate)
-    parser._dh_subparsers["simulate"] = p  # type: ignore[attr-defined]
 
     p = sub.add_parser("line-t", help="classify attractors along the transition ray")
     _add_instance_args(p)
@@ -402,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-exponent", action="store_true")
     p.add_argument("--out", default="line_t.csv")
     p.set_defaults(func=cmd_line_t)
-    parser._dh_subparsers["line-t"] = p  # type: ignore[attr-defined]
 
     return parser
 
@@ -432,7 +427,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> None:
                     typed[key] = float(val)
                 except ValueError:
                     typed[key] = val
-    for sp in parser._dh_subparsers.values():  # type: ignore[attr-defined]
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for sp in sub.choices.values():
         known = {a.dest for a in sp._actions}
         sp.set_defaults(**{k: v for k, v in typed.items() if k in known})
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from .chareq import check_hypotheses, gain_bound, hopf_frequencies, tau_branch
+from .chareq import gain_bound, hopf_branch, hopf_frequencies, tau_branch
 from .errors import HypothesisViolated, NoSignChange
 
 __all__ = [
@@ -158,24 +158,22 @@ def scan_hopf_curves(
     """Tabulate tau_j^{+-}(k) over a gain grid for plotting the Hopf curves.
 
     Gains failing the admissibility conditions are skipped and reported in
-    ``skipped_k``.  Rows are ordered by (j, branch sign, k).
+    ``skipped_k``.  Rows are ordered by (j, branch sign, k); each gain's two
+    ladders are built once and hold no state beyond their rows.
     """
-    ks = list(k_values)
-    rows: List[CurveRow] = []
     skipped: List[float] = []
-    admissible: List[Tuple[float, float, float]] = []
-    for k in ks:
-        hyp = check_hypotheses(epsilon, mu, k)
-        if not (hyp["h1"] and hyp["h2"]):
+    # buckets[j][i]: rows of rung j on branch ("minus", "plus")[i], by k
+    buckets = [([], []) for _ in range(j_max + 1)]
+    for k in k_values:
+        try:
+            pair = [hopf_branch(epsilon, mu, k, sign) for sign in ("minus", "plus")]
+        except HypothesisViolated:
             skipped.append(k)
             continue
-        freqs = hopf_frequencies(epsilon, mu, k)
-        admissible.append((k, freqs.omega_minus, freqs.omega_plus))
-    for j in range(j_max + 1):
-        for sign in ("minus", "plus"):
-            for k, om_m, om_p in admissible:
-                omega = om_m if sign == "minus" else om_p
-                rows.append(
-                    CurveRow(sign, j, k, tau_branch(epsilon, mu, k, sign, j), omega)
-                )
-    return HopfCurveTable(tuple(rows), tuple(skipped))
+        for j, per_sign in enumerate(buckets):
+            for branch, rows in zip(pair, per_sign):
+                rows.append(CurveRow(branch.sign, j, k, branch.tau(j), branch.omega))
+    return HopfCurveTable(
+        tuple(row for per_sign in buckets for rows in per_sign for row in rows),
+        tuple(skipped),
+    )

@@ -97,7 +97,9 @@ class SimConfig:
         transient: float = 0.0,
         formulation: str = "theta_form",
     ) -> "SimConfig":
-        """Grid defined by the delay divisor: h = tau/h_div."""
+        """Grid defined by the delay divisor: h = tau/h_div, h_div >= 4."""
+        if h_div < 4:
+            raise ValueError(f"h_div must be an integer >= 4, got {h_div!r}")
         return cls(params, x0, y0, params.tau / h_div, t_end, transient, formulation)
 
 

@@ -13,7 +13,8 @@ The dual pairing used to normalize the adjoint rows is
 
 whose last term is the neutral contribution: on eigenpairs the whole pairing
 collapses to u * Delta'(lam) * v, the derivative of the characteristic
-matrix, which is exactly what the closed-form normalizers D1, D2 invert.
+matrix, so the normalizers are D_i = -1/Delta'(i*omega_i), evaluated by
+``chareq.char_deriv`` in original time at (k0, tau0).
 Dropping the psi' term breaks (Psi, Phi) = I; the duality residual below is
 the arbiter for all sign conventions.
 
@@ -31,6 +32,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .chareq import SystemParams, char_deriv
 from .errors import (
     BoundaryCase,
     DegenerateCubic,
@@ -188,45 +190,47 @@ class ViaLines:
         raise KeyError(name)
 
 
-def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
-    """Closed-form critical eigenbasis at a double-Hopf point (rescaled time)."""
-    t0, om1, om2 = hh.tau0, hh.omega1, hh.omega2
-    beta1, beta2 = t0 * om1, t0 * om2
-    e1 = np.exp(-1j * beta1)
-    e2 = np.exp(-1j * beta2)
-
-    den1 = (
-        e1 * (1j * mu * om1 * (epsilon * t0 + 2.0) - mu * (epsilon + t0) + mu * t0 * om1**2)
-        + epsilon
-        - 2j * om1
-    )
-    den2 = (
-        e2 * (1j * mu * om2 * (epsilon * t0 + 2.0) - mu * (epsilon + t0) + mu * t0 * om2**2)
-        + epsilon
-        - 2j * om2
-    )
-    if abs(den1) < 1e-12 or abs(den2) < 1e-12:
+def _normalizers(hh: HopfHopfPoint, epsilon: float, mu: float) -> Tuple[complex, ...]:
+    """D_i = -1/Delta'(i*omega_i) of the slow and fast modes at the point."""
+    p = SystemParams(epsilon, mu, hh.k0, hh.tau0)
+    derivs = [char_deriv(1j * om, p) for om in (hh.omega1, hh.omega2)]
+    if min(abs(d) for d in derivs) < 1e-12:
         raise SingularNormalizer(
-            f"normalizer denominators {abs(den1):.3e}, {abs(den2):.3e} below 1e-12"
+            "normalizer denominators "
+            f"{abs(derivs[0]):.3e}, {abs(derivs[1]):.3e} below 1e-12"
         )
-    d1 = 1.0 / den1
-    d2 = 1.0 / den2
+    return complex(-1.0 / derivs[0]), complex(-1.0 / derivs[1])
 
-    lams = np.array([1j * beta1, -1j * beta1, 1j * beta2, -1j * beta2])
+
+def _conj_pairs(values) -> np.ndarray:
+    """[v1, conj(v1), v2, conj(v2)]: the mode order of the critical basis."""
+    return np.array([z for v in values for z in (v, np.conj(v))])
+
+
+def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
+    """Closed-form critical eigenbasis at a double-Hopf point (rescaled time).
+
+    Modes are ordered slow, conjugate, fast, conjugate.  D1, D2 are
+    -1/Delta'(i*omega_i) (``chareq.char_deriv``); SingularNormalizer is
+    raised when |Delta'| < 1e-12.
+    """
+    t0, oms = hh.tau0, (hh.omega1, hh.omega2)
+    norms = _normalizers(hh, epsilon, mu)
+
+    lams = _conj_pairs([1j * t0 * om for om in oms])
     b_mat = np.diag(lams)
+    dy = _conj_pairs([1j * om for om in oms])
 
     def phi(theta: float) -> np.ndarray:
         row0 = np.exp(lams * theta)
-        row1 = np.array([1j * om1, -1j * om1, 1j * om2, -1j * om2]) * row0
-        return np.vstack([row0, row1])
+        return np.vstack([row0, dy * row0])
 
     # first components of the four adjoint rows at s = 0; the second is -1
-    u1 = (epsilon - 1j * om1) * (1.0 - mu * e1)
-    u2 = (epsilon - 1j * om2) * (1.0 - mu * e2)
-    heads = np.array(
-        [d1 * u1, np.conj(d1 * u1), d2 * u2, np.conj(d2 * u2)]
-    )
-    scales = np.array([d1, np.conj(d1), d2, np.conj(d2)])
+    heads = _conj_pairs([
+        d * ((epsilon - 1j * om) * (1.0 - mu * np.exp(-1j * t0 * om)))
+        for d, om in zip(norms, oms)
+    ])
+    scales = _conj_pairs(norms)
 
     def psi(s: float) -> np.ndarray:
         ex = np.exp(-lams * s)
@@ -236,7 +240,7 @@ def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
         return (-lams)[:, None] * psi(s)
 
     return EigenBasis(
-        b_mat, phi, psi, psi_deriv, complex(d1), complex(d2),
+        b_mat, phi, psi, psi_deriv, norms[0], norms[1],
         LinearPieces.at_point(hh, epsilon, mu),
     )
 
@@ -309,21 +313,20 @@ def nf_coefficients(hh: HopfHopfPoint, epsilon: float, mu: float) -> NormalFormC
     onto the resonant monomials.  Only the normalizers D1, D2 enter beyond
     elementary functions of (k0, tau0, omega1, omega2).
     """
-    basis = eigenbasis(hh, epsilon, mu)
-    d1, d2 = basis.D1, basis.D2
-    t0, om1, om2, k0 = hh.tau0, hh.omega1, hh.omega2, hh.k0
-    e1 = np.exp(-1j * t0 * om1)
-    e2 = np.exp(-1j * t0 * om2)
+    t0, k0 = hh.tau0, hh.k0
 
-    a11 = -d1 * epsilon * (1.0 - mu) * t0
-    a12 = d1 * (k0 * epsilon * (mu - 1.0) - mu * (om1**2 + 1.0) * e1 + om1**2 + 1.0)
-    c11 = -0.5 * d1 * (2j * epsilon * mu * t0 * om1 * e1 - 2j * epsilon * t0 * om1)
-    c12 = 2.0 * c11
-    a21 = -d2 * epsilon * (1.0 - mu) * t0
-    a22 = d2 * (k0 * epsilon * (mu - 1.0) - mu * (om2**2 + 1.0) * e2 + om2**2 + 1.0)
-    c22 = -0.5 * d2 * (2j * epsilon * mu * t0 * om2 * e2 - 2j * epsilon * t0 * om2)
-    c21 = 2.0 * c22
-    return NormalFormCoeffs(a11, a12, c11, c12, a21, a22, c21, c22)
+    def mode(d: complex, om: float) -> Tuple[complex, complex, complex]:
+        # (a_i1, a_i2, c_ii) of the mode with normalizer d and frequency om
+        e = np.exp(-1j * t0 * om)
+        a_1 = -d * epsilon * (1.0 - mu) * t0
+        a_2 = d * (k0 * epsilon * (mu - 1.0) - mu * (om**2 + 1.0) * e + om**2 + 1.0)
+        c_self = -0.5 * d * (2j * epsilon * mu * t0 * om * e - 2j * epsilon * t0 * om)
+        return a_1, a_2, c_self
+
+    (a11, a12, c11), (a21, a22, c22) = map(
+        mode, _normalizers(hh, epsilon, mu), (hh.omega1, hh.omega2)
+    )
+    return NormalFormCoeffs(a11, a12, c11, 2.0 * c11, a21, a22, 2.0 * c22, c22)
 
 
 def unfolding_params(coeffs: NormalFormCoeffs) -> UnfoldingParams:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,18 @@ def test_center_rule_matches_simulation_oracle(ladder_unfoldings, point):
         s0 = (interior.state.r1 * 0.995, interior.state.r2 * 0.995)
         label, _ = find_attractor(params, s0, t_end=4000.0, h=0.01)
         assert (label == "cycle") == is_cycle, (region, label)
+
+
+def test_escaping_oracle_run_raises_no_warning(ladder_unfoldings):
+    # the (3,2) D4 probe escapes; its last stages overflow to inf in Python
+    # floats, which warn nowhere, and the label stays "none"
+    params = amplitude._probe_params(4, ladder_unfoldings[3, 2], 0.1)
+    interior = [e for e in dh.equilibria(*params) if e.kind == "interior"][0]
+    s0 = (interior.state.r1 * 0.995, interior.state.r2 * 0.995)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        label, _ = find_attractor(params, s0, t_end=4000.0, h=0.01)
+    assert label == "none"
 
 
 def test_predict_attractor_wrong_case():

@@ -134,6 +134,21 @@ def test_hopf_frequencies_residual():
         assert abs(w(freqs.omega_plus**2)) < 1e-12 * scale
 
 
+def test_eval_char_and_deriv_arrays_match_scalar_calls():
+    # one implementation: an array argument gives, element by element, the
+    # bits of the scalar calls, including strided and 2-D arrays
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=300) + 5j * rng.normal(size=300)
+    for tau in (0.0, 5.0, REF_TAU0):
+        p = SystemParams(EPS, MU, 4.6, tau)
+        for f in (dh.eval_char, dh.chareq.char_deriv):
+            vals = f(z, p)
+            assert vals.shape == z.shape
+            assert np.array_equal(vals, [f(complex(v), p) for v in z])
+            assert np.array_equal(vals[::3], f(z[::3], p))
+            assert np.array_equal(vals.reshape(20, 15), f(z.reshape(20, 15), p))
+
+
 def test_tau_branch_reference_value():
     assert dh.tau_branch(EPS, MU, REF_K0, "plus", 1) == pytest.approx(
         REF_TAU0, abs=1e-7
@@ -152,6 +167,33 @@ def test_tau_branch_residual_oracle():
                 tau = dh.tau_branch(eps, mu, k, sign, j)
                 p = SystemParams(eps, mu, k, tau)
                 assert abs(dh.eval_char(1j * om, p)) < 1e-9
+
+
+def test_tau_branch_residual_at_rounding_level():
+    # atan2 keeps every digit of the base angle; |Delta(i*omega)| stays at
+    # the rounding level of its terms on all three rungs
+    for eps, mu, k in draw_admissible(np.random.default_rng(5), 2000):
+        freqs = dh.hopf_frequencies(eps, mu, k)
+        for sign, om in (("minus", freqs.omega_minus), ("plus", freqs.omega_plus)):
+            for j in (0, 1, 2):
+                p = SystemParams(eps, mu, k, dh.tau_branch(eps, mu, k, sign, j))
+                assert abs(dh.eval_char(1j * om, p)) <= 1e-14
+
+
+def test_hopf_branch_is_the_ladder():
+    freqs = dh.hopf_frequencies(EPS, MU, 4.6)
+    for sign, om in (("minus", freqs.omega_minus), ("plus", freqs.omega_plus)):
+        b = dh.hopf_branch(EPS, MU, 4.6, sign)
+        assert (b.sign, b.omega) == (sign, om)
+        assert 0.0 <= om * b.tau0 < 2 * math.pi
+        assert b.period_step == 2 * math.pi / om
+        for j in range(4):
+            assert b.tau(j) == b.tau0 + j * b.period_step
+            assert b.tau(j) == dh.tau_branch(EPS, MU, 4.6, sign, j)
+    with pytest.raises(ValueError):
+        dh.hopf_branch(EPS, MU, 4.6, "up")
+    with pytest.raises(HypothesisViolated):
+        dh.hopf_branch(EPS, MU, 50.0, "plus")
 
 
 def test_tau_branch_rung_spacing():

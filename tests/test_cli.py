@@ -127,6 +127,17 @@ def test_error_exit_codes(tmp_path, capsys):
     assert err["error"] == "NoSignChange"
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--alpha1", "0.1", "--alpha2", "0.085"),
+    ("line-t", "--iota", "2.0", "--no-exponent"),
+])
+def test_zero_delay_divisor_is_json_error(tmp_path, capsys, command):
+    assert run_cli(*command, "--h-div", "0", "--out", str(tmp_path / "z")) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "h_div" in err["message"]
+
+
 def test_blowup_maps_to_error_with_time(tmp_path, capsys):
     code = run_cli(
         "simulate", "--alpha1", "495", "--alpha2", "0", "--x0", "1.0",

@@ -142,3 +142,10 @@ def test_scan_curves_ordering():
     keys = [(r.j, r.branch_sign, r.k) for r in table.rows]
     # ordered by (j, sign, input order); deterministic for a fixed grid
     assert keys == sorted(keys, key=lambda t: (t[0], t[1]))
+
+
+def test_scan_curves_rows_are_branch_rungs():
+    table = dh.scan_hopf_curves(EPS, MU, [4.6, 4.65, 4.7], j_max=2)
+    for row in table.rows:
+        assert row.tau == dh.tau_branch(EPS, MU, row.k, row.branch_sign, row.j)
+        assert row.omega == dh.hopf_branch(EPS, MU, row.k, row.branch_sign).omega

@@ -19,6 +19,14 @@ def cfg_at(hh, a1, a2, x0=0.1, y0=0.0, h_div=500, t_end=100.0, transient=0.0,
                                      formulation)
 
 
+def test_from_divisor_rejects_small_divisor(hh):
+    # the same h_div >= 4 rule SimConfig applies to tau/h, before dividing
+    params = SystemParams(EPS, MU, hh.k0, hh.tau0)
+    for h_div in (0, 3):
+        with pytest.raises(ValueError, match="h_div"):
+            dh.SimConfig.from_divisor(params, 0.1, 0.0, h_div, 10.0)
+
+
 def test_config_validation(hh):
     params = SystemParams(EPS, MU, hh.k0, hh.tau0)
     with pytest.raises(ValueError):

@@ -342,3 +342,17 @@ def test_duality_holds_at_second_crossing():
     assert hh2.tau0 > REF_TAU0
     basis2 = dh.eigenbasis(hh2, EPS, MU)
     assert dh.duality_residual(basis2) < 1e-8
+
+
+def test_normalizers_invert_char_deriv(hh, basis):
+    # D_i = -1/Delta'(i*omega_i) in original time at (k0, tau0), shared by
+    # the eigenbasis and the normal-form coefficients
+    from doublehopf.chareq import SystemParams, char_deriv
+
+    p = SystemParams(EPS, MU, hh.k0, hh.tau0)
+    assert basis.D1 == complex(-1.0 / char_deriv(1j * hh.omega1, p))
+    assert basis.D2 == complex(-1.0 / char_deriv(1j * hh.omega2, p))
+    c = dh.nf_coefficients(hh, EPS, MU)
+    assert c.a11 == -basis.D1 * EPS * (1.0 - MU) * hh.tau0
+    assert c.a21 == -basis.D2 * EPS * (1.0 - MU) * hh.tau0
+    assert (c.c12, c.c21) == (2.0 * c.c11, 2.0 * c.c22)
