@@ -32,7 +32,7 @@ from .errors import DoubleHopfError, NonFiniteState
 __all__ = ["main", "build_parser"]
 
 _FMT = ".17g"
-_ROW_BLOCK = 65536  # trajectory CSV rows formatted per block
+_ROW_BLOCK = 16384  # trajectory CSV rows formatted per block (~6 MB of text and floats)
 
 
 def _f(v: float) -> str:
@@ -219,17 +219,22 @@ def _resolve_point(args) -> tuple:
     return k0 + args.alpha1, tau0 + args.alpha2
 
 
-def _trajectory_rows(traj: nfde_sim.Trajectory, stride: int):
-    """(t, x, y, theta, y_delayed) at every stride-th sample.
+def _write_trajectory_csv(path: str, traj: nfde_sim.Trajectory, stride: int) -> None:
+    """(t, x, y, theta, y_delayed) at every stride-th sample, as _write_csv
+    would write them.
 
-    Converted to Python floats one block of _ROW_BLOCK rows at a time, so a
-    dense export holds one block of row objects instead of five
-    whole-trajectory lists.
+    Each block of _ROW_BLOCK rows is formatted by one %-format ("%.17g"
+    gives the digits of format(v, ".17g") for every float, inf and nan
+    included), so a dense export holds one block of text at a time.
     """
     cols = (traj.t, traj.x, traj.y, traj.theta, traj.y_delayed())
     span = _ROW_BLOCK * stride
-    for lo in range(0, len(traj), span):
-        yield from zip(*(c[lo : lo + span : stride].tolist() for c in cols))
+    row = ",".join(["%" + _FMT] * len(cols)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t,x,y,theta,y_delayed\n")
+        for lo in range(0, len(traj), span):
+            block = np.column_stack([c[lo : lo + span : stride] for c in cols])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def cmd_simulate(args) -> int:
@@ -248,11 +253,7 @@ def cmd_simulate(args) -> int:
         label = None
         label_error = f"{type(exc).__name__}: {exc}"
 
-    _write_csv(
-        f"{args.out}.trajectory.csv",
-        ["t", "x", "y", "theta", "y_delayed"],
-        _trajectory_rows(traj, max(1, args.stride)),
-    )
+    _write_trajectory_csv(f"{args.out}.trajectory.csv", traj, max(1, args.stride))
     _write_csv(
         f"{args.out}.section.csv",
         ["t", "x", "y_delayed", "direction"],

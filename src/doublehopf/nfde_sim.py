@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -273,22 +274,21 @@ class _ThetaStepper:
     def step(self, n: int) -> None:
         p = self.p
         eps, mu, ek = p.epsilon, p.mu, p.epsilon * p.k
+        neps = -eps
         one_mu = 1.0 - mu
         N, h = self.N, self.h
-        h2, h6 = 0.5 * h, h / 6.0
+        h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
         xs, ys, ths, dys, dths = self.xs, self.ys, self.ths, self.dys, self.dths
         x0 = self.x0
-        x, y = xs[self.j], ys[self.j]
-        for j in range(self.j, self.j + n):
+        j0, j1 = self.j, self.j + n
+        x, y = xs[j0], ys[j0]
+        # node a and the midpoint still lie in the constant history
+        # (theta = x0, theta' = 0); node b is node 0 at j = N - 1
+        for j in range(j0, min(j1, N)):
             jd = j - N
-            if jd < 0:
-                th_a = x0
-                th_b = x0 if jd + 1 < 0 else ths[0]
-                th_m = x0
-            else:
-                th_a = ths[jd]
-                th_b = ths[jd + 1]
-                th_m = 0.5 * (th_a + th_b) + 0.125 * h * (dths[jd] - dths[jd + 1])
+            th_a = x0
+            th_b = x0 if jd + 1 < 0 else ths[0]
+            th_m = x0
             t1 = one_mu * x + mu * th_a
             k1x = y
             k1y = -eps * (x * x - 1.0) * y - x + ek * t1
@@ -321,14 +321,68 @@ class _ThetaStepper:
             ths.append(th)
             dys.append(dy)
             dths.append(dth)
+        if j1 > N:
+            # Same arithmetic as above with every delayed node on the grid.
+            # Node jd + 1's theta, theta' and mu*theta carry over as the next
+            # step's node a, and the end-of-step y' is the next step's k1y
+            # (the same expression on the same operands).  On entry k1y is
+            # recomputed, not read from dys: set_window may have left dys
+            # inconsistent with the theta recursion.
+            append_x, append_y, append_th = xs.append, ys.append, ths.append
+            append_dy, append_dth = dys.append, dths.append
+            jd = max(j0, N) - N
+            th_a, dth_a = ths[jd], dths[jd]
+            mth_a = mu * th_a
+            k1y = neps * (x * x - 1.0) * y - x + ek * (one_mu * x + mth_a)
+            for jd in range(jd, j1 - N):
+                th_b, dth_b = ths[jd + 1], dths[jd + 1]
+                mth_b = mu * th_b
+                mth_m = mu * (0.5 * (th_a + th_b) + h8 * (dth_a - dth_b))
+                xa = x + h2 * y
+                ya = y + h2 * k1y
+                k2y = neps * (xa * xa - 1.0) * ya - xa + ek * (one_mu * xa + mth_m)
+                xb = x + h2 * ya
+                yb = y + h2 * k2y
+                k3y = neps * (xb * xb - 1.0) * yb - xb + ek * (one_mu * xb + mth_m)
+                xc = x + h * yb
+                yc = y + h * k3y
+                k4y = neps * (xc * xc - 1.0) * yc - xc + ek * (one_mu * xc + mth_b)
+                x = x + h6 * (y + 2.0 * (ya + yb) + yc)
+                y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+                if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
+                    t = (jd + N + 1) * h
+                    raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
+                th = one_mu * x + mth_b
+                k1y = neps * (x * x - 1.0) * y - x + ek * th
+                append_x(x)
+                append_y(y)
+                append_th(th)
+                append_dy(k1y)
+                append_dth(one_mu * y + mu * dth_b)
+                th_a, dth_a, mth_a = th_b, dth_b, mth_b
         self.j += n
 
-    def window(self) -> Tuple[np.ndarray, ...]:
-        """Copies of (x, y, theta, dtheta) on the trailing delay window."""
+    @classmethod
+    def at_window(cls, p: SystemParams, x0: float, y0: float, h: float,
+                  xw, yw, thw, dthw) -> "_ThetaStepper":
+        """A stepper at j = N whose buffers hold just the given delay window."""
+        st = cls(p, x0, y0, h)
+        st.xs, st.ys, st.ths, st.dys, st.dths = (
+            array("d", bytes(8 * (st.N + 1))) for _ in range(5)
+        )
+        st.j = st.N
+        st.set_window(xw, yw, thw, dthw)
+        return st
+
+    def _window_slice(self) -> slice:
         a = self.j - self.N
         if a < 0:
             raise ValueError("window not yet filled")
-        sl = slice(a, self.j + 1)
+        return slice(a, self.j + 1)
+
+    def window(self) -> Tuple[np.ndarray, ...]:
+        """Copies of (x, y, theta, dtheta) on the trailing delay window."""
+        sl = self._window_slice()
         return tuple(
             np.frombuffer(arr, np.float64)[sl].copy()
             for arr in (self.xs, self.ys, self.ths, self.dths)
@@ -337,16 +391,13 @@ class _ThetaStepper:
     def set_window(self, xw, yw, thw, dthw) -> None:
         """Overwrite the trailing window; dy is recomputed pointwise."""
         p = self.p
-        a = self.j - self.N
-        for i in range(self.N + 1):
-            xi, yi, ti = float(xw[i]), float(yw[i]), float(thw[i])
-            self.xs[a + i] = xi
-            self.ys[a + i] = yi
-            self.ths[a + i] = ti
-            self.dths[a + i] = float(dthw[i])
-            self.dys[a + i] = (
-                -p.epsilon * (xi * xi - 1.0) * yi - xi + p.epsilon * p.k * ti
-            )
+        sl = self._window_slice()
+        x, y, th, dth = (np.asarray(v, dtype=np.float64) for v in (xw, yw, thw, dthw))
+        # elementwise, in the scalar formula's operation order
+        dy = -p.epsilon * (x * x - 1.0) * y - x + p.epsilon * p.k * th
+        for buf, vals in ((self.xs, x), (self.ys, y), (self.ths, th),
+                          (self.dths, dth), (self.dys, dy)):
+            np.frombuffer(buf, np.float64)[sl] = vals
 
     def trim(self) -> None:
         """Drop samples before the trailing window to cap memory."""
@@ -362,9 +413,9 @@ class _ThetaStepper:
 # Post-transient delay windows of theta-form runs, shared with
 # divergence_exponent so that a simulate-then-exponent pair at one protocol
 # point integrates the transient once.  Key: (params, x0, y0, h, transient);
-# value: the five stepper buffers (x, y, theta, y', theta') over the N + 1
-# samples ending at step max(ceil(transient/h), N).  FIFO, at most
-# _WINDOW_CACHE_SIZE entries of 5*(N + 1) doubles each.
+# value: the stepper buffers (x, y, theta, theta') over the N + 1 samples
+# ending at step max(ceil(transient/h), N); the stepper never reads y'.
+# FIFO, at most _WINDOW_CACHE_SIZE entries of 4*(N + 1) doubles each.
 _WINDOW_CACHE_SIZE = 8
 _windows: Dict[tuple, Tuple[array, ...]] = {}
 
@@ -380,7 +431,7 @@ def _transient_steps(cfg: SimConfig) -> int:
 def _store_window(cfg: SimConfig, st: _ThetaStepper) -> None:
     a = st.j - st.N
     _windows[_window_key(cfg)] = tuple(
-        buf[a : st.j + 1] for buf in (st.xs, st.ys, st.ths, st.dys, st.dths)
+        buf[a : st.j + 1] for buf in (st.xs, st.ys, st.ths, st.dths)
     )
     while len(_windows) > _WINDOW_CACHE_SIZE:
         del _windows[next(iter(_windows))]
@@ -411,6 +462,7 @@ def _run_theta(cfg: SimConfig) -> Trajectory:
 def _run_neutral(cfg: SimConfig) -> Trajectory:
     p = cfg.params
     eps, mu = p.epsilon, p.mu
+    em = eps * mu
     c_x = -1.0 + eps * p.k * (1.0 - mu)
     N = cfg.n_delay
     h = cfg.h
@@ -430,61 +482,81 @@ def _run_neutral(cfg: SimConfig) -> Trajectory:
     xs = array("d", [x0])
     ys = array("d", [y0])
     dys = array("d", [dy_h])
+    append_x, append_y, append_dy = xs.append, ys.append, dys.append
 
-    def dyv(i: int) -> float:
-        return dys[i] if i >= 0 else dy_h
-
+    # g(x, y, xt, yt) + mu*yt' is inlined below in g's left-to-right term
+    # order, c_x*x + eps*y + A - B - eps*x*x*y + C + D, where a delayed node
+    # contributes A = mu*xt, B = (eps*mu)*yt, C = (eps*mu)*xt*xt*yt and
+    # D = mu*yt', formed once per node.  The end-of-step y' is the next
+    # step's k1y: the same expression on the same operands.
+    hA, hB, hC, hD = mu * x0, em * y0, em * x0 * x0 * y0, mu * dy_h
     x, y = x0, y0
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for j in range(n_steps):
-        jd = j - N
-        if jd < 0:
-            x_a, y_a, dy_a = x0, y0, dy_h
-        else:
-            x_a, y_a, dy_a = xs[jd], ys[jd], dys[jd]
-        if jd + 1 < 0:
-            x_b, y_b, dy_b = x0, y0, dy_h
-        else:
-            x_b, y_b, dy_b = xs[jd + 1], ys[jd + 1], dys[jd + 1]
-        if jd + 1 <= 0:
-            x_m, y_m, dy_m = x0, y0, dy_h
-        else:
-            x_m = 0.5 * (x_a + x_b) + 0.125 * h * (y_a - y_b)
-            y_m = 0.5 * (y_a + y_b) + 0.125 * h * (dy_a - dy_b)
-            # y'' jumps at every multiple of tau; choose a 4-point stencil
-            # that stays on one smooth piece
-            m = jd
-            if (m + 1) % N == 0:
-                dy_m = (dyv(m - 2) - 5.0 * dyv(m - 1) + 15.0 * dyv(m) + 5.0 * dyv(m + 1)) / 16.0
-            elif m % N == 0:
-                dy_m = (5.0 * dyv(m) + 15.0 * dyv(m + 1) - 5.0 * dyv(m + 2) + dyv(m + 3)) / 16.0
-            else:
-                dy_m = (-dyv(m - 1) + 9.0 * dyv(m) + 9.0 * dyv(m + 1) - dyv(m + 2)) / 16.0
-
-        k1x = y
-        k1y = g(x, y, x_a, y_a) + mu * dy_a
-        xa = x + h2 * k1x
+    h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
+    k1y = c_x * x + eps * y + hA - hB - eps * x * x * y + hC + hD
+    # every delayed node and the midpoint lie in the constant history
+    # (node 0, read at j = N - 1, holds the history values)
+    for j in range(min(N, n_steps)):
+        xa = x + h2 * y
         ya = y + h2 * k1y
-        k2x = ya
-        k2y = g(xa, ya, x_m, y_m) + mu * dy_m
-        xb = x + h2 * k2x
+        k2y = c_x * xa + eps * ya + hA - hB - eps * xa * xa * ya + hC + hD
+        xb = x + h2 * ya
         yb = y + h2 * k2y
-        k3x = yb
-        k3y = g(xb, yb, x_m, y_m) + mu * dy_m
-        xc = x + h * k3x
+        k3y = c_x * xb + eps * yb + hA - hB - eps * xb * xb * yb + hC + hD
+        xc = x + h * yb
         yc = y + h * k3y
-        k4x = yc
-        k4y = g(xc, yc, x_b, y_b) + mu * dy_b
-
-        x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        k4y = c_x * xc + eps * yc + hA - hB - eps * xc * xc * yc + hC + hD
+        x = x + h6 * (y + 2.0 * (ya + yb) + yc)
         y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if x * x + y * y > _BLOWUP_SQ or x != x or y != y:
+        if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
             raise NonFiniteState(f"state overflow at t = {(j + 1) * h:.6g}", (j + 1) * h)
-        dy = g(x, y, x_b, y_b) + mu * dy_b
-        xs.append(x)
-        ys.append(y)
-        dys.append(dy)
+        k1y = c_x * x + eps * y + hA - hB - eps * x * x * y + hC + hD
+        append_x(x)
+        append_y(y)
+        append_dy(k1y)
+
+    # node a = jd carries over from the previous step's node b = jd + 1;
+    # r = jd % N picks the y' stencil at the breaking nodes
+    x_a, y_a, dy_a = x0, y0, dy_h
+    r = 0
+    for jd in range(n_steps - N):
+        x_b, y_b, dy_b = xs[jd + 1], ys[jd + 1], dys[jd + 1]
+        bA, bB, bD = mu * x_b, em * y_b, mu * dy_b
+        bC = em * x_b * x_b * y_b
+        x_m = 0.5 * (x_a + x_b) + h8 * (y_a - y_b)
+        y_m = 0.5 * (y_a + y_b) + h8 * (dy_a - dy_b)
+        # y'' jumps at every multiple of tau; choose a 4-point stencil
+        # that stays on one smooth piece (all indices are >= 0 here)
+        if r == N - 1:
+            dy_m = (dys[jd - 2] - 5.0 * dys[jd - 1] + 15.0 * dy_a + 5.0 * dy_b) / 16.0
+        elif r == 0:
+            dy_m = (5.0 * dy_a + 15.0 * dy_b - 5.0 * dys[jd + 2] + dys[jd + 3]) / 16.0
+        else:
+            dy_m = (-dys[jd - 1] + 9.0 * dy_a + 9.0 * dy_b - dys[jd + 2]) / 16.0
+        mA, mB, mD = mu * x_m, em * y_m, mu * dy_m
+        mC = em * x_m * x_m * y_m
+
+        xa = x + h2 * y
+        ya = y + h2 * k1y
+        k2y = c_x * xa + eps * ya + mA - mB - eps * xa * xa * ya + mC + mD
+        xb = x + h2 * ya
+        yb = y + h2 * k2y
+        k3y = c_x * xb + eps * yb + mA - mB - eps * xb * xb * yb + mC + mD
+        xc = x + h * yb
+        yc = y + h * k3y
+        k4y = c_x * xc + eps * yc + bA - bB - eps * xc * xc * yc + bC + bD
+        x = x + h6 * (y + 2.0 * (ya + yb) + yc)
+        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
+            t = (jd + N + 1) * h
+            raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
+        k1y = c_x * x + eps * y + bA - bB - eps * x * x * y + bC + bD
+        append_x(x)
+        append_y(y)
+        append_dy(k1y)
+        x_a, y_a, dy_a = x_b, y_b, dy_b
+        r += 1
+        if r == N:
+            r = 0
 
     return Trajectory(
         p, h, N,
@@ -706,6 +778,68 @@ def classify_section(
     return "curve_family" if collinearity >= 0.8 else "scattered"
 
 
+# Theta-form trajectories lent to divergence_exponent inside a
+# _lend_reference block, keyed like _windows.  line_T_scan lends the run it
+# has just sectioned, so the exponent reads its reference legs from that
+# run's samples instead of integrating them a second time.  The reference
+# is lent rather than passed because divergence_exponent's four-argument
+# signature is what perfbench/tracing.py binds to count its steps.
+_references: Dict[tuple, Trajectory] = {}
+
+
+@contextmanager
+def _lend_reference(cfg: SimConfig, traj: Trajectory) -> Iterator[None]:
+    """Let divergence_exponent(cfg, ...) read its reference from ``traj``.
+
+    ``traj`` must be a simulate_theta run with the params, x0, y0 and h of
+    ``cfg`` (its t_end and transient may differ); anything else raises
+    ValueError.  The trajectory is released when the block ends.
+    """
+    if (traj.params, traj.h, traj.x0, traj.y0) != (cfg.params, cfg.h, cfg.x0, cfg.y0):
+        raise ValueError("reference trajectory does not match cfg")
+    key = _window_key(cfg)
+    _references[key] = traj
+    try:
+        yield
+    finally:
+        del _references[key]
+
+
+def _reference_windows(
+    cfg: SimConfig, n_seg: int, n_renorm: int
+) -> Iterator[Tuple[np.ndarray, ...]]:
+    """(x, y, theta, theta') delay windows of the exponent's reference run.
+
+    Yields the window at the end of the transient, then the window after
+    each of ``n_renorm`` legs of ``n_seg`` steps.  They are read from a lent
+    trajectory when it covers every leg; otherwise the reference is
+    integrated, from a stored post-transient window when there is one.
+    The values are the same either way.
+    """
+    N = cfg.n_delay
+    n_tr = _transient_steps(cfg)
+    traj = _references.get(_window_key(cfg))
+    if traj is not None and n_tr + n_renorm * n_seg < len(traj):
+        cols = (traj.x, traj.y, traj.theta, traj.dtheta)
+        for j in range(n_tr, n_tr + (n_renorm + 1) * n_seg, n_seg):
+            yield tuple(c[j - N : j + 1] for c in cols)
+        return
+    stored = _windows.get(_window_key(cfg))
+    if stored is None:
+        ref = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
+        ref.step(n_tr)
+        ref.trim()
+        _store_window(cfg, ref)
+    else:
+        # the state step(n_tr); trim() reaches: the window at j = N
+        ref = _ThetaStepper.at_window(cfg.params, cfg.x0, cfg.y0, cfg.h, *stored)
+    yield ref.window()
+    for _ in range(n_renorm):
+        ref.step(n_seg)
+        ref.trim()
+        yield ref.window()
+
+
 def divergence_exponent(
     cfg: SimConfig,
     delta0: float,
@@ -730,7 +864,10 @@ def divergence_exponent(
     run with the same parameters, initial data, step and transient (a
     simulate_theta call or a previous estimate) when one is still held in
     a small module-level store, and integrates the transient otherwise;
-    the result is bit-identical either way.
+    the result is bit-identical either way.  Inside a _lend_reference
+    block for cfg (line_T_scan opens one around each scale's run) the
+    reference legs are read from the lent trajectory when it covers them,
+    so only the clone is integrated, again with the same result.
     """
     if not 1e-10 <= delta0 <= 1e-6:
         raise ValueError(f"delta0 must lie in [1e-10, 1e-6], got {delta0}")
@@ -741,35 +878,17 @@ def divergence_exponent(
     if renorm_T < h:
         raise ValueError("renorm_T must cover at least one step")
 
-    ref = _ThetaStepper(p, cfg.x0, cfg.y0, h)
-    stored = _windows.get(_window_key(cfg))
-    if stored is None:
-        ref.step(_transient_steps(cfg))
-        ref.trim()
-        _store_window(cfg, ref)
-    else:
-        # the state step(n_tr); trim() reaches: the window at j = N
-        ref.xs, ref.ys, ref.ths, ref.dys, ref.dths = (array("d", b) for b in stored)
-        ref.j = ref.N
-
-    clone = _ThetaStepper(p, cfg.x0, cfg.y0, h)
-    clone.xs = array("d", ref.xs)
-    clone.ys = array("d", ref.ys)
-    clone.ths = array("d", ref.ths)
-    clone.dys = array("d", ref.dys)
-    clone.dths = array("d", ref.dths)
-    clone.j = ref.j
-    xw, yw, thw, dthw = ref.window()
-    # uniform x-offset; the memory recursion's fixed point shifts identically
-    clone.set_window(xw + delta0, yw, thw + delta0, dthw)
-
     n_seg = max(1, int(round(renorm_T / h)))
     leg_t = n_seg * h
+    ref_windows = _reference_windows(cfg, n_seg, n_renorm)
+    xw, yw, thw, dthw = next(ref_windows)
+    # uniform x-offset; the memory recursion's fixed point shifts identically
+    clone = _ThetaStepper.at_window(
+        p, cfg.x0, cfg.y0, h, xw + delta0, yw, thw + delta0, dthw
+    )
     rates = []
-    for _ in range(n_renorm):
-        ref.step(n_seg)
+    for xr, yr, thr, dthr in ref_windows:
         clone.step(n_seg)
-        xr, yr, thr, dthr = ref.window()
         xc, yc, thc, dthc = clone.window()
         sep = max(float(np.max(np.abs(xc - xr))), float(np.max(np.abs(yc - yr))))
         if sep == 0.0:
@@ -780,7 +899,6 @@ def divergence_exponent(
             xr + s * (xc - xr), yr + s * (yc - yr),
             thr + s * (thc - thr), dthr + s * (dthc - dthr),
         )
-        ref.trim()
         clone.trim()
     return float(np.mean(rates))
 
@@ -813,8 +931,9 @@ def line_T_scan(
 
     Each admissible scale factor is simulated with the fixed protocol,
     sectioned on y = 0, and labeled; the divergence exponent is estimated
-    with the same transient and feeds the curve-family/scattered split.
-    iota = 0 is the codimension-two point itself and is skipped.
+    with the same transient, with that run as its reference, and feeds the
+    curve-family/scattered split.  iota = 0 is the codimension-two point
+    itself and is skipped.
     """
     if hh is None:
         hh = _hh_mod.find_hopf_hopf(epsilon, mu, 1, 1, 4.5, 5.2)
@@ -832,12 +951,11 @@ def line_T_scan(
         cfg = SimConfig.from_divisor(params, x0, y0, h_div, t_end, transient)
         traj = simulate_theta(cfg)
         sec = poincare(traj, "both", transient)
-        del traj
-        lam = (
-            divergence_exponent(cfg, delta0, renorm_T, n_renorm)
-            if compute_exponent
-            else None
-        )
+        lam = None
+        if compute_exponent:
+            with _lend_reference(cfg, traj):
+                lam = divergence_exponent(cfg, delta0, renorm_T, n_renorm)
+        del traj  # before the next scale's run allocates its own
         label = classify_section(sec, divergence_exponent=lam)
         rows.append(LineTRow(iota, k, tau, label, lam))
     return rows

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 import doublehopf as dh
@@ -244,6 +246,25 @@ def test_trajectory_export_blocks_match_whole_arrays(
             traj.y_delayed()[::stride].tolist()),
     )
     assert (tmp_path / "run.trajectory.csv").read_bytes() == whole.read_bytes()
+
+
+def test_percent_format_matches_format_spec():
+    # the trajectory writer formats blocks with "%.17g"; every other
+    # output uses format(v, ".17g"), and the two must agree digit for digit
+    rng = np.random.default_rng(17)
+    raw = rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-320, 300, 20_000)
+    vals = [v for v in np.concatenate([raw, scaled]).tolist() if math.isfinite(v)]
+    vals += [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+             2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+             1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0**53 + 2.0,
+             math.inf, -math.inf, math.nan]
+    text = ("%.17g,%.17g\n" * (len(vals) // 2)) % tuple(vals[: len(vals) // 2 * 2])
+    want = "".join(
+        f"{format(a, '.17g')},{format(b, '.17g')}\n"
+        for a, b in zip(vals[0::2], vals[1::2])
+    )
+    assert text == want
 
 
 def test_config_as_last_argument(tmp_path, capsys):

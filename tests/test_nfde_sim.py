@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -383,3 +384,96 @@ def test_nn_stats_blocks_match_whole_matrix(monkeypatch, block):
         nn, order = nfde_sim._nn_stats(pts)
         assert np.array_equal(nn, np.sqrt(np.min(d2, axis=1)))
         assert np.array_equal(order, np.argsort(d2, axis=1)[:, :2])
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Counts _ThetaStepper.step calls (reference and clone legs alike)."""
+    calls = []
+    step = nfde_sim._ThetaStepper.step
+
+    def counted(self, n):
+        calls.append(n)
+        return step(self, n)
+
+    monkeypatch.setattr(nfde_sim._ThetaStepper, "step", counted)
+    return calls
+
+
+def test_divergence_exponent_reads_lent_reference(hh, windows, step_calls):
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=400.0, transient=200.0)
+    # the legs end at t = 700: a run of the same protocol point to 800
+    traj = dh.simulate_theta(cfg_at(hh, 0.2, 0.164, h_div=100, t_end=800.0,
+                                    transient=200.0))
+    for d0 in (1e-8, 1e-10):
+        windows.clear()
+        del step_calls[:]
+        cold = dh.divergence_exponent(cfg, d0, 10.0, 50)
+        assert len(step_calls) == 1 + 2 * 50  # transient, reference, clone
+        del step_calls[:]
+        with nfde_sim._lend_reference(cfg, traj):
+            lent = dh.divergence_exponent(cfg, d0, 10.0, 50)
+        assert len(step_calls) == 50  # the clone only
+        assert lent.hex() == cold.hex()
+    assert nfde_sim._references == {}
+
+
+def test_short_lent_reference_falls_back_to_integrating(hh, windows, step_calls):
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=400.0, transient=200.0)
+    want = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
+    # legs end at t = 700; this run stops at 650, a run to 710 covers them
+    for t_end, clone_only in ((650.0, False), (710.0, True)):
+        short = dh.simulate_theta(cfg_at(hh, 0.2, 0.164, h_div=100, t_end=t_end,
+                                         transient=300.0))
+        del step_calls[:]
+        with nfde_sim._lend_reference(cfg, short):
+            got = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
+        assert len(step_calls) == (50 if clone_only else 100)
+        assert got.hex() == want.hex()
+
+
+def test_lent_reference_must_match_cfg(hh):
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=100.0, transient=50.0)
+    traj = dh.simulate_theta(cfg)
+    others = [
+        cfg_at(hh, 0.2, 0.165, h_div=100, t_end=100.0, transient=50.0),
+        cfg_at(hh, 0.2, 0.164, h_div=200, t_end=100.0, transient=50.0),
+        cfg_at(hh, 0.2, 0.164, x0=0.2, h_div=100, t_end=100.0, transient=50.0),
+        cfg_at(hh, 0.2, 0.164, y0=0.1, h_div=100, t_end=100.0, transient=50.0),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="does not match"):
+            with nfde_sim._lend_reference(other, traj):
+                pass
+    with pytest.raises(RuntimeError):
+        with nfde_sim._lend_reference(cfg, traj):
+            raise RuntimeError
+    assert nfde_sim._references == {}
+
+
+def test_line_t_scan_shares_and_releases_the_reference(hh, windows, step_calls,
+                                                       monkeypatch):
+    kw = dict(hh=hh, h_div=100, t_end=2200.0, transient=400.0, renorm_T=5.0)
+    rows = dh.line_T_scan([2.0, 2.6], **kw)
+    # two runs, each stepped to its transient and on; then 50 clone legs each
+    assert len(step_calls) == 2 * (2 + 50)
+    for row in rows:
+        cfg = dh.SimConfig.from_divisor(SystemParams(EPS, MU, row.k, row.tau),
+                                        0.1, 0.0, 100, 2200.0, 400.0)
+        windows.clear()
+        alone = dh.divergence_exponent(cfg, 1e-9, 5.0, 50)
+        assert row.divergence_exponent.hex() == alone.hex()
+    # each scale's trajectory is gone before the next scale's run starts
+    runs = []
+    simulate_theta = nfde_sim.simulate_theta
+
+    def tracked(cfg):
+        assert all(r() is None for r in runs)
+        traj = simulate_theta(cfg)
+        runs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(nfde_sim, "simulate_theta", tracked)
+    dh.line_T_scan([2.0, 2.6], **kw)
+    assert len(runs) == 2 and runs[-1]() is None
+    assert nfde_sim._references == {}
