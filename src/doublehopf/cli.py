@@ -88,6 +88,8 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, step = (float(s) for s in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"range must be lo:hi:step, got {text!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("range step must be positive")
     if hi < lo:

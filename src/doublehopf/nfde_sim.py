@@ -29,10 +29,10 @@ crossings to |y| < 1e-9 by bisection.
 from __future__ import annotations
 
 import math
+import weakref
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class SimConfig:
             raise ValueError(
                 f"tau/h must be an integer >= 4, got {ratio!r}"
             )
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end!r}")
         if not 0 <= self.transient < self.t_end:
             raise ValueError("need 0 <= transient < t_end")
         if self.formulation not in ("theta_form", "neutral_form"):
@@ -409,46 +411,30 @@ class _ThetaStepper:
         self.j = self.N
 
 
-
-# Post-transient delay windows of theta-form runs, shared with
-# divergence_exponent so that a simulate-then-exponent pair at one protocol
-# point integrates the transient once.  Key: (params, x0, y0, h, transient);
-# value: the stepper buffers (x, y, theta, theta') over the N + 1 samples
-# ending at step max(ceil(transient/h), N); the stepper never reads y'.
-# FIFO, at most _WINDOW_CACHE_SIZE entries of 4*(N + 1) doubles each.
-_WINDOW_CACHE_SIZE = 8
-_windows: Dict[tuple, Tuple[array, ...]] = {}
-
-
-def _window_key(cfg: SimConfig) -> tuple:
-    return (cfg.params, cfg.x0, cfg.y0, cfg.h, cfg.transient)
-
-
 def _transient_steps(cfg: SimConfig) -> int:
     return max(int(math.ceil(cfg.transient / cfg.h)), cfg.n_delay)
 
 
-def _store_window(cfg: SimConfig, st: _ThetaStepper) -> None:
-    a = st.j - st.N
-    _windows[_window_key(cfg)] = tuple(
-        buf[a : st.j + 1] for buf in (st.xs, st.ys, st.ths, st.dths)
-    )
-    while len(_windows) > _WINDOW_CACHE_SIZE:
-        del _windows[next(iter(_windows))]
+# The reference of divergence_exponent(cfg, ...), one entry per live
+# SimConfig: (window, run).  window holds (x, y, theta, theta') over the
+# N + 1 samples ending at step _transient_steps(cfg); run is a weak
+# reference to the simulate_theta(cfg) Trajectory, or None when the
+# exponent integrated the transient itself.  Equal configurations share
+# one entry, which goes with the cfg object that made it.
+# The run is looked up here, not passed, because perfbench/tracing.py binds
+# divergence_exponent's four parameters.  Windows are copies: a numpy view
+# of a stepper buffer blocks its next append (BufferError) and pins the
+# whole run.  While the caller holds the run, the exponent reads that run's
+# arrays, which are writable: writes into them change the reference.
+_runs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _run_theta(cfg: SimConfig) -> Trajectory:
     stepper = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
-    n_steps = int(round(cfg.t_end / cfg.h))
-    n_tr = _transient_steps(cfg)
-    if n_tr <= n_steps:
-        stepper.step(n_tr)
-        _store_window(cfg, stepper)
-        n_steps -= n_tr
-    stepper.step(n_steps)
+    stepper.step(int(round(cfg.t_end / cfg.h)))
     # the stepper is dropped here, so its buffers are never resized again
     # and the trajectory can view them without a copy
-    return Trajectory(
+    traj = Trajectory(
         cfg.params, cfg.h, cfg.n_delay,
         np.frombuffer(stepper.xs, np.float64),
         np.frombuffer(stepper.ys, np.float64),
@@ -457,6 +443,12 @@ def _run_theta(cfg: SimConfig) -> Trajectory:
         np.frombuffer(stepper.ths, np.float64),
         np.frombuffer(stepper.dths, np.float64),
     )
+    j = _transient_steps(cfg)
+    if j < len(traj):
+        cols = (traj.x, traj.y, traj.theta, traj.dtheta)
+        window = tuple(c[j - cfg.n_delay : j + 1].copy() for c in cols)
+        _runs[cfg] = (window, weakref.ref(traj))
+    return traj
 
 
 def _run_neutral(cfg: SimConfig) -> Trajectory:
@@ -778,62 +770,36 @@ def classify_section(
     return "curve_family" if collinearity >= 0.8 else "scattered"
 
 
-# Theta-form trajectories lent to divergence_exponent inside a
-# _lend_reference block, keyed like _windows.  line_T_scan lends the run it
-# has just sectioned, so the exponent reads its reference legs from that
-# run's samples instead of integrating them a second time.  The reference
-# is lent rather than passed because divergence_exponent's four-argument
-# signature is what perfbench/tracing.py binds to count its steps.
-_references: Dict[tuple, Trajectory] = {}
-
-
-@contextmanager
-def _lend_reference(cfg: SimConfig, traj: Trajectory) -> Iterator[None]:
-    """Let divergence_exponent(cfg, ...) read its reference from ``traj``.
-
-    ``traj`` must be a simulate_theta run with the params, x0, y0 and h of
-    ``cfg`` (its t_end and transient may differ); anything else raises
-    ValueError.  The trajectory is released when the block ends.
-    """
-    if (traj.params, traj.h, traj.x0, traj.y0) != (cfg.params, cfg.h, cfg.x0, cfg.y0):
-        raise ValueError("reference trajectory does not match cfg")
-    key = _window_key(cfg)
-    _references[key] = traj
-    try:
-        yield
-    finally:
-        del _references[key]
-
-
 def _reference_windows(
     cfg: SimConfig, n_seg: int, n_renorm: int
 ) -> Iterator[Tuple[np.ndarray, ...]]:
     """(x, y, theta, theta') delay windows of the exponent's reference run.
 
     Yields the window at the end of the transient, then the window after
-    each of ``n_renorm`` legs of ``n_seg`` steps.  They are read from a lent
-    trajectory when it covers every leg; otherwise the reference is
-    integrated, from a stored post-transient window when there is one.
-    The values are the same either way.
+    each of ``n_renorm`` legs of ``n_seg`` steps.  They are read from cfg's
+    run in _runs while its caller holds it and it covers every leg;
+    otherwise the reference is integrated, from the recorded post-transient
+    window when there is one.  The values are the same either way.
     """
     N = cfg.n_delay
     n_tr = _transient_steps(cfg)
-    traj = _references.get(_window_key(cfg))
+    window, run = _runs.get(cfg, (None, None))
+    traj = None if run is None else run()
     if traj is not None and n_tr + n_renorm * n_seg < len(traj):
         cols = (traj.x, traj.y, traj.theta, traj.dtheta)
         for j in range(n_tr, n_tr + (n_renorm + 1) * n_seg, n_seg):
             yield tuple(c[j - N : j + 1] for c in cols)
         return
-    stored = _windows.get(_window_key(cfg))
-    if stored is None:
+    if window is None:
         ref = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
         ref.step(n_tr)
         ref.trim()
-        _store_window(cfg, ref)
+        window = ref.window()
+        _runs[cfg] = (window, None)
     else:
         # the state step(n_tr); trim() reaches: the window at j = N
-        ref = _ThetaStepper.at_window(cfg.params, cfg.x0, cfg.y0, cfg.h, *stored)
-    yield ref.window()
+        ref = _ThetaStepper.at_window(cfg.params, cfg.x0, cfg.y0, cfg.h, *window)
+    yield window
     for _ in range(n_renorm):
         ref.step(n_seg)
         ref.trim()
@@ -859,15 +825,10 @@ def divergence_exponent(
 
     The theta formulation is used regardless of cfg.formulation (the two
     formulations integrate the same initial-value problem).  cfg.transient
-    positions the reference before measurement begins.  The reference
-    starts from the post-transient delay window of an earlier theta-form
-    run with the same parameters, initial data, step and transient (a
-    simulate_theta call or a previous estimate) when one is still held in
-    a small module-level store, and integrates the transient otherwise;
-    the result is bit-identical either way.  Inside a _lend_reference
-    block for cfg (line_T_scan opens one around each scale's run) the
-    reference legs are read from the lent trajectory when it covers them,
-    so only the clone is integrated, again with the same result.
+    positions the reference before measurement begins.  The reference legs
+    are read from simulate_theta(cfg) while the caller still holds that run,
+    else integrated from its post-transient window, else from the start;
+    the result is bit-identical either way.
     """
     if not 1e-10 <= delta0 <= 1e-6:
         raise ValueError(f"delta0 must lie in [1e-10, 1e-6], got {delta0}")
@@ -875,8 +836,8 @@ def divergence_exponent(
         raise ValueError(f"n_renorm must be >= 50, got {n_renorm}")
     p = cfg.params
     h = cfg.h
-    if renorm_T < h:
-        raise ValueError("renorm_T must cover at least one step")
+    if not h <= renorm_T < math.inf:
+        raise ValueError(f"renorm_T must be finite and >= h, got {renorm_T!r}")
 
     n_seg = max(1, int(round(renorm_T / h)))
     leg_t = n_seg * h
@@ -953,8 +914,7 @@ def line_T_scan(
         sec = poincare(traj, "both", transient)
         lam = None
         if compute_exponent:
-            with _lend_reference(cfg, traj):
-                lam = divergence_exponent(cfg, delta0, renorm_T, n_renorm)
+            lam = divergence_exponent(cfg, delta0, renorm_T, n_renorm)
         del traj  # before the next scale's run allocates its own
         label = classify_section(sec, divergence_exponent=lam)
         rows.append(LineTRow(iota, k, tau, label, lam))

@@ -140,6 +140,28 @@ def test_zero_delay_divisor_is_json_error(tmp_path, capsys, command):
     assert "h_div" in err["message"]
 
 
+@pytest.mark.parametrize("command,name", [
+    pytest.param(("simulate", "--alpha1", "0.1", "--alpha2", "0.085",
+                  "--t-end", "inf"), "t_end", id="simulate-t-end"),
+    pytest.param(("line-t", "--iota", "2.0", "--t-end", "inf"), "t_end",
+                 id="line-t-t-end"),
+    pytest.param(("line-t", "--iota", "2.0", "--h-div", "50", "--t-end", "100",
+                  "--transient", "50", "--renorm-T", "inf"), "renorm_T",
+                 id="line-t-renorm-T"),
+    pytest.param(("hopf-curves", "--k-range", "3:inf:0.01"), "finite",
+                 id="k-range-hi"),
+    pytest.param(("hopf-curves", "--k-range", "3:6:inf"), "finite",
+                 id="k-range-step"),
+    pytest.param(("hopf-curves", "--k-range", "nan:6:0.01"), "finite",
+                 id="k-range-lo"),
+])
+def test_non_finite_argument_is_json_error(tmp_path, capsys, command, name):
+    assert run_cli(*command, "--out", str(tmp_path / "z")) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert name in err["message"]
+
+
 def test_blowup_maps_to_error_with_time(tmp_path, capsys):
     code = run_cli(
         "simulate", "--alpha1", "495", "--alpha2", "0", "--x0", "1.0",

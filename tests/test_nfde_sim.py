@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,56 +320,70 @@ def test_line_t_scan_insufficient_data_propagates(hh):
 
 
 @pytest.fixture
-def windows(monkeypatch):
-    """An empty post-transient window store for the duration of one test."""
-    store = {}
-    monkeypatch.setattr(nfde_sim, "_windows", store)
-    return store
+def runs(monkeypatch):
+    """An empty run table for the duration of one test."""
+    table = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(nfde_sim, "_runs", table)
+    return table
 
 
-def test_theta_run_matches_one_unsplit_stepper_run(hh, windows):
+def test_theta_run_matches_one_unsplit_stepper_run(hh, runs):
     cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=200.0, transient=60.0)
     traj = dh.simulate_theta(cfg)
-    assert len(windows) == 1  # the run stopped at the transient once
     st = nfde_sim._ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
     st.step(int(round(cfg.t_end / cfg.h)))
     for got, buf in ((traj.x, st.xs), (traj.y, st.ys), (traj.dy, st.dys),
                      (traj.theta, st.ths), (traj.dtheta, st.dths)):
         assert got.flags.writeable
         assert np.array_equal(got, np.frombuffer(buf, np.float64))
+    # the recorded window is a copy of the state a run stopped at the
+    # transient reaches
+    window, run = runs[cfg]
+    assert run() is traj
+    split = nfde_sim._ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
+    split.step(nfde_sim._transient_steps(cfg))
+    for got, want, col in zip(window, split.window(),
+                              (traj.x, traj.y, traj.theta, traj.dtheta)):
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, col)
 
 
-def test_divergence_exponent_reuses_window_bitwise(hh, windows):
-    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=400.0, transient=200.0)
-    cold = []
+def test_divergence_exponent_reuses_window_bitwise(hh, runs):
+    # the legs end at t = 200 + 50 * 10 = 700, inside the run
+    kw = dict(h_div=100, t_end=800.0, transient=200.0)
     for d0 in (1e-8, 1e-10):
-        windows.clear()
-        cold.append(dh.divergence_exponent(cfg, d0, 10.0, 50))
-        assert len(windows) == 1
-    windows.clear()
-    dh.simulate_theta(cfg)
-    assert len(windows) == 1
-    warm = [dh.divergence_exponent(cfg, d0, 10.0, 50) for d0 in (1e-8, 1e-10)]
-    assert [v.hex() for v in warm] == [v.hex() for v in cold]
-    assert len(windows) == 1
+        cold = dh.divergence_exponent(cfg_at(hh, 0.2, 0.164, **kw), d0, 10.0, 50)
+        assert len(runs) == 0  # the entry went with the temporary cfg
+        cfg = cfg_at(hh, 0.2, 0.164, **kw)
+        traj = dh.simulate_theta(cfg)
+        held = dh.divergence_exponent(cfg, d0, 10.0, 50)
+        del traj
+        window = dh.divergence_exponent(cfg, d0, 10.0, 50)
+        assert held.hex() == window.hex() == cold.hex()
+        del cfg
 
 
-def test_neutral_run_leaves_window_store_empty(hh, windows):
+def test_neutral_run_leaves_window_store_empty(hh, runs):
     cfg = cfg_at(hh, -0.1, 0.1, h_div=50, t_end=100.0, transient=50.0,
                  formulation="neutral_form")
     nfde_sim.simulate(cfg)
     dh.simulate_neutral(cfg)
-    assert windows == {}
+    assert len(runs) == 0
 
 
-def test_window_store_is_bounded_fifo(hh, windows):
-    cap = nfde_sim._WINDOW_CACHE_SIZE
+def test_window_entry_goes_with_its_cfg(hh, runs):
     cfgs = [cfg_at(hh, -0.1, 0.1, x0=0.1 + 0.01 * i, h_div=20, t_end=30.0,
-                   transient=10.0) for i in range(cap + 3)]
-    for i, cfg in enumerate(cfgs):
-        dh.simulate_theta(cfg)
-        assert len(windows) == min(i + 1, cap)
-    assert list(windows) == [nfde_sim._window_key(c) for c in cfgs[-cap:]]
+                   transient=10.0) for i in range(3)]
+    trajs = [dh.simulate_theta(cfg) for cfg in cfgs]
+    assert len(runs) == 3
+    # the table holds each run weakly and its cfg not at all, so it keeps
+    # the windows of live configurations only
+    first = weakref.ref(cfgs.pop(0))
+    assert first() is None and len(runs) == 2
+    trajs.pop(1)
+    assert runs[cfgs[0]][1]() is None and runs[cfgs[1]][1]() is trajs[1]
+    cfgs.clear()
+    assert len(runs) == 0
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 20])
@@ -400,80 +416,86 @@ def step_calls(monkeypatch):
     return calls
 
 
-def test_divergence_exponent_reads_lent_reference(hh, windows, step_calls):
-    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=400.0, transient=200.0)
-    # the legs end at t = 700: a run of the same protocol point to 800
-    traj = dh.simulate_theta(cfg_at(hh, 0.2, 0.164, h_div=100, t_end=800.0,
-                                    transient=200.0))
-    for d0 in (1e-8, 1e-10):
-        windows.clear()
+def test_divergence_exponent_reads_held_run(hh, runs, step_calls):
+    # the legs end at t = 700, inside the run
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=800.0, transient=200.0)
+    traj = dh.simulate_theta(cfg)
+    del step_calls[:]
+    held = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
+    assert len(step_calls) == 50  # the clone only
+    del traj
+    del step_calls[:]
+    dropped = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
+    assert len(step_calls) == 2 * 50  # reference and clone, from the window
+    assert dropped.hex() == held.hex()
+    # the entry of one configuration serves no other
+    for other in (cfg_at(hh, 0.2, 0.165, h_div=100, t_end=800.0, transient=200.0),
+                  cfg_at(hh, 0.2, 0.164, h_div=100, t_end=800.0, transient=300.0)):
         del step_calls[:]
-        cold = dh.divergence_exponent(cfg, d0, 10.0, 50)
+        dh.divergence_exponent(other, 1e-9, 10.0, 50)
         assert len(step_calls) == 1 + 2 * 50  # transient, reference, clone
-        del step_calls[:]
-        with nfde_sim._lend_reference(cfg, traj):
-            lent = dh.divergence_exponent(cfg, d0, 10.0, 50)
-        assert len(step_calls) == 50  # the clone only
-        assert lent.hex() == cold.hex()
-    assert nfde_sim._references == {}
 
 
-def test_short_lent_reference_falls_back_to_integrating(hh, windows, step_calls):
-    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=400.0, transient=200.0)
-    want = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
+def test_short_held_run_falls_back_to_window(hh, runs, step_calls):
+    want = dh.divergence_exponent(
+        cfg_at(hh, 0.2, 0.164, h_div=100, t_end=800.0, transient=200.0),
+        1e-9, 10.0, 50)
     # legs end at t = 700; this run stops at 650, a run to 710 covers them
-    for t_end, clone_only in ((650.0, False), (710.0, True)):
-        short = dh.simulate_theta(cfg_at(hh, 0.2, 0.164, h_div=100, t_end=t_end,
-                                         transient=300.0))
+    for t_end, n_calls in ((650.0, 100), (710.0, 50)):
+        cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=t_end, transient=200.0)
+        traj = dh.simulate_theta(cfg)
         del step_calls[:]
-        with nfde_sim._lend_reference(cfg, short):
-            got = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
-        assert len(step_calls) == (50 if clone_only else 100)
+        got = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
+        assert len(step_calls) == n_calls
         assert got.hex() == want.hex()
 
 
-def test_lent_reference_must_match_cfg(hh):
-    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=100.0, transient=50.0)
-    traj = dh.simulate_theta(cfg)
-    others = [
-        cfg_at(hh, 0.2, 0.165, h_div=100, t_end=100.0, transient=50.0),
-        cfg_at(hh, 0.2, 0.164, h_div=200, t_end=100.0, transient=50.0),
-        cfg_at(hh, 0.2, 0.164, x0=0.2, h_div=100, t_end=100.0, transient=50.0),
-        cfg_at(hh, 0.2, 0.164, y0=0.1, h_div=100, t_end=100.0, transient=50.0),
-    ]
-    for other in others:
-        with pytest.raises(ValueError, match="does not match"):
-            with nfde_sim._lend_reference(other, traj):
-                pass
-    with pytest.raises(RuntimeError):
-        with nfde_sim._lend_reference(cfg, traj):
-            raise RuntimeError
-    assert nfde_sim._references == {}
-
-
-def test_line_t_scan_shares_and_releases_the_reference(hh, windows, step_calls,
+def test_line_t_scan_shares_and_releases_the_reference(hh, runs, step_calls,
                                                        monkeypatch):
     kw = dict(hh=hh, h_div=100, t_end=2200.0, transient=400.0, renorm_T=5.0)
     rows = dh.line_T_scan([2.0, 2.6], **kw)
-    # two runs, each stepped to its transient and on; then 50 clone legs each
-    assert len(step_calls) == 2 * (2 + 50)
+    # two unsplit runs, then 50 clone legs each
+    assert len(step_calls) == 2 * (1 + 50)
+    assert len(runs) == 0  # the scan's configurations are gone
     for row in rows:
         cfg = dh.SimConfig.from_divisor(SystemParams(EPS, MU, row.k, row.tau),
                                         0.1, 0.0, 100, 2200.0, 400.0)
-        windows.clear()
         alone = dh.divergence_exponent(cfg, 1e-9, 5.0, 50)
         assert row.divergence_exponent.hex() == alone.hex()
     # each scale's trajectory is gone before the next scale's run starts
-    runs = []
+    trajs = []
     simulate_theta = nfde_sim.simulate_theta
 
     def tracked(cfg):
-        assert all(r() is None for r in runs)
+        assert all(r() is None for r in trajs)
         traj = simulate_theta(cfg)
-        runs.append(weakref.ref(traj))
+        trajs.append(weakref.ref(traj))
         return traj
 
     monkeypatch.setattr(nfde_sim, "simulate_theta", tracked)
     dh.line_T_scan([2.0, 2.6], **kw)
-    assert len(runs) == 2 and runs[-1]() is None
-    assert nfde_sim._references == {}
+    assert len(trajs) == 2 and trajs[-1]() is None
+    assert all(run is None or run() is None for _, run in runs.values())
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_line_t_scan_matches_untraced():
+    # perfbench's tracer binds every parameter of divergence_exponent
+    # and the other traced functions; a traced scan must run unchanged
+    kw = dict(h_div=100, t_end=2200.0, transient=400.0, renorm_T=5.0)
+    plain = dh.line_T_scan([2.0, 2.6], **kw)
+    with _load_tracing().Tracer() as tracer:
+        traced = dh.line_T_scan([2.0, 2.6], **kw)
+    for group in ("theta", "poincare", "divergence_exponent", "classify_section"):
+        spans = [s for s in tracer.spans if s["name"] == f"nfde_sim.{group}"]
+        assert len(spans) == 2, group
+        assert all(s["error"] is None for s in spans), group
+    assert [r.divergence_exponent.hex() for r in traced] == [
+        r.divergence_exponent.hex() for r in plain]
