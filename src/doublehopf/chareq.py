@@ -55,6 +55,14 @@ __all__ = [
 ]
 
 
+def _check_instance(epsilon: float, mu: float) -> None:
+    """epsilon > 0 and 0 < mu < 1, NaN rejected; raises ValueError."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < mu < 1:
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """The four scalars defining the delayed van der Pol system.
@@ -71,10 +79,7 @@ class SystemParams:
     tau: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 < self.mu < 1:
-            raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
+        _check_instance(self.epsilon, self.mu)
         if self.tau < 0:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
 
@@ -183,7 +188,11 @@ def w_poly(epsilon: float, mu: float, k: float) -> WPoly:
 
 
 def gain_bound(epsilon: float, mu: float) -> float:
-    """Supremum min(1/eps, (1+mu)/eps - eps*(1+mu)/2) of the gains allowed by h1."""
+    """Supremum min(1/eps, (1+mu)/eps - eps*(1+mu)/2) of the gains allowed by h1.
+
+    Raises ValueError unless (epsilon, mu) is an instance SystemParams allows.
+    """
+    _check_instance(epsilon, mu)
     return min(
         1.0 / epsilon,
         (1.0 + mu) / epsilon - epsilon * (1.0 + mu) / 2.0,

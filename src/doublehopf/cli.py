@@ -221,22 +221,37 @@ def _resolve_point(args) -> tuple:
     return k0 + args.alpha1, tau0 + args.alpha2
 
 
-def _write_trajectory_csv(path: str, traj: nfde_sim.Trajectory, stride: int) -> None:
-    """(t, x, y, theta, y_delayed) at every stride-th sample, as _write_csv
-    would write them.
+class _TrajectoryRows:
+    """Run reader writing (t, x, y, theta, y_delayed) at every stride-th
+    sample to ``fh``, as _write_csv would write them.
 
-    Each block of _ROW_BLOCK rows is formatted by one %-format ("%.17g"
-    gives the digits of format(v, ".17g") for every float, inf and nan
-    included), so a dense export holds one block of text at a time.
+    Called with consecutive blocks of a run (see nfde_sim._stream_theta),
+    or once with a whole stored run.  Each block of _ROW_BLOCK rows is
+    formatted by one %-format ("%.17g" gives the digits of format(v, ".17g")
+    for every float, inf and nan included), so a dense export holds one
+    block of text at a time.
     """
-    cols = (traj.t, traj.x, traj.y, traj.theta, traj.y_delayed())
-    span = _ROW_BLOCK * stride
-    row = ",".join(["%" + _FMT] * len(cols)) + "\n"
-    with open(path, "w", newline="\n") as fh:
+
+    def __init__(self, fh, h: float, n_delay: int, y0: float, stride: int):
+        self.fh, self.h, self.n_delay, self.y0, self.stride = fh, h, n_delay, y0, stride
+        self.next = 0  # the next row's sample index
         fh.write("t,x,y,theta,y_delayed\n")
-        for lo in range(0, len(traj), span):
-            block = np.column_stack([c[lo : lo + span : stride] for c in cols])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
+        idx = np.arange(self.next, base + len(x), self.stride)
+        if not len(idx):
+            return
+        self.next = int(idx[-1]) + self.stride
+        lo = idx[0] - base
+        y_delayed = np.full(len(idx), self.y0)
+        past = idx >= self.n_delay
+        y_delayed[past] = y[idx[past] - self.n_delay - base]
+        cols = (idx * self.h, x[lo :: self.stride], y[lo :: self.stride],
+                theta[lo :: self.stride], y_delayed)
+        row = ",".join(["%" + _FMT] * len(cols)) + "\n"
+        for r in range(0, len(idx), _ROW_BLOCK):
+            block = np.column_stack([c[r : r + _ROW_BLOCK] for c in cols])
+            self.fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def cmd_simulate(args) -> int:
@@ -246,8 +261,22 @@ def cmd_simulate(args) -> int:
         params, args.x0, args.y0, args.h_div, args.t_end, args.transient,
         args.formulation,
     )
-    traj = nfde_sim.simulate(cfg)
-    sec = nfde_sim.poincare(traj, args.direction, args.transient)
+    path = f"{args.out}.trajectory.csv"
+    with open(path, "w", newline="\n") as fh:
+        try:
+            rows = _TrajectoryRows(fh, cfg.h, cfg.n_delay, cfg.y0, max(1, args.stride))
+            if cfg.formulation == "theta_form":
+                # streamed: neither the run nor the CSV text is held
+                sec = nfde_sim.stream_section(cfg, args.direction, [rows])
+            else:
+                traj = nfde_sim.simulate(cfg)
+                sec = nfde_sim.poincare(traj, args.direction, args.transient)
+                rows(0, traj.x, traj.y, traj.dy, traj.theta, None, True)
+                del traj
+        except BaseException:
+            fh.close()
+            Path(path).unlink()  # no partial export of a failed run
+            raise
     label_error = None
     try:
         label = nfde_sim.classify_section(sec)
@@ -255,7 +284,6 @@ def cmd_simulate(args) -> int:
         label = None
         label_error = f"{type(exc).__name__}: {exc}"
 
-    _write_trajectory_csv(f"{args.out}.trajectory.csv", traj, max(1, args.stride))
     _write_csv(
         f"{args.out}.section.csv",
         ["t", "x", "y_delayed", "direction"],

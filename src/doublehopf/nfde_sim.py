@@ -24,6 +24,14 @@ converge at fourth order and agree to ~1e-10 at desk step sizes.
 
 Trajectories carry cubic Hermite dense output used to refine section
 crossings to |y| < 1e-9 by bisection.
+
+simulate_theta stores the whole run.  A theta-form run can also be
+streamed (stream_section; line_T_scan and the CLI's theta-form simulate do
+so): the stepper runs in chunks of _CHUNK steps, and after each chunk its
+readers -- the section's crossing collector, the exponent's reference
+windows, trajectory CSV rows -- read that chunk plus the trailing delay
+window.  Memory then stays O(N + _CHUNK) however long the run, and the
+section, windows and rows are bit-identical to those of the stored run.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import math
 import weakref
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +58,7 @@ __all__ = [
     "simulate_theta",
     "simulate_neutral",
     "poincare",
+    "stream_section",
     "classify_section",
     "divergence_exponent",
     "line_T_scan",
@@ -116,6 +125,22 @@ def _hermite(off: float, h: float, v0: float, v1: float, d0: float, d1: float) -
         + s2 * (3.0 - 2.0 * s) * v1
         + s2 * (s - 1.0) * h * d1
     )
+
+
+def _dense(vals, derivs, hist: float, t: float, h: float, n: int, base: int = 0) -> float:
+    """Dense output at time t of an n-sample run on the grid 0, h, 2h, ...
+
+    vals and derivs hold the samples base, base + 1, ... of the run; hist is
+    the constant history value for t <= 0.  Past the last grid interval the
+    last sample is returned (vals must then end with it).
+    """
+    if t <= 0.0:
+        return hist
+    i = int(t / h)
+    if i >= n - 1:
+        return float(vals[-1])
+    a = i - base
+    return _hermite(t - i * h, h, vals[a], vals[a + 1], derivs[a], derivs[a + 1])
 
 
 class Trajectory:
@@ -224,39 +249,28 @@ class Trajectory:
         out[nd:] = self.y[: len(self.y) - nd]
         return out
 
-    def _eval(self, vals: np.ndarray, derivs: np.ndarray, hist: float, t: float) -> float:
-        if t <= 0.0:
-            return hist
-        n = len(vals)
-        ti = t / self.h
-        i = int(ti)
-        if i >= n - 1:
-            return float(vals[-1])
-        return _hermite(
-            t - i * self.h, self.h, vals[i], vals[i + 1], derivs[i], derivs[i + 1]
-        )
+    @property
+    def tau(self) -> float:
+        """The delay: params.tau, or n_delay * h for a synthetic trajectory."""
+        return self.n_delay * self.h if self.params is None else self.params.tau
 
     def eval_x(self, t: float) -> float:
-        return self._eval(self.x, self.y, self.x0, t)
+        return _dense(self.x, self.y, self.x0, t, self.h, len(self.x))
 
     def eval_y(self, t: float) -> float:
-        return self._eval(self.y, self.dy, self.y0, t)
+        return _dense(self.y, self.dy, self.y0, t, self.h, len(self.y))
 
     def eval_y_delayed(self, t: float) -> float:
-        if self.params is None:
-            tau = self.n_delay * self.h
-        else:
-            tau = self.params.tau
-        return self.eval_y(t - tau)
+        return self.eval_y(t - self.tau)
 
 
 class _ThetaStepper:
     """Incremental theta-form integrator.
 
-    Backs simulate_theta and the divergence estimator; the latter perturbs
-    and rescales whole history windows between integration legs, so the
-    trailing window is exposed for read/overwrite and the prefix can be
-    trimmed to cap memory.
+    Backs simulate_theta, the streamed runs and the divergence estimator;
+    the latter perturbs and rescales whole history windows between
+    integration legs, so the trailing window is exposed for read/overwrite
+    and the prefix can be trimmed to cap memory.
     """
 
     def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
@@ -272,6 +286,7 @@ class _ThetaStepper:
         )
         self.dths = array("d", [(1.0 - p.mu) * y0])
         self.j = 0
+        self.base = 0  # run step index of buffer sample 0; trim advances it
 
     def step(self, n: int) -> None:
         p = self.p
@@ -312,9 +327,8 @@ class _ThetaStepper:
             x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
             y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
             if x * x + y * y > _BLOWUP_SQ or x != x or y != y:
-                raise NonFiniteState(
-                    f"state overflow at t = {(j + 1) * h:.6g}", (j + 1) * h
-                )
+                t = (self.base + j + 1) * h
+                raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
             th = one_mu * x + mu * th_b
             dy = -eps * (x * x - 1.0) * y - x + ek * th
             dth = one_mu * y + (mu * dths[jd + 1] if jd + 1 >= 0 else 0.0)
@@ -352,7 +366,7 @@ class _ThetaStepper:
                 x = x + h6 * (y + 2.0 * (ya + yb) + yc)
                 y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
                 if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
-                    t = (jd + N + 1) * h
+                    t = (self.base + jd + N + 1) * h
                     raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
                 th = one_mu * x + mth_b
                 k1y = neps * (x * x - 1.0) * y - x + ek * th
@@ -401,32 +415,65 @@ class _ThetaStepper:
                           (self.dths, dth), (self.dys, dy)):
             np.frombuffer(buf, np.float64)[sl] = vals
 
-    def trim(self) -> None:
-        """Drop samples before the trailing window to cap memory."""
-        a = self.j - self.N
+    def trim(self, lead: int = 0) -> None:
+        """Drop samples before the trailing window and the ``lead`` before it."""
+        a = self.j - self.N - lead
         if a <= 0:
             return
         for name in ("xs", "ys", "ths", "dys", "dths"):
             setattr(self, name, array("d", getattr(self, name)[a:]))
-        self.j = self.N
+        self.j -= a
+        self.base += a
 
 
 def _transient_steps(cfg: SimConfig) -> int:
     return max(int(math.ceil(cfg.transient / cfg.h)), cfg.n_delay)
 
 
-# The reference of divergence_exponent(cfg, ...), one entry per live
-# SimConfig: (window, run).  window holds (x, y, theta, theta') over the
-# N + 1 samples ending at step _transient_steps(cfg); run is a weak
-# reference to the simulate_theta(cfg) Trajectory, or None when the
-# exponent integrated the transient itself.  Equal configurations share
-# one entry, which goes with the cfg object that made it.
-# The run is looked up here, not passed, because perfbench/tracing.py binds
-# divergence_exponent's four parameters.  Windows are copies: a numpy view
-# of a stepper buffer blocks its next append (BufferError) and pins the
-# whole run.  While the caller holds the run, the exponent reads that run's
-# arrays, which are writable: writes into them change the reference.
+class _Reference(tuple):
+    """The _runs entry of one configuration: the pair (window, run).
+
+    window holds (x, y, theta, theta') over the N + 1 samples ending at step
+    _transient_steps(cfg); run is a weak reference to the simulate_theta(cfg)
+    Trajectory, or None.  ``windows`` maps step indices to the reference's
+    delay windows: the post-transient one, then each leg window that a
+    streamed run copied or an exponent integrated.
+    """
+
+    def __new__(cls, windows: Dict[int, Tuple[np.ndarray, ...]], start: int,
+                run: Optional[weakref.ref] = None):
+        entry = super().__new__(cls, (windows[start], run))
+        entry.windows = windows
+        return entry
+
+
+# The reference of divergence_exponent(cfg, ...), one _Reference per live
+# SimConfig.  Equal configurations share one entry, which goes with the cfg
+# object that made it.  The run is looked up here, not passed, because
+# perfbench/tracing.py binds divergence_exponent's four parameters.
+# Windows are copies: a numpy view of a stepper buffer blocks its next
+# append (BufferError) and pins the whole run.  While the caller holds the
+# run, the exponent reads that run's arrays, which are writable: writes into
+# them change the reference.
 _runs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class _Windows:
+    """Run reader that copies the (x, y, theta, theta') delay windows ending
+    at the given step indices as the run passes them (see _stream_theta)."""
+
+    def __init__(self, n_delay: int, steps: Iterable[int]):
+        self.n_delay = n_delay
+        self.pending = sorted(steps, reverse=True)
+        self.windows: Dict[int, Tuple[np.ndarray, ...]] = {}
+
+    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
+        last = base + len(x) - 1
+        while self.pending and self.pending[-1] <= last:
+            j = self.pending.pop()
+            a = j - self.n_delay - base
+            self.windows[j] = tuple(
+                c[a : j + 1 - base].copy() for c in (x, y, theta, dtheta))
 
 
 def _run_theta(cfg: SimConfig) -> Trajectory:
@@ -444,11 +491,42 @@ def _run_theta(cfg: SimConfig) -> Trajectory:
         np.frombuffer(stepper.dths, np.float64),
     )
     j = _transient_steps(cfg)
-    if j < len(traj):
-        cols = (traj.x, traj.y, traj.theta, traj.dtheta)
-        window = tuple(c[j - cfg.n_delay : j + 1].copy() for c in cols)
-        _runs[cfg] = (window, weakref.ref(traj))
+    window = _Windows(cfg.n_delay, [j])
+    window(0, traj.x, traj.y, traj.dy, traj.theta, traj.dtheta, True)
+    if window.windows:
+        _runs[cfg] = _Reference(window.windows, j, weakref.ref(traj))
     return traj
+
+
+_CHUNK = 1 << 16  # theta-form steps per chunk of a streamed run (~2.6 MB of samples)
+
+
+def _stream_theta(cfg: SimConfig, readers: Sequence[Callable]) -> None:
+    """Integrate cfg's theta form in chunks of _CHUNK steps, storing no run.
+
+    After each chunk every reader is called as
+    ``reader(base, x, y, dy, theta, dtheta, final)``: numpy views of the
+    samples base, base + 1, ... up to the last step so far, with final true
+    after the last chunk.  A reader must copy what it keeps, because the
+    stepper then drops all but the trailing N + 3 samples (the delay window
+    and the two before it), which every later block starts with, and grows
+    its buffers again.  The steps are those of one unsplit stepper run, bit
+    for bit, and a blow-up raises at the same time with the same message.
+    """
+    st = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
+    left = int(round(cfg.t_end / cfg.h))
+    while True:
+        n = min(_CHUNK, left)
+        st.step(n)
+        left -= n
+        cols = [np.frombuffer(buf, np.float64)
+                for buf in (st.xs, st.ys, st.dys, st.ths, st.dths)]
+        for read in readers:
+            read(st.base, *cols, left == 0)
+        del cols  # views block the next append
+        if left == 0:
+            return
+        st.trim(2)
 
 
 def _run_neutral(cfg: SimConfig) -> Trajectory:
@@ -605,6 +683,89 @@ class PoincareSection:
         )
 
 
+class _Crossings:
+    """Crossings of the section y = 0 after ``transient``, collected from
+    consecutive blocks of an n-sample run.
+
+    Called as a run reader (see _stream_theta).  Sign changes on the grid
+    are refined by bisection (at most 40 halvings) on the Hermite
+    interpolant; a grid node where y is exactly zero counts once, by the
+    sign change across it.  A grid interval or node i is examined once
+    sample i + 2 is in (its crossing's dense output may read it), or at the
+    end of the run; its delayed value reads back to sample i - N - 1.
+    """
+
+    def __init__(self, h: float, tau: float, n: int, transient: float,
+                 x0: float, y0: float):
+        self.h, self.tau, self.n = h, tau, n
+        self.x0, self.y0 = x0, y0
+        self.j0 = min(int(math.ceil(transient / h)), n - 1)
+        self.next = self.j0  # first interval and node not yet examined
+        self.cross: List[Tuple[float, float, float, int]] = []
+        self.zeros: List[Tuple[float, float, float, int]] = []
+        self.norm_first = self.norm_last = 0.0
+
+    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
+        h, n, j0 = self.h, self.n, self.j0
+        last = base + len(y) - 1
+        if base <= j0 <= last:
+            self.norm_first = math.hypot(x[j0 - base], y[j0 - base])
+        if final:
+            self.norm_last = math.hypot(x[-1], y[-1])
+        stop = n - 1 if final else last - 1
+        lo = self.next
+        if stop <= lo:
+            return
+        self.next = stop
+        seg = y[lo - base : stop + 1 - base]
+        idx = np.nonzero(seg[:-1] * seg[1:] < 0.0)[0] + lo
+        z0 = max(lo, j0 + 1)
+        zeros = np.nonzero(y[z0 - base : stop - base] == 0.0)[0] + z0
+        zeros = zeros[y[zeros - 1 - base] * y[zeros + 1 - base] < 0.0]
+        for i in idx:
+            a = i - base
+            ya, yb, da, db = y[a], y[a + 1], dy[a], dy[a + 1]
+            left, right, va = 0.0, h, ya
+            for _ in range(40):
+                mid = 0.5 * (left + right)
+                vm = _hermite(mid, h, ya, yb, da, db)
+                if va * vm <= 0.0:
+                    right = mid
+                else:
+                    left, va = mid, vm
+            t_star = i * h + 0.5 * (left + right)
+            self.cross.append((
+                t_star,
+                _dense(x, y, self.x0, t_star, h, n, base),
+                _dense(y, dy, self.y0, t_star - self.tau, h, n, base),
+                1 if yb > ya else -1,
+            ))
+        for i in zeros:
+            t_star = i * h
+            self.zeros.append((
+                t_star, float(x[i - base]),
+                _dense(y, dy, self.y0, t_star - self.tau, h, n, base),
+                1 if y[i + 1 - base] > y[i - 1 - base] else -1,
+            ))
+
+    def section(self, direction: str) -> PoincareSection:
+        rec = self.cross + self.zeros
+        rec.sort(key=lambda r: r[0])
+        if direction != "both":
+            want = 1 if direction == "up" else -1
+            rec = [r for r in rec if r[3] == want]
+        arr = np.array(rec, dtype=float).reshape(-1, 4)
+        return PoincareSection(
+            arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(int),
+            state_norm_first=self.norm_first, state_norm_last=self.norm_last,
+        )
+
+
+def _check_direction(direction: str) -> None:
+    if direction not in ("up", "down", "both"):
+        raise ValueError(f"direction must be up/down/both, got {direction!r}")
+
+
 def poincare(
     traj: Trajectory, direction: str = "both", transient: float = 0.0
 ) -> PoincareSection:
@@ -615,59 +776,26 @@ def poincare(
     ``direction`` selects upward, downward, or all crossings ("whole
     section").
     """
-    if direction not in ("up", "down", "both"):
-        raise ValueError(f"direction must be up/down/both, got {direction!r}")
-    h = traj.h
-    y = traj.y
-    j0 = min(int(math.ceil(transient / h)), len(y) - 1)
-    seg = y[j0:]
-    prod = seg[:-1] * seg[1:]
-    idx = np.nonzero(prod < 0.0)[0] + j0
-    # node-exact zeros count once, by the sign change across the node
-    zeros = np.nonzero(seg[1:-1] == 0.0)[0] + j0 + 1
-    zeros = zeros[y[zeros - 1] * y[zeros + 1] < 0.0]
+    _check_direction(direction)
+    sec = _Crossings(traj.h, traj.tau, len(traj), transient, traj.x0, traj.y0)
+    sec(0, traj.x, traj.y, traj.dy, None, None, True)
+    return sec.section(direction)
 
-    rec: List[Tuple[float, float, float, int]] = []
-    for i in idx:
-        a, b = 0.0, h
-        va, vb = y[i], y[i + 1]
-        for _ in range(40):
-            mid = 0.5 * (a + b)
-            vm = _hermite(mid, h, y[i], y[i + 1], traj.dy[i], traj.dy[i + 1])
-            if va * vm <= 0.0:
-                b, vb = mid, vm
-            else:
-                a, va = mid, vm
-        off = 0.5 * (a + b)
-        t_star = i * h + off
-        rec.append(
-            (
-                t_star,
-                traj.eval_x(t_star),
-                traj.eval_y_delayed(t_star),
-                1 if y[i + 1] > y[i] else -1,
-            )
-        )
-    for i in zeros:
-        t_star = i * h
-        rec.append(
-            (t_star, float(traj.x[i]), traj.eval_y_delayed(t_star),
-             1 if y[i + 1] > y[i - 1] else -1)
-        )
-    rec.sort(key=lambda r: r[0])
-    if direction != "both":
-        want = 1 if direction == "up" else -1
-        rec = [r for r in rec if r[3] == want]
 
-    arr = np.array(rec, dtype=float).reshape(-1, 4)
-    return PoincareSection(
-        arr[:, 0],
-        arr[:, 1],
-        arr[:, 2],
-        arr[:, 3].astype(int),
-        state_norm_first=math.hypot(traj.x[j0], traj.y[j0]),
-        state_norm_last=math.hypot(traj.x[-1], traj.y[-1]),
-    )
+def stream_section(
+    cfg: SimConfig, direction: str = "both", readers: Sequence[Callable] = ()
+) -> PoincareSection:
+    """poincare(simulate_theta(cfg), direction, cfg.transient), streamed.
+
+    The run is integrated in chunks and never stored (see _stream_theta);
+    each of ``readers`` also reads every chunk.  The section is the same,
+    bit for bit.
+    """
+    _check_direction(direction)
+    n = int(round(cfg.t_end / cfg.h)) + 1
+    sec = _Crossings(cfg.h, cfg.params.tau, n, cfg.transient, cfg.x0, cfg.y0)
+    _stream_theta(cfg, (sec, *readers))
+    return sec.section(direction)
 
 
 _NN_BLOCK_ELEMS = 1 << 20  # pairwise distances held at once by _nn_stats
@@ -777,33 +905,53 @@ def _reference_windows(
 
     Yields the window at the end of the transient, then the window after
     each of ``n_renorm`` legs of ``n_seg`` steps.  They are read from cfg's
-    run in _runs while its caller holds it and it covers every leg;
-    otherwise the reference is integrated, from the recorded post-transient
-    window when there is one.  The values are the same either way.
+    run in _runs while its caller holds it and it covers every leg.
+    Otherwise they are read from the entry's recorded windows, and a leg
+    that is not recorded is integrated from the window before it and
+    recorded.  Without an entry the transient is integrated first.  The
+    values are the same either way.
     """
     N = cfg.n_delay
     n_tr = _transient_steps(cfg)
-    window, run = _runs.get(cfg, (None, None))
-    traj = None if run is None else run()
-    if traj is not None and n_tr + n_renorm * n_seg < len(traj):
+    steps = range(n_tr, n_tr + (n_renorm + 1) * n_seg, n_seg)
+    entry = _runs.get(cfg)
+    traj = None if entry is None or entry[1] is None else entry[1]()
+    if traj is not None and steps[-1] < len(traj):
         cols = (traj.x, traj.y, traj.theta, traj.dtheta)
-        for j in range(n_tr, n_tr + (n_renorm + 1) * n_seg, n_seg):
+        for j in steps:
             yield tuple(c[j - N : j + 1] for c in cols)
         return
-    if window is None:
+    if entry is None:
         ref = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
         ref.step(n_tr)
         ref.trim()
-        window = ref.window()
-        _runs[cfg] = (window, None)
-    else:
-        # the state step(n_tr); trim() reaches: the window at j = N
-        ref = _ThetaStepper.at_window(cfg.params, cfg.x0, cfg.y0, cfg.h, *window)
-    yield window
-    for _ in range(n_renorm):
-        ref.step(n_seg)
-        ref.trim()
-        yield ref.window()
+        entry = _runs[cfg] = _Reference({n_tr: ref.window()}, n_tr)
+    windows = entry.windows
+    ref = None
+    for j in steps:
+        if j in windows:
+            ref = None
+        else:
+            if ref is None:
+                # the state step(j - n_seg); trim() reaches
+                ref = _ThetaStepper.at_window(
+                    cfg.params, cfg.x0, cfg.y0, cfg.h, *windows[j - n_seg])
+            ref.step(n_seg)
+            ref.trim()
+            windows[j] = ref.window()
+        yield windows[j]
+
+
+def _leg_steps(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int) -> int:
+    """Steps per leg of divergence_exponent(cfg, ...), after checking its
+    arguments."""
+    if not 1e-10 <= delta0 <= 1e-6:
+        raise ValueError(f"delta0 must lie in [1e-10, 1e-6], got {delta0}")
+    if n_renorm < 50:
+        raise ValueError(f"n_renorm must be >= 50, got {n_renorm}")
+    if not cfg.h <= renorm_T < math.inf:
+        raise ValueError(f"renorm_T must be finite and >= h, got {renorm_T!r}")
+    return max(1, int(round(renorm_T / cfg.h)))
 
 
 def divergence_exponent(
@@ -827,19 +975,13 @@ def divergence_exponent(
     formulations integrate the same initial-value problem).  cfg.transient
     positions the reference before measurement begins.  The reference legs
     are read from simulate_theta(cfg) while the caller still holds that run,
-    else integrated from its post-transient window, else from the start;
-    the result is bit-identical either way.
+    else from the windows recorded for cfg (by line_T_scan's streamed run or
+    an earlier exponent on cfg), else integrated from its post-transient
+    window, else from the start; the result is bit-identical either way.
     """
-    if not 1e-10 <= delta0 <= 1e-6:
-        raise ValueError(f"delta0 must lie in [1e-10, 1e-6], got {delta0}")
-    if n_renorm < 50:
-        raise ValueError(f"n_renorm must be >= 50, got {n_renorm}")
+    n_seg = _leg_steps(cfg, delta0, renorm_T, n_renorm)
     p = cfg.params
     h = cfg.h
-    if not h <= renorm_T < math.inf:
-        raise ValueError(f"renorm_T must be finite and >= h, got {renorm_T!r}")
-
-    n_seg = max(1, int(round(renorm_T / h)))
     leg_t = n_seg * h
     ref_windows = _reference_windows(cfg, n_seg, n_renorm)
     xw, yw, thw, dthw = next(ref_windows)
@@ -895,13 +1037,19 @@ def line_T_scan(
     with the same transient, with that run as its reference, and feeds the
     curve-family/scattered split.  iota = 0 is the codimension-two point
     itself and is skipped.
+
+    Every scale, and the exponent's arguments, are checked before any scale
+    is integrated.  Each run is streamed (stream_section): its section and
+    the exponent's reference windows are read while it runs, so memory does
+    not grow with t_end, and the transient and the reference legs are
+    integrated once per scale.
     """
     if hh is None:
         hh = _hh_mod.find_hopf_hopf(epsilon, mu, 1, 1, 4.5, 5.2)
-    rows: List[LineTRow] = []
+    todo = []
     for iota in iota_list:
         if iota == 0.0:
-            rows.append(LineTRow(0.0, hh.k0, hh.tau0, "skipped_origin", None))
+            todo.append((iota, None, 0))
             continue
         k = hh.k0 + 0.1 * iota
         tau = hh.tau0 + 0.081 * iota
@@ -910,12 +1058,34 @@ def line_T_scan(
             raise HypothesisViolated(f"iota={iota} leaves the admissible gain region")
         params = SystemParams(epsilon, mu, k, tau)
         cfg = SimConfig.from_divisor(params, x0, y0, h_div, t_end, transient)
-        traj = simulate_theta(cfg)
-        sec = poincare(traj, "both", transient)
+        n_seg = _leg_steps(cfg, delta0, renorm_T, n_renorm) if compute_exponent else 0
+        todo.append((iota, cfg, n_seg))
+    todo.reverse()
+    rows: List[LineTRow] = []
+    while todo:
+        # popped, so a scale's cfg, and with it its _runs entry, is gone
+        # before the next scale runs
+        iota, cfg, n_seg = todo.pop()
+        if cfg is None:
+            rows.append(LineTRow(0.0, hh.k0, hh.tau0, "skipped_origin", None))
+            continue
         lam = None
         if compute_exponent:
+            sec = _stream_reference(cfg, n_seg, n_renorm)
             lam = divergence_exponent(cfg, delta0, renorm_T, n_renorm)
-        del traj  # before the next scale's run allocates its own
+        else:
+            sec = stream_section(cfg)
         label = classify_section(sec, divergence_exponent=lam)
-        rows.append(LineTRow(iota, k, tau, label, lam))
+        rows.append(LineTRow(iota, cfg.params.k, cfg.params.tau, label, lam))
     return rows
+
+
+def _stream_reference(cfg: SimConfig, n_seg: int, n_renorm: int) -> PoincareSection:
+    """stream_section(cfg) that also records, in _runs, the reference windows
+    of an exponent with ``n_renorm`` legs of ``n_seg`` steps."""
+    n_tr = _transient_steps(cfg)
+    legs = _Windows(cfg.n_delay, range(n_tr, n_tr + (n_renorm + 1) * n_seg, n_seg))
+    sec = stream_section(cfg, "both", [legs])
+    if n_tr in legs.windows:
+        _runs[cfg] = _Reference(legs.windows, n_tr)
+    return sec

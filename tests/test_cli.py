@@ -162,16 +162,20 @@ def test_non_finite_argument_is_json_error(tmp_path, capsys, command, name):
     assert name in err["message"]
 
 
-def test_blowup_maps_to_error_with_time(tmp_path, capsys):
-    code = run_cli(
-        "simulate", "--alpha1", "495", "--alpha2", "0", "--x0", "1.0",
-        "--h-div", "50", "--t-end", "50", "--transient", "10",
-        "--out", str(tmp_path / "b"),
-    )
-    assert code == 1
-    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err["error"] == "NonFiniteState"
-    assert 0.0 < err["time"] < 50.0
+def test_blowup_maps_to_error_with_time(tmp_path, capsys, monkeypatch):
+    # with 7-step chunks the streamed export has rows before the blow-up
+    for chunk in (7, 1 << 16):
+        monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
+        code = run_cli(
+            "simulate", "--alpha1", "495", "--alpha2", "0", "--x0", "1.0",
+            "--h-div", "50", "--t-end", "50", "--transient", "10",
+            "--out", str(tmp_path / "b"),
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "NonFiniteState"
+        assert 0.0 < err["time"] < 50.0
+        assert list(tmp_path.glob("b.*")) == []  # no partial export
 
 
 def test_zero_start_stays_zero(tmp_path):
@@ -243,17 +247,20 @@ def test_json_table_format(tmp_path):
 
 
 @pytest.mark.parametrize("stride,formulation", [(1, "theta_form"),
-                                                (3, "neutral_form")])
+                                                (3, "neutral_form"),
+                                                (3, "theta_form")])
 def test_trajectory_export_blocks_match_whole_arrays(
     tmp_path, monkeypatch, hh, stride, formulation
 ):
     monkeypatch.setattr(cli, "_ROW_BLOCK", 16)
-    out = tmp_path / "run"
-    assert run_cli(
-        "simulate", "--alpha1", "-0.1", "--alpha2", "0.1", "--h-div", "50",
-        "--t-end", "60", "--transient", "5", "--stride", str(stride),
-        "--formulation", formulation, "--out", str(out),
-    ) == 0
+    # streamed theta-form runs: chunk boundaries off the stride and row blocks
+    for chunk in (1 << 16, 7, 40):
+        monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
+        assert run_cli(
+            "simulate", "--alpha1", "-0.1", "--alpha2", "0.1", "--h-div", "50",
+            "--t-end", "60", "--transient", "5", "--stride", str(stride),
+            "--formulation", formulation, "--out", str(tmp_path / f"run{chunk}"),
+        ) == 0
     params = SystemParams(EPS, MU, hh.k0 - 0.1, hh.tau0 + 0.1)
     traj = nfde_sim.simulate(nfde_sim.SimConfig.from_divisor(
         params, 0.1, 0.0, 50, 60.0, 5.0, formulation))
@@ -267,7 +274,9 @@ def test_trajectory_export_blocks_match_whole_arrays(
             traj.y[::stride].tolist(), traj.theta[::stride].tolist(),
             traj.y_delayed()[::stride].tolist()),
     )
-    assert (tmp_path / "run.trajectory.csv").read_bytes() == whole.read_bytes()
+    for chunk in (1 << 16, 7, 40):
+        got = tmp_path / f"run{chunk}.trajectory.csv"
+        assert got.read_bytes() == whole.read_bytes(), chunk
 
 
 def test_percent_format_matches_format_spec():
@@ -311,3 +320,26 @@ def test_line_t_locates_point_from_options(tmp_path, capsys):
     hh = dh.find_hopf_hopf(0.2, MU, 2, 1, 2.46, 4.98)
     assert float(rows[0][1]) == hh.k0 + 0.1
     assert rows[0][3] == "fixed_point"
+
+
+_COMMANDS = {
+    "hopf-curves": ("hopf-curves",),
+    "analyze": ("analyze",),
+    "simulate": ("simulate", "--alpha1", "0.1", "--alpha2", "0.085"),
+    "line-t": ("line-t", "--iota", "2.0"),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize("flag,value", [
+    ("--epsilon", "0"), ("--epsilon", "-0.1"), ("--epsilon", "nan"),
+    ("--mu", "0"), ("--mu", "1"), ("--mu", "1.5"), ("--mu", "nan"),
+])
+def test_inadmissible_instance_is_json_error(tmp_path, capsys, command, flag, value):
+    # the SystemParams rule, applied by gain_bound, which every command reaches
+    assert run_cli(*_COMMANDS[command], flag, value,
+                   "--out", str(tmp_path / "z")) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(flag[2:])
+    assert list(tmp_path.iterdir()) == []

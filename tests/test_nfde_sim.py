@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -450,32 +451,37 @@ def test_short_held_run_falls_back_to_window(hh, runs, step_calls):
         assert got.hex() == want.hex()
 
 
+def _n_steps(cfg):
+    return int(round(cfg.t_end / cfg.h))
+
+
 def test_line_t_scan_shares_and_releases_the_reference(hh, runs, step_calls,
                                                        monkeypatch):
+    # the scan streams its runs: no Trajectory, no separate section pass
+    for name in ("simulate", "simulate_theta", "poincare"):
+        monkeypatch.setattr(nfde_sim, name, None)
+    streamed = []
+    stream_section = nfde_sim.stream_section
+
+    def tracked(cfg, *args):
+        # each scale's _runs entry is gone before the next scale's run starts
+        assert len(runs) == 0
+        streamed.append((_n_steps(cfg), int(round(5.0 / cfg.h))))
+        return stream_section(cfg, *args)
+
+    monkeypatch.setattr(nfde_sim, "stream_section", tracked)
     kw = dict(hh=hh, h_div=100, t_end=2200.0, transient=400.0, renorm_T=5.0)
     rows = dh.line_T_scan([2.0, 2.6], **kw)
-    # two unsplit runs, then 50 clone legs each
-    assert len(step_calls) == 2 * (1 + 50)
+    # each run is stepped once; the exponent then steps only its 50 clone
+    # legs, reading the reference legs that the run recorded
+    assert len(streamed) == 2
+    assert sum(step_calls) == sum(n_run + 50 * n_seg for n_run, n_seg in streamed)
     assert len(runs) == 0  # the scan's configurations are gone
     for row in rows:
         cfg = dh.SimConfig.from_divisor(SystemParams(EPS, MU, row.k, row.tau),
                                         0.1, 0.0, 100, 2200.0, 400.0)
         alone = dh.divergence_exponent(cfg, 1e-9, 5.0, 50)
         assert row.divergence_exponent.hex() == alone.hex()
-    # each scale's trajectory is gone before the next scale's run starts
-    trajs = []
-    simulate_theta = nfde_sim.simulate_theta
-
-    def tracked(cfg):
-        assert all(r() is None for r in trajs)
-        traj = simulate_theta(cfg)
-        trajs.append(weakref.ref(traj))
-        return traj
-
-    monkeypatch.setattr(nfde_sim, "simulate_theta", tracked)
-    dh.line_T_scan([2.0, 2.6], **kw)
-    assert len(trajs) == 2 and trajs[-1]() is None
-    assert all(run is None or run() is None for _, run in runs.values())
 
 
 def _load_tracing():
@@ -493,9 +499,141 @@ def test_traced_line_t_scan_matches_untraced():
     plain = dh.line_T_scan([2.0, 2.6], **kw)
     with _load_tracing().Tracer() as tracer:
         traced = dh.line_T_scan([2.0, 2.6], **kw)
-    for group in ("theta", "poincare", "divergence_exponent", "classify_section"):
+    groups = {s["name"] for s in tracer.spans}
+    # the streamed runs call neither simulate_theta nor poincare
+    assert "nfde_sim.theta" not in groups and "nfde_sim.poincare" not in groups
+    for group in ("divergence_exponent", "classify_section"):
         spans = [s for s in tracer.spans if s["name"] == f"nfde_sim.{group}"]
         assert len(spans) == 2, group
         assert all(s["error"] is None for s in spans), group
     assert [r.divergence_exponent.hex() for r in traced] == [
         r.divergence_exponent.hex() for r in plain]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(delta0=1e-4), dict(delta0=math.nan), dict(n_renorm=10),
+    dict(renorm_T=0.01), dict(renorm_T=math.inf), dict(renorm_T=math.nan),
+])
+def test_line_t_scan_checks_exponent_arguments_before_any_run(hh, step_calls, kw):
+    with pytest.raises(ValueError):
+        dh.line_T_scan([2.0, 2.6], hh=hh, h_div=100, t_end=2200.0,
+                       transient=400.0, **kw)
+    assert step_calls == []
+
+
+def test_second_exponent_steps_only_its_clone(hh, runs, step_calls):
+    kw = dict(h_div=100, t_end=800.0, transient=200.0)
+    cold = {d0: dh.divergence_exponent(cfg_at(hh, 0.2, 0.164, **kw), d0, 10.0, 50)
+            for d0 in (1e-8, 1e-9)}
+    cfg = cfg_at(hh, 0.2, 0.164, **kw)
+    del step_calls[:]
+    first = dh.divergence_exponent(cfg, 1e-8, 10.0, 50)
+    assert len(step_calls) == 1 + 2 * 50  # transient, reference, clone
+    for d0 in (1e-9, 1e-8):
+        del step_calls[:]
+        again = dh.divergence_exponent(cfg, d0, 10.0, 50)
+        assert len(step_calls) == 50  # the clone; the legs were recorded
+        assert again.hex() == cold[d0].hex()
+    assert first.hex() == cold[1e-8].hex()
+    # other legs need their own reference, from the recorded windows
+    del step_calls[:]
+    dh.divergence_exponent(cfg, 1e-8, 5.0, 50)
+    assert len(step_calls) == 2 * 50
+
+
+def _section_hex(sec):
+    cols = [[v.hex() for v in col.tolist()] for col in (sec.t, sec.x, sec.y_delayed)]
+    return (cols, sec.direction.tolist(), sec.state_norm_first.hex(),
+            sec.state_norm_last.hex())
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 1 << 16])
+@pytest.mark.parametrize("transient", [0.0, 60.0])
+def test_streamed_section_matches_stored_run(hh, monkeypatch, chunk, transient):
+    monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
+    # transient 60 ends at step 335: inside the first chunk, or past it
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=200.0, transient=transient)
+    traj = dh.simulate_theta(cfg)
+    for d in ("both", "up", "down"):
+        want = dh.poincare(traj, d, transient)
+        assert len(want) > 10
+        assert _section_hex(nfde_sim.stream_section(cfg, d)) == _section_hex(want)
+
+
+def test_streamed_section_shorter_than_one_delay(hh, monkeypatch):
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 7)
+    cfg = cfg_at(hh, -0.1, 0.1, h_div=200, t_end=6.0)
+    assert cfg.t_end < cfg.params.tau
+    want = dh.poincare(dh.simulate_theta(cfg), "both", 0.0)
+    assert len(want) >= 1  # its delayed value is the history's
+    assert _section_hex(nfde_sim.stream_section(cfg)) == _section_hex(want)
+
+
+def _replay(run):
+    """A stepper class whose steps append the samples of a stored run."""
+
+    class Replay(nfde_sim._ThetaStepper):
+        def step(self, n):
+            g = self.base + self.j  # run index of the last sample
+            bufs = (self.xs, self.ys, self.dys, self.ths, self.dths)
+            cols = (run.x, run.y, run.dy, run.theta, run.dtheta)
+            for buf, col in zip(bufs, cols):
+                buf.extend(col[g + 1 : g + n + 1].tolist())
+            self.j += n
+
+    return Replay
+
+
+def test_streamed_section_across_chunk_boundaries(hh, monkeypatch):
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=800.0, transient=10.0)
+    traj = dh.simulate_theta(cfg)
+    y, h = traj.y, cfg.h
+    cross = np.nonzero(y[:-1] * y[1:] < 0.0)[0]
+    c, z = cross[cross > 4000][:2]
+    # a crossing next to node c + 1: past step 4096 its time rounds onto
+    # the node, so its dense output reads sample c + 2
+    y[c + 1] = math.copysign(1e-300, y[c + 1])
+    y[z + 1] = 0.0  # an exact-zero node: interval z's crossing moves onto it
+    assert y[z] * y[z + 2] < 0.0
+    want = dh.poincare(traj, "both", cfg.transient)
+    assert [int(t / h) for t in want.t.tolist() if c * h <= t < z * h] == [c + 1]
+    assert (z + 1) * h in want.t.tolist()
+    monkeypatch.setattr(nfde_sim, "_ThetaStepper", _replay(traj))
+    # a chunk boundary on and next to the crossing and the zero node
+    for chunk in [int(i) + d for i in (c, z + 1) for d in range(-2, 3)]:
+        monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
+        got = nfde_sim.stream_section(cfg)
+        assert _section_hex(got) == _section_hex(want), chunk
+
+
+def _raised(fn, *args):
+    with pytest.raises(NonFiniteState) as exc:
+        fn(*args)
+    return exc.value.time, str(exc.value)
+
+
+def test_streamed_blowup_matches_stored_run(monkeypatch):
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 7)
+    params = SystemParams(0.1, 0.5, 500.0, 1.0)
+    cfg = dh.SimConfig.from_divisor(params, 1.0, 0.0, 50, 100.0)
+    want = _raised(dh.simulate_theta, cfg)
+    assert want[0] > 10 * 7 * cfg.h  # many chunks in
+    assert _raised(nfde_sim.stream_section, cfg) == want
+
+
+def test_line_t_scan_memory_flat_in_the_transient(hh, monkeypatch):
+    # the same 1800 time units measured after a transient of 400 and 7000:
+    # a stored run would add 5 arrays of 8 bytes per step
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 1024)
+    peaks = []
+    for t_end, transient in ((2200.0, 400.0), (8800.0, 7000.0)):
+        tracemalloc.start()
+        try:
+            dh.line_T_scan([2.0], hh=hh, h_div=50, t_end=t_end,
+                           transient=transient, renorm_T=5.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stored = 5 * 8 * _n_steps(cfg_at(hh, 0.2, 0.162, h_div=50, t_end=8800.0))
+    assert peaks[1] < 0.25 * stored
+    assert peaks[1] < 1.2 * peaks[0]
