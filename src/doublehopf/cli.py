@@ -225,11 +225,10 @@ class _TrajectoryRows:
     """Run reader writing (t, x, y, theta, y_delayed) at every stride-th
     sample to ``fh``, as _write_csv would write them.
 
-    Called with consecutive blocks of a run (see nfde_sim._stream_theta),
-    or once with a whole stored run.  Each block of _ROW_BLOCK rows is
-    formatted by one %-format ("%.17g" gives the digits of format(v, ".17g")
-    for every float, inf and nan included), so a dense export holds one
-    block of text at a time.
+    Called with consecutive blocks of a run (see nfde_sim._stream).  Each
+    block of _ROW_BLOCK rows is formatted by one %-format ("%.17g" gives the
+    digits of format(v, ".17g") for every float, inf and nan included), so
+    a dense export holds one block of text at a time.
     """
 
     def __init__(self, fh, h: float, n_delay: int, y0: float, stride: int):
@@ -255,6 +254,8 @@ class _TrajectoryRows:
 
 
 def cmd_simulate(args) -> int:
+    if args.stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {args.stride}")
     k, tau = _resolve_point(args)
     params = SystemParams(args.epsilon, args.mu, k, tau)
     cfg = nfde_sim.SimConfig.from_divisor(
@@ -264,15 +265,9 @@ def cmd_simulate(args) -> int:
     path = f"{args.out}.trajectory.csv"
     with open(path, "w", newline="\n") as fh:
         try:
-            rows = _TrajectoryRows(fh, cfg.h, cfg.n_delay, cfg.y0, max(1, args.stride))
-            if cfg.formulation == "theta_form":
-                # streamed: neither the run nor the CSV text is held
-                sec = nfde_sim.stream_section(cfg, args.direction, [rows])
-            else:
-                traj = nfde_sim.simulate(cfg)
-                sec = nfde_sim.poincare(traj, args.direction, args.transient)
-                rows(0, traj.x, traj.y, traj.dy, traj.theta, None, True)
-                del traj
+            rows = _TrajectoryRows(fh, cfg.h, cfg.n_delay, cfg.y0, args.stride)
+            # streamed: neither the run nor the CSV text is held
+            sec = nfde_sim.stream_section(cfg, args.direction, [rows])
         except BaseException:
             fh.close()
             Path(path).unlink()  # no partial export of a failed run

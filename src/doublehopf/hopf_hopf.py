@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from .chareq import gain_bound, hopf_branch, hopf_frequencies, tau_branch
+from .chareq import _check_instance, gain_bound, hopf_branch, hopf_frequencies, tau_branch
 from .errors import HypothesisViolated, NoSignChange
 
 __all__ = [
@@ -159,8 +159,13 @@ def scan_hopf_curves(
 
     Gains failing the admissibility conditions are skipped and reported in
     ``skipped_k``.  Rows are ordered by (j, branch sign, k); each gain's two
-    ladders are built once and hold no state beyond their rows.
+    ladders are built once and hold no state beyond their rows.  Raises
+    ValueError, before any gain is examined, for an instance SystemParams
+    forbids or j_max < 0.
     """
+    _check_instance(epsilon, mu)
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
     skipped: List[float] = []
     # buckets[j][i]: rows of rung j on branch ("minus", "plus")[i], by k
     buckets = [([], []) for _ in range(j_max + 1)]

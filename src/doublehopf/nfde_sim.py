@@ -25,13 +25,15 @@ converge at fourth order and agree to ~1e-10 at desk step sizes.
 Trajectories carry cubic Hermite dense output used to refine section
 crossings to |y| < 1e-9 by bisection.
 
-simulate_theta stores the whole run.  A theta-form run can also be
-streamed (stream_section; line_T_scan and the CLI's theta-form simulate do
-so): the stepper runs in chunks of _CHUNK steps, and after each chunk its
-readers -- the section's crossing collector, the exponent's reference
-windows, trajectory CSV rows -- read that chunk plus the trailing delay
-window.  Memory then stays O(N + _CHUNK) however long the run, and the
-section, windows and rows are bit-identical to those of the stored run.
+simulate_theta and simulate_neutral store the whole run.  A run of either
+formulation can also be streamed (stream_section; line_T_scan and the
+CLI's simulate do so): its stepper runs in chunks of _CHUNK steps, and
+after each chunk its readers -- the section's crossing collector, the
+exponent's reference windows, trajectory CSV rows -- read that chunk plus
+the trailing delay window (a neutral run's theta is rebuilt per chunk by
+the memory recursion).  Memory then stays O(N + _CHUNK) however long the
+run, and the section, windows and rows are bit-identical to those of the
+stored run.
 """
 
 from __future__ import annotations
@@ -143,6 +145,27 @@ def _dense(vals, derivs, hist: float, t: float, h: float, n: int, base: int = 0)
     return _hermite(t - i * h, h, vals[a], vals[a + 1], derivs[a], derivs[a + 1])
 
 
+def _fill_memory(m: np.ndarray, src: np.ndarray, lo: int, mu: float, nd: int,
+                 hist: float, base: int = 0) -> None:
+    """m[i] = (1-mu)*src[i] + mu*m[i - nd] for i >= lo, the feedback memory
+    of src on the samples base, base + 1, ... of a run.
+
+    Before run sample nd the delayed memory is the history value hist (node
+    0 uses the history fixed point directly).  Elementwise in blocks of at
+    most nd samples, so a run split anywhere gets the bits of a whole one.
+    """
+    n = len(src)
+    while lo < n:
+        if base + lo < nd:
+            hi = min(nd - base, n)
+            delayed = hist
+        else:
+            hi = min(lo + nd, n)
+            delayed = m[lo - nd : hi - nd]
+        m[lo:hi] = (1.0 - mu) * src[lo:hi] + mu * delayed
+        lo = hi
+
+
 class Trajectory:
     """Uniform-grid solution samples with cubic Hermite dense output.
 
@@ -230,15 +253,8 @@ class Trajectory:
         """
         if self.params is None:
             raise ValueError("synthetic trajectory carries no feedback memory")
-        mu = self.params.mu
-        n = len(src)
-        nd = self.n_delay
-        m = np.empty(n)
-        for lo in range(0, n, nd):
-            hi = min(lo + nd, n)
-            # node 0 uses the history fixed point directly
-            delayed = np.full(hi - lo, hist) if lo == 0 else m[lo - nd : hi - nd]
-            m[lo:hi] = (1.0 - mu) * src[lo:hi] + mu * delayed
+        m = np.empty(len(src))
+        _fill_memory(m, src, 0, self.params.mu, self.n_delay, hist)
         return m
 
     def y_delayed(self) -> np.ndarray:
@@ -264,7 +280,32 @@ class Trajectory:
         return self.eval_y(t - self.tau)
 
 
-class _ThetaStepper:
+class _Stepper:
+    """Sample buffers of an incremental integrator on the grid t = 0, h, ...
+
+    ``step(n)`` appends n steps to the buffers named in _BUFFERS, in the
+    order (x, y, y', ...) that a run reader takes them, and continues from
+    where the previous call stopped.  ``j`` is the buffer index of the last
+    sample and ``base`` the run step index of buffer sample 0, so a blow-up
+    reports the run time whatever was trimmed.
+    """
+
+    _BUFFERS: Tuple[str, ...] = ()
+    _LEAD = 0  # samples before the trailing delay window that step reads
+
+    def trim(self, lead: int = 0) -> None:
+        """Drop samples before the trailing window and the ``lead`` (at least
+        _LEAD) before it."""
+        a = self.j - self.N - max(lead, self._LEAD)
+        if a <= 0:
+            return
+        for name in self._BUFFERS:
+            setattr(self, name, array("d", getattr(self, name)[a:]))
+        self.j -= a
+        self.base += a
+
+
+class _ThetaStepper(_Stepper):
     """Incremental theta-form integrator.
 
     Backs simulate_theta, the streamed runs and the divergence estimator;
@@ -272,6 +313,8 @@ class _ThetaStepper:
     integration legs, so the trailing window is exposed for read/overwrite
     and the prefix can be trimmed to cap memory.
     """
+
+    _BUFFERS = ("xs", "ys", "dys", "ths", "dths")
 
     def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
         self.p = p
@@ -415,15 +458,131 @@ class _ThetaStepper:
                           (self.dths, dth), (self.dys, dy)):
             np.frombuffer(buf, np.float64)[sl] = vals
 
-    def trim(self, lead: int = 0) -> None:
-        """Drop samples before the trailing window and the ``lead`` before it."""
-        a = self.j - self.N - lead
-        if a <= 0:
-            return
-        for name in ("xs", "ys", "ths", "dys", "dths"):
-            setattr(self, name, array("d", getattr(self, name)[a:]))
-        self.j -= a
-        self.base += a
+
+class _NeutralStepper(_Stepper):
+    """Incremental neutral-form integrator of x, y and y'.
+
+    Backs simulate_neutral and the streamed neutral runs.  The midpoint's
+    y' stencil reads back to two samples before the delayed node, so trim
+    keeps those (_LEAD).
+    """
+
+    _BUFFERS = ("xs", "ys", "dys")
+    _LEAD = 2
+
+    def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
+        eps, mu = p.epsilon, p.mu
+        self.p = p
+        self.h = h
+        self.N = int(round(p.tau / h))
+        self.x0, self.y0 = x0, y0
+        self.c_x = c_x = -1.0 + eps * p.k * (1.0 - mu)
+        # g(x0, y0, x0, y0)/(1 - mu), in g's term order (see step): the fixed
+        # point of the derivative recursion keeps y' continuous at t = 0 and
+        # matches the theta formulation's initial-value problem
+        self.dy_h = (
+            c_x * x0 + eps * y0 + mu * x0 - eps * mu * y0
+            - eps * x0 * x0 * y0 + eps * mu * x0 * x0 * y0
+        ) / (1.0 - mu)
+        self.xs = array("d", [x0])
+        self.ys = array("d", [y0])
+        self.dys = array("d", [self.dy_h])
+        self.j = 0
+        self.base = 0
+
+    def step(self, n: int) -> None:
+        p = self.p
+        eps, mu = p.epsilon, p.mu
+        em = eps * mu
+        c_x = self.c_x
+        N, h = self.N, self.h
+        h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
+        xs, ys, dys = self.xs, self.ys, self.dys
+        append_x, append_y, append_dy = xs.append, ys.append, dys.append
+        x0, y0, dy_h = self.x0, self.y0, self.dy_h
+        j0, j1 = self.j, self.j + n
+        x, y = xs[j0], ys[j0]
+
+        # g(x, y, xt, yt) + mu*yt' is inlined below in g's left-to-right term
+        # order, c_x*x + eps*y + A - B - eps*x*x*y + C + D, where a delayed node
+        # contributes A = mu*xt, B = (eps*mu)*yt, C = (eps*mu)*xt*xt*yt and
+        # D = mu*yt', formed once per node.  The end-of-step y' is the next
+        # step's k1y: the same expression on the same operands.  So on entry
+        # k1y is read back from dys, except at the run's first step, where
+        # dys holds the fixed point dy_h rather than that sum.
+        hA, hB, hC, hD = mu * x0, em * y0, em * x0 * x0 * y0, mu * dy_h
+        if self.base + j0:
+            k1y = dys[j0]
+        else:
+            k1y = c_x * x + eps * y + hA - hB - eps * x * x * y + hC + hD
+        # every delayed node and the midpoint lie in the constant history
+        # (node 0, read at j = N - 1, holds the history values)
+        for j in range(j0, min(j1, N)):
+            xa = x + h2 * y
+            ya = y + h2 * k1y
+            k2y = c_x * xa + eps * ya + hA - hB - eps * xa * xa * ya + hC + hD
+            xb = x + h2 * ya
+            yb = y + h2 * k2y
+            k3y = c_x * xb + eps * yb + hA - hB - eps * xb * xb * yb + hC + hD
+            xc = x + h * yb
+            yc = y + h * k3y
+            k4y = c_x * xc + eps * yc + hA - hB - eps * xc * xc * yc + hC + hD
+            x = x + h6 * (y + 2.0 * (ya + yb) + yc)
+            y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+            if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
+                t = (self.base + j + 1) * h
+                raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
+            k1y = c_x * x + eps * y + hA - hB - eps * x * x * y + hC + hD
+            append_x(x)
+            append_y(y)
+            append_dy(k1y)
+        if j1 > N:
+            # node a = jd is read back on entry, then carried over from the
+            # previous step's node b = jd + 1; r = jd % N in run indices picks
+            # the y' stencil at the breaking nodes
+            jd = max(j0, N) - N
+            x_a, y_a, dy_a = xs[jd], ys[jd], dys[jd]
+            r = (self.base + jd) % N
+            for jd in range(jd, j1 - N):
+                x_b, y_b, dy_b = xs[jd + 1], ys[jd + 1], dys[jd + 1]
+                bA, bB, bD = mu * x_b, em * y_b, mu * dy_b
+                bC = em * x_b * x_b * y_b
+                x_m = 0.5 * (x_a + x_b) + h8 * (y_a - y_b)
+                y_m = 0.5 * (y_a + y_b) + h8 * (dy_a - dy_b)
+                # y'' jumps at every multiple of tau; choose a 4-point stencil
+                # that stays on one smooth piece (all indices are >= 0 here)
+                if r == N - 1:
+                    dy_m = (dys[jd - 2] - 5.0 * dys[jd - 1] + 15.0 * dy_a + 5.0 * dy_b) / 16.0
+                elif r == 0:
+                    dy_m = (5.0 * dy_a + 15.0 * dy_b - 5.0 * dys[jd + 2] + dys[jd + 3]) / 16.0
+                else:
+                    dy_m = (-dys[jd - 1] + 9.0 * dy_a + 9.0 * dy_b - dys[jd + 2]) / 16.0
+                mA, mB, mD = mu * x_m, em * y_m, mu * dy_m
+                mC = em * x_m * x_m * y_m
+
+                xa = x + h2 * y
+                ya = y + h2 * k1y
+                k2y = c_x * xa + eps * ya + mA - mB - eps * xa * xa * ya + mC + mD
+                xb = x + h2 * ya
+                yb = y + h2 * k2y
+                k3y = c_x * xb + eps * yb + mA - mB - eps * xb * xb * yb + mC + mD
+                xc = x + h * yb
+                yc = y + h * k3y
+                k4y = c_x * xc + eps * yc + bA - bB - eps * xc * xc * yc + bC + bD
+                x = x + h6 * (y + 2.0 * (ya + yb) + yc)
+                y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+                if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
+                    t = (self.base + jd + N + 1) * h
+                    raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
+                k1y = c_x * x + eps * y + bA - bB - eps * x * x * y + bC + bD
+                append_x(x)
+                append_y(y)
+                append_dy(k1y)
+                x_a, y_a, dy_a = x_b, y_b, dy_b
+                r += 1
+                if r == N:
+                    r = 0
+        self.j += n
 
 
 def _transient_steps(cfg: SimConfig) -> int:
@@ -460,7 +619,7 @@ _runs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 class _Windows:
     """Run reader that copies the (x, y, theta, theta') delay windows ending
-    at the given step indices as the run passes them (see _stream_theta)."""
+    at the given step indices as the run passes them (see _stream)."""
 
     def __init__(self, n_delay: int, steps: Iterable[int]):
         self.n_delay = n_delay
@@ -498,29 +657,40 @@ def _run_theta(cfg: SimConfig) -> Trajectory:
     return traj
 
 
-_CHUNK = 1 << 16  # theta-form steps per chunk of a streamed run (~2.6 MB of samples)
+_CHUNK = 1 << 16  # steps per chunk of a streamed run (~2.6 MB of theta-form samples)
 
 
-def _stream_theta(cfg: SimConfig, readers: Sequence[Callable]) -> None:
-    """Integrate cfg's theta form in chunks of _CHUNK steps, storing no run.
+def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
+    """Integrate cfg in chunks of _CHUNK steps, storing no run.
 
-    After each chunk every reader is called as
-    ``reader(base, x, y, dy, theta, dtheta, final)``: numpy views of the
-    samples base, base + 1, ... up to the last step so far, with final true
-    after the last chunk.  A reader must copy what it keeps, because the
-    stepper then drops all but the trailing N + 3 samples (the delay window
-    and the two before it), which every later block starts with, and grows
-    its buffers again.  The steps are those of one unsplit stepper run, bit
-    for bit, and a blow-up raises at the same time with the same message.
+    The stepper is cfg.formulation's.  After each chunk every reader is
+    called as ``reader(base, x, y, dy, theta, dtheta, final)``: numpy views
+    of the samples base, base + 1, ... up to the last step so far, with
+    final true after the last chunk.  A neutral run has no dtheta (None);
+    its theta is rebuilt per chunk by the memory recursion, with the bits of
+    Trajectory.theta.  A reader must copy what it keeps, because the stepper
+    then drops all but the trailing N + 3 samples (the delay window and the
+    two before it), which every later block starts with, and grows its
+    buffers again.  The steps are those of one unsplit stepper run, bit for
+    bit, and a blow-up raises at the same time with the same message.
     """
-    st = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
+    neutral = cfg.formulation == "neutral_form"
+    stepper = _NeutralStepper if neutral else _ThetaStepper
+    st = stepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
+    theta, theta_base = np.empty(0), 0  # neutral theta of the last block
     left = int(round(cfg.t_end / cfg.h))
     while True:
         n = min(_CHUNK, left)
         st.step(n)
         left -= n
-        cols = [np.frombuffer(buf, np.float64)
-                for buf in (st.xs, st.ys, st.dys, st.ths, st.dths)]
+        cols = [np.frombuffer(getattr(st, name), np.float64) for name in st._BUFFERS]
+        if neutral:
+            kept = theta[st.base - theta_base :]
+            theta, theta_base = np.empty(len(cols[0])), st.base
+            theta[: len(kept)] = kept
+            _fill_memory(theta, cols[0], len(kept), cfg.params.mu, st.N, cfg.x0,
+                         st.base)
+            cols += [theta, None]
         for read in readers:
             read(st.base, *cols, left == 0)
         del cols  # views block the next append
@@ -530,110 +700,15 @@ def _stream_theta(cfg: SimConfig, readers: Sequence[Callable]) -> None:
 
 
 def _run_neutral(cfg: SimConfig) -> Trajectory:
-    p = cfg.params
-    eps, mu = p.epsilon, p.mu
-    em = eps * mu
-    c_x = -1.0 + eps * p.k * (1.0 - mu)
-    N = cfg.n_delay
-    h = cfg.h
-    n_steps = int(round(cfg.t_end / h))
-    x0, y0 = cfg.x0, cfg.y0
-
-    def g(x, y, xt, yt):
-        return (
-            c_x * x + eps * y + mu * xt - eps * mu * yt
-            - eps * x * x * y + eps * mu * xt * xt * yt
-        )
-
-    # fixed point of the derivative recursion: keeps y' continuous at t = 0
-    # and matches the theta formulation's initial-value problem
-    dy_h = g(x0, y0, x0, y0) / (1.0 - mu)
-
-    xs = array("d", [x0])
-    ys = array("d", [y0])
-    dys = array("d", [dy_h])
-    append_x, append_y, append_dy = xs.append, ys.append, dys.append
-
-    # g(x, y, xt, yt) + mu*yt' is inlined below in g's left-to-right term
-    # order, c_x*x + eps*y + A - B - eps*x*x*y + C + D, where a delayed node
-    # contributes A = mu*xt, B = (eps*mu)*yt, C = (eps*mu)*xt*xt*yt and
-    # D = mu*yt', formed once per node.  The end-of-step y' is the next
-    # step's k1y: the same expression on the same operands.
-    hA, hB, hC, hD = mu * x0, em * y0, em * x0 * x0 * y0, mu * dy_h
-    x, y = x0, y0
-    h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
-    k1y = c_x * x + eps * y + hA - hB - eps * x * x * y + hC + hD
-    # every delayed node and the midpoint lie in the constant history
-    # (node 0, read at j = N - 1, holds the history values)
-    for j in range(min(N, n_steps)):
-        xa = x + h2 * y
-        ya = y + h2 * k1y
-        k2y = c_x * xa + eps * ya + hA - hB - eps * xa * xa * ya + hC + hD
-        xb = x + h2 * ya
-        yb = y + h2 * k2y
-        k3y = c_x * xb + eps * yb + hA - hB - eps * xb * xb * yb + hC + hD
-        xc = x + h * yb
-        yc = y + h * k3y
-        k4y = c_x * xc + eps * yc + hA - hB - eps * xc * xc * yc + hC + hD
-        x = x + h6 * (y + 2.0 * (ya + yb) + yc)
-        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
-            raise NonFiniteState(f"state overflow at t = {(j + 1) * h:.6g}", (j + 1) * h)
-        k1y = c_x * x + eps * y + hA - hB - eps * x * x * y + hC + hD
-        append_x(x)
-        append_y(y)
-        append_dy(k1y)
-
-    # node a = jd carries over from the previous step's node b = jd + 1;
-    # r = jd % N picks the y' stencil at the breaking nodes
-    x_a, y_a, dy_a = x0, y0, dy_h
-    r = 0
-    for jd in range(n_steps - N):
-        x_b, y_b, dy_b = xs[jd + 1], ys[jd + 1], dys[jd + 1]
-        bA, bB, bD = mu * x_b, em * y_b, mu * dy_b
-        bC = em * x_b * x_b * y_b
-        x_m = 0.5 * (x_a + x_b) + h8 * (y_a - y_b)
-        y_m = 0.5 * (y_a + y_b) + h8 * (dy_a - dy_b)
-        # y'' jumps at every multiple of tau; choose a 4-point stencil
-        # that stays on one smooth piece (all indices are >= 0 here)
-        if r == N - 1:
-            dy_m = (dys[jd - 2] - 5.0 * dys[jd - 1] + 15.0 * dy_a + 5.0 * dy_b) / 16.0
-        elif r == 0:
-            dy_m = (5.0 * dy_a + 15.0 * dy_b - 5.0 * dys[jd + 2] + dys[jd + 3]) / 16.0
-        else:
-            dy_m = (-dys[jd - 1] + 9.0 * dy_a + 9.0 * dy_b - dys[jd + 2]) / 16.0
-        mA, mB, mD = mu * x_m, em * y_m, mu * dy_m
-        mC = em * x_m * x_m * y_m
-
-        xa = x + h2 * y
-        ya = y + h2 * k1y
-        k2y = c_x * xa + eps * ya + mA - mB - eps * xa * xa * ya + mC + mD
-        xb = x + h2 * ya
-        yb = y + h2 * k2y
-        k3y = c_x * xb + eps * yb + mA - mB - eps * xb * xb * yb + mC + mD
-        xc = x + h * yb
-        yc = y + h * k3y
-        k4y = c_x * xc + eps * yc + bA - bB - eps * xc * xc * yc + bC + bD
-        x = x + h6 * (y + 2.0 * (ya + yb) + yc)
-        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
-            t = (jd + N + 1) * h
-            raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
-        k1y = c_x * x + eps * y + bA - bB - eps * x * x * y + bC + bD
-        append_x(x)
-        append_y(y)
-        append_dy(k1y)
-        x_a, y_a, dy_a = x_b, y_b, dy_b
-        r += 1
-        if r == N:
-            r = 0
-
+    stepper = _NeutralStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
+    stepper.step(int(round(cfg.t_end / cfg.h)))
+    # as in _run_theta, the trajectory views the dropped stepper's buffers
     return Trajectory(
-        p, h, N,
-        np.frombuffer(xs, np.float64),
-        np.frombuffer(ys, np.float64),
-        np.frombuffer(dys, np.float64),
-        x0, y0,
+        cfg.params, cfg.h, cfg.n_delay,
+        np.frombuffer(stepper.xs, np.float64),
+        np.frombuffer(stepper.ys, np.float64),
+        np.frombuffer(stepper.dys, np.float64),
+        cfg.x0, cfg.y0,
     )
 
 
@@ -687,7 +762,7 @@ class _Crossings:
     """Crossings of the section y = 0 after ``transient``, collected from
     consecutive blocks of an n-sample run.
 
-    Called as a run reader (see _stream_theta).  Sign changes on the grid
+    Called as a run reader (see _stream).  Sign changes on the grid
     are refined by bisection (at most 40 halvings) on the Hermite
     interpolant; a grid node where y is exactly zero counts once, by the
     sign change across it.  A grid interval or node i is examined once
@@ -785,16 +860,16 @@ def poincare(
 def stream_section(
     cfg: SimConfig, direction: str = "both", readers: Sequence[Callable] = ()
 ) -> PoincareSection:
-    """poincare(simulate_theta(cfg), direction, cfg.transient), streamed.
+    """poincare(simulate(cfg), direction, cfg.transient), streamed.
 
-    The run is integrated in chunks and never stored (see _stream_theta);
-    each of ``readers`` also reads every chunk.  The section is the same,
-    bit for bit.
+    The run, in either formulation, is integrated in chunks and never
+    stored (see _stream); each of ``readers`` also reads every chunk.  The
+    section is the same, bit for bit.
     """
     _check_direction(direction)
     n = int(round(cfg.t_end / cfg.h)) + 1
     sec = _Crossings(cfg.h, cfg.params.tau, n, cfg.transient, cfg.x0, cfg.y0)
-    _stream_theta(cfg, (sec, *readers))
+    _stream(cfg, (sec, *readers))
     return sec.section(direction)
 
 

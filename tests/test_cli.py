@@ -64,6 +64,30 @@ def test_hopf_curves_empty_range(tmp_path):
     assert rows == []
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(("--mu", "1.5", "--k-range", "5:4:0.1"), id="mu-empty-grid"),
+    pytest.param(("--epsilon", "nan", "--k-range", "5:4:0.1"), id="epsilon-empty-grid"),
+    pytest.param(("--j-max", "-1"), id="j-max"),
+])
+def test_hopf_curves_rejects_forbidden_instance(tmp_path, capsys, args):
+    # checked before the gain loop, so an empty grid does not hide it
+    assert run_cli("hopf-curves", *args, "--out", str(tmp_path / "c.csv")) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(args[0][2:].replace("-", "_"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_simulate_rejects_non_positive_stride(tmp_path, capsys, stride):
+    assert run_cli("simulate", "--alpha1", "0.1", "--alpha2", "0.085",
+                   "--stride", stride, "--out", str(tmp_path / "s")) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "stride" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_roundtrip_uses_report_exactly(tmp_path):
     rep_path = tmp_path / "report.json"
     run_cli("analyze", "--out", str(rep_path))
@@ -248,12 +272,13 @@ def test_json_table_format(tmp_path):
 
 @pytest.mark.parametrize("stride,formulation", [(1, "theta_form"),
                                                 (3, "neutral_form"),
-                                                (3, "theta_form")])
+                                                (3, "theta_form"),
+                                                (1, "neutral_form")])
 def test_trajectory_export_blocks_match_whole_arrays(
     tmp_path, monkeypatch, hh, stride, formulation
 ):
     monkeypatch.setattr(cli, "_ROW_BLOCK", 16)
-    # streamed theta-form runs: chunk boundaries off the stride and row blocks
+    # streamed runs: chunk boundaries off the stride and row blocks
     for chunk in (1 << 16, 7, 40):
         monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
         assert run_cli(

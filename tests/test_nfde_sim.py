@@ -569,6 +569,28 @@ def test_streamed_section_shorter_than_one_delay(hh, monkeypatch):
     assert _section_hex(nfde_sim.stream_section(cfg)) == _section_hex(want)
 
 
+@pytest.mark.parametrize("chunk", [7, 64, 1 << 16])
+@pytest.mark.parametrize("transient", [0.0, 60.0])
+def test_streamed_neutral_section_matches_stored_run(hh, monkeypatch, chunk, transient):
+    monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=200.0, transient=transient,
+                 formulation="neutral_form")
+    traj = dh.simulate_neutral(cfg)
+    for d in ("both", "up", "down"):
+        want = dh.poincare(traj, d, transient)
+        assert len(want) > 10
+        assert _section_hex(nfde_sim.stream_section(cfg, d)) == _section_hex(want)
+
+
+def test_streamed_neutral_section_shorter_than_one_delay(hh, monkeypatch):
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 7)
+    cfg = cfg_at(hh, -0.1, 0.1, h_div=200, t_end=6.0, formulation="neutral_form")
+    assert cfg.t_end < cfg.params.tau
+    want = dh.poincare(dh.simulate_neutral(cfg), "both", 0.0)
+    assert len(want) >= 1
+    assert _section_hex(nfde_sim.stream_section(cfg)) == _section_hex(want)
+
+
 def _replay(run):
     """A stepper class whose steps append the samples of a stored run."""
 

@@ -8,7 +8,10 @@ integrators must reproduce them bit for bit, including where and how they
 raise.
 """
 
+import gc
+import json
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 
 from doublehopf import nfde_sim
 from doublehopf.chareq import SystemParams
+from doublehopf.cli import main
 from doublehopf.errors import NonFiniteState
 from doublehopf.nfde_sim import _BLOWUP_SQ, SimConfig, Trajectory
 
@@ -309,3 +313,83 @@ def test_nan_raises_like_oracle(hh):
     got = _raised(st.step, 40)
     assert got == _raised(oracle_step, ref, 40)
     assert got[0] > p.tau
+
+
+def _assert_neutral_run(st, want):
+    # the buffers hold run samples base .. base + j
+    lo, hi = st.base, st.base + st.j + 1
+    for name, col in (("xs", want.x), ("ys", want.y), ("dys", want.dy)):
+        got = np.frombuffer(getattr(st, name), np.float64)
+        assert np.array_equal(got, col[lo:hi]), name
+
+
+@pytest.mark.parametrize("h_div", [4, 5, 20, 50])
+def test_neutral_split_steps_with_trims_match_oracle(hh, h_div):
+    p = _params(hh, 0.2, 0.164)
+    cfg = SimConfig.from_divisor(p, 0.1, 0.0, h_div, 40 * p.tau, 0.0, "neutral_form")
+    want = oracle_run_neutral(cfg)
+    N, n = cfg.n_delay, len(want) - 1
+    # calls that cross the first delay's end, then calls whose first step
+    # has r = 0 and r = N - 1, each right after a trim, so the stencil reads
+    # the oldest kept sample; then random splits and trims
+    fixed = [3, N - 1, N + 1, 2 * N, 3 * N - 1, 3 * N, 5 * N - 1, 5 * N + 1]
+    rng = np.random.default_rng(h_div)
+    cuts = fixed + sorted(rng.integers(6 * N, n, 12).tolist()) + [n]
+    st = nfde_sim._NeutralStepper(p, 0.1, 0.0, cfg.h)
+    for a, b in zip([0] + cuts, cuts):
+        st.step(b - a)
+        _assert_neutral_run(st, want)
+        if (b in fixed and b > N) or rng.random() < 0.5:
+            st.trim(2)
+            assert len(st.xs) == min(b + 1, N + 3)
+    assert st.base > 0
+    st.trim()  # keeps the two samples the stencil reads all the same
+    assert len(st.xs) == N + 3
+
+
+@pytest.mark.parametrize("tau", [1.0, 50.0])  # past the first delay, inside it
+def test_streamed_neutral_blowup_raises_like_oracle(monkeypatch, tau):
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 1)
+    p = SystemParams(0.1, 0.5, 500.0, tau)
+    cfg = SimConfig.from_divisor(p, 1.0, 0.0, 50, 200.0, 0.0, "neutral_form")
+    got = _raised(nfde_sim.stream_section, cfg)
+    assert got == _raised(oracle_run_neutral, cfg)
+    assert (got[0] > tau) == (tau == 1.0)
+    assert got[0] > cfg.h  # a later chunk
+
+
+def test_failed_streamed_neutral_simulate_leaves_no_file(tmp_path, capsys, monkeypatch):
+    for chunk in (7, 1 << 16):
+        monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
+        assert main([
+            "simulate", "--alpha1", "495", "--alpha2", "0", "--x0", "1.0",
+            "--h-div", "50", "--t-end", "50", "--transient", "10",
+            "--formulation", "neutral_form", "--out", str(tmp_path / "b"),
+        ]) == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "NonFiniteState"
+        assert 0.0 < err["time"] < 50.0
+        assert list(tmp_path.glob("b.*")) == []  # no partial export
+
+
+def test_streamed_neutral_simulate_memory_flat_in_t_end(hh, tmp_path, monkeypatch):
+    # the same last 100 time units sectioned after runs of 200 and 800: a
+    # stored run would add x, y, y' and theta, 4 arrays of 8 bytes per step
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 256)
+    peaks = []
+    for t_end in (200.0, 800.0):
+        gc.collect()  # no garbage of earlier tests is freed while tracing
+        tracemalloc.start()
+        try:
+            assert main([
+                "simulate", "--alpha1", "-0.1", "--alpha2", "0.1",
+                "--h-div", "50", "--t-end", str(t_end),
+                "--transient", str(t_end - 100.0), "--stride", "20",
+                "--formulation", "neutral_form", "--out", str(tmp_path / "m"),
+            ]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stored_growth = 4 * 8 * round(600.0 / ((hh.tau0 + 0.1) / 50))
+    assert peaks[1] - peaks[0] < 0.1 * stored_growth
+    assert peaks[1] < 1.2 * peaks[0]
