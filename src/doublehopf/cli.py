@@ -325,22 +325,20 @@ def cmd_line_t(args) -> int:
     )
     rows = sorted(rows, key=lambda r: r.iota)
     if args.format == "json":
-        _write_json(
-            args.out,
-            {
-                "rows": [
-                    {"iota": r.iota, "k": r.k, "tau": r.tau, "label": r.label,
-                     "divergence_exponent": r.divergence_exponent}
-                    for r in rows
-                ]
-            },
-        )
+        table = []
+        for r in rows:
+            row = {"iota": r.iota, "k": r.k, "tau": r.tau, "label": r.label,
+                   "divergence_exponent": r.divergence_exponent}
+            if r.label_error:
+                row["label_error"] = r.label_error
+            table.append(row)
+        _write_json(args.out, {"rows": table})
     else:
         _write_csv(
             args.out,
             ["iota", "k", "tau", "label", "divergence_exponent"],
             (
-                (r.iota, r.k, r.tau, r.label,
+                (r.iota, r.k, r.tau, "" if r.label is None else r.label,
                  "" if r.divergence_exponent is None else _f(r.divergence_exponent))
                 for r in rows
             ),

@@ -22,6 +22,13 @@ systems do not smooth), so the derivative history is interpolated with
 one-sided stencils next to those breaking nodes; both formulations then
 converge at fourth order and agree to ~1e-10 at desk step sizes.
 
+Both integrators step one delay interval at a time (the method of steps):
+within a block that ends on the delay grid every delayed term is data
+already computed.  So numpy forms the block's delayed terms, the scalar
+RK4 loop carries only x, y and the stage-1 slope, and numpy then writes
+the block's other columns -- theta and theta' by the memory recursion,
+y' by the loop's own expression -- with the bits of a step-by-step loop.
+
 Trajectories carry cubic Hermite dense output used to refine section
 crossings to |y| < 1e-9 by bisection.
 
@@ -42,6 +49,7 @@ import math
 import weakref
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -262,7 +270,8 @@ class Trajectory:
         nd = self.n_delay
         out = np.empty_like(self.y)
         out[:nd] = self.y0
-        out[nd:] = self.y[: len(self.y) - nd]
+        if len(out) > nd:
+            out[nd:] = self.y[: len(out) - nd]
         return out
 
     @property
@@ -288,10 +297,41 @@ class _Stepper:
     where the previous call stopped.  ``j`` is the buffer index of the last
     sample and ``base`` the run step index of buffer sample 0, so a blow-up
     reports the run time whatever was trimmed.
+
+    A call grows every buffer by n samples at once, then steps in blocks
+    that end on the delay grid (run indices that are multiples of N), so a
+    block has at most N steps and every delayed node it reads is already
+    computed.  Per block, numpy forms the delayed terms of every step, the
+    scalar RK4 loop carries (x, y, k1y) and stores x and y, and numpy then
+    writes the block's other columns, each elementwise in the scalar
+    operation order.  A blow-up raises inside the loop and leaves the
+    stepper spent: the rest of its buffers is unwritten.
     """
 
     _BUFFERS: Tuple[str, ...] = ()
     _LEAD = 0  # samples before the trailing delay window that step reads
+
+    def step(self, n: int) -> None:
+        N, j, j1 = self.N, self.j, self.j + n
+        x, y = self.xs[j], self.ys[j]
+        k1y = self._k1y(j, x, y)
+        for name in self._BUFFERS:
+            getattr(self, name).frombytes(bytes(8 * n))
+        while j < j1:
+            e = min(j1, j + N - (self.base + j) % N)
+            x, y, k1y = self._block(j, e, x, y, k1y)
+            j = e
+        self.j = j1
+
+    def _overflow(self, i: int) -> NonFiniteState:
+        """The error of the step to buffer sample i."""
+        t = (self.base + i) * self.h
+        return NonFiniteState(f"state overflow at t = {t:.6g}", t)
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        """Views of the buffers, in _BUFFERS order."""
+        return tuple(np.frombuffer(getattr(self, name), np.float64)
+                     for name in self._BUFFERS)
 
     def trim(self, lead: int = 0) -> None:
         """Drop samples before the trailing window and the ``lead`` (at least
@@ -324,102 +364,71 @@ class _ThetaStepper(_Stepper):
         self.xs = array("d", [x0])
         self.ys = array("d", [y0])
         self.ths = array("d", [x0])
-        self.dys = array(
-            "d", [-p.epsilon * (x0 * x0 - 1.0) * y0 - x0 + p.epsilon * p.k * x0]
-        )
+        self.dys = array("d", [self._dy(x0, y0, x0)])
         self.dths = array("d", [(1.0 - p.mu) * y0])
         self.j = 0
         self.base = 0  # run step index of buffer sample 0; trim advances it
 
-    def step(self, n: int) -> None:
+    def _dy(self, x, y, th):
+        """Theta-form y' in the scalar operation order, on floats or arrays."""
         p = self.p
-        eps, mu, ek = p.epsilon, p.mu, p.epsilon * p.k
-        neps = -eps
-        one_mu = 1.0 - mu
-        N, h = self.N, self.h
-        h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
-        xs, ys, ths, dys, dths = self.xs, self.ys, self.ths, self.dys, self.dths
-        x0 = self.x0
-        j0, j1 = self.j, self.j + n
-        x, y = xs[j0], ys[j0]
-        # node a and the midpoint still lie in the constant history
-        # (theta = x0, theta' = 0); node b is node 0 at j = N - 1
-        for j in range(j0, min(j1, N)):
-            jd = j - N
-            th_a = x0
-            th_b = x0 if jd + 1 < 0 else ths[0]
-            th_m = x0
-            t1 = one_mu * x + mu * th_a
-            k1x = y
-            k1y = -eps * (x * x - 1.0) * y - x + ek * t1
-            xa = x + h2 * k1x
+        return -p.epsilon * (x * x - 1.0) * y - x + p.epsilon * p.k * th
+
+    def _k1y(self, j: int, x: float, y: float) -> float:
+        # recomputed from the state and node a, not read from dys: set_window
+        # may have left dys inconsistent with the theta recursion
+        th_a = self.x0 if j < self.N else self.ths[j - self.N]
+        return self._dy(x, y, (1.0 - self.p.mu) * x + self.p.mu * th_a)
+
+    def _delayed(self, j: int, e: int) -> Tuple[Sequence[float], Sequence[float]]:
+        """mu*theta at the midpoint and at node b of the steps j .. e - 1."""
+        N, mu = self.N, self.p.mu
+        if j < N:
+            # nodes a and the midpoints lie in the constant history (theta =
+            # x0, theta' = 0); node b is node 0 at j = N - 1
+            mth_m = [mu * self.x0] * (e - j)
+            mth_b = mth_m[:]
+            if e == N:
+                mth_b[-1] = mu * self.ths[0]
+            return mth_m, mth_b
+        th = np.frombuffer(self.ths, np.float64)[j - N : e - N + 1]
+        dth = np.frombuffer(self.dths, np.float64)[j - N : e - N + 1]
+        th_a, th_b = th[:-1], th[1:]
+        mth_m = mu * (0.5 * (th_a + th_b) + 0.125 * self.h * (dth[:-1] - dth[1:]))
+        return memoryview(mth_m), memoryview(mu * th_b)
+
+    def _block(self, j: int, e: int, x: float, y: float, k1y: float):
+        p = self.p
+        mu = p.mu
+        neps, ek, one_mu = -p.epsilon, p.epsilon * p.k, 1.0 - mu
+        h = self.h
+        h2, h6 = 0.5 * h, h / 6.0
+        xs, ys = self.xs, self.ys
+        # the end-of-step y' is the next step's k1y (the same expression on
+        # the same operands), and mu*theta_m serves stages 2 and 3
+        for i, mth_m, mth_b in zip(range(j + 1, e + 1), *self._delayed(j, e)):
+            xa = x + h2 * y
             ya = y + h2 * k1y
-            t2 = one_mu * xa + mu * th_m
-            k2x = ya
-            k2y = -eps * (xa * xa - 1.0) * ya - xa + ek * t2
-            xb = x + h2 * k2x
+            k2y = neps * (xa * xa - 1.0) * ya - xa + ek * (one_mu * xa + mth_m)
+            xb = x + h2 * ya
             yb = y + h2 * k2y
-            t3 = one_mu * xb + mu * th_m
-            k3x = yb
-            k3y = -eps * (xb * xb - 1.0) * yb - xb + ek * t3
-            xc = x + h * k3x
+            k3y = neps * (xb * xb - 1.0) * yb - xb + ek * (one_mu * xb + mth_m)
+            xc = x + h * yb
             yc = y + h * k3y
-            t4 = one_mu * xc + mu * th_b
-            k4x = yc
-            k4y = -eps * (xc * xc - 1.0) * yc - xc + ek * t4
-            x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+            k4y = neps * (xc * xc - 1.0) * yc - xc + ek * (one_mu * xc + mth_b)
+            x = x + h6 * (y + 2.0 * (ya + yb) + yc)
             y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-            if x * x + y * y > _BLOWUP_SQ or x != x or y != y:
-                t = (self.base + j + 1) * h
-                raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
-            th = one_mu * x + mu * th_b
-            dy = -eps * (x * x - 1.0) * y - x + ek * th
-            dth = one_mu * y + (mu * dths[jd + 1] if jd + 1 >= 0 else 0.0)
-            xs.append(x)
-            ys.append(y)
-            ths.append(th)
-            dys.append(dy)
-            dths.append(dth)
-        if j1 > N:
-            # Same arithmetic as above with every delayed node on the grid.
-            # Node jd + 1's theta, theta' and mu*theta carry over as the next
-            # step's node a, and the end-of-step y' is the next step's k1y
-            # (the same expression on the same operands).  On entry k1y is
-            # recomputed, not read from dys: set_window may have left dys
-            # inconsistent with the theta recursion.
-            append_x, append_y, append_th = xs.append, ys.append, ths.append
-            append_dy, append_dth = dys.append, dths.append
-            jd = max(j0, N) - N
-            th_a, dth_a = ths[jd], dths[jd]
-            mth_a = mu * th_a
-            k1y = neps * (x * x - 1.0) * y - x + ek * (one_mu * x + mth_a)
-            for jd in range(jd, j1 - N):
-                th_b, dth_b = ths[jd + 1], dths[jd + 1]
-                mth_b = mu * th_b
-                mth_m = mu * (0.5 * (th_a + th_b) + h8 * (dth_a - dth_b))
-                xa = x + h2 * y
-                ya = y + h2 * k1y
-                k2y = neps * (xa * xa - 1.0) * ya - xa + ek * (one_mu * xa + mth_m)
-                xb = x + h2 * ya
-                yb = y + h2 * k2y
-                k3y = neps * (xb * xb - 1.0) * yb - xb + ek * (one_mu * xb + mth_m)
-                xc = x + h * yb
-                yc = y + h * k3y
-                k4y = neps * (xc * xc - 1.0) * yc - xc + ek * (one_mu * xc + mth_b)
-                x = x + h6 * (y + 2.0 * (ya + yb) + yc)
-                y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-                if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
-                    t = (self.base + jd + N + 1) * h
-                    raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
-                th = one_mu * x + mth_b
-                k1y = neps * (x * x - 1.0) * y - x + ek * th
-                append_x(x)
-                append_y(y)
-                append_th(th)
-                append_dy(k1y)
-                append_dth(one_mu * y + mu * dth_b)
-                th_a, dth_a, mth_a = th_b, dth_b, mth_b
-        self.j += n
+            if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
+                raise self._overflow(i)
+            k1y = neps * (x * x - 1.0) * y - x + ek * (one_mu * x + mth_b)
+            xs[i] = x
+            ys[i] = y
+        xv, yv, dy, th, dth = (c[: e + 1] for c in self._columns())
+        lo = j + 1
+        _fill_memory(th, xv, lo, mu, self.N, self.x0, self.base)
+        _fill_memory(dth, yv, lo, mu, self.N, 0.0, self.base)
+        dy[lo:] = self._dy(xv[lo:], yv[lo:], th[lo:])
+        return x, y, k1y
 
     @classmethod
     def at_window(cls, p: SystemParams, x0: float, y0: float, h: float,
@@ -449,11 +458,9 @@ class _ThetaStepper(_Stepper):
 
     def set_window(self, xw, yw, thw, dthw) -> None:
         """Overwrite the trailing window; dy is recomputed pointwise."""
-        p = self.p
         sl = self._window_slice()
         x, y, th, dth = (np.asarray(v, dtype=np.float64) for v in (xw, yw, thw, dthw))
-        # elementwise, in the scalar formula's operation order
-        dy = -p.epsilon * (x * x - 1.0) * y - x + p.epsilon * p.k * th
+        dy = self._dy(x, y, th)
         for buf, vals in ((self.xs, x), (self.ys, y), (self.ths, th),
                           (self.dths, dth), (self.dys, dy)):
             np.frombuffer(buf, np.float64)[sl] = vals
@@ -477,7 +484,7 @@ class _NeutralStepper(_Stepper):
         self.N = int(round(p.tau / h))
         self.x0, self.y0 = x0, y0
         self.c_x = c_x = -1.0 + eps * p.k * (1.0 - mu)
-        # g(x0, y0, x0, y0)/(1 - mu), in g's term order (see step): the fixed
+        # g(x0, y0, x0, y0)/(1 - mu), in g's term order (see _block): the fixed
         # point of the derivative recursion keeps y' continuous at t = 0 and
         # matches the theta formulation's initial-value problem
         self.dy_h = (
@@ -490,99 +497,92 @@ class _NeutralStepper(_Stepper):
         self.j = 0
         self.base = 0
 
-    def step(self, n: int) -> None:
-        p = self.p
-        eps, mu = p.epsilon, p.mu
-        em = eps * mu
-        c_x = self.c_x
-        N, h = self.N, self.h
-        h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
-        xs, ys, dys = self.xs, self.ys, self.dys
-        append_x, append_y, append_dy = xs.append, ys.append, dys.append
-        x0, y0, dy_h = self.x0, self.y0, self.dy_h
-        j0, j1 = self.j, self.j + n
-        x, y = xs[j0], ys[j0]
+    def _k1y(self, j: int, x: float, y: float) -> float:
+        # the end-of-step y' is the next step's k1y, so it is read back from
+        # dys, except at the run's first step, where dys holds the fixed point
+        # dy_h rather than that sum
+        if self.base + j:
+            return self.dys[j]
+        hA, hB, hC, hD = self._history_terms()
+        eps = self.p.epsilon
+        return self.c_x * x + eps * y + hA - hB - eps * x * x * y + hC + hD
 
+    def _history_terms(self) -> Tuple[float, float, float, float]:
+        """(A, B, C, D) of a node in the constant history (see _block)."""
+        mu, em = self.p.mu, self.p.epsilon * self.p.mu
+        x0, y0 = self.x0, self.y0
+        return mu * x0, em * y0, em * x0 * x0 * y0, mu * self.dy_h
+
+    def _delayed(self, j: int, e: int) -> Tuple[np.ndarray, ...]:
+        """(A, B, C, D) at the midpoint, then at node b, of the steps j .. e - 1,
+        for j >= N."""
+        N, mu, em = self.N, self.p.mu, self.p.epsilon * self.p.mu
+        h8 = 0.125 * self.h
+        m, a = e - j, j - self.N  # a: buffer index of the first node a
+        X, Y, D = (np.frombuffer(b, np.float64) for b in (self.xs, self.ys, self.dys))
+        x_a, x_b = X[a : a + m], X[a + 1 : a + m + 1]
+        y_a, y_b = Y[a : a + m], Y[a + 1 : a + m + 1]
+        dy_a, dy_b = D[a : a + m], D[a + 1 : a + m + 1]
+        x_m = 0.5 * (x_a + x_b) + h8 * (y_a - y_b)
+        y_m = 0.5 * (y_a + y_b) + h8 * (dy_a - dy_b)
+        # y'' jumps at every multiple of tau; choose a 4-point stencil that
+        # stays on one smooth piece.  The block starts at residue r0 and ends
+        # at N - 1 at the latest, so only its first node a can have r = 0
+        # and only its last r = N - 1 (all indices are >= 0 here).
+        r0 = (self.base + a) % N
+        k0 = 1 if r0 == 0 else 0
+        k1 = m - 1 if r0 + m == N else m
+        i, i1 = a + k0, a + k1
+        dy_m = np.empty(m)
+        dy_m[k0:k1] = (-D[i - 1 : i1 - 1] + 9.0 * D[i:i1] + 9.0 * D[i + 1 : i1 + 1]
+                       - D[i + 2 : i1 + 2]) / 16.0
+        if k0:
+            dy_m[0] = (5.0 * D[a] + 15.0 * D[a + 1] - 5.0 * D[a + 2] + D[a + 3]) / 16.0
+        if k1 < m:
+            i = a + k1
+            dy_m[k1] = (D[i - 2] - 5.0 * D[i - 1] + 15.0 * D[i] + 5.0 * D[i + 1]) / 16.0
+        return (mu * x_m, em * y_m, em * x_m * x_m * y_m, mu * dy_m,
+                mu * x_b, em * y_b, em * x_b * x_b * y_b, mu * dy_b)
+
+    def _block(self, j: int, e: int, x: float, y: float, k1y: float):
+        eps = self.p.epsilon
+        c_x, h = self.c_x, self.h
+        h2, h6 = 0.5 * h, h / 6.0
+        xs, ys = self.xs, self.ys
         # g(x, y, xt, yt) + mu*yt' is inlined below in g's left-to-right term
-        # order, c_x*x + eps*y + A - B - eps*x*x*y + C + D, where a delayed node
-        # contributes A = mu*xt, B = (eps*mu)*yt, C = (eps*mu)*xt*xt*yt and
-        # D = mu*yt', formed once per node.  The end-of-step y' is the next
-        # step's k1y: the same expression on the same operands.  So on entry
-        # k1y is read back from dys, except at the run's first step, where
-        # dys holds the fixed point dy_h rather than that sum.
-        hA, hB, hC, hD = mu * x0, em * y0, em * x0 * x0 * y0, mu * dy_h
-        if self.base + j0:
-            k1y = dys[j0]
+        # order, c_x*x + eps*y + A - B - eps*x*x*y + C + D, where a delayed
+        # node contributes A = mu*xt, B = (eps*mu)*yt, C = (eps*mu)*xt*xt*yt
+        # and D = mu*yt'.  Before step N every delayed node and midpoint lie
+        # in the constant history (node 0, read at j = N - 1, holds the
+        # history values).
+        if j < self.N:
+            terms = self._history_terms() * 2
+            cols = [repeat(v, e - j) for v in terms]
         else:
-            k1y = c_x * x + eps * y + hA - hB - eps * x * x * y + hC + hD
-        # every delayed node and the midpoint lie in the constant history
-        # (node 0, read at j = N - 1, holds the history values)
-        for j in range(j0, min(j1, N)):
+            terms = self._delayed(j, e)
+            cols = [memoryview(v) for v in terms]
+        for i, mA, mB, mC, mD, bA, bB, bC, bD in zip(range(j + 1, e + 1), *cols):
             xa = x + h2 * y
             ya = y + h2 * k1y
-            k2y = c_x * xa + eps * ya + hA - hB - eps * xa * xa * ya + hC + hD
+            k2y = c_x * xa + eps * ya + mA - mB - eps * xa * xa * ya + mC + mD
             xb = x + h2 * ya
             yb = y + h2 * k2y
-            k3y = c_x * xb + eps * yb + hA - hB - eps * xb * xb * yb + hC + hD
+            k3y = c_x * xb + eps * yb + mA - mB - eps * xb * xb * yb + mC + mD
             xc = x + h * yb
             yc = y + h * k3y
-            k4y = c_x * xc + eps * yc + hA - hB - eps * xc * xc * yc + hC + hD
+            k4y = c_x * xc + eps * yc + bA - bB - eps * xc * xc * yc + bC + bD
             x = x + h6 * (y + 2.0 * (ya + yb) + yc)
             y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
             if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
-                t = (self.base + j + 1) * h
-                raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
-            k1y = c_x * x + eps * y + hA - hB - eps * x * x * y + hC + hD
-            append_x(x)
-            append_y(y)
-            append_dy(k1y)
-        if j1 > N:
-            # node a = jd is read back on entry, then carried over from the
-            # previous step's node b = jd + 1; r = jd % N in run indices picks
-            # the y' stencil at the breaking nodes
-            jd = max(j0, N) - N
-            x_a, y_a, dy_a = xs[jd], ys[jd], dys[jd]
-            r = (self.base + jd) % N
-            for jd in range(jd, j1 - N):
-                x_b, y_b, dy_b = xs[jd + 1], ys[jd + 1], dys[jd + 1]
-                bA, bB, bD = mu * x_b, em * y_b, mu * dy_b
-                bC = em * x_b * x_b * y_b
-                x_m = 0.5 * (x_a + x_b) + h8 * (y_a - y_b)
-                y_m = 0.5 * (y_a + y_b) + h8 * (dy_a - dy_b)
-                # y'' jumps at every multiple of tau; choose a 4-point stencil
-                # that stays on one smooth piece (all indices are >= 0 here)
-                if r == N - 1:
-                    dy_m = (dys[jd - 2] - 5.0 * dys[jd - 1] + 15.0 * dy_a + 5.0 * dy_b) / 16.0
-                elif r == 0:
-                    dy_m = (5.0 * dy_a + 15.0 * dy_b - 5.0 * dys[jd + 2] + dys[jd + 3]) / 16.0
-                else:
-                    dy_m = (-dys[jd - 1] + 9.0 * dy_a + 9.0 * dy_b - dys[jd + 2]) / 16.0
-                mA, mB, mD = mu * x_m, em * y_m, mu * dy_m
-                mC = em * x_m * x_m * y_m
-
-                xa = x + h2 * y
-                ya = y + h2 * k1y
-                k2y = c_x * xa + eps * ya + mA - mB - eps * xa * xa * ya + mC + mD
-                xb = x + h2 * ya
-                yb = y + h2 * k2y
-                k3y = c_x * xb + eps * yb + mA - mB - eps * xb * xb * yb + mC + mD
-                xc = x + h * yb
-                yc = y + h * k3y
-                k4y = c_x * xc + eps * yc + bA - bB - eps * xc * xc * yc + bC + bD
-                x = x + h6 * (y + 2.0 * (ya + yb) + yc)
-                y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-                if not (x * x + y * y <= _BLOWUP_SQ):  # also true for NaN
-                    t = (self.base + jd + N + 1) * h
-                    raise NonFiniteState(f"state overflow at t = {t:.6g}", t)
-                k1y = c_x * x + eps * y + bA - bB - eps * x * x * y + bC + bD
-                append_x(x)
-                append_y(y)
-                append_dy(k1y)
-                x_a, y_a, dy_a = x_b, y_b, dy_b
-                r += 1
-                if r == N:
-                    r = 0
-        self.j += n
+                raise self._overflow(i)
+            k1y = c_x * x + eps * y + bA - bB - eps * x * x * y + bC + bD
+            xs[i] = x
+            ys[i] = y
+        xv, yv, dy = self._columns()
+        bA, bB, bC, bD = terms[4:]
+        xn, yn = xv[j + 1 : e + 1], yv[j + 1 : e + 1]
+        dy[j + 1 : e + 1] = c_x * xn + eps * yn + bA - bB - eps * xn * xn * yn + bC + bD
+        return x, y, k1y
 
 
 def _transient_steps(cfg: SimConfig) -> int:
@@ -611,7 +611,7 @@ class _Reference(tuple):
 # object that made it.  The run is looked up here, not passed, because
 # perfbench/tracing.py binds divergence_exponent's four parameters.
 # Windows are copies: a numpy view of a stepper buffer blocks its next
-# append (BufferError) and pins the whole run.  While the caller holds the
+# growth (BufferError) and pins the whole run.  While the caller holds the
 # run, the exponent reads that run's arrays, which are writable: writes into
 # them change the reference.
 _runs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -693,7 +693,7 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
             cols += [theta, None]
         for read in readers:
             read(st.base, *cols, left == 0)
-        del cols  # views block the next append
+        del cols  # views block the buffers' next growth
         if left == 0:
             return
         st.trim(2)
@@ -1083,11 +1083,14 @@ def divergence_exponent(
 
 @dataclass(frozen=True)
 class LineTRow:
+    """One scale of line_T_scan; label is None when label_error says why."""
+
     iota: float
     k: float
     tau: float
-    label: str
+    label: Optional[str]
     divergence_exponent: Optional[float]
+    label_error: Optional[str] = None
 
 
 def line_T_scan(
@@ -1111,7 +1114,8 @@ def line_T_scan(
     sectioned on y = 0, and labeled; the divergence exponent is estimated
     with the same transient, with that run as its reference, and feeds the
     curve-family/scattered split.  iota = 0 is the codimension-two point
-    itself and is skipped.
+    itself and is skipped.  A scale whose section is too short to label gets
+    no label and a ``label_error``; the scan goes on.
 
     Every scale, and the exponent's arguments, are checked before any scale
     is integrated.  Each run is streamed (stream_section): its section and
@@ -1150,8 +1154,12 @@ def line_T_scan(
             lam = divergence_exponent(cfg, delta0, renorm_T, n_renorm)
         else:
             sec = stream_section(cfg)
-        label = classify_section(sec, divergence_exponent=lam)
-        rows.append(LineTRow(iota, cfg.params.k, cfg.params.tau, label, lam))
+        label = error = None
+        try:
+            label = classify_section(sec, divergence_exponent=lam)
+        except InsufficientData as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        rows.append(LineTRow(iota, cfg.params.k, cfg.params.tau, label, lam, error))
     return rows
 
 

@@ -238,6 +238,18 @@ def test_line_t_skipped_origin(tmp_path):
     assert float(rows[0][1]) == pytest.approx(REF_K0, abs=1e-8)
 
 
+def test_line_t_records_label_error(tmp_path):
+    # the JSON rows carry the classifier's error, as simulate's report does
+    out = tmp_path / "t.json"
+    assert run_cli("--format", "json", "line-t", "--iota", "2.0,0",
+                   "--no-exponent", "--h-div", "100", "--t-end", "40",
+                   "--transient", "10", "--out", str(out)) == 0
+    origin, short = json.loads(out.read_text())["rows"]
+    assert "label_error" not in origin
+    assert short["label"] is None and short["divergence_exponent"] is None
+    assert short["label_error"].startswith("InsufficientData: ")
+
+
 def test_analyze_flags_resonant_frequencies(tmp_path, monkeypatch):
     # inject a 1:2-resonant point through the detection hook
     real = dh.find_hopf_hopf(EPS, MU, 1, 1, 4.5, 5.2)
@@ -334,11 +346,12 @@ def test_line_t_locates_point_from_options(tmp_path, capsys):
             "--bracket", "2.46:4.98", "--iota", "1.0", "--no-exponent")
     out = tmp_path / "t.csv"
     # a short run reaches the classifier: the point was located and is
-    # admissible, and too few crossings is the typed error that remains
+    # admissible, and too few crossings leaves the label cell empty
     assert run_cli(*args, "--t-end", "200", "--transient", "100",
-                   "--out", str(out)) == 1
-    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err["error"] == "InsufficientData"
+                   "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    assert len(header) == 5 and len(rows) == 1 and len(rows[0]) == 5
+    assert rows[0][3] == "" and rows[0][4] == ""
     assert run_cli(*args, "--h-div", "100", "--t-end", "3000",
                    "--transient", "100", "--out", str(out)) == 0
     _, rows = read_csv(out)

@@ -140,6 +140,22 @@ def test_delayed_samples_are_exact_buffer_reads(hh):
     assert np.all(ydel[:nd] == cfg.y0)
 
 
+def _shifted(y, nd, y0):
+    return np.concatenate([np.full(nd, y0), y])[: len(y)]
+
+
+def test_delayed_samples_of_a_run_shorter_than_one_delay(hh):
+    # more than half a delay, so y[:len - nd] is a nonempty slice from the end
+    syn = Trajectory.from_samples(0.1, 10, [0.0] * 7, [1.0] * 7, [0.0] * 7)
+    assert np.array_equal(syn.y_delayed(), np.ones(7))  # y0 = y[0]
+    syn = Trajectory.from_samples(0.1, 4, [0.0] * 7, np.arange(7.0), [0.0] * 7, y0=-1.0)
+    assert np.array_equal(syn.y_delayed(), [-1.0] * 4 + [0.0, 1.0, 2.0])
+    cfg = cfg_at(hh, -0.1, 0.1, y0=0.25, h_div=50, t_end=0.6 * (hh.tau0 + 0.1))
+    traj = dh.simulate_theta(cfg)
+    assert cfg.n_delay / 2 < len(traj) < cfg.n_delay
+    assert np.array_equal(traj.y_delayed(), _shifted(traj.y, cfg.n_delay, 0.25))
+
+
 def test_blowup_raises_with_time():
     params = SystemParams(0.1, 0.5, 500.0, 1.0)
     cfg = dh.SimConfig.from_divisor(params, 1.0, 0.0, 50, 100.0)
@@ -312,12 +328,20 @@ def test_line_t_scan_origin_skipped(hh):
     assert rows[0].divergence_exponent is None
 
 
-def test_line_t_scan_insufficient_data_propagates(hh):
-    with pytest.raises(InsufficientData):
-        dh.line_T_scan(
-            [2.0], hh=hh, h_div=100, t_end=40.0, transient=10.0,
-            compute_exponent=False,
-        )
+def test_line_t_scan_records_label_error(hh):
+    # too short a run to label: the scale is kept, with the classifier's
+    # error, and the scan goes on to the next scale
+    rows = dh.line_T_scan(
+        [2.0, 0.0], hh=hh, h_div=100, t_end=40.0, transient=10.0,
+        compute_exponent=False,
+    )
+    assert [r.iota for r in rows] == [2.0, 0.0]
+    assert rows[0].label is None and rows[0].divergence_exponent is None
+    assert rows[1].label == "skipped_origin" and rows[1].label_error is None
+    cfg = cfg_at(hh, 0.2, 0.162, h_div=100, t_end=40.0, transient=10.0)
+    with pytest.raises(InsufficientData) as exc:
+        dh.classify_section(nfde_sim.stream_section(cfg))
+    assert rows[0].label_error == f"InsufficientData: {exc.value}"
 
 
 @pytest.fixture

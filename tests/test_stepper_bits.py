@@ -190,12 +190,14 @@ def _stepper_pair(p, h, x0=0.1, y0=0.0):
             nfde_sim._ThetaStepper(p, x0, y0, h))
 
 
+def _bits(col):
+    return np.asarray(col, np.float64).tobytes()
+
+
 def _assert_same_buffers(st, ref):
     assert st.j == ref.j
     for name in ("xs", "ys", "ths", "dys", "dths"):
-        got = np.frombuffer(getattr(st, name), np.float64)
-        want = np.frombuffer(getattr(ref, name), np.float64)
-        assert np.array_equal(got, want), name
+        assert _bits(getattr(st, name)) == _bits(getattr(ref, name)), name
 
 
 def _raised(fn, *args):
@@ -319,8 +321,7 @@ def _assert_neutral_run(st, want):
     # the buffers hold run samples base .. base + j
     lo, hi = st.base, st.base + st.j + 1
     for name, col in (("xs", want.x), ("ys", want.y), ("dys", want.dy)):
-        got = np.frombuffer(getattr(st, name), np.float64)
-        assert np.array_equal(got, col[lo:hi]), name
+        assert _bits(getattr(st, name)) == _bits(col[lo:hi]), name
 
 
 @pytest.mark.parametrize("h_div", [4, 5, 20, 50])
@@ -393,3 +394,142 @@ def test_streamed_neutral_simulate_memory_flat_in_t_end(hh, tmp_path, monkeypatc
     stored_growth = 4 * 8 * round(600.0 / ((hh.tau0 + 0.1) / 50))
     assert peaks[1] - peaks[0] < 0.1 * stored_growth
     assert peaks[1] < 1.2 * peaks[0]
+
+
+# Steps go in blocks that end on the delay grid (run indices that are
+# multiples of N).  The cases below start and end calls on the grid and next
+# to it, fail inside a block, and check the columns written per block.
+
+def _oracle_at_window(p, h, win):
+    ref = nfde_sim._ThetaStepper(p, 0.1, 0.0, h)
+    ref.xs, ref.ys, ref.ths, ref.dys, ref.dths = (
+        array("d", bytes(8 * (ref.N + 1))) for _ in range(5))
+    ref.j = ref.N
+    oracle_set_window(ref, *win)
+    return ref
+
+
+def _edge_calls(N):
+    # from residue N - 1 these start at residues N-1, 0, N-1, N-1, 0 and end
+    # at 0, N-1, N-1, 0, 3; from residue 0 they start at 0, 1, 0, 0, 1
+    return (1, N - 1, N, N + 1, 2 * N + 3)
+
+
+@pytest.mark.parametrize("h_div", [4, 5, 20])
+@pytest.mark.parametrize("start", ["trim", "set_window", "at_window"])
+def test_theta_calls_on_and_next_to_the_delay_grid(hh, h_div, start):
+    p = _params(hh, 0.2, 0.164)
+    st, ref = _stepper_pair(p, p.tau / h_div)
+    N = st.N
+    for s in (st, ref):
+        oracle_step(s, 3 * N - 1)
+    if start == "trim":
+        st.trim()
+        ref.trim()
+        assert st.base > 0
+    elif start == "set_window":
+        win = [w + 1e-3 for w in ref.window()]
+        st.set_window(*win)
+        oracle_set_window(ref, *win)
+    else:  # at j = N, residue 0
+        win = ref.window()
+        st = nfde_sim._ThetaStepper.at_window(p, 0.1, 0.0, st.h, *win)
+        ref = _oracle_at_window(p, st.h, win)
+    _assert_same_buffers(st, ref)
+    for n in _edge_calls(N):
+        st.step(n)
+        oracle_step(ref, n)
+        _assert_same_buffers(st, ref)
+
+
+@pytest.mark.parametrize("h_div", [4, 5, 20])
+def test_neutral_calls_on_and_next_to_the_delay_grid(hh, h_div):
+    p = _params(hh, 0.2, 0.164)
+    cfg = SimConfig.from_divisor(p, 0.1, 0.0, h_div, 20 * p.tau, 0.0, "neutral_form")
+    want = oracle_run_neutral(cfg)
+    st = nfde_sim._NeutralStepper(p, 0.1, 0.0, cfg.h)
+    N = st.N
+    for n in _edge_calls(N):  # from the run's start
+        st.step(n)
+        _assert_neutral_run(st, want)
+    st.step(2 * N - 1 - st.j % N)  # to residue N - 1
+    st.trim(2)
+    for n in _edge_calls(N):
+        st.step(n)
+        _assert_neutral_run(st, want)
+
+
+def _failing_step(j, N, where):
+    """The first step after j at the first, a middle or the last residue."""
+    r = {"first": 0, "middle": N // 2, "last": N - 1}[where]
+    return j + 1 + (r - j - 1) % N
+
+
+@pytest.mark.parametrize("value", [math.nan, 1e30])  # NaN, overflow
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_planted_delayed_node_raises_inside_a_block(hh, value, where):
+    p = _params(hh, -0.1, 0.1)
+    h = p.tau / 20
+    # theta form: theta at node b of the failing step f, planted in both
+    st, ref = _stepper_pair(p, h)
+    N = st.N
+    for s in (st, ref):
+        oracle_step(s, 3 * N + 5)
+    f = _failing_step(st.j, N, where)
+    for s in (st, ref):
+        s.ths[f + 1 - N] = value
+    got = _raised(st.step, 2 * N + 3)
+    assert got == _raised(oracle_step, ref, 2 * N + 3)
+    assert got[0] == (f + 1) * h
+    assert _bits(st.xs[: f + 1]) == _bits(ref.xs)  # the steps before it
+    # neutral form: x at node b of the failing step; the run is the
+    # oracle's up to that step
+    cfg = SimConfig.from_divisor(p, 0.1, 0.0, 20, 10 * p.tau, 0.0, "neutral_form")
+    want = oracle_run_neutral(cfg)
+    st = nfde_sim._NeutralStepper(p, 0.1, 0.0, h)
+    st.step(3 * N + 5)
+    st.trim(2)
+    f = _failing_step(st.j, N, where)
+    st.xs[f + 1 - N] = value
+    t = (st.base + f + 1) * h
+    assert _raised(st.step, 2 * N + 3) == (t, f"state overflow at t = {t:.6g}")
+    assert _bits(st.ys[: f + 1]) == _bits(want.y[st.base : st.base + f + 1])
+
+
+@pytest.mark.parametrize("h_div", [5, 20])
+@pytest.mark.parametrize("off", [-1, 1])
+def test_streamed_neutral_chunks_off_the_delay_grid(hh, monkeypatch, h_div, off):
+    # chunks of N - 1 and N + 1 steps start calls at every residue, so the
+    # first block of a call starts at r = N - 1 and at r = 1
+    p = _params(hh, 0.2, 0.164)
+    cfg = SimConfig.from_divisor(p, 0.1, 0.0, h_div, 30 * p.tau, 0.0, "neutral_form")
+    monkeypatch.setattr(nfde_sim, "_CHUNK", cfg.n_delay + off)
+    got = {"x": [], "y": [], "dy": []}
+    seen = [0]  # samples read so far
+
+    def read(base, x, y, dy, theta, dtheta, final):
+        k = seen[0] - base
+        for col, v in zip(got.values(), (x, y, dy)):
+            col.append(v[k:].copy())
+        seen[0] = base + len(x)
+
+    nfde_sim.stream_section(cfg, "both", [read])
+    want = oracle_run_neutral(cfg)
+    for name, col in (("x", want.x), ("y", want.y), ("dy", want.dy)):
+        assert _bits(np.concatenate(got[name])) == _bits(col), name
+
+
+def test_theta_memory_columns_are_the_memory_recursion(hh):
+    p = _params(hh, 0.2, 0.164)
+    st = nfde_sim._ThetaStepper(p, 0.1, 0.0, p.tau / 20)
+    for n in (7, 20, 33, 1, 45):
+        st.step(n)
+    for name, src, hist in (("ths", "xs", 0.1), ("dths", "ys", 0.0)):
+        col = np.frombuffer(getattr(st, name), np.float64)
+        m = np.empty(len(col))
+        m[0] = col[0]  # the history's fixed point, set at the start
+        nfde_sim._fill_memory(m, np.frombuffer(getattr(st, src), np.float64), 1,
+                              p.mu, st.N, hist)
+        assert _bits(m) == _bits(col), name
+    xs, ys, ths = (np.frombuffer(getattr(st, c), np.float64) for c in ("xs", "ys", "ths"))
+    assert _bits(st._dy(xs, ys, ths)) == _bits(st.dys)
