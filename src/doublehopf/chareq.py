@@ -69,8 +69,8 @@ class SystemParams:
 
     epsilon : damping / feedback scale, > 0
     mu      : memory weight of the feedback, in (0, 1)
-    k       : feedback gain
-    tau     : delay, >= 0, original time units
+    k       : feedback gain, finite
+    tau     : delay, finite and >= 0, original time units
     """
 
     epsilon: float
@@ -80,8 +80,10 @@ class SystemParams:
 
     def __post_init__(self):
         _check_instance(self.epsilon, self.mu)
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        if not math.isfinite(self.k):
+            raise ValueError(f"k must be finite, got {self.k}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
 
 
 @dataclass(frozen=True)

@@ -429,14 +429,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> None:
     """Install the values of a ``--config`` file as subcommand defaults.
 
-    Explicit flags still win, because they are parsed after this.
+    The file is named by ``--config FILE`` or ``--config=FILE``.  Explicit
+    flags still win, because they are parsed after this.
     """
-    if "--config" not in argv:
+    for at, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            path = arg[len("--config="):]
+            break
+        if arg == "--config":
+            if at + 1 == len(argv):
+                raise ValueError("--config needs a file path")
+            path = argv[at + 1]
+            break
+    else:
         return
-    at = argv.index("--config") + 1
-    if at == len(argv):
-        raise ValueError("--config needs a file path")
-    raw = _load_config(argv[at])
+    raw = _load_config(path)
     typed = {}
     for key, val in raw.items():
         if key in ("bracket",):

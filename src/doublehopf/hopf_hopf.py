@@ -135,10 +135,12 @@ def resonance_check(omega1: float, omega2: float, tol: float = 1e-3) -> dict:
 
     Returns nonresonant (true iff the ratio omega1/omega2 is farther than
     ``tol`` from both 1/2 and 1/3), the closer of the two ratios, and the
-    ratio itself.
+    ratio itself.  A NaN or negative ``tol`` raises ValueError.
     """
     if not 0 < omega1 < omega2:
         raise ValueError("need 0 < omega1 < omega2")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     ratio = float(omega1 / omega2)
     d2 = abs(ratio - 0.5)
     d3 = abs(ratio - 1.0 / 3.0)

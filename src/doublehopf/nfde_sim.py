@@ -32,15 +32,16 @@ y' by the loop's own expression -- with the bits of a step-by-step loop.
 Trajectories carry cubic Hermite dense output used to refine section
 crossings to |y| < 1e-9 by bisection.
 
-simulate_theta and simulate_neutral store the whole run.  A run of either
-formulation can also be streamed (stream_section; line_T_scan and the
-CLI's simulate do so): its stepper runs in chunks of _CHUNK steps, and
-after each chunk its readers -- the section's crossing collector, the
-exponent's reference windows, trajectory CSV rows -- read that chunk plus
+One engine, _stream, integrates every run of either formulation: its
+stepper runs in chunks of _CHUNK steps, and after each chunk its readers
+-- the section's crossing collector, the exponent's reference windows,
+trajectory CSV rows, the columns of a stored run -- read that chunk plus
 the trailing delay window (a neutral run's theta is rebuilt per chunk by
-the memory recursion).  Memory then stays O(N + _CHUNK) however long the
-run, and the section, windows and rows are bit-identical to those of the
-stored run.
+the memory recursion).  A streamed run (stream_section; line_T_scan and
+the CLI's simulate) needs O(N + _CHUNK) memory however long it is; a
+stored run (simulate_theta, simulate_neutral) is the stream plus a store,
+so it needs its own columns plus that.  Either way the samples are those
+of one unsplit stepper run, bit for bit.
 """
 
 from __future__ import annotations
@@ -181,9 +182,6 @@ class Trajectory:
     stored for theta-form runs and otherwise each reconstructed on its own
     first read.  The constant initial history extends every evaluation to
     t <= 0.
-
-    Simulated trajectories own the integrator's sample buffers: the arrays
-    are writable views of them, not copies.
     """
 
     def __init__(
@@ -348,10 +346,10 @@ class _Stepper:
 class _ThetaStepper(_Stepper):
     """Incremental theta-form integrator.
 
-    Backs simulate_theta, the streamed runs and the divergence estimator;
-    the latter perturbs and rescales whole history windows between
-    integration legs, so the trailing window is exposed for read/overwrite
-    and the prefix can be trimmed to cap memory.
+    Steps every theta-form run (see _stream) and the divergence estimator's
+    own legs.  The estimator perturbs and rescales whole history windows
+    between integration legs, so the trailing window is exposed for
+    read/overwrite and the prefix can be trimmed to cap memory.
     """
 
     _BUFFERS = ("xs", "ys", "dys", "ths", "dths")
@@ -469,7 +467,7 @@ class _ThetaStepper(_Stepper):
 class _NeutralStepper(_Stepper):
     """Incremental neutral-form integrator of x, y and y'.
 
-    Backs simulate_neutral and the streamed neutral runs.  The midpoint's
+    Steps every neutral-form run (see _stream).  The midpoint's
     y' stencil reads back to two samples before the delayed node, so trim
     keeps those (_LEAD).
     """
@@ -589,79 +587,64 @@ def _transient_steps(cfg: SimConfig) -> int:
     return max(int(math.ceil(cfg.transient / cfg.h)), cfg.n_delay)
 
 
-class _Reference(tuple):
-    """The _runs entry of one configuration: the pair (window, run).
-
-    window holds (x, y, theta, theta') over the N + 1 samples ending at step
-    _transient_steps(cfg); run is a weak reference to the simulate_theta(cfg)
-    Trajectory, or None.  ``windows`` maps step indices to the reference's
-    delay windows: the post-transient one, then each leg window that a
-    streamed run copied or an exponent integrated.
-    """
-
-    def __new__(cls, windows: Dict[int, Tuple[np.ndarray, ...]], start: int,
-                run: Optional[weakref.ref] = None):
-        entry = super().__new__(cls, (windows[start], run))
-        entry.windows = windows
-        return entry
-
-
-# The reference of divergence_exponent(cfg, ...), one _Reference per live
-# SimConfig.  Equal configurations share one entry, which goes with the cfg
-# object that made it.  The run is looked up here, not passed, because
-# perfbench/tracing.py binds divergence_exponent's four parameters.
-# Windows are copies: a numpy view of a stepper buffer blocks its next
-# growth (BufferError) and pins the whole run.  While the caller holds the
-# run, the exponent reads that run's arrays, which are writable: writes into
-# them change the reference.
+# The reference windows of divergence_exponent(cfg, ...), one {step: window}
+# dict per live SimConfig: the (x, y, theta, theta') delay window ending at
+# step _transient_steps(cfg), then each leg window that a run recorded or an
+# exponent integrated.  Equal configurations share one entry, which goes
+# with the cfg object that made it.  The windows are looked up here, not
+# passed, because perfbench/tracing.py binds divergence_exponent's four
+# parameters.  They are copies: a numpy view of a stepper buffer blocks its
+# next growth (BufferError) and pins the whole run.
 _runs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class _Windows:
-    """Run reader that copies the (x, y, theta, theta') delay windows ending
-    at the given step indices as the run passes them (see _stream)."""
+    """Run reader that records cfg's reference windows in _runs.
 
-    def __init__(self, n_delay: int, steps: Iterable[int]):
-        self.n_delay = n_delay
-        self.pending = sorted(steps, reverse=True)
+    It copies the (x, y, theta, theta') delay windows ending at step
+    _transient_steps(cfg) and after each of ``n_legs`` legs of ``n_seg``
+    steps as the run passes them (see _stream), and enters them as cfg's
+    _runs entry at the end of a run that reached the first.
+    """
+
+    def __init__(self, cfg: SimConfig, n_seg: int = 0, n_legs: int = 0):
+        n_tr = _transient_steps(cfg)
+        self.cfg = cfg
+        self.pending = [n_tr + m * n_seg for m in range(n_legs, -1, -1)]
         self.windows: Dict[int, Tuple[np.ndarray, ...]] = {}
 
     def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
         last = base + len(x) - 1
         while self.pending and self.pending[-1] <= last:
             j = self.pending.pop()
-            a = j - self.n_delay - base
+            a = j - self.cfg.n_delay - base
             self.windows[j] = tuple(
                 c[a : j + 1 - base].copy() for c in (x, y, theta, dtheta))
+        if final and self.windows:
+            _runs[self.cfg] = self.windows
 
 
-def _run_theta(cfg: SimConfig) -> Trajectory:
-    stepper = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
-    stepper.step(int(round(cfg.t_end / cfg.h)))
-    # the stepper is dropped here, so its buffers are never resized again
-    # and the trajectory can view them without a copy
-    traj = Trajectory(
-        cfg.params, cfg.h, cfg.n_delay,
-        np.frombuffer(stepper.xs, np.float64),
-        np.frombuffer(stepper.ys, np.float64),
-        np.frombuffer(stepper.dys, np.float64),
-        cfg.x0, cfg.y0,
-        np.frombuffer(stepper.ths, np.float64),
-        np.frombuffer(stepper.dths, np.float64),
-    )
-    j = _transient_steps(cfg)
-    window = _Windows(cfg.n_delay, [j])
-    window(0, traj.x, traj.y, traj.dy, traj.theta, traj.dtheta, True)
-    if window.windows:
-        _runs[cfg] = _Reference(window.windows, j, weakref.ref(traj))
-    return traj
+class _Store:
+    """Run reader that copies every chunk into whole-run columns, preallocated
+    for n samples: (x, y, y') of a neutral run, (x, y, y', theta, theta') of
+    a theta-form one (see _stream)."""
+
+    def __init__(self, n: int, n_cols: int):
+        self.cols = [np.empty(n) for _ in range(n_cols)]
+        self.next = 0  # first run sample not yet copied
+
+    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
+        lo, hi = self.next, base + len(x)
+        for dst, src in zip(self.cols, (x, y, dy, theta, dtheta)):
+            dst[lo:hi] = src[lo - base :]
+        self.next = hi
 
 
-_CHUNK = 1 << 16  # steps per chunk of a streamed run (~2.6 MB of theta-form samples)
+_CHUNK = 1 << 16  # steps per chunk of a run (~2.6 MB of theta-form samples)
 
 
 def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
-    """Integrate cfg in chunks of _CHUNK steps, storing no run.
+    """Integrate cfg in chunks of _CHUNK steps, keeping only the last one.
 
     The stepper is cfg.formulation's.  After each chunk every reader is
     called as ``reader(base, x, y, dy, theta, dtheta, final)``: numpy views
@@ -699,36 +682,38 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
         st.trim(2)
 
 
-def _run_neutral(cfg: SimConfig) -> Trajectory:
-    stepper = _NeutralStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
-    stepper.step(int(round(cfg.t_end / cfg.h)))
-    # as in _run_theta, the trajectory views the dropped stepper's buffers
-    return Trajectory(
-        cfg.params, cfg.h, cfg.n_delay,
-        np.frombuffer(stepper.xs, np.float64),
-        np.frombuffer(stepper.ys, np.float64),
-        np.frombuffer(stepper.dys, np.float64),
-        cfg.x0, cfg.y0,
-    )
+def _stored(cfg: SimConfig) -> Trajectory:
+    """cfg's whole run: _stream with a _Store reader.  A theta-form run also
+    records its post-transient window for divergence_exponent (_Windows)."""
+    n = int(round(cfg.t_end / cfg.h)) + 1
+    if cfg.formulation == "neutral_form":
+        store = _Store(n, 3)
+        _stream(cfg, [store])
+    else:
+        store = _Store(n, 5)
+        _stream(cfg, [store, _Windows(cfg)])
+    x, y, dy, *memory = store.cols
+    return Trajectory(cfg.params, cfg.h, cfg.n_delay, x, y, dy, cfg.x0, cfg.y0,
+                      *memory)
 
 
 def simulate_theta(cfg: SimConfig) -> Trajectory:
     """Integrate the feedback-memory formulation of ``cfg``."""
     if cfg.formulation != "theta_form":
         raise ValueError("cfg.formulation must be 'theta_form'")
-    return _run_theta(cfg)
+    return _stored(cfg)
 
 
 def simulate_neutral(cfg: SimConfig) -> Trajectory:
     """Integrate the explicit neutral formulation of ``cfg``."""
     if cfg.formulation != "neutral_form":
         raise ValueError("cfg.formulation must be 'neutral_form'")
-    return _run_neutral(cfg)
+    return _stored(cfg)
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
     """Dispatch on cfg.formulation."""
-    return _run_theta(cfg) if cfg.formulation == "theta_form" else _run_neutral(cfg)
+    return _stored(cfg)
 
 
 @dataclass(frozen=True)
@@ -980,30 +965,19 @@ def _reference_windows(
 
     Yields the window at the end of the transient, then the window after
     each of ``n_renorm`` legs of ``n_seg`` steps.  They are read from cfg's
-    run in _runs while its caller holds it and it covers every leg.
-    Otherwise they are read from the entry's recorded windows, and a leg
-    that is not recorded is integrated from the window before it and
-    recorded.  Without an entry the transient is integrated first.  The
-    values are the same either way.
+    recorded windows in _runs, and a leg that is not recorded is integrated
+    from the window before it and recorded.  Without an entry the transient
+    is integrated first.  The values are the same either way.
     """
-    N = cfg.n_delay
     n_tr = _transient_steps(cfg)
-    steps = range(n_tr, n_tr + (n_renorm + 1) * n_seg, n_seg)
-    entry = _runs.get(cfg)
-    traj = None if entry is None or entry[1] is None else entry[1]()
-    if traj is not None and steps[-1] < len(traj):
-        cols = (traj.x, traj.y, traj.theta, traj.dtheta)
-        for j in steps:
-            yield tuple(c[j - N : j + 1] for c in cols)
-        return
-    if entry is None:
+    windows = _runs.get(cfg)
+    if windows is None:
         ref = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
         ref.step(n_tr)
         ref.trim()
-        entry = _runs[cfg] = _Reference({n_tr: ref.window()}, n_tr)
-    windows = entry.windows
+        windows = _runs[cfg] = {n_tr: ref.window()}
     ref = None
-    for j in steps:
+    for j in range(n_tr, n_tr + (n_renorm + 1) * n_seg, n_seg):
         if j in windows:
             ref = None
         else:
@@ -1049,10 +1023,10 @@ def divergence_exponent(
     The theta formulation is used regardless of cfg.formulation (the two
     formulations integrate the same initial-value problem).  cfg.transient
     positions the reference before measurement begins.  The reference legs
-    are read from simulate_theta(cfg) while the caller still holds that run,
-    else from the windows recorded for cfg (by line_T_scan's streamed run or
-    an earlier exponent on cfg), else integrated from its post-transient
-    window, else from the start; the result is bit-identical either way.
+    are read from the windows recorded for cfg (by line_T_scan's run or an
+    earlier exponent on cfg), else integrated from the window before them
+    (simulate_theta(cfg) records the post-transient one), else from the
+    start; the result is bit-identical either way.
     """
     n_seg = _leg_steps(cfg, delta0, renorm_T, n_renorm)
     p = cfg.params
@@ -1150,7 +1124,7 @@ def line_T_scan(
             continue
         lam = None
         if compute_exponent:
-            sec = _stream_reference(cfg, n_seg, n_renorm)
+            sec = stream_section(cfg, "both", [_Windows(cfg, n_seg, n_renorm)])
             lam = divergence_exponent(cfg, delta0, renorm_T, n_renorm)
         else:
             sec = stream_section(cfg)
@@ -1162,13 +1136,3 @@ def line_T_scan(
         rows.append(LineTRow(iota, cfg.params.k, cfg.params.tau, label, lam, error))
     return rows
 
-
-def _stream_reference(cfg: SimConfig, n_seg: int, n_renorm: int) -> PoincareSection:
-    """stream_section(cfg) that also records, in _runs, the reference windows
-    of an exponent with ``n_renorm`` legs of ``n_seg`` steps."""
-    n_tr = _transient_steps(cfg)
-    legs = _Windows(cfg.n_delay, range(n_tr, n_tr + (n_renorm + 1) * n_seg, n_seg))
-    sec = stream_section(cfg, "both", [legs])
-    if n_tr in legs.windows:
-        _runs[cfg] = _Reference(legs.windows, n_tr)
-    return sec

@@ -314,3 +314,9 @@ def test_system_params_validation():
         SystemParams(0.1, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         SystemParams(0.1, 0.5, 1.0, -1.0)
+    # a non-finite offset is the input's fault, not the integrator's
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^k must be finite"):
+            SystemParams(0.1, 0.5, bad, 1.0)
+        with pytest.raises(ValueError, match="^tau must be finite"):
+            SystemParams(0.1, 0.5, 1.0, bad)

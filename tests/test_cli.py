@@ -217,9 +217,11 @@ def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text("# defaults\nk_range=4.6:4.7:0.05\nj_max=0\n")
     out = tmp_path / "c.csv"
-    assert run_cli("--config", str(cfg), "hopf-curves", "--out", str(out)) == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 2 * 3  # j = 0 only, 3 gains, both signs
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert run_cli(*spelling, "hopf-curves", "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2 * 3  # j = 0 only, 3 gains, both signs
+        out.unlink()
 
     # explicit flag beats the config value
     assert run_cli("--config", str(cfg), "hopf-curves", "--j-max", "1",
@@ -366,6 +368,20 @@ _COMMANDS = {
     "simulate": ("simulate", "--alpha1", "0.1", "--alpha2", "0.085"),
     "line-t": ("line-t", "--iota", "2.0"),
 }
+
+
+@pytest.mark.parametrize("other,flag,name", [
+    ("--alpha2=0.085", "--alpha1", "k"), ("--alpha1=0.1", "--alpha2", "tau"),
+])
+def test_non_finite_offset_is_json_error(tmp_path, capsys, other, flag, name):
+    # the input is at fault, not the integrator: exit 2, not NonFiniteState
+    for bad in ("nan", "inf", "-inf"):
+        assert run_cli("simulate", other, f"{flag}={bad}",
+                       "--out", str(tmp_path / "z")) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{name} must be finite")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))

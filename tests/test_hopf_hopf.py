@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,9 @@ def test_resonance_exact_and_near():
     assert res["nonresonant"] is False and res["nearest_ratio"] == (1, 3)
     with pytest.raises(ValueError):
         dh.resonance_check(2.0, 1.0)
+    for tol in (math.nan, -1e-3):
+        with pytest.raises(ValueError, match="^tol must be nonnegative"):
+            dh.resonance_check(1.0, 1.4, tol)
 
 
 def test_resonance_flip_is_monotone():

@@ -355,37 +355,40 @@ def runs(monkeypatch):
 def test_theta_run_matches_one_unsplit_stepper_run(hh, runs):
     cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=200.0, transient=60.0)
     traj = dh.simulate_theta(cfg)
-    st = nfde_sim._ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
-    st.step(int(round(cfg.t_end / cfg.h)))
-    for got, buf in ((traj.x, st.xs), (traj.y, st.ys), (traj.dy, st.dys),
-                     (traj.theta, st.ths), (traj.dtheta, st.dths)):
-        assert got.flags.writeable
-        assert np.array_equal(got, np.frombuffer(buf, np.float64))
-    # the recorded window is a copy of the state a run stopped at the
-    # transient reaches
-    window, run = runs[cfg]
-    assert run() is traj
+    # (test_stored_run_matches_one_unsplit_stepper_run pins the columns)
+    # the run's entry holds its post-transient window alone, a copy of the
+    # state a run stopped at the transient reaches
+    n_tr = nfde_sim._transient_steps(cfg)
+    assert list(runs[cfg]) == [n_tr]
     split = nfde_sim._ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
-    split.step(nfde_sim._transient_steps(cfg))
-    for got, want, col in zip(window, split.window(),
+    split.step(n_tr)
+    for got, want, col in zip(runs[cfg][n_tr], split.window(),
                               (traj.x, traj.y, traj.theta, traj.dtheta)):
         assert np.array_equal(got, want)
         assert not np.shares_memory(got, col)
 
 
-def test_divergence_exponent_reuses_window_bitwise(hh, runs):
-    # the legs end at t = 200 + 50 * 10 = 700, inside the run
+def test_divergence_exponent_reuses_window_bitwise(hh, runs, step_calls):
     kw = dict(h_div=100, t_end=800.0, transient=200.0)
     for d0 in (1e-8, 1e-10):
         cold = dh.divergence_exponent(cfg_at(hh, 0.2, 0.164, **kw), d0, 10.0, 50)
         assert len(runs) == 0  # the entry went with the temporary cfg
         cfg = cfg_at(hh, 0.2, 0.164, **kw)
-        traj = dh.simulate_theta(cfg)
-        held = dh.divergence_exponent(cfg, d0, 10.0, 50)
-        del traj
+        dh.simulate_theta(cfg)
+        del step_calls[:]
         window = dh.divergence_exponent(cfg, d0, 10.0, 50)
-        assert held.hex() == window.hex() == cold.hex()
-        del cfg
+        assert len(step_calls) == 2 * 50  # reference and clone, from the window
+        del step_calls[:]
+        legs = dh.divergence_exponent(cfg, d0, 10.0, 50)
+        assert len(step_calls) == 50  # the clone; the legs were recorded
+        assert window.hex() == legs.hex() == cold.hex()
+        # the entry of one configuration serves no other
+        for other in (cfg_at(hh, 0.2, 0.165, **kw),
+                      cfg_at(hh, 0.2, 0.164, **dict(kw, transient=300.0))):
+            del step_calls[:]
+            dh.divergence_exponent(other, d0, 10.0, 50)
+            assert len(step_calls) == 1 + 2 * 50  # transient, reference, clone
+        del cfg, other
 
 
 def test_neutral_run_leaves_window_store_empty(hh, runs):
@@ -401,12 +404,13 @@ def test_window_entry_goes_with_its_cfg(hh, runs):
                    transient=10.0) for i in range(3)]
     trajs = [dh.simulate_theta(cfg) for cfg in cfgs]
     assert len(runs) == 3
-    # the table holds each run weakly and its cfg not at all, so it keeps
-    # the windows of live configurations only
+    # the table holds its cfg weakly and no run, so it keeps the windows of
+    # live configurations only, whether their runs are held or not
+    n_tr = nfde_sim._transient_steps(cfgs[0])
     first = weakref.ref(cfgs.pop(0))
     assert first() is None and len(runs) == 2
-    trajs.pop(1)
-    assert runs[cfgs[0]][1]() is None and runs[cfgs[1]][1]() is trajs[1]
+    trajs.clear()
+    assert [list(runs[cfg]) for cfg in cfgs] == [[n_tr], [n_tr]]
     cfgs.clear()
     assert len(runs) == 0
 
@@ -439,40 +443,6 @@ def step_calls(monkeypatch):
 
     monkeypatch.setattr(nfde_sim._ThetaStepper, "step", counted)
     return calls
-
-
-def test_divergence_exponent_reads_held_run(hh, runs, step_calls):
-    # the legs end at t = 700, inside the run
-    cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=800.0, transient=200.0)
-    traj = dh.simulate_theta(cfg)
-    del step_calls[:]
-    held = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
-    assert len(step_calls) == 50  # the clone only
-    del traj
-    del step_calls[:]
-    dropped = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
-    assert len(step_calls) == 2 * 50  # reference and clone, from the window
-    assert dropped.hex() == held.hex()
-    # the entry of one configuration serves no other
-    for other in (cfg_at(hh, 0.2, 0.165, h_div=100, t_end=800.0, transient=200.0),
-                  cfg_at(hh, 0.2, 0.164, h_div=100, t_end=800.0, transient=300.0)):
-        del step_calls[:]
-        dh.divergence_exponent(other, 1e-9, 10.0, 50)
-        assert len(step_calls) == 1 + 2 * 50  # transient, reference, clone
-
-
-def test_short_held_run_falls_back_to_window(hh, runs, step_calls):
-    want = dh.divergence_exponent(
-        cfg_at(hh, 0.2, 0.164, h_div=100, t_end=800.0, transient=200.0),
-        1e-9, 10.0, 50)
-    # legs end at t = 700; this run stops at 650, a run to 710 covers them
-    for t_end, n_calls in ((650.0, 100), (710.0, 50)):
-        cfg = cfg_at(hh, 0.2, 0.164, h_div=100, t_end=t_end, transient=200.0)
-        traj = dh.simulate_theta(cfg)
-        del step_calls[:]
-        got = dh.divergence_exponent(cfg, 1e-9, 10.0, 50)
-        assert len(step_calls) == n_calls
-        assert got.hex() == want.hex()
 
 
 def _n_steps(cfg):
@@ -662,8 +632,10 @@ def test_streamed_blowup_matches_stored_run(monkeypatch):
     monkeypatch.setattr(nfde_sim, "_CHUNK", 7)
     params = SystemParams(0.1, 0.5, 500.0, 1.0)
     cfg = dh.SimConfig.from_divisor(params, 1.0, 0.0, 50, 100.0)
-    want = _raised(dh.simulate_theta, cfg)
+    st = nfde_sim._ThetaStepper(params, cfg.x0, cfg.y0, cfg.h)
+    want = _raised(st.step, _n_steps(cfg))  # one unsplit run
     assert want[0] > 10 * 7 * cfg.h  # many chunks in
+    assert _raised(dh.simulate_theta, cfg) == want
     assert _raised(nfde_sim.stream_section, cfg) == want
 
 
@@ -683,3 +655,48 @@ def test_line_t_scan_memory_flat_in_the_transient(hh, monkeypatch):
     stored = 5 * 8 * _n_steps(cfg_at(hh, 0.2, 0.162, h_div=50, t_end=8800.0))
     assert peaks[1] < 0.25 * stored
     assert peaks[1] < 1.2 * peaks[0]
+
+
+_STEPPERS = {"theta_form": "_ThetaStepper", "neutral_form": "_NeutralStepper"}
+
+
+@pytest.mark.parametrize("formulation", sorted(_STEPPERS))
+@pytest.mark.parametrize("chunk", [7, 49, 51, 1 << 16])  # 7, N - 1, N + 1, 2^16
+def test_stored_run_matches_one_unsplit_stepper_run(hh, monkeypatch, runs,
+                                                    formulation, chunk):
+    monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=200.0, transient=60.0,
+                 formulation=formulation)
+    assert cfg.n_delay == 50
+    traj = nfde_sim.simulate(cfg)
+    st = getattr(nfde_sim, _STEPPERS[formulation])(cfg.params, cfg.x0, cfg.y0, cfg.h)
+    st.step(_n_steps(cfg))
+    cols = [traj.x, traj.y, traj.dy]
+    if formulation == "theta_form":
+        cols += [traj.theta, traj.dtheta]
+    else:
+        assert traj._theta is None and traj._dtheta is None  # rebuilt on read
+    assert len(cols) == len(st._BUFFERS)
+    for got, name in zip(cols, st._BUFFERS):
+        assert got.tobytes() == getattr(st, name).tobytes(), name
+
+
+@pytest.mark.parametrize("formulation", sorted(_STEPPERS))
+def test_stored_run_memory_is_its_columns_plus_a_chunk(hh, monkeypatch, formulation):
+    # 16704 steps in chunks of 512: an unsplit stepper run would add at
+    # least one more column of 8 bytes per step (130 KiB)
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 512)
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=3000.0, transient=100.0,
+                 formulation=formulation)
+    tracemalloc.start()
+    try:
+        traj = nfde_sim.simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cols = [traj.x, traj.y, traj.dy, traj._theta, traj._dtheta]
+    stored = sum(c.nbytes for c in cols if c is not None)
+    assert stored == (5 if formulation == "theta_form" else 3) * 8 * (_n_steps(cfg) + 1)
+    # the stepper's chunk of at most five columns, twice over, plus 64 KiB
+    # for the interpreter's free lists and the recorded window
+    assert peak < stored + 2 * 5 * 8 * 512 + (1 << 16)

@@ -1,11 +1,11 @@
 """The streamlined RK4 loops against frozen copies of the plain loops.
 
 The oracles below are the straightforward versions of
-``_ThetaStepper.step``, ``_ThetaStepper.set_window`` and ``_run_neutral``,
-kept verbatim: one ``g(...)`` call per stage, every delayed node read from
-the buffers, the modulo stencil choice and an element loop.  The
-integrators must reproduce them bit for bit, including where and how they
-raise.
+``_ThetaStepper.step``, ``_ThetaStepper.set_window`` and a whole
+neutral-form run (``_NeutralStepper.step``), kept verbatim: one ``g(...)``
+call per stage, every delayed node read from the buffers, the modulo
+stencil choice and an element loop.  The integrators must reproduce them
+bit for bit, including where and how they raise.
 """
 
 import gc
