@@ -212,7 +212,13 @@ def _resolve_point(args) -> tuple:
     """(k, tau) from a cached analyze report or a fresh computation."""
     if args.report:
         rep = json.loads(Path(args.report).read_text())
-        k0, tau0 = float(rep["k0"]), float(rep["tau0"])
+        try:
+            k0, tau0 = float(rep["k0"]), float(rep["tau0"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"report {args.report} is not an analyze JSON object with k0 "
+                f"and tau0 ({type(exc).__name__}: {exc})"
+            ) from exc
     else:
         hh = hopf_hopf.find_hopf_hopf(
             args.epsilon, args.mu, args.j_plus, args.j_minus, *args.bracket
@@ -360,8 +366,16 @@ def _add_point_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError instead of
+    exiting, so main reports them as JSON.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doublehopf",
         description="Double-Hopf analysis of the van der Pol oscillator "
         "with extended delay feedback",

@@ -34,24 +34,24 @@ crossings to |y| < 1e-9 by bisection.
 
 One engine, _stream, integrates every run of either formulation: its
 stepper runs in chunks of _CHUNK steps, and after each chunk its readers
--- the section's crossing collector, the exponent's reference windows,
-trajectory CSV rows, the columns of a stored run -- read that chunk plus
-the trailing delay window (a neutral run's theta is rebuilt per chunk by
-the memory recursion).  A streamed run (stream_section; line_T_scan and
-the CLI's simulate) needs O(N + _CHUNK) memory however long it is; a
-stored run (simulate_theta, simulate_neutral) is the stream plus a store,
-so it needs its own columns plus that.  Either way the samples are those
-of one unsplit stepper run, bit for bit.
+-- the section's crossing collector, the divergence exponent (whose
+perturbed clone steps beside the run), trajectory CSV rows, the columns of
+a stored run -- read that chunk plus the trailing delay window (a neutral
+run's theta is rebuilt per chunk by the memory recursion).  A streamed run
+(stream_section, divergence_exponent; line_T_scan and the CLI's simulate)
+needs O(N + _CHUNK) memory however long it is; a stored run
+(simulate_theta, simulate_neutral) is the stream plus a store, so it needs
+its own columns plus that.  Either way the samples are those of one
+unsplit stepper run, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -326,10 +326,12 @@ class _Stepper:
         t = (self.base + i) * self.h
         return NonFiniteState(f"state overflow at t = {t:.6g}", t)
 
-    def _columns(self) -> Tuple[np.ndarray, ...]:
-        """Views of the buffers, in _BUFFERS order."""
-        return tuple(np.frombuffer(getattr(self, name), np.float64)
-                     for name in self._BUFFERS)
+    def _columns(self) -> List[np.ndarray]:
+        """Views of the buffers, in _BUFFERS order.  (A list: tuple() of a
+        generator shrinks a larger tuple, so each block would leave one more
+        tuple on CPython's free list, up to 2000 of them.)"""
+        return [np.frombuffer(getattr(self, name), np.float64)
+                for name in self._BUFFERS]
 
     def trim(self, lead: int = 0) -> None:
         """Drop samples before the trailing window and the ``lead`` (at least
@@ -346,9 +348,9 @@ class _Stepper:
 class _ThetaStepper(_Stepper):
     """Incremental theta-form integrator.
 
-    Steps every theta-form run (see _stream) and the divergence estimator's
-    own legs.  The estimator perturbs and rescales whole history windows
-    between integration legs, so the trailing window is exposed for
+    Steps every theta-form run (see _stream) and the divergence exponent's
+    clone (see _Exponent).  The exponent perturbs and rescales whole history
+    windows between the clone's legs, so the trailing window is exposed for
     read/overwrite and the prefix can be trimmed to cap memory.
     """
 
@@ -583,45 +585,12 @@ class _NeutralStepper(_Stepper):
         return x, y, k1y
 
 
+def _n_steps(cfg: SimConfig) -> int:
+    return int(round(cfg.t_end / cfg.h))
+
+
 def _transient_steps(cfg: SimConfig) -> int:
     return max(int(math.ceil(cfg.transient / cfg.h)), cfg.n_delay)
-
-
-# The reference windows of divergence_exponent(cfg, ...), one {step: window}
-# dict per live SimConfig: the (x, y, theta, theta') delay window ending at
-# step _transient_steps(cfg), then each leg window that a run recorded or an
-# exponent integrated.  Equal configurations share one entry, which goes
-# with the cfg object that made it.  The windows are looked up here, not
-# passed, because perfbench/tracing.py binds divergence_exponent's four
-# parameters.  They are copies: a numpy view of a stepper buffer blocks its
-# next growth (BufferError) and pins the whole run.
-_runs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-class _Windows:
-    """Run reader that records cfg's reference windows in _runs.
-
-    It copies the (x, y, theta, theta') delay windows ending at step
-    _transient_steps(cfg) and after each of ``n_legs`` legs of ``n_seg``
-    steps as the run passes them (see _stream), and enters them as cfg's
-    _runs entry at the end of a run that reached the first.
-    """
-
-    def __init__(self, cfg: SimConfig, n_seg: int = 0, n_legs: int = 0):
-        n_tr = _transient_steps(cfg)
-        self.cfg = cfg
-        self.pending = [n_tr + m * n_seg for m in range(n_legs, -1, -1)]
-        self.windows: Dict[int, Tuple[np.ndarray, ...]] = {}
-
-    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
-        last = base + len(x) - 1
-        while self.pending and self.pending[-1] <= last:
-            j = self.pending.pop()
-            a = j - self.cfg.n_delay - base
-            self.windows[j] = tuple(
-                c[a : j + 1 - base].copy() for c in (x, y, theta, dtheta))
-        if final and self.windows:
-            _runs[self.cfg] = self.windows
 
 
 class _Store:
@@ -661,7 +630,7 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
     stepper = _NeutralStepper if neutral else _ThetaStepper
     st = stepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
     theta, theta_base = np.empty(0), 0  # neutral theta of the last block
-    left = int(round(cfg.t_end / cfg.h))
+    left = _n_steps(cfg)
     while True:
         n = min(_CHUNK, left)
         st.step(n)
@@ -683,15 +652,9 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
 
 
 def _stored(cfg: SimConfig) -> Trajectory:
-    """cfg's whole run: _stream with a _Store reader.  A theta-form run also
-    records its post-transient window for divergence_exponent (_Windows)."""
-    n = int(round(cfg.t_end / cfg.h)) + 1
-    if cfg.formulation == "neutral_form":
-        store = _Store(n, 3)
-        _stream(cfg, [store])
-    else:
-        store = _Store(n, 5)
-        _stream(cfg, [store, _Windows(cfg)])
+    """cfg's whole run: _stream with a _Store reader."""
+    store = _Store(_n_steps(cfg) + 1, 3 if cfg.formulation == "neutral_form" else 5)
+    _stream(cfg, [store])
     x, y, dy, *memory = store.cols
     return Trajectory(cfg.params, cfg.h, cfg.n_delay, x, y, dy, cfg.x0, cfg.y0,
                       *memory)
@@ -852,8 +815,8 @@ def stream_section(
     section is the same, bit for bit.
     """
     _check_direction(direction)
-    n = int(round(cfg.t_end / cfg.h)) + 1
-    sec = _Crossings(cfg.h, cfg.params.tau, n, cfg.transient, cfg.x0, cfg.y0)
+    sec = _Crossings(cfg.h, cfg.params.tau, _n_steps(cfg) + 1, cfg.transient,
+                     cfg.x0, cfg.y0)
     _stream(cfg, (sec, *readers))
     return sec.section(direction)
 
@@ -958,39 +921,6 @@ def classify_section(
     return "curve_family" if collinearity >= 0.8 else "scattered"
 
 
-def _reference_windows(
-    cfg: SimConfig, n_seg: int, n_renorm: int
-) -> Iterator[Tuple[np.ndarray, ...]]:
-    """(x, y, theta, theta') delay windows of the exponent's reference run.
-
-    Yields the window at the end of the transient, then the window after
-    each of ``n_renorm`` legs of ``n_seg`` steps.  They are read from cfg's
-    recorded windows in _runs, and a leg that is not recorded is integrated
-    from the window before it and recorded.  Without an entry the transient
-    is integrated first.  The values are the same either way.
-    """
-    n_tr = _transient_steps(cfg)
-    windows = _runs.get(cfg)
-    if windows is None:
-        ref = _ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
-        ref.step(n_tr)
-        ref.trim()
-        windows = _runs[cfg] = {n_tr: ref.window()}
-    ref = None
-    for j in range(n_tr, n_tr + (n_renorm + 1) * n_seg, n_seg):
-        if j in windows:
-            ref = None
-        else:
-            if ref is None:
-                # the state step(j - n_seg); trim() reaches
-                ref = _ThetaStepper.at_window(
-                    cfg.params, cfg.x0, cfg.y0, cfg.h, *windows[j - n_seg])
-            ref.step(n_seg)
-            ref.trim()
-            windows[j] = ref.window()
-        yield windows[j]
-
-
 def _leg_steps(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int) -> int:
     """Steps per leg of divergence_exponent(cfg, ...), after checking its
     arguments."""
@@ -1001,6 +931,60 @@ def _leg_steps(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int) ->
     if not cfg.h <= renorm_T < math.inf:
         raise ValueError(f"renorm_T must be finite and >= h, got {renorm_T!r}")
     return max(1, int(round(renorm_T / cfg.h)))
+
+
+class _Exponent:
+    """Run reader that estimates the divergence exponent of the theta-form
+    run it reads (see divergence_exponent and _stream).
+
+    When the run passes step _transient_steps(cfg) it builds the clone from
+    the run's delay window offset by delta0.  At each of the ``n_renorm``
+    later leg ends, ``n_seg`` steps apart, it steps the clone one leg, logs
+    the rate and pulls the clone back to distance delta0.  The run must
+    reach step ``end``, the last leg end.
+    """
+
+    def __init__(self, cfg: SimConfig, delta0: float, renorm_T: float,
+                 n_renorm: int):
+        self.n_seg = n_seg = _leg_steps(cfg, delta0, renorm_T, n_renorm)
+        self.cfg, self.delta0 = cfg, delta0
+        n_tr = _transient_steps(cfg)
+        self.end = n_tr + n_renorm * n_seg
+        self.pending = list(range(self.end, n_tr - 1, -n_seg))  # popped from the end
+        self.clone: Optional[_ThetaStepper] = None
+        self.rates: List[float] = []
+
+    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
+        cfg, delta0 = self.cfg, self.delta0
+        last = base + len(x) - 1
+        while self.pending and self.pending[-1] <= last:
+            j = self.pending.pop()
+            a = j - cfg.n_delay - base
+            xr, yr, thr, dthr = (c[a : j + 1 - base] for c in (x, y, theta, dtheta))
+            clone = self.clone
+            if clone is None:
+                # uniform x-offset; the memory recursion's fixed point shifts
+                # identically
+                self.clone = _ThetaStepper.at_window(
+                    cfg.params, cfg.x0, cfg.y0, cfg.h,
+                    xr + delta0, yr, thr + delta0, dthr)
+                continue
+            clone.step(self.n_seg)
+            xc, yc, thc, dthc = clone.window()
+            sep = max(float(np.max(np.abs(xc - xr))), float(np.max(np.abs(yc - yr))))
+            if sep == 0.0:
+                sep = 5e-324  # denormal floor; identical twins mean total collapse
+            self.rates.append(math.log(sep / delta0) / (self.n_seg * cfg.h))
+            s = delta0 / sep
+            clone.set_window(
+                xr + s * (xc - xr), yr + s * (yc - yr),
+                thr + s * (thc - thr), dthr + s * (dthc - dthr),
+            )
+            clone.trim()
+
+    def rate(self) -> float:
+        """The mean of the leg rates."""
+        return float(np.mean(self.rates))
 
 
 def divergence_exponent(
@@ -1022,37 +1006,14 @@ def divergence_exponent(
 
     The theta formulation is used regardless of cfg.formulation (the two
     formulations integrate the same initial-value problem).  cfg.transient
-    positions the reference before measurement begins.  The reference legs
-    are read from the windows recorded for cfg (by line_T_scan's run or an
-    earlier exponent on cfg), else integrated from the window before them
-    (simulate_theta(cfg) records the post-transient one), else from the
-    start; the result is bit-identical either way.
+    positions the reference before measurement begins.  The reference is
+    cfg's run, streamed up to the last leg end with an _Exponent reader;
+    line_T_scan attaches that reader to its own run instead, with the same
+    result, bit for bit.
     """
-    n_seg = _leg_steps(cfg, delta0, renorm_T, n_renorm)
-    p = cfg.params
-    h = cfg.h
-    leg_t = n_seg * h
-    ref_windows = _reference_windows(cfg, n_seg, n_renorm)
-    xw, yw, thw, dthw = next(ref_windows)
-    # uniform x-offset; the memory recursion's fixed point shifts identically
-    clone = _ThetaStepper.at_window(
-        p, cfg.x0, cfg.y0, h, xw + delta0, yw, thw + delta0, dthw
-    )
-    rates = []
-    for xr, yr, thr, dthr in ref_windows:
-        clone.step(n_seg)
-        xc, yc, thc, dthc = clone.window()
-        sep = max(float(np.max(np.abs(xc - xr))), float(np.max(np.abs(yc - yr))))
-        if sep == 0.0:
-            sep = 5e-324  # denormal floor; identical twins mean total collapse
-        rates.append(math.log(sep / delta0) / leg_t)
-        s = delta0 / sep
-        clone.set_window(
-            xr + s * (xc - xr), yr + s * (yc - yr),
-            thr + s * (thc - thr), dthr + s * (dthc - dthr),
-        )
-        clone.trim()
-    return float(np.mean(rates))
+    ex = _Exponent(cfg, delta0, renorm_T, n_renorm)
+    _stream(replace(cfg, t_end=ex.end * cfg.h, formulation="theta_form"), [ex])
+    return ex.rate()
 
 
 @dataclass(frozen=True)
@@ -1092,17 +1053,21 @@ def line_T_scan(
     no label and a ``label_error``; the scan goes on.
 
     Every scale, and the exponent's arguments, are checked before any scale
-    is integrated.  Each run is streamed (stream_section): its section and
-    the exponent's reference windows are read while it runs, so memory does
-    not grow with t_end, and the transient and the reference legs are
-    integrated once per scale.
+    is integrated.  Each run is streamed (stream_section) and is its own
+    exponent's reference: the exponent's reader (_Exponent) steps its clone
+    beside the run, so memory does not grow with t_end and the transient is
+    integrated once per scale.  A run that ends before the exponent's last
+    leg (t_end < transient + n_renorm*renorm_T) gets a standalone
+    divergence_exponent instead, with the same result.
     """
     if hh is None:
         hh = _hh_mod.find_hopf_hopf(epsilon, mu, 1, 1, 4.5, 5.2)
     todo = []
     for iota in iota_list:
+        if not math.isfinite(iota):
+            raise ValueError(f"iota must be finite, got {iota!r}")
         if iota == 0.0:
-            todo.append((iota, None, 0))
+            todo.append((iota, None))
             continue
         k = hh.k0 + 0.1 * iota
         tau = hh.tau0 + 0.081 * iota
@@ -1111,23 +1076,23 @@ def line_T_scan(
             raise HypothesisViolated(f"iota={iota} leaves the admissible gain region")
         params = SystemParams(epsilon, mu, k, tau)
         cfg = SimConfig.from_divisor(params, x0, y0, h_div, t_end, transient)
-        n_seg = _leg_steps(cfg, delta0, renorm_T, n_renorm) if compute_exponent else 0
-        todo.append((iota, cfg, n_seg))
-    todo.reverse()
+        if compute_exponent:
+            _leg_steps(cfg, delta0, renorm_T, n_renorm)
+        todo.append((iota, cfg))
     rows: List[LineTRow] = []
-    while todo:
-        # popped, so a scale's cfg, and with it its _runs entry, is gone
-        # before the next scale runs
-        iota, cfg, n_seg = todo.pop()
+    for iota, cfg in todo:
         if cfg is None:
             rows.append(LineTRow(0.0, hh.k0, hh.tau0, "skipped_origin", None))
             continue
-        lam = None
+        lam, readers = None, []
         if compute_exponent:
-            sec = stream_section(cfg, "both", [_Windows(cfg, n_seg, n_renorm)])
+            ex = _Exponent(cfg, delta0, renorm_T, n_renorm)
+            readers = [ex] if ex.end <= _n_steps(cfg) else []
+        sec = stream_section(cfg, "both", readers)
+        if readers:
+            lam = ex.rate()
+        elif compute_exponent:  # the run ends before the last leg
             lam = divergence_exponent(cfg, delta0, renorm_T, n_renorm)
-        else:
-            sec = stream_section(cfg)
         label = error = None
         try:
             label = classify_section(sec, divergence_exponent=lam)
@@ -1135,4 +1100,3 @@ def line_T_scan(
             error = f"{type(exc).__name__}: {exc}"
         rows.append(LineTRow(iota, cfg.params.k, cfg.params.tau, label, lam, error))
     return rows
-

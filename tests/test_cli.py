@@ -111,6 +111,43 @@ def test_simulate_roundtrip_uses_report_exactly(tmp_path):
     assert header == ["t", "x", "y_delayed", "direction"]
 
 
+@pytest.mark.parametrize("text,missing", [
+    ('{"tau0": 8.8}', "KeyError: 'k0'"),
+    ("[1, 2]", "TypeError"),
+])
+def test_malformed_report_is_json_error(tmp_path, capsys, text, missing):
+    rep_path = tmp_path / "r.json"
+    rep_path.write_text(text)
+    assert run_cli("simulate", "--alpha1", "0.1", "--alpha2", "0.085",
+                   "--report", str(rep_path), "--out", str(tmp_path / "z")) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert str(rep_path) in err["message"] and missing in err["message"]
+    assert list(tmp_path.iterdir()) == [rep_path]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("simulate", "--alpha1", "0.1"), "required: --alpha2"),
+    (("simulate", "--alpha1", "0.1", "--alpha2", "-inf"),
+     "--alpha2: expected one argument"),
+    (("bogus",), "invalid choice: 'bogus'"),
+])
+def test_usage_error_is_json_error(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--out", str(tmp_path / "z")) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert message in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("simulate", "--help")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: doublehopf")
+
+
 def test_simulate_outputs_are_reproducible(tmp_path):
     args = (
         "simulate", "--alpha1", "-0.1", "--alpha2", "0.1", "--h-div", "100",
@@ -178,6 +215,9 @@ def test_zero_delay_divisor_is_json_error(tmp_path, capsys, command):
                  id="k-range-step"),
     pytest.param(("hopf-curves", "--k-range", "nan:6:0.01"), "finite",
                  id="k-range-lo"),
+    pytest.param(("line-t", "--iota", "2.0,nan"), "iota", id="line-t-iota-nan"),
+    pytest.param(("line-t", "--iota", "inf"), "iota", id="line-t-iota-inf"),
+    pytest.param(("line-t", "--iota=-inf"), "iota", id="line-t-iota-minus-inf"),
 ])
 def test_non_finite_argument_is_json_error(tmp_path, capsys, command, name):
     assert run_cli(*command, "--out", str(tmp_path / "z")) == 2

@@ -1,7 +1,6 @@
 import importlib.util
 import math
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -344,77 +343,6 @@ def test_line_t_scan_records_label_error(hh):
     assert rows[0].label_error == f"InsufficientData: {exc.value}"
 
 
-@pytest.fixture
-def runs(monkeypatch):
-    """An empty run table for the duration of one test."""
-    table = weakref.WeakKeyDictionary()
-    monkeypatch.setattr(nfde_sim, "_runs", table)
-    return table
-
-
-def test_theta_run_matches_one_unsplit_stepper_run(hh, runs):
-    cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=200.0, transient=60.0)
-    traj = dh.simulate_theta(cfg)
-    # (test_stored_run_matches_one_unsplit_stepper_run pins the columns)
-    # the run's entry holds its post-transient window alone, a copy of the
-    # state a run stopped at the transient reaches
-    n_tr = nfde_sim._transient_steps(cfg)
-    assert list(runs[cfg]) == [n_tr]
-    split = nfde_sim._ThetaStepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
-    split.step(n_tr)
-    for got, want, col in zip(runs[cfg][n_tr], split.window(),
-                              (traj.x, traj.y, traj.theta, traj.dtheta)):
-        assert np.array_equal(got, want)
-        assert not np.shares_memory(got, col)
-
-
-def test_divergence_exponent_reuses_window_bitwise(hh, runs, step_calls):
-    kw = dict(h_div=100, t_end=800.0, transient=200.0)
-    for d0 in (1e-8, 1e-10):
-        cold = dh.divergence_exponent(cfg_at(hh, 0.2, 0.164, **kw), d0, 10.0, 50)
-        assert len(runs) == 0  # the entry went with the temporary cfg
-        cfg = cfg_at(hh, 0.2, 0.164, **kw)
-        dh.simulate_theta(cfg)
-        del step_calls[:]
-        window = dh.divergence_exponent(cfg, d0, 10.0, 50)
-        assert len(step_calls) == 2 * 50  # reference and clone, from the window
-        del step_calls[:]
-        legs = dh.divergence_exponent(cfg, d0, 10.0, 50)
-        assert len(step_calls) == 50  # the clone; the legs were recorded
-        assert window.hex() == legs.hex() == cold.hex()
-        # the entry of one configuration serves no other
-        for other in (cfg_at(hh, 0.2, 0.165, **kw),
-                      cfg_at(hh, 0.2, 0.164, **dict(kw, transient=300.0))):
-            del step_calls[:]
-            dh.divergence_exponent(other, d0, 10.0, 50)
-            assert len(step_calls) == 1 + 2 * 50  # transient, reference, clone
-        del cfg, other
-
-
-def test_neutral_run_leaves_window_store_empty(hh, runs):
-    cfg = cfg_at(hh, -0.1, 0.1, h_div=50, t_end=100.0, transient=50.0,
-                 formulation="neutral_form")
-    nfde_sim.simulate(cfg)
-    dh.simulate_neutral(cfg)
-    assert len(runs) == 0
-
-
-def test_window_entry_goes_with_its_cfg(hh, runs):
-    cfgs = [cfg_at(hh, -0.1, 0.1, x0=0.1 + 0.01 * i, h_div=20, t_end=30.0,
-                   transient=10.0) for i in range(3)]
-    trajs = [dh.simulate_theta(cfg) for cfg in cfgs]
-    assert len(runs) == 3
-    # the table holds its cfg weakly and no run, so it keeps the windows of
-    # live configurations only, whether their runs are held or not
-    n_tr = nfde_sim._transient_steps(cfgs[0])
-    first = weakref.ref(cfgs.pop(0))
-    assert first() is None and len(runs) == 2
-    trajs.clear()
-    assert [list(runs[cfg]) for cfg in cfgs] == [[n_tr], [n_tr]]
-    cfgs.clear()
-    assert len(runs) == 0
-
-
 @pytest.mark.parametrize("block", [1, 7, 1 << 20])
 def test_nn_stats_blocks_match_whole_matrix(monkeypatch, block):
     monkeypatch.setattr(nfde_sim, "_NN_BLOCK_ELEMS", block)
@@ -449,33 +377,54 @@ def _n_steps(cfg):
     return int(round(cfg.t_end / cfg.h))
 
 
-def test_line_t_scan_shares_and_releases_the_reference(hh, runs, step_calls,
-                                                       monkeypatch):
+@pytest.mark.parametrize("chunk", [7, 99, 101, 1 << 16])  # 7, N - 1, N + 1, 2^16
+@pytest.mark.parametrize("t_end", [2200.0, 600.0])
+def test_line_t_scan_steps_its_run_and_the_clone(hh, step_calls, monkeypatch,
+                                                 chunk, t_end):
     # the scan streams its runs: no Trajectory, no separate section pass
     for name in ("simulate", "simulate_theta", "poincare"):
         monkeypatch.setattr(nfde_sim, name, None)
-    streamed = []
-    stream_section = nfde_sim.stream_section
-
-    def tracked(cfg, *args):
-        # each scale's _runs entry is gone before the next scale's run starts
-        assert len(runs) == 0
-        streamed.append((_n_steps(cfg), int(round(5.0 / cfg.h))))
-        return stream_section(cfg, *args)
-
-    monkeypatch.setattr(nfde_sim, "stream_section", tracked)
-    kw = dict(hh=hh, h_div=100, t_end=2200.0, transient=400.0, renorm_T=5.0)
-    rows = dh.line_T_scan([2.0, 2.6], **kw)
-    # each run is stepped once; the exponent then steps only its 50 clone
-    # legs, reading the reference legs that the run recorded
-    assert len(streamed) == 2
-    assert sum(step_calls) == sum(n_run + 50 * n_seg for n_run, n_seg in streamed)
-    assert len(runs) == 0  # the scan's configurations are gone
-    for row in rows:
-        cfg = dh.SimConfig.from_divisor(SystemParams(EPS, MU, row.k, row.tau),
-                                        0.1, 0.0, 100, 2200.0, 400.0)
+    monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
+    kw = dict(h_div=100, t_end=t_end, transient=400.0)
+    cfgs = [cfg_at(hh, 0.1 * iota, 0.081 * iota, **kw) for iota in (2.0, 2.6)]
+    assert {c.n_delay for c in cfgs} == {100}
+    rows = dh.line_T_scan([2.0, 2.6], hh=hh, renorm_T=5.0, **kw)
+    want = []
+    for cfg in cfgs:
+        ex = nfde_sim._Exponent(cfg, 1e-9, 5.0, 50)
+        if ex.end <= _n_steps(cfg):
+            # the run is the reference: the exponent steps only its clone,
+            # 50 legs beside the run
+            want.append(_n_steps(cfg) + 50 * ex.n_seg)
+        else:
+            # 600 < 400 + 50 * 5: the run ends before the last leg, so a
+            # standalone exponent streams its own reference
+            want.append(_n_steps(cfg) + ex.end + 50 * ex.n_seg)
+    assert sum(step_calls) == sum(want)
+    for row, cfg in zip(rows, cfgs):
+        assert (row.k, row.tau) == (cfg.params.k, cfg.params.tau)
         alone = dh.divergence_exponent(cfg, 1e-9, 5.0, 50)
         assert row.divergence_exponent.hex() == alone.hex()
+
+
+def test_divergence_exponent_memory_flat_in_the_transient(hh, monkeypatch):
+    # the same 50 legs after a transient of 400 and 7000: a reference
+    # stepped unsplit through the transient would hold 5 arrays of 8 bytes
+    # per step
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 1024)
+    peaks = []
+    for transient in (400.0, 7000.0):
+        cfg = cfg_at(hh, 0.25, 0.2025, h_div=50, t_end=transient + 1.0,
+                     transient=transient)
+        tracemalloc.start()
+        try:
+            dh.divergence_exponent(cfg, 1e-9, 5.0, 50)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    transient_cols = 5 * 8 * nfde_sim._transient_steps(cfg)
+    assert peaks[1] < 0.25 * transient_cols
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def _load_tracing():
@@ -496,43 +445,34 @@ def test_traced_line_t_scan_matches_untraced():
     groups = {s["name"] for s in tracer.spans}
     # the streamed runs call neither simulate_theta nor poincare
     assert "nfde_sim.theta" not in groups and "nfde_sim.poincare" not in groups
-    for group in ("divergence_exponent", "classify_section"):
+    # each scale's exponent reads its run: no divergence_exponent call
+    for group, count in (("divergence_exponent", 0), ("classify_section", 2)):
         spans = [s for s in tracer.spans if s["name"] == f"nfde_sim.{group}"]
-        assert len(spans) == 2, group
+        assert len(spans) == count, group
         assert all(s["error"] is None for s in spans), group
     assert [r.divergence_exponent.hex() for r in traced] == [
         r.divergence_exponent.hex() for r in plain]
+    # a standalone exponent is one span (the tracer wraps the module's name)
+    cfg = dh.SimConfig.from_divisor(SystemParams(EPS, MU, plain[0].k, plain[0].tau),
+                                    0.1, 0.0, 100, 2200.0, 400.0)
+    with _load_tracing().Tracer() as tracer:
+        alone = nfde_sim.divergence_exponent(cfg, 1e-9, 5.0, 50)
+    spans = [s for s in tracer.spans if s["name"] == "nfde_sim.divergence_exponent"]
+    assert len(spans) == 1 and spans[0]["error"] is None
+    assert alone.hex() == plain[0].divergence_exponent.hex()
 
 
 @pytest.mark.parametrize("kw", [
     dict(delta0=1e-4), dict(delta0=math.nan), dict(n_renorm=10),
     dict(renorm_T=0.01), dict(renorm_T=math.inf), dict(renorm_T=math.nan),
+    dict(iota_list=[2.0, math.nan]), dict(iota_list=[2.0, math.inf]),
+    dict(iota_list=[2.0, -math.inf]),
 ])
 def test_line_t_scan_checks_exponent_arguments_before_any_run(hh, step_calls, kw):
+    kw = {"iota_list": [2.0, 2.6], **kw}
     with pytest.raises(ValueError):
-        dh.line_T_scan([2.0, 2.6], hh=hh, h_div=100, t_end=2200.0,
-                       transient=400.0, **kw)
+        dh.line_T_scan(hh=hh, h_div=100, t_end=2200.0, transient=400.0, **kw)
     assert step_calls == []
-
-
-def test_second_exponent_steps_only_its_clone(hh, runs, step_calls):
-    kw = dict(h_div=100, t_end=800.0, transient=200.0)
-    cold = {d0: dh.divergence_exponent(cfg_at(hh, 0.2, 0.164, **kw), d0, 10.0, 50)
-            for d0 in (1e-8, 1e-9)}
-    cfg = cfg_at(hh, 0.2, 0.164, **kw)
-    del step_calls[:]
-    first = dh.divergence_exponent(cfg, 1e-8, 10.0, 50)
-    assert len(step_calls) == 1 + 2 * 50  # transient, reference, clone
-    for d0 in (1e-9, 1e-8):
-        del step_calls[:]
-        again = dh.divergence_exponent(cfg, d0, 10.0, 50)
-        assert len(step_calls) == 50  # the clone; the legs were recorded
-        assert again.hex() == cold[d0].hex()
-    assert first.hex() == cold[1e-8].hex()
-    # other legs need their own reference, from the recorded windows
-    del step_calls[:]
-    dh.divergence_exponent(cfg, 1e-8, 5.0, 50)
-    assert len(step_calls) == 2 * 50
 
 
 def _section_hex(sec):
@@ -662,8 +602,8 @@ _STEPPERS = {"theta_form": "_ThetaStepper", "neutral_form": "_NeutralStepper"}
 
 @pytest.mark.parametrize("formulation", sorted(_STEPPERS))
 @pytest.mark.parametrize("chunk", [7, 49, 51, 1 << 16])  # 7, N - 1, N + 1, 2^16
-def test_stored_run_matches_one_unsplit_stepper_run(hh, monkeypatch, runs,
-                                                    formulation, chunk):
+def test_stored_run_matches_one_unsplit_stepper_run(hh, monkeypatch, formulation,
+                                                    chunk):
     monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
     cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=200.0, transient=60.0,
                  formulation=formulation)
