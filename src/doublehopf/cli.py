@@ -17,6 +17,7 @@ Errors exit nonzero after printing a machine-readable JSON object.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -77,10 +78,27 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_f(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        _csv_rows(fh, header, rows)
+
+
+def _csv_rows(fh, header: Sequence[str], rows) -> None:
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(_f(v) if isinstance(v, float) else str(v) for v in row))
+        fh.write("\n")
+
+
+@contextlib.contextmanager
+def _fresh_output(path: str):
+    """Open path for writing before a run; remove it if the block raises,
+    so a bad path fails before any step and a failed run leaves no output."""
+    with open(path, "w", newline="\n") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            Path(path).unlink()
+            raise
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -268,16 +286,10 @@ def cmd_simulate(args) -> int:
         params, args.x0, args.y0, args.h_div, args.t_end, args.transient,
         args.formulation,
     )
-    path = f"{args.out}.trajectory.csv"
-    with open(path, "w", newline="\n") as fh:
-        try:
-            rows = _TrajectoryRows(fh, cfg.h, cfg.n_delay, cfg.y0, args.stride)
-            # streamed: neither the run nor the CSV text is held
-            sec = nfde_sim.stream_section(cfg, args.direction, [rows])
-        except BaseException:
-            fh.close()
-            Path(path).unlink()  # no partial export of a failed run
-            raise
+    with _fresh_output(f"{args.out}.trajectory.csv") as fh:
+        rows = _TrajectoryRows(fh, cfg.h, cfg.n_delay, cfg.y0, args.stride)
+        # streamed: neither the run nor the CSV text is held
+        sec = nfde_sim.stream_section(cfg, args.direction, [rows])
     label_error = None
     try:
         label = nfde_sim.classify_section(sec)
@@ -311,44 +323,45 @@ def cmd_simulate(args) -> int:
 
 def cmd_line_t(args) -> int:
     iotas = [float(s) for s in args.iota.split(",") if s.strip() != ""]
-    hh = hopf_hopf.find_hopf_hopf(
-        args.epsilon, args.mu, args.j_plus, args.j_minus, *args.bracket
-    )
-    rows = nfde_sim.line_T_scan(
-        iotas,
-        hh=hh,
-        epsilon=args.epsilon,
-        mu=args.mu,
-        x0=args.x0,
-        y0=args.y0,
-        h_div=args.h_div,
-        t_end=args.t_end,
-        transient=args.transient,
-        delta0=args.delta0,
-        renorm_T=args.renorm_T,
-        n_renorm=args.n_renorm,
-        compute_exponent=not args.no_exponent,
-    )
-    rows = sorted(rows, key=lambda r: r.iota)
-    if args.format == "json":
-        table = []
-        for r in rows:
-            row = {"iota": r.iota, "k": r.k, "tau": r.tau, "label": r.label,
-                   "divergence_exponent": r.divergence_exponent}
-            if r.label_error:
-                row["label_error"] = r.label_error
-            table.append(row)
-        _write_json(args.out, {"rows": table})
-    else:
-        _write_csv(
-            args.out,
-            ["iota", "k", "tau", "label", "divergence_exponent"],
-            (
-                (r.iota, r.k, r.tau, "" if r.label is None else r.label,
-                 "" if r.divergence_exponent is None else _f(r.divergence_exponent))
-                for r in rows
-            ),
+    with _fresh_output(args.out) as fh:
+        hh = hopf_hopf.find_hopf_hopf(
+            args.epsilon, args.mu, args.j_plus, args.j_minus, *args.bracket
         )
+        rows = nfde_sim.line_T_scan(
+            iotas,
+            hh=hh,
+            epsilon=args.epsilon,
+            mu=args.mu,
+            x0=args.x0,
+            y0=args.y0,
+            h_div=args.h_div,
+            t_end=args.t_end,
+            transient=args.transient,
+            delta0=args.delta0,
+            renorm_T=args.renorm_T,
+            n_renorm=args.n_renorm,
+            compute_exponent=not args.no_exponent,
+        )
+        rows = sorted(rows, key=lambda r: r.iota)
+        if args.format == "json":
+            table = []
+            for r in rows:
+                row = {"iota": r.iota, "k": r.k, "tau": r.tau, "label": r.label,
+                       "divergence_exponent": r.divergence_exponent}
+                if r.label_error:
+                    row["label_error"] = r.label_error
+                table.append(row)
+            fh.write(_json_text({"rows": table}) + "\n")
+        else:
+            _csv_rows(
+                fh,
+                ["iota", "k", "tau", "label", "divergence_exponent"],
+                (
+                    (r.iota, r.k, r.tau, "" if r.label is None else r.label,
+                     "" if r.divergence_exponent is None else _f(r.divergence_exponent))
+                    for r in rows
+                ),
+            )
     return 0
 
 

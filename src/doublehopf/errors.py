@@ -51,6 +51,11 @@ class NonFiniteState(DoubleHopfError):
         super().__init__(message)
         self.time = time
 
+    def __reduce__(self):
+        # rebuilt from both arguments, so the error survives pickling (a
+        # run in a worker process raises it in its caller)
+        return type(self), (self.args[0], self.time)
+
 
 class InsufficientData(DoubleHopfError):
     """Too few section crossings for a reliable classification."""

@@ -43,13 +43,19 @@ needs O(N + _CHUNK) memory however long it is; a stored run
 (simulate_theta, simulate_neutral) is the stream plus a store, so it needs
 its own columns plus that.  Either way the samples are those of one
 unsplit stepper run, bit for bit.
+
+The scales of a line_T_scan are independent runs, so _map_runs runs them
+one per usable CPU in worker processes, each with the bits it has alone;
+the labels are assigned in the calling process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -1028,6 +1034,54 @@ class LineTRow:
     label_error: Optional[str] = None
 
 
+def _scale_run(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int,
+               compute_exponent: bool) -> Tuple[PoincareSection, Optional[float]]:
+    """One scale of line_T_scan: the section of cfg's streamed run and, when
+    compute_exponent, its divergence exponent (else None).
+
+    The run is its own exponent's reference (an _Exponent reader), unless it
+    ends before the last leg (t_end < transient + n_renorm*renorm_T); then a
+    standalone divergence_exponent follows the run, with the same result.
+    """
+    if not compute_exponent:
+        return stream_section(cfg, "both"), None
+    ex = _Exponent(cfg, delta0, renorm_T, n_renorm)
+    if ex.end <= _n_steps(cfg):
+        return stream_section(cfg, "both", [ex]), ex.rate()
+    return (stream_section(cfg, "both"),
+            divergence_exponent(cfg, delta0, renorm_T, n_renorm))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_runs(fn: Callable, items: Sequence) -> list:
+    """[fn(item) for item in items], in one worker process per usable CPU.
+
+    fn must be a module-level function (or a partial of one), and items and
+    results picklable.  With one worker -- one item or one usable CPU -- the
+    map runs in this process and no pool is made.  Results come in input
+    order.  The first exception in input order reaches the caller, with its
+    type, message and attributes, once the runs already started end; runs
+    not yet started are cancelled.
+    """
+    workers = min(len(items), _usable_cpus())
+    if workers <= 1:
+        return list(map(fn, items))
+    from concurrent.futures import ProcessPoolExecutor  # not paid at import
+
+    pool = ProcessPoolExecutor(workers)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def line_T_scan(
     iota_list: Iterable[float],
     hh: Optional[HopfHopfPoint] = None,
@@ -1053,12 +1107,13 @@ def line_T_scan(
     no label and a ``label_error``; the scan goes on.
 
     Every scale, and the exponent's arguments, are checked before any scale
-    is integrated.  Each run is streamed (stream_section) and is its own
-    exponent's reference: the exponent's reader (_Exponent) steps its clone
-    beside the run, so memory does not grow with t_end and the transient is
-    integrated once per scale.  A run that ends before the exponent's last
-    leg (t_end < transient + n_renorm*renorm_T) gets a standalone
-    divergence_exponent instead, with the same result.
+    is integrated.  Each scale is one _scale_run: its run is streamed
+    (stream_section) and is its own exponent's reference, so memory does
+    not grow with t_end and the transient is integrated once per scale.
+    The scales are independent, so they run one per usable CPU in worker
+    processes (_map_runs; in this process when there is one CPU or one
+    scale to run), and each gives the bits it gives alone.  Labels are
+    assigned here, in scale order.
     """
     if hh is None:
         hh = _hh_mod.find_hopf_hopf(epsilon, mu, 1, 1, 4.5, 5.2)
@@ -1079,20 +1134,15 @@ def line_T_scan(
         if compute_exponent:
             _leg_steps(cfg, delta0, renorm_T, n_renorm)
         todo.append((iota, cfg))
+    run = partial(_scale_run, delta0=delta0, renorm_T=renorm_T,
+                  n_renorm=n_renorm, compute_exponent=compute_exponent)
+    runs = iter(_map_runs(run, [cfg for _, cfg in todo if cfg is not None]))
     rows: List[LineTRow] = []
     for iota, cfg in todo:
         if cfg is None:
             rows.append(LineTRow(0.0, hh.k0, hh.tau0, "skipped_origin", None))
             continue
-        lam, readers = None, []
-        if compute_exponent:
-            ex = _Exponent(cfg, delta0, renorm_T, n_renorm)
-            readers = [ex] if ex.end <= _n_steps(cfg) else []
-        sec = stream_section(cfg, "both", readers)
-        if readers:
-            lam = ex.rate()
-        elif compute_exponent:  # the run ends before the last leg
-            lam = divergence_exponent(cfg, delta0, renorm_T, n_renorm)
+        sec, lam = next(runs)
         label = error = None
         try:
             label = classify_section(sec, divergence_exponent=lam)

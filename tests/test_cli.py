@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,48 @@ def test_blowup_maps_to_error_with_time(tmp_path, capsys, monkeypatch):
         assert err["error"] == "NonFiniteState"
         assert 0.0 < err["time"] < 50.0
         assert list(tmp_path.glob("b.*")) == []  # no partial export
+
+
+def test_line_t_blowup_is_the_same_error_at_one_and_two_cpus(tmp_path, capsys,
+                                                          monkeypatch):
+    # both scales blow up at once; at 2 CPUs each in its own worker process
+    out = tmp_path / "b.csv"
+    seen = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(nfde_sim, "_usable_cpus", lambda n=cpus: n)
+        code = run_cli("line-t", "--iota", "2.0,2.6", "--x0", "1e7",
+                       "--t-end", "100", "--transient", "50", "--no-exponent",
+                       "--out", str(out))
+        seen.append((code, capsys.readouterr().out))
+        assert not out.exists()  # no output of a failed scan
+    assert seen[0] == seen[1]
+    code, text = seen[0]
+    err = json.loads(text.strip().splitlines()[-1])
+    assert code == 1 and err["error"] == "NonFiniteState"
+    assert 0.0 < err["time"] < 1.0
+
+
+def test_line_t_bad_out_fails_before_any_step(tmp_path, capsys, monkeypatch):
+    def step(self, n):
+        raise AssertionError("stepped before opening --out")
+
+    monkeypatch.setattr(nfde_sim._ThetaStepper, "step", step)
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli("line-t", "--iota", "2.0,2.6", "--out", str(out)) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "FileNotFoundError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_no_process_pool():
+    # the pool machinery is imported by the first parallel map, not at start
+    code = ("import sys, doublehopf, doublehopf.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    src = str(Path(dh.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 def test_zero_start_stays_zero(tmp_path):

@@ -1,5 +1,7 @@
+import concurrent.futures
 import importlib.util
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 import doublehopf as dh
 from doublehopf import nfde_sim
 from doublehopf.chareq import SystemParams
-from doublehopf.errors import InsufficientData, NonFiniteState
+from doublehopf.errors import DoubleHopfError, InsufficientData, NonFiniteState
 from doublehopf.nfde_sim import PoincareSection, Trajectory
 
 from conftest import EPS, MU
@@ -165,6 +167,22 @@ def test_blowup_raises_with_time():
                                       formulation="neutral_form")
     with pytest.raises(NonFiniteState):
         dh.simulate_neutral(cfg_n)
+
+
+def _error_types(cls=DoubleHopfError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_types(sub)
+
+
+@pytest.mark.parametrize("cls", list(_error_types()), ids=lambda c: c.__name__)
+def test_errors_survive_pickling(cls):
+    # a run in a worker process raises its error in the caller by pickle
+    args = ("state overflow at t = 1.5", 1.5) if cls is NonFiniteState else ("m",)
+    exc = cls(*args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert (back.args, str(back), vars(back)) == (exc.args, str(exc), vars(exc))
 
 
 def test_poincare_synthetic_circle():
@@ -361,7 +379,8 @@ def test_nn_stats_blocks_match_whole_matrix(monkeypatch, block):
 
 @pytest.fixture
 def step_calls(monkeypatch):
-    """Counts _ThetaStepper.step calls (reference and clone legs alike)."""
+    """Counts _ThetaStepper.step calls in this process (reference and clone
+    legs alike)."""
     calls = []
     step = nfde_sim._ThetaStepper.step
 
@@ -377,6 +396,28 @@ def _n_steps(cfg):
     return int(round(cfg.t_end / cfg.h))
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the process pools created (each still runs)."""
+    made = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counted(workers):
+        made.append(workers)
+        return executor(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    return made
+
+
+def _labelled(sec, lam):
+    """(label, label_error) of a scale's section, as line_T_scan gives them."""
+    try:
+        return dh.classify_section(sec, divergence_exponent=lam), None
+    except InsufficientData as exc:
+        return None, f"InsufficientData: {exc}"
+
+
 @pytest.mark.parametrize("chunk", [7, 99, 101, 1 << 16])  # 7, N - 1, N + 1, 2^16
 @pytest.mark.parametrize("t_end", [2200.0, 600.0])
 def test_line_t_scan_steps_its_run_and_the_clone(hh, step_calls, monkeypatch,
@@ -388,23 +429,58 @@ def test_line_t_scan_steps_its_run_and_the_clone(hh, step_calls, monkeypatch,
     kw = dict(h_div=100, t_end=t_end, transient=400.0)
     cfgs = [cfg_at(hh, 0.1 * iota, 0.081 * iota, **kw) for iota in (2.0, 2.6)]
     assert {c.n_delay for c in cfgs} == {100}
-    rows = dh.line_T_scan([2.0, 2.6], hh=hh, renorm_T=5.0, **kw)
-    want = []
+    runs = []
     for cfg in cfgs:
         ex = nfde_sim._Exponent(cfg, 1e-9, 5.0, 50)
         if ex.end <= _n_steps(cfg):
             # the run is the reference: the exponent steps only its clone,
             # 50 legs beside the run
-            want.append(_n_steps(cfg) + 50 * ex.n_seg)
+            want = _n_steps(cfg) + 50 * ex.n_seg
         else:
             # 600 < 400 + 50 * 5: the run ends before the last leg, so a
             # standalone exponent streams its own reference
-            want.append(_n_steps(cfg) + ex.end + 50 * ex.n_seg)
-    assert sum(step_calls) == sum(want)
-    for row, cfg in zip(rows, cfgs):
+            want = _n_steps(cfg) + ex.end + 50 * ex.n_seg
+        step_calls.clear()
+        runs.append(nfde_sim._scale_run(cfg, 1e-9, 5.0, 50, True))
+        assert sum(step_calls) == want
+    # the scan's rows, wherever its runs ran, are those scale runs' results
+    rows = dh.line_T_scan([2.0, 2.6], hh=hh, renorm_T=5.0, **kw)
+    for row, cfg, (sec, lam) in zip(rows, cfgs, runs):
         assert (row.k, row.tau) == (cfg.params.k, cfg.params.tau)
+        assert row.divergence_exponent.hex() == lam.hex()
+        assert (row.label, row.label_error) == _labelled(sec, lam)
         alone = dh.divergence_exponent(cfg, 1e-9, 5.0, 50)
-        assert row.divergence_exponent.hex() == alone.hex()
+        assert lam.hex() == alone.hex()
+
+
+def _row_bits(rows):
+    return [(r.iota.hex(), r.k.hex(), r.tau.hex(), r.label, r.label_error,
+             None if r.divergence_exponent is None else r.divergence_exponent.hex())
+            for r in rows]
+
+
+def test_line_t_scan_rows_same_bits_at_one_and_two_cpus(hh, monkeypatch, pools):
+    # three runs on two workers, and the skipped origin between them
+    kw = dict(hh=hh, h_div=100, t_end=2200.0, transient=400.0, renorm_T=5.0)
+    bits = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(nfde_sim, "_usable_cpus", lambda n=cpus: n)
+        bits.append(_row_bits(dh.line_T_scan([2.6, 0.0, 2.0, 2.3], **kw)))
+    assert pools == [2]
+    assert bits[0] == bits[1]
+    assert [b[0] for b in bits[1]] == [i.hex() for i in (2.6, 0.0, 2.0, 2.3)]
+
+
+def test_one_scale_line_t_scan_runs_in_process(hh, monkeypatch, pools, step_calls):
+    # the origin needs no run, so one scale is left: no pool, and its steps
+    # are taken here
+    monkeypatch.setattr(nfde_sim, "_usable_cpus", lambda: 2)
+    rows = dh.line_T_scan([0.0, 2.0], hh=hh, h_div=100, t_end=40.0,
+                          transient=10.0, compute_exponent=False)
+    assert [r.iota for r in rows] == [0.0, 2.0]
+    assert pools == []
+    cfg = cfg_at(hh, 0.2, 0.162, h_div=100, t_end=40.0, transient=10.0)
+    assert sum(step_calls) == _n_steps(cfg)
 
 
 def test_divergence_exponent_memory_flat_in_the_transient(hh, monkeypatch):
@@ -468,11 +544,13 @@ def test_traced_line_t_scan_matches_untraced():
     dict(iota_list=[2.0, math.nan]), dict(iota_list=[2.0, math.inf]),
     dict(iota_list=[2.0, -math.inf]),
 ])
-def test_line_t_scan_checks_exponent_arguments_before_any_run(hh, step_calls, kw):
+def test_line_t_scan_checks_exponent_arguments_before_any_run(hh, step_calls, kw,
+                                                            monkeypatch, pools):
+    monkeypatch.setattr(nfde_sim, "_usable_cpus", lambda: 2)
     kw = {"iota_list": [2.0, 2.6], **kw}
     with pytest.raises(ValueError):
         dh.line_T_scan(hh=hh, h_div=100, t_end=2200.0, transient=400.0, **kw)
-    assert step_calls == []
+    assert step_calls == [] and pools == []
 
 
 def _section_hex(sec):
