@@ -154,12 +154,11 @@ def simulate_amplitude(
     params: Sequence[float],
     t_end: float,
     h: float,
-    store_stride: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-step fourth-order integration of the amplitude system.
 
     Radii are clamped at zero, keeping both axes exactly invariant.
-    Returns (times, path) with path sampled every ``store_stride`` steps.
+    Returns (times, path) sampled at every step.
     """
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
@@ -168,13 +167,10 @@ def simulate_amplitude(
     start = (s0.r1, s0.r2) if isinstance(s0, AmplitudeState) else (s0[0], s0[1])
     r1, r2 = float(start[0]), float(start[1])
     n = int(round(t_end / h))
-    kept = n // store_stride + 1
-    path = np.empty((kept, 2))
+    times = np.arange(n + 1) * h
+    path = np.empty((n + 1, 2))
     path[0] = (r1, r2)
-    times = np.empty(kept)
-    times[0] = 0.0
-    m = 1
-    for i in range(n):
+    for i in range(1, n + 1):
         k1a = r1 * (c1 + r1 * r1 + b0 * r2 * r2)
         k1b = r2 * (c2 + c0 * r1 * r1 + d0 * r2 * r2)
         xa = r1 + 0.5 * h * k1a
@@ -195,13 +191,10 @@ def simulate_amplitude(
             r1 = 0.0
         if r2 < 0.0:
             r2 = 0.0
-        if (i + 1) % store_stride == 0 and m < kept:
-            path[m] = (r1, r2)
-            times[m] = (i + 1) * h
-            m += 1
+        path[i] = (r1, r2)
         if r1 > 1e6 or r2 > 1e6:
-            return times[:m], path[:m]
-    return times[:m], path[:m]
+            return times[: i + 1], path[: i + 1]
+    return times, path
 
 
 def find_attractor(

@@ -454,10 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> None:
-    """Install the values of a ``--config`` file as subcommand defaults.
+    """Install a ``--config FILE`` (or ``--config=FILE``) file as defaults.
 
-    The file is named by ``--config FILE`` or ``--config=FILE``.  Explicit
-    flags still win, because they are parsed after this.
+    Each value stays a string, which argparse converts with the flag's own
+    ``type`` as it does any string default; ``choices`` are checked here, a
+    ``store_true`` flag takes true or false, and keys a parser lacks are
+    ignored.  Explicit flags win, because they are parsed after this.
     """
     for at, arg in enumerate(argv):
         if arg.startswith("--config="):
@@ -471,26 +473,23 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> None:
     else:
         return
     raw = _load_config(path)
-    typed = {}
-    for key, val in raw.items():
-        if key in ("bracket",):
-            typed[key] = _parse_bracket(val)
-        elif val.lower() in ("true", "false"):
-            typed[key] = val.lower() == "true"
-        else:
-            try:
-                typed[key] = int(val)
-            except ValueError:
-                try:
-                    typed[key] = float(val)
-                except ValueError:
-                    typed[key] = val
     sub = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
-    for sp in sub.choices.values():
-        known = {a.dest for a in sp._actions}
-        sp.set_defaults(**{k: v for k, v in typed.items() if k in known})
+    for p in (parser, *sub.choices.values()):
+        for action in p._actions:
+            val = raw.get(action.dest)
+            if val is None or not action.option_strings:
+                continue
+            where = f"{p.prog}: config {action.dest}"
+            if isinstance(action, argparse._StoreTrueAction):
+                if val.lower() not in ("true", "false"):
+                    raise ValueError(f"{where}: expected true or false, got {val!r}")
+                val = val.lower() == "true"
+            elif action.choices is not None and val not in action.choices:
+                raise ValueError(f"{where}: invalid choice {val!r}, choose from "
+                                 + ", ".join(map(repr, action.choices)))
+            p.set_defaults(**{action.dest: val})
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -283,14 +283,8 @@ class Trajectory:
         """The delay: params.tau, or n_delay * h for a synthetic trajectory."""
         return self.n_delay * self.h if self.params is None else self.params.tau
 
-    def eval_x(self, t: float) -> float:
-        return _dense(self.x, self.y, self.x0, t, self.h, len(self.x))
-
     def eval_y(self, t: float) -> float:
         return _dense(self.y, self.dy, self.y0, t, self.h, len(self.y))
-
-    def eval_y_delayed(self, t: float) -> float:
-        return self.eval_y(t - self.tau)
 
 
 class _Stepper:
@@ -828,6 +822,11 @@ def stream_section(
 
 
 _NN_BLOCK_ELEMS = 1 << 20  # pairwise distances held at once by _nn_stats
+# classify_section's thresholds: the last-50 spread of a periodic orbit, the
+# largest polygon gap / diameter of a closed curve, and the section size
+_TOL_POINT = 1e-4
+_TOL_CURVE = 0.25
+_MIN_CROSSINGS = 200
 
 
 def _nn_stats(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -851,11 +850,7 @@ def _nn_stats(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def classify_section(
-    sec: PoincareSection,
-    tol_point: float = 1e-4,
-    tol_curve: float = 0.25,
-    divergence_exponent: Optional[float] = None,
-    min_crossings: int = 200,
+    sec: PoincareSection, divergence_exponent: Optional[float] = None
 ) -> str:
     """Label the attractor type from the geometry of the section points.
 
@@ -866,17 +861,17 @@ def classify_section(
       decaying, or a crossing-amplitude envelope (decile maxima of |x|)
       that decreases strictly through the window: a trajectory still
       spiralling into the equilibrium.
-    * fixed_point      -- the last 50 crossings sit within ``tol_point``
+    * fixed_point      -- the last 50 crossings sit within ``_TOL_POINT``
       of their mean: a periodic orbit.
     * closed_curve     -- non-convergent points forming one closed loop:
-      the largest gap of the angle-ordered polygon is below ``tol_curve``
+      the largest gap of the angle-ordered polygon is below ``_TOL_CURVE``
       of the diameter (a quasi-periodic torus section).
     * curve_family / scattered -- multi-loop or space-filling sections,
       split by the divergence exponent when one is supplied (positive
       means scattered/chaotic), otherwise by local collinearity of
       nearest-neighbor triples (curve families remain locally 1-D).
 
-    Raises InsufficientData between 5 and ``min_crossings`` crossings.
+    Raises InsufficientData between 5 and ``_MIN_CROSSINGS`` crossings.
     """
     sel = sec.direction > 0
     if not np.any(sel):
@@ -898,12 +893,12 @@ def classify_section(
             if np.all(ratios <= 0.9999) and dec[-1] < 0.999 * dec[0]:
                 return "equilibrium_like"
 
-    if n < min_crossings:
-        raise InsufficientData(f"{n} crossings < {min_crossings} required")
+    if n < _MIN_CROSSINGS:
+        raise InsufficientData(f"{n} crossings < {_MIN_CROSSINGS} required")
 
     last = pts[-50:]
     spread = float(np.max(np.linalg.norm(last - last.mean(axis=0), axis=1)))
-    if spread < tol_point:
+    if spread < _TOL_POINT:
         return "fixed_point"
 
     center = pts.mean(axis=0)
@@ -912,7 +907,7 @@ def classify_section(
     poly = pts[order]
     edges = np.linalg.norm(np.diff(np.vstack([poly, poly[:1]]), axis=0), axis=1)
     diam = float(np.ptp(pts, axis=0).max())
-    if diam > 0.0 and float(edges.max()) / diam < tol_curve:
+    if diam > 0.0 and float(edges.max()) / diam < _TOL_CURVE:
         return "closed_curve"
 
     if divergence_exponent is not None:

@@ -251,56 +251,41 @@ def _gauss_nodes(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x - 1.0), 0.5 * w
 
 
-def _fd_deriv(f: Callable[[float], np.ndarray], s: float, h: float = 1e-4) -> np.ndarray:
-    # five-point central difference; adequate fallback for analytic rows
-    return (
-        -np.asarray(f(s + 2 * h))
-        + 8.0 * np.asarray(f(s + h))
-        - 8.0 * np.asarray(f(s - h))
-        + np.asarray(f(s - 2 * h))
-    ) / (12.0 * h)
-
-
 def bilinear_form(
     psi_row: Callable[[float], np.ndarray],
     phi_col: Callable[[float], np.ndarray],
     pieces: LinearPieces,
-    psi_row_deriv: Optional[Callable[[float], np.ndarray]] = None,
+    psi_row_deriv: Callable[[float], np.ndarray],
     n_nodes: int = 64,
-) -> complex:
-    """Neutral dual pairing of one adjoint row with one basis column.
+) -> complex | np.ndarray:
+    """Neutral dual pairing of adjoint rows with basis columns.
 
-    psi_row maps s in [0, 1] to a length-2 row, phi_col maps theta in
-    [-1, 0] to a length-2 column.  The delta masses reduce the pairing to
-    two point products plus one definite integral, evaluated by composite
-    Gauss-Legendre quadrature with ``n_nodes`` nodes.  When the exact row
-    derivative is not supplied it is approximated by central differences,
-    which requires psi_row to be evaluable slightly outside [0, 1].
+    psi_row maps s in [0, 1] to one length-2 row or an r x 2 block of rows,
+    and psi_row_deriv (required) to its exact s-derivative, of the same
+    shape.  phi_col maps theta in [-1, 0] to one length-2 column or a 2 x c
+    block of columns.  One row with one column pairs to a complex; blocks
+    pair to the r x c matrix of every row with every column.  The delta
+    masses reduce the pairing to two point products plus one definite
+    integral, evaluated by composite Gauss-Legendre quadrature with
+    ``n_nodes`` nodes.
     """
-    dpsi = psi_row_deriv if psi_row_deriv is not None else (
-        lambda s: _fd_deriv(psi_row, s)
-    )
     m = pieces.M
     b2 = pieces.B2
-    val = np.dot(psi_row(0.0), phi_col(0.0)) - np.dot(psi_row(0.0), m @ phi_col(-1.0))
+    val = psi_row(0.0) @ phi_col(0.0) - psi_row(0.0) @ (m @ phi_col(-1.0))
     nodes, weights = _gauss_nodes(n_nodes)
     for xi, w in zip(nodes, weights):
-        val += w * (
-            np.dot(psi_row(xi + 1.0), b2 @ phi_col(xi))
-            - np.dot(dpsi(xi + 1.0), m @ phi_col(xi))
-        )
-    return complex(val)
+        col = phi_col(xi)
+        val += w * (psi_row(xi + 1.0) @ (b2 @ col) - psi_row_deriv(xi + 1.0) @ (m @ col))
+    return val
 
 
-def duality_residual(basis: EigenBasis, n_nodes: int = 64) -> float:
-    """Max-norm of (Psi, Phi) - I; the joint test of Phi, Psi, D1, D2."""
-    gram = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        row = lambda s, i=i: basis.psi(s)[i]
-        drow = lambda s, i=i: basis.psi_deriv(s)[i]
-        for j in range(4):
-            col = lambda th, j=j: basis.phi(th)[:, j]
-            gram[i, j] = bilinear_form(row, col, basis.pieces, drow, n_nodes)
+def duality_residual(basis: EigenBasis) -> float:
+    """Max-norm of (Psi, Phi) - I; the joint test of Phi, Psi, D1, D2.
+
+    (Psi, Phi) is one block pairing: the 4 x 2 adjoint rows psi with their
+    exact derivative psi_deriv, against the 2 x 4 basis columns phi.
+    """
+    gram = bilinear_form(basis.psi, basis.phi, basis.pieces, basis.psi_deriv)
     return float(np.max(np.abs(gram - np.eye(4))))
 
 

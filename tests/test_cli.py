@@ -316,6 +316,58 @@ def test_config_file_defaults(tmp_path, capsys):
     assert len(rows) == 4 * 3
 
 
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    # a config value goes through the flag's own type, as the flag would
+    short = ("--no-exponent", "--t-end", "300", "--transient", "100", "--h-div", "200")
+    cfg = tmp_path / "iota.cfg"
+    cfg.write_text("iota=2.6\n")
+    assert run_cli("--config", str(cfg), "line-t", *short,
+                   "--out", str(tmp_path / "c.csv")) == 0
+    assert run_cli("line-t", "--iota", "2.6", *short,
+                   "--out", str(tmp_path / "f.csv")) == 0
+    assert (tmp_path / "c.csv").read_text() == (tmp_path / "f.csv").read_text()
+
+    sim = ("simulate", "--alpha1", "0.1", "--alpha2", "0.085")
+    cfg.write_text("stride=2.5\n")
+    assert run_cli("--config", str(cfg), *sim, "--out", str(tmp_path / "s")) == 2
+    from_config = capsys.readouterr().out
+    assert run_cli(*sim, "--stride", "2.5", "--out", str(tmp_path / "s")) == 2
+    assert from_config == capsys.readouterr().out
+    assert json.loads(from_config)["error"] == "ValueError"
+
+    cfg.write_text("j_plus=abc\n")
+    assert run_cli("--config", str(cfg), "analyze",
+                   "--out", str(tmp_path / "a.json")) == 2
+    from_config = capsys.readouterr().out
+    assert run_cli("analyze", "--j-plus", "abc",
+                   "--out", str(tmp_path / "a.json")) == 2
+    assert from_config == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "f.csv", "iota.cfg"]
+
+
+def test_config_format_and_choices(tmp_path, capsys):
+    cfg = tmp_path / "fmt.cfg"
+    cfg.write_text("format=json\nk_range=4.6:4.7:0.05\nj_max=0\n")
+    out = tmp_path / "h.json"
+    assert run_cli("--config", str(cfg), "hopf-curves", "--out", str(out)) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 2 * 3
+
+    # short runs, in case a bad value were let through
+    simulate = ("simulate", "--alpha1", "0.1", "--alpha2", "0.1", "--h-div", "50",
+                "--t-end", "20", "--transient", "5")
+    for key, bad, command in [
+        ("format", "xml", ("hopf-curves", "--k-range", "4.6:4.7:0.05")),
+        ("direction", "sideways", simulate),
+        ("no_exponent", "yes", ("line-t", "--iota", "0")),
+    ]:
+        cfg.write_text(f"{key}={bad}\n")
+        assert run_cli("--config", str(cfg), *command, "--out", str(tmp_path / "z")) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ValueError"
+        assert key in err["message"] and repr(bad) in err["message"]
+    assert not list(tmp_path.glob("z*"))
+
+
 def test_line_t_skipped_origin(tmp_path):
     out = tmp_path / "t.csv"
     assert run_cli("line-t", "--iota", "0", "--out", str(out)) == 0

@@ -91,13 +91,35 @@ def test_bilinear_form_linearity(basis):
     assert abs(scaled - c * base) < 1e-13 * max(1.0, abs(base))
 
 
-def test_bilinear_form_finite_difference_fallback(basis):
-    row = lambda s: basis.psi(s)[0]
-    drow = lambda s: basis.psi_deriv(s)[0]
+@pytest.mark.parametrize("j_plus,j_minus", [(1, 1), (2, 1), (3, 1), (3, 2)])
+def test_block_pairing_matches_entrywise(j_plus, j_minus):
+    hh = dh.find_hopf_hopf(EPS, MU, j_plus, j_minus, 2.72, 9.99)
+    b = dh.eigenbasis(hh, EPS, MU)
+    ref = np.empty((4, 4), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            ref[i, j] = bilinear_form(
+                lambda s: b.psi(s)[i], lambda th: b.phi(th)[:, j], b.pieces,
+                lambda s: b.psi_deriv(s)[i],
+            )
+    gram = bilinear_form(b.psi, b.phi, b.pieces, b.psi_deriv)
+    assert gram.shape == (4, 4)
+    assert np.max(np.abs(gram - ref)) <= 1e-15
+    assert dh.duality_residual(b) == float(np.max(np.abs(gram - np.eye(4))))
+
+
+def test_one_row_block_matches_vector_call(basis):
+    row = lambda s: basis.psi(s)[2]
+    drow = lambda s: basis.psi_deriv(s)[2]
     col = lambda th: basis.phi(th)[:, 1]
-    exact = bilinear_form(row, col, basis.pieces, drow)
-    fallback = bilinear_form(row, col, basis.pieces)
-    assert abs(exact - fallback) < 1e-9
+    vec = bilinear_form(row, col, basis.pieces, drow)
+    block = bilinear_form(
+        lambda s: row(s)[None, :], lambda th: col(th)[:, None], basis.pieces,
+        lambda s: drow(s)[None, :],
+    )
+    assert isinstance(vec, complex)
+    assert block.shape == (1, 1)
+    assert abs(block[0, 0] - vec) <= 1e-15
 
 
 def test_duality_detects_wrong_normalizer(basis):
@@ -111,8 +133,9 @@ def test_duality_detects_wrong_normalizer(basis):
 def test_duality_detects_swapped_roles(basis):
     # feeding basis columns as adjoint rows is far from the identity
     row = lambda s: basis.phi(-s)[:, 0]
+    drow = lambda s: -basis.B[0, 0] * basis.phi(-s)[:, 0]
     col = lambda th: basis.psi(-th)[0]
-    val = bilinear_form(row, col, basis.pieces)
+    val = bilinear_form(row, col, basis.pieces, drow)
     assert abs(val - 1.0) >= 0.1
 
 
