@@ -260,7 +260,7 @@ class _TrajectoryRows:
         self.next = 0  # the next row's sample index
         fh.write("t,x,y,theta,y_delayed\n")
 
-    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
+    def __call__(self, base, x, y, dy, theta, dtheta) -> None:
         idx = np.arange(self.next, base + len(x), self.stride)
         if not len(idx):
             return

@@ -34,10 +34,11 @@ crossings to |y| < 1e-9 by bisection.
 
 One engine, _stream, integrates every run of either formulation: its
 stepper runs in chunks of _CHUNK steps, and after each chunk its readers
--- the section's crossing collector, the divergence exponent (whose
-perturbed clone steps beside the run), trajectory CSV rows, the columns of
-a stored run -- read that chunk plus the trailing delay window (a neutral
-run's theta is rebuilt per chunk by the memory recursion).  A streamed run
+-- the section's crossing collector, the divergence exponent (which
+restarts a perturbed twin from the run's window at every leg end and steps
+it beside the run), trajectory CSV rows, the columns of a stored run --
+read that chunk plus the trailing delay window.  Both steppers write theta
+per block, so every reader gets it from either formulation.  A streamed run
 (stream_section, divergence_exponent; line_T_scan and the CLI's simulate)
 needs O(N + _CHUNK) memory however long it is; a stored run
 (simulate_theta, simulate_neutral) is the stream plus a store, so it needs
@@ -61,7 +62,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import hopf_hopf as _hh_mod
 from .chareq import SystemParams, check_hypotheses
 from .errors import HypothesisViolated, InsufficientData, NonFiniteState
 from .hopf_hopf import HopfHopfPoint
@@ -147,15 +147,15 @@ def _hermite(off: float, h: float, v0: float, v1: float, d0: float, d1: float) -
 def _dense(vals, derivs, hist: float, t: float, h: float, n: int, base: int = 0) -> float:
     """Dense output at time t of an n-sample run on the grid 0, h, 2h, ...
 
-    vals and derivs hold the samples base, base + 1, ... of the run; hist is
-    the constant history value for t <= 0.  Past the last grid interval the
-    last sample is returned (vals must then end with it).
+    vals and derivs hold the samples base, base + 1, ... of the run, and
+    possibly samples past its end; hist is the constant history value for
+    t <= 0.  Past the last grid interval sample n - 1 is returned.
     """
     if t <= 0.0:
         return hist
     i = int(t / h)
     if i >= n - 1:
-        return float(vals[-1])
+        return float(vals[n - 1 - base])
     a = i - base
     return _hermite(t - i * h, h, vals[a], vals[a + 1], derivs[a], derivs[a + 1])
 
@@ -243,10 +243,6 @@ class Trajectory:
         return np.arange(len(self.x)) * self.h
 
     @property
-    def t_end(self) -> float:
-        return (len(self.x) - 1) * self.h
-
-    @property
     def theta(self) -> np.ndarray:
         if self._theta is None:
             self._theta = self._rebuild_memory(self.x, self.x0)
@@ -307,7 +303,6 @@ class _Stepper:
     """
 
     _BUFFERS: Tuple[str, ...] = ()
-    _LEAD = 0  # samples before the trailing delay window that step reads
 
     def step(self, n: int) -> None:
         N, j, j1 = self.N, self.j, self.j + n
@@ -333,10 +328,11 @@ class _Stepper:
         return [np.frombuffer(getattr(self, name), np.float64)
                 for name in self._BUFFERS]
 
-    def trim(self, lead: int = 0) -> None:
-        """Drop samples before the trailing window and the ``lead`` (at least
-        _LEAD) before it."""
-        a = self.j - self.N - max(lead, self._LEAD)
+    def trim(self) -> None:
+        """Drop all but the trailing N + 3 samples: the delay window, and the
+        two before it that the neutral y' stencil and a section's delayed
+        values read."""
+        a = self.j - self.N - 2
         if a <= 0:
             return
         for name in self._BUFFERS:
@@ -349,9 +345,8 @@ class _ThetaStepper(_Stepper):
     """Incremental theta-form integrator.
 
     Steps every theta-form run (see _stream) and the divergence exponent's
-    clone (see _Exponent).  The exponent perturbs and rescales whole history
-    windows between the clone's legs, so the trailing window is exposed for
-    read/overwrite and the prefix can be trimmed to cap memory.
+    twin (see _Exponent), which starts each leg from a perturbed or rescaled
+    delay window (at_window) and is read back through window().
     """
 
     _BUFFERS = ("xs", "ys", "dys", "ths", "dths")
@@ -375,8 +370,9 @@ class _ThetaStepper(_Stepper):
         return -p.epsilon * (x * x - 1.0) * y - x + p.epsilon * p.k * th
 
     def _k1y(self, j: int, x: float, y: float) -> float:
-        # recomputed from the state and node a, not read from dys: set_window
-        # may have left dys inconsistent with the theta recursion
+        # recomputed from the state and node a, not read from dys: a window
+        # given to at_window need not satisfy the theta recursion, so its
+        # last y' need not be this slope
         th_a = self.x0 if j < self.N else self.ths[j - self.N]
         return self._dy(x, y, (1.0 - self.p.mu) * x + self.p.mu * th_a)
 
@@ -433,49 +429,35 @@ class _ThetaStepper(_Stepper):
     @classmethod
     def at_window(cls, p: SystemParams, x0: float, y0: float, h: float,
                   xw, yw, thw, dthw) -> "_ThetaStepper":
-        """A stepper at j = N whose buffers hold just the given delay window."""
+        """A stepper at j = N whose buffers hold just the given delay window
+        of x, y, theta and theta'; y' is recomputed pointwise."""
         st = cls(p, x0, y0, h)
-        st.xs, st.ys, st.ths, st.dys, st.dths = (
-            array("d", bytes(8 * (st.N + 1))) for _ in range(5)
-        )
+        x, y, th, dth = (np.asarray(v, dtype=np.float64) for v in (xw, yw, thw, dthw))
+        st.xs, st.ys, st.ths, st.dths, st.dys = (
+            array("d", v.tobytes()) for v in (x, y, th, dth, st._dy(x, y, th)))
         st.j = st.N
-        st.set_window(xw, yw, thw, dthw)
         return st
-
-    def _window_slice(self) -> slice:
-        a = self.j - self.N
-        if a < 0:
-            raise ValueError("window not yet filled")
-        return slice(a, self.j + 1)
 
     def window(self) -> Tuple[np.ndarray, ...]:
         """Copies of (x, y, theta, dtheta) on the trailing delay window."""
-        sl = self._window_slice()
+        a = self.j - self.N
         return tuple(
-            np.frombuffer(arr, np.float64)[sl].copy()
+            np.frombuffer(arr, np.float64)[a : self.j + 1].copy()
             for arr in (self.xs, self.ys, self.ths, self.dths)
         )
-
-    def set_window(self, xw, yw, thw, dthw) -> None:
-        """Overwrite the trailing window; dy is recomputed pointwise."""
-        sl = self._window_slice()
-        x, y, th, dth = (np.asarray(v, dtype=np.float64) for v in (xw, yw, thw, dthw))
-        dy = self._dy(x, y, th)
-        for buf, vals in ((self.xs, x), (self.ys, y), (self.ths, th),
-                          (self.dths, dth), (self.dys, dy)):
-            np.frombuffer(buf, np.float64)[sl] = vals
 
 
 class _NeutralStepper(_Stepper):
     """Incremental neutral-form integrator of x, y and y'.
 
-    Steps every neutral-form run (see _stream).  The midpoint's
-    y' stencil reads back to two samples before the delayed node, so trim
-    keeps those (_LEAD).
+    Steps every neutral-form run (see _stream).  The midpoint's y' stencil
+    reads back to two samples before the delayed node (trim keeps them).
+    theta is not part of the state; each block writes it by the memory
+    recursion, as the theta-form stepper does, so the stream's readers get
+    the same column from either formulation.
     """
 
-    _BUFFERS = ("xs", "ys", "dys")
-    _LEAD = 2
+    _BUFFERS = ("xs", "ys", "dys", "ths")
 
     def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
         eps, mu = p.epsilon, p.mu
@@ -494,6 +476,8 @@ class _NeutralStepper(_Stepper):
         self.xs = array("d", [x0])
         self.ys = array("d", [y0])
         self.dys = array("d", [self.dy_h])
+        # sample 0 by the recursion with history x0, as Trajectory.theta has it
+        self.ths = array("d", [(1.0 - mu) * x0 + mu * x0])
         self.j = 0
         self.base = 0
 
@@ -578,10 +562,11 @@ class _NeutralStepper(_Stepper):
             k1y = c_x * x + eps * y + bA - bB - eps * x * x * y + bC + bD
             xs[i] = x
             ys[i] = y
-        xv, yv, dy = self._columns()
+        xv, yv, dy, th = (c[: e + 1] for c in self._columns())
         bA, bB, bC, bD = terms[4:]
-        xn, yn = xv[j + 1 : e + 1], yv[j + 1 : e + 1]
-        dy[j + 1 : e + 1] = c_x * xn + eps * yn + bA - bB - eps * xn * xn * yn + bC + bD
+        xn, yn = xv[j + 1 :], yv[j + 1 :]
+        dy[j + 1 :] = c_x * xn + eps * yn + bA - bB - eps * xn * xn * yn + bC + bD
+        _fill_memory(th, xv, j + 1, self.p.mu, self.N, self.x0, self.base)
         return x, y, k1y
 
 
@@ -602,7 +587,7 @@ class _Store:
         self.cols = [np.empty(n) for _ in range(n_cols)]
         self.next = 0  # first run sample not yet copied
 
-    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
+    def __call__(self, base, x, y, dy, theta, dtheta) -> None:
         lo, hi = self.next, base + len(x)
         for dst, src in zip(self.cols, (x, y, dy, theta, dtheta)):
             dst[lo:hi] = src[lo - base :]
@@ -616,39 +601,30 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
     """Integrate cfg in chunks of _CHUNK steps, keeping only the last one.
 
     The stepper is cfg.formulation's.  After each chunk every reader is
-    called as ``reader(base, x, y, dy, theta, dtheta, final)``: numpy views
-    of the samples base, base + 1, ... up to the last step so far, with
-    final true after the last chunk.  A neutral run has no dtheta (None);
-    its theta is rebuilt per chunk by the memory recursion, with the bits of
-    Trajectory.theta.  A reader must copy what it keeps, because the stepper
-    then drops all but the trailing N + 3 samples (the delay window and the
-    two before it), which every later block starts with, and grows its
+    called as ``reader(base, x, y, dy, theta, dtheta)``: numpy views of the
+    samples base, base + 1, ... up to the last step so far.  A neutral run
+    has no dtheta (None); its theta, written per block by the stepper, has
+    the bits of Trajectory.theta.  A reader that needs the run's end works
+    it out from its own sample count.  A reader must copy what it keeps,
+    because the stepper then drops all but the trailing N + 3 samples (see
+    _Stepper.trim), which every later block starts with, and grows its
     buffers again.  The steps are those of one unsplit stepper run, bit for
     bit, and a blow-up raises at the same time with the same message.
     """
-    neutral = cfg.formulation == "neutral_form"
-    stepper = _NeutralStepper if neutral else _ThetaStepper
+    stepper = _NeutralStepper if cfg.formulation == "neutral_form" else _ThetaStepper
     st = stepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
-    theta, theta_base = np.empty(0), 0  # neutral theta of the last block
     left = _n_steps(cfg)
     while True:
         n = min(_CHUNK, left)
         st.step(n)
         left -= n
-        cols = [np.frombuffer(getattr(st, name), np.float64) for name in st._BUFFERS]
-        if neutral:
-            kept = theta[st.base - theta_base :]
-            theta, theta_base = np.empty(len(cols[0])), st.base
-            theta[: len(kept)] = kept
-            _fill_memory(theta, cols[0], len(kept), cfg.params.mu, st.N, cfg.x0,
-                         st.base)
-            cols += [theta, None]
+        cols = (st._columns() + [None])[:5]  # a neutral run has no dtheta
         for read in readers:
-            read(st.base, *cols, left == 0)
+            read(st.base, *cols)
         del cols  # views block the buffers' next growth
         if left == 0:
             return
-        st.trim(2)
+        st.trim()
 
 
 def _stored(cfg: SimConfig) -> Trajectory:
@@ -710,12 +686,13 @@ class _Crossings:
     """Crossings of the section y = 0 after ``transient``, collected from
     consecutive blocks of an n-sample run.
 
-    Called as a run reader (see _stream).  Sign changes on the grid
-    are refined by bisection (at most 40 halvings) on the Hermite
-    interpolant; a grid node where y is exactly zero counts once, by the
-    sign change across it.  A grid interval or node i is examined once
-    sample i + 2 is in (its crossing's dense output may read it), or at the
-    end of the run; its delayed value reads back to sample i - N - 1.
+    Called as a run reader (see _stream); the stream may go on past sample
+    n - 1, and what follows it is ignored.  Sign changes on the grid are
+    refined by bisection (at most 40 halvings) on the Hermite interpolant;
+    a grid node where y is exactly zero counts once, by the sign change
+    across it.  A grid interval or node i is examined once sample i + 2 is
+    in (its crossing's dense output may read it), or once sample n - 1 is;
+    its delayed value reads back to sample i - N - 1.
     """
 
     def __init__(self, h: float, tau: float, n: int, transient: float,
@@ -728,14 +705,14 @@ class _Crossings:
         self.zeros: List[Tuple[float, float, float, int]] = []
         self.norm_first = self.norm_last = 0.0
 
-    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
+    def __call__(self, base, x, y, dy, theta, dtheta) -> None:
         h, n, j0 = self.h, self.n, self.j0
         last = base + len(y) - 1
         if base <= j0 <= last:
             self.norm_first = math.hypot(x[j0 - base], y[j0 - base])
-        if final:
-            self.norm_last = math.hypot(x[-1], y[-1])
-        stop = n - 1 if final else last - 1
+        if base <= n - 1 <= last:
+            self.norm_last = math.hypot(x[n - 1 - base], y[n - 1 - base])
+        stop = n - 1 if last >= n - 1 else last - 1
         lo = self.next
         if stop <= lo:
             return
@@ -801,7 +778,7 @@ def poincare(
     """
     _check_direction(direction)
     sec = _Crossings(traj.h, traj.tau, len(traj), transient, traj.x0, traj.y0)
-    sec(0, traj.x, traj.y, traj.dy, None, None, True)
+    sec(0, traj.x, traj.y, traj.dy, None, None)
     return sec.section(direction)
 
 
@@ -938,11 +915,12 @@ class _Exponent:
     """Run reader that estimates the divergence exponent of the theta-form
     run it reads (see divergence_exponent and _stream).
 
-    When the run passes step _transient_steps(cfg) it builds the clone from
-    the run's delay window offset by delta0.  At each of the ``n_renorm``
-    later leg ends, ``n_seg`` steps apart, it steps the clone one leg, logs
-    the rate and pulls the clone back to distance delta0.  The run must
-    reach step ``end``, the last leg end.
+    At step _transient_steps(cfg) and at each of the ``n_renorm`` leg ends
+    after it, ``n_seg`` steps apart, it starts a twin from a window of the
+    run (_ThetaStepper.at_window): the run's window offset by delta0 at the
+    first, and at each later one, after stepping the last twin one leg and
+    logging its rate, the run's window plus the twin's separation rescaled
+    to delta0.  The run must reach step ``end``, the last leg end.
     """
 
     def __init__(self, cfg: SimConfig, delta0: float, renorm_T: float,
@@ -952,36 +930,31 @@ class _Exponent:
         n_tr = _transient_steps(cfg)
         self.end = n_tr + n_renorm * n_seg
         self.pending = list(range(self.end, n_tr - 1, -n_seg))  # popped from the end
-        self.clone: Optional[_ThetaStepper] = None
+        self.twin: Optional[_ThetaStepper] = None
         self.rates: List[float] = []
 
-    def __call__(self, base, x, y, dy, theta, dtheta, final) -> None:
+    def __call__(self, base, x, y, dy, theta, dtheta) -> None:
         cfg, delta0 = self.cfg, self.delta0
         last = base + len(x) - 1
         while self.pending and self.pending[-1] <= last:
             j = self.pending.pop()
             a = j - cfg.n_delay - base
             xr, yr, thr, dthr = (c[a : j + 1 - base] for c in (x, y, theta, dtheta))
-            clone = self.clone
-            if clone is None:
+            if self.twin is None:
                 # uniform x-offset; the memory recursion's fixed point shifts
                 # identically
-                self.clone = _ThetaStepper.at_window(
-                    cfg.params, cfg.x0, cfg.y0, cfg.h,
-                    xr + delta0, yr, thr + delta0, dthr)
-                continue
-            clone.step(self.n_seg)
-            xc, yc, thc, dthc = clone.window()
-            sep = max(float(np.max(np.abs(xc - xr))), float(np.max(np.abs(yc - yr))))
-            if sep == 0.0:
-                sep = 5e-324  # denormal floor; identical twins mean total collapse
-            self.rates.append(math.log(sep / delta0) / (self.n_seg * cfg.h))
-            s = delta0 / sep
-            clone.set_window(
-                xr + s * (xc - xr), yr + s * (yc - yr),
-                thr + s * (thc - thr), dthr + s * (dthc - dthr),
-            )
-            clone.trim()
+                win = (xr + delta0, yr, thr + delta0, dthr)
+            else:
+                self.twin.step(self.n_seg)
+                xc, yc, thc, dthc = self.twin.window()
+                sep = max(float(np.max(np.abs(xc - xr))), float(np.max(np.abs(yc - yr))))
+                if sep == 0.0:
+                    sep = 5e-324  # denormal floor; identical twins mean total collapse
+                self.rates.append(math.log(sep / delta0) / (self.n_seg * cfg.h))
+                s = delta0 / sep
+                win = (xr + s * (xc - xr), yr + s * (yc - yr),
+                       thr + s * (thc - thr), dthr + s * (dthc - dthr))
+            self.twin = _ThetaStepper.at_window(cfg.params, cfg.x0, cfg.y0, cfg.h, *win)
 
     def rate(self) -> float:
         """The mean of the leg rates."""
@@ -1034,17 +1007,19 @@ def _scale_run(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int,
     """One scale of line_T_scan: the section of cfg's streamed run and, when
     compute_exponent, its divergence exponent (else None).
 
-    The run is its own exponent's reference (an _Exponent reader), unless it
-    ends before the last leg (t_end < transient + n_renorm*renorm_T); then a
-    standalone divergence_exponent follows the run, with the same result.
+    The run is its own exponent's reference (an _Exponent reader).  A run
+    that ends before the last leg (t_end < transient + n_renorm*renorm_T)
+    streams on to it, and its section still ends at t_end.  Either way the
+    results are those of stream_section and divergence_exponent, bit for
+    bit, and the reference is stepped once.
     """
     if not compute_exponent:
         return stream_section(cfg, "both"), None
     ex = _Exponent(cfg, delta0, renorm_T, n_renorm)
-    if ex.end <= _n_steps(cfg):
-        return stream_section(cfg, "both", [ex]), ex.rate()
-    return (stream_section(cfg, "both"),
-            divergence_exponent(cfg, delta0, renorm_T, n_renorm))
+    sec = _Crossings(cfg.h, cfg.params.tau, _n_steps(cfg) + 1, cfg.transient,
+                     cfg.x0, cfg.y0)
+    _stream(replace(cfg, t_end=max(_n_steps(cfg), ex.end) * cfg.h), [sec, ex])
+    return sec.section("both"), ex.rate()
 
 
 def _usable_cpus() -> int:
@@ -1079,7 +1054,7 @@ def _map_runs(fn: Callable, items: Sequence) -> list:
 
 def line_T_scan(
     iota_list: Iterable[float],
-    hh: Optional[HopfHopfPoint] = None,
+    hh: HopfHopfPoint,
     epsilon: float = 0.1,
     mu: float = 0.5,
     x0: float = 0.1,
@@ -1101,17 +1076,17 @@ def line_T_scan(
     itself and is skipped.  A scale whose section is too short to label gets
     no label and a ``label_error``; the scan goes on.
 
+    ``hh`` is the double-Hopf point the ray starts from (find_hopf_hopf).
     Every scale, and the exponent's arguments, are checked before any scale
-    is integrated.  Each scale is one _scale_run: its run is streamed
-    (stream_section) and is its own exponent's reference, so memory does
-    not grow with t_end and the transient is integrated once per scale.
+    is integrated.  Each scale is one _scale_run: its run is streamed and
+    is its own exponent's reference (a run shorter than the exponent's last
+    leg streams on to it), so memory does not grow with t_end and the
+    reference is integrated once per scale.
     The scales are independent, so they run one per usable CPU in worker
     processes (_map_runs; in this process when there is one CPU or one
     scale to run), and each gives the bits it gives alone.  Labels are
     assigned here, in scale order.
     """
-    if hh is None:
-        hh = _hh_mod.find_hopf_hopf(epsilon, mu, 1, 1, 4.5, 5.2)
     todo = []
     for iota in iota_list:
         if not math.isfinite(iota):

@@ -181,7 +181,6 @@ class ViaLines:
     """The eight case-VIa rays, ordered L1..L8 counterclockwise."""
 
     lines: Tuple[ViaLine, ...]
-    unfolding: UnfoldingParams
 
     def __getitem__(self, name: str) -> ViaLine:
         for ln in self.lines:
@@ -422,7 +421,7 @@ def via_lines(u: UnfoldingParams) -> ViaLines:
     for name, m1, m2, half, tangent in defs:
         slope, half_plane, angle = _alpha_ray(u, m1, m2, half)
         lines.append(ViaLine(name, slope, half_plane, angle, tangent))
-    return ViaLines(tuple(lines), u)
+    return ViaLines(tuple(lines))
 
 
 def region_of(

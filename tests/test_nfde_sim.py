@@ -432,14 +432,10 @@ def test_line_t_scan_steps_its_run_and_the_clone(hh, step_calls, monkeypatch,
     runs = []
     for cfg in cfgs:
         ex = nfde_sim._Exponent(cfg, 1e-9, 5.0, 50)
-        if ex.end <= _n_steps(cfg):
-            # the run is the reference: the exponent steps only its clone,
-            # 50 legs beside the run
-            want = _n_steps(cfg) + 50 * ex.n_seg
-        else:
-            # 600 < 400 + 50 * 5: the run ends before the last leg, so a
-            # standalone exponent streams its own reference
-            want = _n_steps(cfg) + ex.end + 50 * ex.n_seg
+        # the run is the reference, stepped once: the exponent steps only
+        # its twin, 50 legs beside the run; at t_end 600 < 400 + 50 * 5 the
+        # run ends before the last leg and streams on to it
+        want = max(_n_steps(cfg), ex.end) + 50 * ex.n_seg
         step_calls.clear()
         runs.append(nfde_sim._scale_run(cfg, 1e-9, 5.0, 50, True))
         assert sum(step_calls) == want
@@ -514,7 +510,8 @@ def _load_tracing():
 def test_traced_line_t_scan_matches_untraced():
     # perfbench's tracer binds every parameter of divergence_exponent
     # and the other traced functions; a traced scan must run unchanged
-    kw = dict(h_div=100, t_end=2200.0, transient=400.0, renorm_T=5.0)
+    hh = dh.find_hopf_hopf(EPS, MU, 1, 1, 4.5, 5.2)
+    kw = dict(hh=hh, h_div=100, t_end=2200.0, transient=400.0, renorm_T=5.0)
     plain = dh.line_T_scan([2.0, 2.6], **kw)
     with _load_tracing().Tracer() as tracer:
         traced = dh.line_T_scan([2.0, 2.6], **kw)
@@ -694,6 +691,7 @@ def test_stored_run_matches_one_unsplit_stepper_run(hh, monkeypatch, formulation
         cols += [traj.theta, traj.dtheta]
     else:
         assert traj._theta is None and traj._dtheta is None  # rebuilt on read
+        cols += [traj.theta]  # the stepper's theta is that rebuild
     assert len(cols) == len(st._BUFFERS)
     for got, name in zip(cols, st._BUFFERS):
         assert got.tobytes() == getattr(st, name).tobytes(), name

@@ -1,11 +1,13 @@
 """The streamlined RK4 loops against frozen copies of the plain loops.
 
 The oracles below are the straightforward versions of
-``_ThetaStepper.step``, ``_ThetaStepper.set_window`` and a whole
-neutral-form run (``_NeutralStepper.step``), kept verbatim: one ``g(...)``
-call per stage, every delayed node read from the buffers, the modulo
-stencil choice and an element loop.  The integrators must reproduce them
-bit for bit, including where and how they raise.
+``_ThetaStepper.step``, of writing a delay window into a theta-form
+stepper (which ``_ThetaStepper.at_window`` does), of a whole neutral-form
+run (``_NeutralStepper.step``) and of the renormalised twin exponent,
+kept verbatim: one ``g(...)`` call per stage, every delayed node read from
+the buffers, the modulo stencil choice and an element loop.  The
+integrators and the divergence exponent must reproduce them bit for bit,
+including where and how they raise.
 """
 
 import gc
@@ -92,6 +94,35 @@ def oracle_set_window(self, xw, yw, thw, dthw) -> None:
         self.dys[a + i] = (
             -p.epsilon * (xi * xi - 1.0) * yi - xi + p.epsilon * p.k * ti
         )
+
+
+def oracle_exponent(cfg: SimConfig, delta0: float, renorm_T: float,
+                    n_renorm: int) -> float:
+    """The mean leg rate of the renormalised twin, step by step.
+
+    The reference is stepped by oracle_step through the transient; the twin
+    starts from its window offset by delta0 (_oracle_at_window).  Each leg
+    steps both, logs log(sep/delta0)/(n_seg*h) of the window separation and
+    pulls the twin's window back to distance delta0 in place.
+    """
+    p, h = cfg.params, cfg.h
+    n_seg = max(1, int(round(renorm_T / h)))
+    ref = nfde_sim._ThetaStepper(p, cfg.x0, cfg.y0, h)
+    oracle_step(ref, max(int(math.ceil(cfg.transient / h)), ref.N))
+    xr, yr, thr, dthr = ref.window()
+    twin = _oracle_at_window(p, h, [xr + delta0, yr, thr + delta0, dthr])
+    rates = []
+    for _ in range(n_renorm):
+        oracle_step(ref, n_seg)
+        oracle_step(twin, n_seg)
+        xr, yr, thr, dthr = ref.window()
+        xc, yc, thc, dthc = twin.window()
+        sep = max(float(np.max(np.abs(xc - xr))), float(np.max(np.abs(yc - yr))))
+        rates.append(math.log(sep / delta0) / (n_seg * h))
+        s = delta0 / sep
+        oracle_set_window(twin, xr + s * (xc - xr), yr + s * (yc - yr),
+                          thr + s * (thc - thr), dthr + s * (dthc - dthr))
+    return float(np.mean(rates))
 
 
 def oracle_run_neutral(cfg: SimConfig) -> Trajectory:
@@ -230,27 +261,26 @@ def test_one_call_equals_oracle_over_a_long_run(hh):
     _assert_same_buffers(st, ref)
 
 
-def test_random_window_overwrites(hh):
-    # overwritten windows break the theta recursion and leave y' stale, so
-    # k1y must come from the state on entry, not from a carried value
+def test_random_windows_through_at_window(hh):
+    # random windows break the theta recursion and leave y' stale, so k1y
+    # must come from the state on entry, not from a carried value
     p = _params(hh, 0.2, 0.164)
-    st, ref = _stepper_pair(p, p.tau / 20)
-    N = st.N
-    st.step(N + 3)
-    oracle_step(ref, N + 3)
+    N = 20
+    h = p.tau / N
     rng = np.random.default_rng(20)
     for _ in range(20):
         win = [rng.standard_normal(N + 1) * s for s in (1.0, 1.0, 1.0, 0.5)]
-        st.set_window(*win)
-        oracle_set_window(ref, *win)
+        st = nfde_sim._ThetaStepper.at_window(p, 0.1, 0.0, h, *win)
+        ref = _oracle_at_window(p, h, win)
         _assert_same_buffers(st, ref)
-        n = int(rng.integers(1, 3 * N))
-        st.step(n)
-        oracle_step(ref, n)
-        _assert_same_buffers(st, ref)
-        if rng.random() < 0.5:
-            st.trim()
-            ref.trim()
+        for _ in range(2):
+            n = int(rng.integers(1, 3 * N))
+            st.step(n)
+            oracle_step(ref, n)
+            _assert_same_buffers(st, ref)
+            if rng.random() < 0.5:
+                st.trim()
+                ref.trim()
 
 
 def test_window_copy_round_trip_is_exact(hh):
@@ -259,12 +289,14 @@ def test_window_copy_round_trip_is_exact(hh):
     st.step(45)
     twin = nfde_sim._ThetaStepper.at_window(p, 0.1, 0.0, st.h, *st.window())
     assert twin.j == twin.N and len(twin.xs) == twin.N + 1
-    st.trim()
-    # at_window recomputes y' the way set_window does; the rest is copied
-    _assert_same_buffers(twin, st)
+    # at_window recomputes y' pointwise, as the stepper writes it; the rest
+    # is copied
+    a = st.j - st.N
     st.step(30)
     twin.step(30)
-    _assert_same_buffers(twin, st)
+    assert twin.j == st.j - a
+    for name in ("xs", "ys", "ths", "dys", "dths"):
+        assert _bits(getattr(twin, name)) == _bits(getattr(st, name)[a:]), name
 
 
 @pytest.mark.parametrize("h_div,t_end", [(4, 300.0), (5, 300.0), (50, 400.0)])
@@ -341,11 +373,9 @@ def test_neutral_split_steps_with_trims_match_oracle(hh, h_div):
         st.step(b - a)
         _assert_neutral_run(st, want)
         if (b in fixed and b > N) or rng.random() < 0.5:
-            st.trim(2)
+            st.trim()  # keeps the two samples the stencil reads
             assert len(st.xs) == min(b + 1, N + 3)
     assert st.base > 0
-    st.trim()  # keeps the two samples the stencil reads all the same
-    assert len(st.xs) == N + 3
 
 
 @pytest.mark.parametrize("tau", [1.0, 50.0])  # past the first delay, inside it
@@ -409,6 +439,19 @@ def _oracle_at_window(p, h, win):
     return ref
 
 
+@pytest.mark.parametrize("iota,mu,t_end", [
+    (2.0, MU, 150.0),  # the run ends before the last leg
+    (2.6, MU, 500.0),
+    (2.0, 0.3, 500.0),
+])
+def test_exponent_matches_the_frozen_oracle(hh, iota, mu, t_end):
+    p = SystemParams(EPS, mu, hh.k0 + 0.1 * iota, hh.tau0 + 0.081 * iota)
+    cfg = SimConfig.from_divisor(p, 0.1, 0.0, 50, t_end, 100.0)
+    want = oracle_exponent(cfg, 1e-9, 5.0, 50).hex()
+    assert nfde_sim.divergence_exponent(cfg, 1e-9, 5.0, 50).hex() == want
+    assert nfde_sim._scale_run(cfg, 1e-9, 5.0, 50, True)[1].hex() == want
+
+
 def _edge_calls(N):
     # from residue N - 1 these start at residues N-1, 0, N-1, N-1, 0 and end
     # at 0, N-1, N-1, 0, 3; from residue 0 they start at 0, 1, 0, 0, 1
@@ -416,7 +459,7 @@ def _edge_calls(N):
 
 
 @pytest.mark.parametrize("h_div", [4, 5, 20])
-@pytest.mark.parametrize("start", ["trim", "set_window", "at_window"])
+@pytest.mark.parametrize("start", ["trim", "at_window"])
 def test_theta_calls_on_and_next_to_the_delay_grid(hh, h_div, start):
     p = _params(hh, 0.2, 0.164)
     st, ref = _stepper_pair(p, p.tau / h_div)
@@ -427,12 +470,8 @@ def test_theta_calls_on_and_next_to_the_delay_grid(hh, h_div, start):
         st.trim()
         ref.trim()
         assert st.base > 0
-    elif start == "set_window":
-        win = [w + 1e-3 for w in ref.window()]
-        st.set_window(*win)
-        oracle_set_window(ref, *win)
     else:  # at j = N, residue 0
-        win = ref.window()
+        win = [w + 1e-3 for w in ref.window()]
         st = nfde_sim._ThetaStepper.at_window(p, 0.1, 0.0, st.h, *win)
         ref = _oracle_at_window(p, st.h, win)
     _assert_same_buffers(st, ref)
@@ -453,7 +492,7 @@ def test_neutral_calls_on_and_next_to_the_delay_grid(hh, h_div):
         st.step(n)
         _assert_neutral_run(st, want)
     st.step(2 * N - 1 - st.j % N)  # to residue N - 1
-    st.trim(2)
+    st.trim()
     for n in _edge_calls(N):
         st.step(n)
         _assert_neutral_run(st, want)
@@ -488,7 +527,7 @@ def test_planted_delayed_node_raises_inside_a_block(hh, value, where):
     want = oracle_run_neutral(cfg)
     st = nfde_sim._NeutralStepper(p, 0.1, 0.0, h)
     st.step(3 * N + 5)
-    st.trim(2)
+    st.trim()
     f = _failing_step(st.j, N, where)
     st.xs[f + 1 - N] = value
     t = (st.base + f + 1) * h
@@ -504,18 +543,21 @@ def test_streamed_neutral_chunks_off_the_delay_grid(hh, monkeypatch, h_div, off)
     p = _params(hh, 0.2, 0.164)
     cfg = SimConfig.from_divisor(p, 0.1, 0.0, h_div, 30 * p.tau, 0.0, "neutral_form")
     monkeypatch.setattr(nfde_sim, "_CHUNK", cfg.n_delay + off)
-    got = {"x": [], "y": [], "dy": []}
+    got = {"x": [], "y": [], "dy": [], "theta": []}
     seen = [0]  # samples read so far
 
-    def read(base, x, y, dy, theta, dtheta, final):
+    def read(base, x, y, dy, theta, dtheta):
+        assert dtheta is None
         k = seen[0] - base
-        for col, v in zip(got.values(), (x, y, dy)):
+        for col, v in zip(got.values(), (x, y, dy, theta)):
             col.append(v[k:].copy())
         seen[0] = base + len(x)
 
     nfde_sim.stream_section(cfg, "both", [read])
     want = oracle_run_neutral(cfg)
-    for name, col in (("x", want.x), ("y", want.y), ("dy", want.dy)):
+    # theta is the whole run's memory recursion (Trajectory.theta)
+    for name, col in (("x", want.x), ("y", want.y), ("dy", want.dy),
+                      ("theta", want.theta)):
         assert _bits(np.concatenate(got[name])) == _bits(col), name
 
 
