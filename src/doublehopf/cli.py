@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import hopf_hopf, nfde_sim, normalform
-from .chareq import SystemParams
 from .errors import DoubleHopfError, NonFiniteState
 
 __all__ = ["main", "build_parser"]
@@ -143,17 +142,17 @@ def _analyze_payload(args) -> dict:
         args.epsilon, args.mu, args.j_plus, args.j_minus, *args.bracket
     )
     res = hopf_hopf.resonance_check(hh.omega1, hh.omega2, args.resonance_tol)
-    coeffs = normalform.nf_coefficients(hh, args.epsilon, args.mu)
-    basis = normalform.eigenbasis(hh, args.epsilon, args.mu)
+    coeffs = normalform.nf_coefficients(hh, hh.epsilon, hh.mu)
+    basis = normalform.eigenbasis(hh, hh.epsilon, hh.mu)
     resid = normalform.duality_residual(basis)
     u = normalform.unfolding_params(coeffs)
     case = normalform.classify_unfolding(u)
     lines = normalform.via_lines(u) if case == "VIa" else None
     payload = {
-        "epsilon": args.epsilon,
-        "mu": args.mu,
-        "j_plus": args.j_plus,
-        "j_minus": args.j_minus,
+        "epsilon": hh.epsilon,
+        "mu": hh.mu,
+        "j_plus": hh.j_plus,
+        "j_minus": hh.j_minus,
         "k0": hh.k0,
         "tau0": hh.tau0,
         "omega1": hh.omega1,
@@ -226,23 +225,29 @@ def cmd_hopf_curves(args) -> int:
     return 0
 
 
-def _resolve_point(args) -> tuple:
-    """(k, tau) from a cached analyze report or a fresh computation."""
-    if args.report:
-        rep = json.loads(Path(args.report).read_text())
-        try:
-            k0, tau0 = float(rep["k0"]), float(rep["tau0"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                f"report {args.report} is not an analyze JSON object with k0 "
-                f"and tau0 ({type(exc).__name__}: {exc})"
-            ) from exc
-    else:
-        hh = hopf_hopf.find_hopf_hopf(
+# the analyze report keys a point is rebuilt from, read in this order
+_REPORT_POINT = ("k0", "tau0", "epsilon", "mu", "omega1", "omega2", "j_plus", "j_minus")
+
+
+def _resolve_point(args) -> hopf_hopf.HopfHopfPoint:
+    """The double-Hopf point, instance included: rebuilt from a cached
+    analyze report, or located from the instance and point options."""
+    if not args.report:
+        return hopf_hopf.find_hopf_hopf(
             args.epsilon, args.mu, args.j_plus, args.j_minus, *args.bracket
         )
-        k0, tau0 = hh.k0, hh.tau0
-    return k0 + args.alpha1, tau0 + args.alpha2
+    rep = json.loads(Path(args.report).read_text())
+    try:
+        fields = {
+            key: (int if key.startswith("j_") else float)(rep[key])
+            for key in _REPORT_POINT
+        }
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"report {args.report} is not an analyze JSON object with "
+            f"{', '.join(_REPORT_POINT)} ({type(exc).__name__}: {exc})"
+        ) from exc
+    return hopf_hopf.HopfHopfPoint(**fields)
 
 
 class _TrajectoryRows:
@@ -280,8 +285,7 @@ class _TrajectoryRows:
 def cmd_simulate(args) -> int:
     if args.stride < 1:
         raise ValueError(f"stride must be a positive integer, got {args.stride}")
-    k, tau = _resolve_point(args)
-    params = SystemParams(args.epsilon, args.mu, k, tau)
+    params = _resolve_point(args).params(args.alpha1, args.alpha2)
     cfg = nfde_sim.SimConfig.from_divisor(
         params, args.x0, args.y0, args.h_div, args.t_end, args.transient,
         args.formulation,
@@ -304,8 +308,10 @@ def cmd_simulate(args) -> int:
             sec.direction.tolist()),
     )
     payload = {
-        "k": k,
-        "tau": tau,
+        "epsilon": params.epsilon,
+        "mu": params.mu,
+        "k": params.k,
+        "tau": params.tau,
         "alpha1": args.alpha1,
         "alpha2": args.alpha2,
         "formulation": args.formulation,
@@ -330,8 +336,6 @@ def cmd_line_t(args) -> int:
         rows = nfde_sim.line_T_scan(
             iotas,
             hh=hh,
-            epsilon=args.epsilon,
-            mu=args.mu,
             x0=args.x0,
             y0=args.y0,
             h_div=args.h_div,
@@ -418,7 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate at an offset from the critical point")
     _add_instance_args(p)
     _add_point_args(p)
-    p.add_argument("--report", help="reuse k0/tau0 from an analyze JSON")
+    p.add_argument(
+        "--report",
+        help="reuse the whole double-Hopf point, instance included, from an "
+        "analyze JSON; --epsilon, --mu, --j-plus, --j-minus and --bracket are "
+        "not read with --report",
+    )
     p.add_argument("--alpha1", type=float, required=True, help="gain offset k - k0")
     p.add_argument("--alpha2", type=float, required=True, help="delay offset tau - tau0")
     p.add_argument("--x0", type=float, default=0.1)

@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from .chareq import _check_instance, gain_bound, hopf_branch, hopf_frequencies, tau_branch
+from .chareq import (
+    SystemParams,
+    _check_instance,
+    gain_bound,
+    hopf_branch,
+    hopf_frequencies,
+    tau_branch,
+)
 from .errors import HypothesisViolated, NoSignChange
 
 __all__ = [
@@ -31,18 +38,27 @@ _GAP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class HopfHopfPoint:
-    """Critical gain and delay where two Hopf curves intersect.
+    """Critical gain and delay where two Hopf curves of one instance intersect.
 
-    omega1 < omega2 are the slow/fast frequencies at k0; j_plus and j_minus
-    are the ladder indices of the intersecting curves.
+    epsilon and mu are the instance the point was found for; they have no
+    default, so every consumer reads the instance from the point.  omega1 <
+    omega2 are the slow/fast frequencies at k0; j_plus and j_minus are the
+    ladder indices of the intersecting curves.
     """
 
+    epsilon: float
+    mu: float
     k0: float
     tau0: float
     omega1: float
     omega2: float
     j_plus: int
     j_minus: int
+
+    def params(self, alpha1: float = 0.0, alpha2: float = 0.0) -> SystemParams:
+        """The system at the offset (alpha1, alpha2) from the point:
+        k = k0 + alpha1 and tau = tau0 + alpha2 of the point's instance."""
+        return SystemParams(self.epsilon, self.mu, self.k0 + alpha1, self.tau0 + alpha2)
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,9 @@ def find_hopf_hopf(
 
     freqs = hopf_frequencies(epsilon, mu, k0)
     tau0 = tau_branch(epsilon, mu, k0, "plus", j_plus)
-    return HopfHopfPoint(k0, tau0, freqs.omega_minus, freqs.omega_plus, j_plus, j_minus)
+    return HopfHopfPoint(
+        epsilon, mu, k0, tau0, freqs.omega_minus, freqs.omega_plus, j_plus, j_minus
+    )
 
 
 def resonance_check(omega1: float, omega2: float, tol: float = 1e-3) -> dict:

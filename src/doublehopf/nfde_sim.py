@@ -184,15 +184,15 @@ def _fill_memory(m: np.ndarray, src: np.ndarray, lo: int, mu: float, nd: int,
 class Trajectory:
     """Uniform-grid solution samples with cubic Hermite dense output.
 
-    Arrays x, y, dy (= y') live on t = 0, h, 2h, ...; theta and dtheta are
-    stored for theta-form runs and otherwise each reconstructed on its own
-    first read.  The constant initial history extends every evaluation to
-    t <= 0.
+    ``params`` is the system the samples solve.  Arrays x, y, dy (= y')
+    live on t = 0, h, 2h, ...; theta and dtheta are stored for theta-form
+    runs and otherwise each reconstructed on its own first read.  The
+    constant initial history extends every evaluation to t <= 0.
     """
 
     def __init__(
         self,
-        params: Optional[SystemParams],
+        params: SystemParams,
         h: float,
         n_delay: int,
         x: np.ndarray,
@@ -213,27 +213,6 @@ class Trajectory:
         self.y0 = y0
         self._theta = theta
         self._dtheta = dtheta
-
-    @classmethod
-    def from_samples(
-        cls,
-        h: float,
-        n_delay: int,
-        x: Sequence[float],
-        y: Sequence[float],
-        dy: Sequence[float],
-        x0: Optional[float] = None,
-        y0: Optional[float] = None,
-    ) -> "Trajectory":
-        """Synthetic trajectory from raw samples (testing and analysis)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dy = np.asarray(dy, dtype=float)
-        return cls(
-            None, h, n_delay, x, y, dy,
-            float(x[0]) if x0 is None else x0,
-            float(y[0]) if y0 is None else y0,
-        )
 
     def __len__(self) -> int:
         return len(self.x)
@@ -259,8 +238,6 @@ class Trajectory:
 
         theta is the memory of x (history x0), dtheta that of y (history 0).
         """
-        if self.params is None:
-            raise ValueError("synthetic trajectory carries no feedback memory")
         m = np.empty(len(src))
         _fill_memory(m, src, 0, self.params.mu, self.n_delay, hist)
         return m
@@ -276,11 +253,8 @@ class Trajectory:
 
     @property
     def tau(self) -> float:
-        """The delay: params.tau, or n_delay * h for a synthetic trajectory."""
-        return self.n_delay * self.h if self.params is None else self.params.tau
-
-    def eval_y(self, t: float) -> float:
-        return _dense(self.y, self.dy, self.y0, t, self.h, len(self.y))
+        """The delay, params.tau."""
+        return self.params.tau
 
 
 class _Stepper:
@@ -1055,8 +1029,6 @@ def _map_runs(fn: Callable, items: Sequence) -> list:
 def line_T_scan(
     iota_list: Iterable[float],
     hh: HopfHopfPoint,
-    epsilon: float = 0.1,
-    mu: float = 0.5,
     x0: float = 0.1,
     y0: float = 0.0,
     h_div: int = 2000,
@@ -1076,7 +1048,9 @@ def line_T_scan(
     itself and is skipped.  A scale whose section is too short to label gets
     no label and a ``label_error``; the scan goes on.
 
-    ``hh`` is the double-Hopf point the ray starts from (find_hopf_hopf).
+    ``hh`` is the double-Hopf point the ray starts from (find_hopf_hopf);
+    its instance (hh.epsilon, hh.mu) is the one integrated, and scale iota
+    runs at hh.params(0.1*iota, 0.081*iota).
     Every scale, and the exponent's arguments, are checked before any scale
     is integrated.  Each scale is one _scale_run: its run is streamed and
     is its own exponent's reference (a run shorter than the exponent's last
@@ -1094,12 +1068,10 @@ def line_T_scan(
         if iota == 0.0:
             todo.append((iota, None))
             continue
-        k = hh.k0 + 0.1 * iota
-        tau = hh.tau0 + 0.081 * iota
-        hyp = check_hypotheses(epsilon, mu, k)
+        params = hh.params(0.1 * iota, 0.081 * iota)
+        hyp = check_hypotheses(hh.epsilon, hh.mu, params.k)
         if not (hyp["h1"] and hyp["h2"]):
             raise HypothesisViolated(f"iota={iota} leaves the admissible gain region")
-        params = SystemParams(epsilon, mu, k, tau)
         cfg = SimConfig.from_divisor(params, x0, y0, h_div, t_end, transient)
         if compute_exponent:
             _leg_steps(cfg, delta0, renorm_T, n_renorm)

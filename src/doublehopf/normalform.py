@@ -32,7 +32,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .chareq import SystemParams, char_deriv
+from .chareq import char_deriv
 from .errors import (
     BoundaryCase,
     DegenerateCubic,
@@ -92,8 +92,8 @@ class LinearPieces:
     M: np.ndarray
 
     @classmethod
-    def at_point(cls, hh: HopfHopfPoint, epsilon: float, mu: float) -> "LinearPieces":
-        t0 = hh.tau0
+    def at_point(cls, hh: HopfHopfPoint) -> "LinearPieces":
+        t0, epsilon, mu = hh.tau0, hh.epsilon, hh.mu
         b1 = np.array(
             [[0.0, t0], [t0 * (-1.0 + epsilon * hh.k0 * (1.0 - mu)), epsilon * t0]]
         )
@@ -189,9 +189,18 @@ class ViaLines:
         raise KeyError(name)
 
 
-def _normalizers(hh: HopfHopfPoint, epsilon: float, mu: float) -> Tuple[complex, ...]:
+def _check_point_instance(hh: HopfHopfPoint, epsilon: float, mu: float) -> None:
+    """ValueError unless (epsilon, mu) is the instance the point was found for."""
+    if (epsilon, mu) != (hh.epsilon, hh.mu):
+        raise ValueError(
+            f"(epsilon, mu) = ({epsilon!r}, {mu!r}) differs from the point's "
+            f"instance ({hh.epsilon!r}, {hh.mu!r})"
+        )
+
+
+def _normalizers(hh: HopfHopfPoint) -> Tuple[complex, ...]:
     """D_i = -1/Delta'(i*omega_i) of the slow and fast modes at the point."""
-    p = SystemParams(epsilon, mu, hh.k0, hh.tau0)
+    p = hh.params()
     derivs = [char_deriv(1j * om, p) for om in (hh.omega1, hh.omega2)]
     if min(abs(d) for d in derivs) < 1e-12:
         raise SingularNormalizer(
@@ -209,12 +218,15 @@ def _conj_pairs(values) -> np.ndarray:
 def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
     """Closed-form critical eigenbasis at a double-Hopf point (rescaled time).
 
-    Modes are ordered slow, conjugate, fast, conjugate.  D1, D2 are
+    The instance is the point's own; ``epsilon`` and ``mu`` must equal
+    hh.epsilon and hh.mu, else ValueError names both pairs.  Modes are
+    ordered slow, conjugate, fast, conjugate.  D1, D2 are
     -1/Delta'(i*omega_i) (``chareq.char_deriv``); SingularNormalizer is
     raised when |Delta'| < 1e-12.
     """
+    _check_point_instance(hh, epsilon, mu)
     t0, oms = hh.tau0, (hh.omega1, hh.omega2)
-    norms = _normalizers(hh, epsilon, mu)
+    norms = _normalizers(hh)
 
     lams = _conj_pairs([1j * t0 * om for om in oms])
     b_mat = np.diag(lams)
@@ -240,7 +252,7 @@ def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
 
     return EigenBasis(
         b_mat, phi, psi, psi_deriv, norms[0], norms[1],
-        LinearPieces.at_point(hh, epsilon, mu),
+        LinearPieces.at_point(hh),
     )
 
 
@@ -295,8 +307,11 @@ def nf_coefficients(hh: HopfHopfPoint, epsilon: float, mu: float) -> NormalFormC
     the parameter derivative of the linear part; the cubic terms c_ij from
     projecting the van der Pol nonlinearity (current and delayed x^2 x')
     onto the resonant monomials.  Only the normalizers D1, D2 enter beyond
-    elementary functions of (k0, tau0, omega1, omega2).
+    elementary functions of (k0, tau0, omega1, omega2).  The instance is
+    the point's own; ``epsilon`` and ``mu`` must equal hh.epsilon and
+    hh.mu, else ValueError names both pairs.
     """
+    _check_point_instance(hh, epsilon, mu)
     t0, k0 = hh.tau0, hh.k0
 
     def mode(d: complex, om: float) -> Tuple[complex, complex, complex]:
@@ -308,7 +323,7 @@ def nf_coefficients(hh: HopfHopfPoint, epsilon: float, mu: float) -> NormalFormC
         return a_1, a_2, c_self
 
     (a11, a12, c11), (a21, a22, c22) = map(
-        mode, _normalizers(hh, epsilon, mu), (hh.omega1, hh.omega2)
+        mode, _normalizers(hh), (hh.omega1, hh.omega2)
     )
     return NormalFormCoeffs(a11, a12, c11, 2.0 * c11, a21, a22, 2.0 * c22, c22)
 

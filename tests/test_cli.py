@@ -115,6 +115,27 @@ def test_simulate_roundtrip_uses_report_exactly(tmp_path):
     assert header == ["t", "x", "y_delayed", "direction"]
 
 
+def test_simulate_report_supplies_the_whole_point(tmp_path):
+    # a report of an epsilon = 0.2 point runs at epsilon = 0.2, whatever the
+    # instance flags say: the same files as the run given by flags, and the
+    # classification records the instance it ran
+    point = ("--epsilon", "0.2", "--j-plus", "2", "--j-minus", "1",
+             "--bracket", "2.46:4.98")
+    rep_path = tmp_path / "report.json"
+    assert run_cli("analyze", *point, "--out", str(rep_path)) == 0
+    run = ("simulate", "--alpha1", "0.1", "--alpha2", "0.081", "--h-div", "100",
+           "--t-end", "300", "--transient", "100", "--stride", "10")
+    assert run_cli(*run, "--report", str(rep_path), "--out", str(tmp_path / "r")) == 0
+    assert run_cli(*run, *point, "--out", str(tmp_path / "f")) == 0
+    for suffix in (".trajectory.csv", ".section.csv", ".classification.json"):
+        assert (tmp_path / ("r" + suffix)).read_bytes() == (
+            tmp_path / ("f" + suffix)
+        ).read_bytes()
+    cls = json.loads((tmp_path / "r.classification.json").read_text())
+    assert list(cls)[:4] == ["epsilon", "mu", "k", "tau"]
+    assert (cls["epsilon"], cls["mu"]) == (0.2, MU)
+
+
 @pytest.mark.parametrize("text,missing", [
     ('{"tau0": 8.8}', "KeyError: 'k0'"),
     ("[1, 2]", "TypeError"),
@@ -394,7 +415,7 @@ def test_analyze_flags_resonant_frequencies(tmp_path, monkeypatch):
     # inject a 1:2-resonant point through the detection hook
     real = dh.find_hopf_hopf(EPS, MU, 1, 1, 4.5, 5.2)
     fake = dh.HopfHopfPoint(
-        real.k0, real.tau0, real.omega2 / 2.0, real.omega2, 1, 1
+        EPS, MU, real.k0, real.tau0, real.omega2 / 2.0, real.omega2, 1, 1
     )
     import doublehopf.cli as cli_mod
 

@@ -24,6 +24,18 @@ def test_bracket_refinement_invariance(hh):
     assert halved.tau0 == pytest.approx(hh.tau0, abs=1e-9)
 
 
+def test_point_carries_its_instance():
+    # the instance is part of the point, with no default; params() is the
+    # offset convention k = k0 + alpha1, tau = tau0 + alpha2 at that instance
+    pt = dh.find_hopf_hopf(0.2, MU, 2, 1, 2.46, 4.98)
+    assert (pt.epsilon, pt.mu) == (0.2, MU)
+    assert pt.params() == SystemParams(0.2, MU, pt.k0, pt.tau0)
+    assert pt.params(0.1, 0.081) == SystemParams(
+        0.2, MU, pt.k0 + 0.1, pt.tau0 + 0.081)
+    with pytest.raises(TypeError):
+        dh.HopfHopfPoint(pt.k0, pt.tau0, pt.omega1, pt.omega2, 2, 1)
+
+
 def test_both_branches_meet(hh):
     tp = dh.tau_branch(EPS, MU, hh.k0, "plus", 1)
     tm = dh.tau_branch(EPS, MU, hh.k0, "minus", 1)

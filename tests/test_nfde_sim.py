@@ -1,5 +1,6 @@
 import concurrent.futures
 import importlib.util
+import inspect
 import math
 import pickle
 import tracemalloc
@@ -145,11 +146,19 @@ def _shifted(y, nd, y0):
     return np.concatenate([np.full(nd, y0), y])[: len(y)]
 
 
+def _y_at(traj, t):
+    """y(t) by the Hermite interpolant that refines the section crossings."""
+    return nfde_sim._dense(traj.y, traj.dy, traj.y0, t, traj.h, len(traj.y))
+
+
 def test_delayed_samples_of_a_run_shorter_than_one_delay(hh):
-    # more than half a delay, so y[:len - nd] is a nonempty slice from the end
-    syn = Trajectory.from_samples(0.1, 10, [0.0] * 7, [1.0] * 7, [0.0] * 7)
+    # samples of systems with delay n_delay * h; more than half a delay, so
+    # y[:len - nd] is a nonempty slice from the end
+    syn = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 0.1, 10,
+                     np.zeros(7), np.ones(7), np.zeros(7), 0.0, 1.0)
     assert np.array_equal(syn.y_delayed(), np.ones(7))  # y0 = y[0]
-    syn = Trajectory.from_samples(0.1, 4, [0.0] * 7, np.arange(7.0), [0.0] * 7, y0=-1.0)
+    syn = Trajectory(SystemParams(EPS, MU, 0.0, 0.4), 0.1, 4,
+                     np.zeros(7), np.arange(7.0), np.zeros(7), 0.0, -1.0)
     assert np.array_equal(syn.y_delayed(), [-1.0] * 4 + [0.0, 1.0, 2.0])
     cfg = cfg_at(hh, -0.1, 0.1, y0=0.25, h_div=50, t_end=0.6 * (hh.tau0 + 0.1))
     traj = dh.simulate_theta(cfg)
@@ -189,9 +198,8 @@ def test_poincare_synthetic_circle():
     # x = cos t, y = -sin t injected through the dense-output machinery
     h = 0.01
     t = np.arange(0.0, 20.0 + h / 2, h)
-    traj = Trajectory.from_samples(
-        h, 100, np.cos(t), -np.sin(t), -np.cos(t), x0=1.0, y0=0.0
-    )
+    traj = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), h, 100,
+                      np.cos(t), -np.sin(t), -np.cos(t), 1.0, 0.0)
     sec = dh.poincare(traj, "both", 0.0)
     expect = np.arange(1, 7) * math.pi
     assert len(sec) == len(expect)
@@ -200,7 +208,7 @@ def test_poincare_synthetic_circle():
     assert np.all(sec.direction[::2] == sec.direction[0])
     assert np.all(sec.direction[1::2] == -sec.direction[0])
     for ts in sec.t:
-        assert abs(traj.eval_y(ts)) < 1e-9
+        assert abs(_y_at(traj, ts)) < 1e-9
     ups = dh.poincare(traj, "up", 0.0)
     downs = dh.poincare(traj, "down", 0.0)
     assert len(ups) + len(downs) == len(sec)
@@ -213,11 +221,11 @@ def test_poincare_refinement_on_real_run(hh):
     sec = dh.poincare(traj, "both", 100.0)
     assert len(sec) > 20
     for ts in sec.t:
-        assert abs(traj.eval_y(ts)) < 1e-9
+        assert abs(_y_at(traj, ts)) < 1e-9
     assert np.all(np.diff(sec.t) > 0)
     # delayed coordinate agrees with the interpolant
     for ts, yd in zip(sec.t[:10], sec.y_delayed[:10]):
-        assert yd == pytest.approx(traj.eval_y(ts - cfg.params.tau), abs=1e-12)
+        assert yd == pytest.approx(_y_at(traj, ts - cfg.params.tau), abs=1e-12)
 
 
 def _section(pts, state_first=1.0, state_last=1.0):
@@ -447,6 +455,21 @@ def test_line_t_scan_steps_its_run_and_the_clone(hh, step_calls, monkeypatch,
         assert (row.label, row.label_error) == _labelled(sec, lam)
         alone = dh.divergence_exponent(cfg, 1e-9, 5.0, 50)
         assert lam.hex() == alone.hex()
+
+
+def test_line_t_scan_runs_the_point_instance():
+    # an epsilon = 0.2 point is integrated at epsilon = 0.2: the scan has no
+    # instance parameters, and its row is that of a direct run at the offset
+    assert {"epsilon", "mu"}.isdisjoint(inspect.signature(dh.line_T_scan).parameters)
+    pt = dh.find_hopf_hopf(0.2, MU, 2, 1, 2.46, 4.98)
+    kw = dict(h_div=100, t_end=300.0, transient=100.0)
+    [row] = dh.line_T_scan([1.0], hh=pt, renorm_T=2.0, **kw)
+    cfg = dh.SimConfig.from_divisor(pt.params(0.1, 0.081), 0.1, 0.0, **kw)
+    assert cfg.params.epsilon == 0.2
+    lam = dh.divergence_exponent(cfg, 1e-9, 2.0, 50)
+    assert (row.k.hex(), row.tau.hex()) == (cfg.params.k.hex(), cfg.params.tau.hex())
+    assert row.divergence_exponent.hex() == lam.hex()
+    assert (row.label, row.label_error) == _labelled(nfde_sim.stream_section(cfg), lam)
 
 
 def _row_bits(rows):

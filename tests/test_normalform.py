@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_coefficients_small_memory_limit(hh):
     # against the analytic mu = 0 reduction
     eps = EPS
     t0, om1, om2, k0 = hh.tau0, hh.omega1, hh.omega2, hh.k0
-    got = dh.nf_coefficients(hh, eps, 1e-8)
+    got = dh.nf_coefficients(replace(hh, mu=1e-8), eps, 1e-8)
     d1 = 1.0 / (eps - 2j * om1)
     d2 = 1.0 / (eps - 2j * om2)
     expect = {
@@ -379,3 +380,14 @@ def test_normalizers_invert_char_deriv(hh, basis):
     assert c.a11 == -basis.D1 * EPS * (1.0 - MU) * hh.tau0
     assert c.a21 == -basis.D2 * EPS * (1.0 - MU) * hh.tau0
     assert (c.c12, c.c21) == (2.0 * c.c11, 2.0 * c.c22)
+
+
+@pytest.mark.parametrize("fn", [dh.eigenbasis, dh.nf_coefficients])
+@pytest.mark.parametrize("eps,mu", [(0.2, MU), (EPS, 0.3)])
+def test_mismatched_instance_is_rejected(hh, fn, eps, mu):
+    # the point carries its instance; a different (epsilon, mu) is an error
+    # that names both pairs, never a silent mix of two instances
+    with pytest.raises(ValueError) as exc:
+        fn(hh, eps, mu)
+    assert f"({eps!r}, {mu!r})" in str(exc.value)
+    assert f"({EPS!r}, {MU!r})" in str(exc.value)
