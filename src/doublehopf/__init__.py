@@ -5,6 +5,7 @@ unfolding, amplitude-system predictions, and neutral-delay simulation."""
 from .chareq import (
     HopfBranch,
     HopfFrequencies,
+    HopfLadders,
     StabilityWindows,
     SystemParams,
     WPoly,
@@ -12,6 +13,7 @@ from .chareq import (
     eval_char,
     hopf_branch,
     hopf_frequencies,
+    hopf_ladders,
     rightmost_roots,
     stability_windows,
     tau_branch,

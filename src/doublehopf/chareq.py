@@ -16,11 +16,18 @@ finder, the Hopf residual oracles and the eigenbasis normalizers of
 A pure-imaginary root lam = i*omega requires rho = omega^2 to be a root of
 the real quadratic W(rho) = a*rho^2 + b*rho + c.  Under the gain bound (h1)
 and positive discriminant (h2) there are exactly two admissible frequencies
-omega_minus < omega_plus.  ``hopf_branch`` turns each into a ladder of
-critical delays tau_j = tau_0 + j*2*pi/omega (a ``HopfBranch``); every
-critical delay in the package is a rung of such a ladder.  This module also
-gives the crossing direction of roots at each critical delay and the
-resulting stability windows of the origin.
+omega_minus < omega_plus, each the base of a ladder of critical delays
+tau_j = tau_0 + j*2*pi/omega; every critical delay in the package is a rung
+of such a ladder.  ``hopf_ladders`` is the one evaluator of both ladders and
+works on an array of gains first: ``check_hypotheses``,
+``hopf_frequencies``, ``hopf_branch`` and ``tau_branch`` are its 1-element
+views, so a gain scanned in an array gets the bits of the scalar call.
+Its arithmetic is numpy's elementwise +, -, *, /, sqrt and Python-semantics
+%, which round as Python floats do; only the angle atan2(sin, cos) is
+taken per element with ``math.atan2``, because ``np.arctan2``'s vectorized
+loop can differ from it in the last bit.  This module also gives the
+crossing direction of roots at each critical delay and the resulting
+stability windows of the origin.
 
 All frequencies and delays here are in the original (unrescaled) time.
 """
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,12 +47,14 @@ __all__ = [
     "WPoly",
     "HopfFrequencies",
     "HopfBranch",
+    "HopfLadders",
     "StabilityWindows",
     "eval_char",
     "char_deriv",
     "w_poly",
     "gain_bound",
     "check_hypotheses",
+    "hopf_ladders",
     "hopf_frequencies",
     "tau_branch",
     "hopf_branch",
@@ -129,7 +138,50 @@ class HopfBranch:
         return 2.0 * math.pi / self.omega
 
     def tau(self, j: int) -> float:
-        return self.tau0 + j * self.period_step
+        return _rung(self.tau0, self.omega, j)
+
+
+def _rung(tau0, omega, j: int):
+    """Rung tau0 + j*2*pi/omega of a ladder; scalars or arrays."""
+    return tau0 + j * (2.0 * math.pi / omega)
+
+
+@dataclass(frozen=True, eq=False)
+class HopfLadders:
+    """Both ladders of critical delays at every gain of a 1-D array ``k``.
+
+    Elementwise: ``h1`` and ``h2`` are the conditions of
+    ``check_hypotheses``, and ``admissible`` is h1 & h2 & rho_minus > 0.
+    ``omega`` and ``tau0`` map each branch sign to its frequencies and base
+    delays (omega*tau0 in [0, 2*pi)); they are NaN on inadmissible gains.
+    """
+
+    epsilon: float
+    mu: float
+    k: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+    admissible: np.ndarray
+    omega: Dict[str, np.ndarray]
+    tau0: Dict[str, np.ndarray]
+
+    def tau(self, sign: str, j: int) -> np.ndarray:
+        """Critical delays tau_j of the branch at every gain."""
+        return _rung(self.tau0[sign], self.omega[sign], j)
+
+    def require_admissible(self) -> None:
+        """Raise HypothesisViolated at the first inadmissible gain, if any."""
+        if self.admissible.all():
+            return
+        i = np.flatnonzero(~self.admissible)[0]
+        h1, h2 = bool(self.h1[i]), bool(self.h2[i])
+        if not (h1 and h2):
+            raise HypothesisViolated(
+                f"(epsilon={self.epsilon}, mu={self.mu}, k={self.k[i].item()}) "
+                f"fails h1={h1}, h2={h2}"
+            )
+        # cannot occur under h1 (c > 0, b < 0), kept as a numerical guard
+        raise HypothesisViolated("smaller quadratic root is not positive")
 
 
 @dataclass(frozen=True)
@@ -182,7 +234,9 @@ def char_deriv(lam, p: SystemParams):
 
 
 def w_poly(epsilon: float, mu: float, k: float) -> WPoly:
-    """Frequency quadratic for pure-imaginary characteristic roots."""
+    """Frequency quadratic for pure-imaginary characteristic roots.
+
+    Elementwise in k: an array of gains gives a WPoly of arrays."""
     a = 1.0 + mu
     b = 2.0 * epsilon * k - 2.0 * (1.0 + mu) + epsilon * epsilon * (1.0 + mu)
     c = epsilon * epsilon * k * k * (1.0 - mu) - 2.0 * epsilon * k + 1.0 + mu
@@ -208,40 +262,65 @@ def check_hypotheses(epsilon: float, mu: float, k: float) -> dict:
         b < 0 in the frequency quadratic.
     h2: positive discriminant b^2 - 4ac of the frequency quadratic.
     """
-    h1 = k < gain_bound(epsilon, mu)
-    h2 = w_poly(epsilon, mu, k).discriminant > 0.0
-    return {"h1": bool(h1), "h2": bool(h2)}
+    lad = hopf_ladders(epsilon, mu, k)
+    return {"h1": bool(lad.h1.item()), "h2": bool(lad.h2.item())}
 
 
-def hopf_frequencies(epsilon: float, mu: float, k: float) -> HopfFrequencies:
-    """The two positive frequencies omega_-+ = sqrt((-b -+ sqrt(b^2-4ac))/(2a)).
+def _cos_sin_rhs(omega, epsilon: float, mu: float, k):
+    """Right-hand sides for cos(omega*tau), sin(omega*tau) at a Hopf frequency.
 
-    Raises HypothesisViolated unless both admissibility conditions hold.
-    """
-    hyp = check_hypotheses(epsilon, mu, k)
-    if not (hyp["h1"] and hyp["h2"]):
-        raise HypothesisViolated(
-            f"(epsilon={epsilon}, mu={mu}, k={k}) fails "
-            f"h1={hyp['h1']}, h2={hyp['h2']}"
-        )
-    w = w_poly(epsilon, mu, k)
-    sq = math.sqrt(w.discriminant)
-    rho_minus = (-w.b - sq) / (2.0 * w.a)
-    rho_plus = (-w.b + sq) / (2.0 * w.a)
-    if rho_minus <= 0.0:
-        # cannot occur under h1 (c > 0, b < 0), kept as a numerical guard
-        raise HypothesisViolated("smaller quadratic root is not positive")
-    return HopfFrequencies(math.sqrt(rho_minus), math.sqrt(rho_plus))
-
-
-def _cos_sin_rhs(omega: float, epsilon: float, mu: float, k: float) -> Tuple[float, float]:
-    """Right-hand sides for cos(omega*tau), sin(omega*tau) at a Hopf frequency."""
+    Elementwise in omega and k."""
     p = mu * omega * omega - mu
     q = epsilon * mu * omega
     r = omega * omega - 1.0 + epsilon * k * (1.0 - mu)
     s = epsilon * omega
     den = p * p + q * q
     return (p * r + q * s) / den, (-p * s + q * r) / den
+
+
+def hopf_ladders(epsilon: float, mu: float, ks) -> HopfLadders:
+    """Both Hopf ladders at every gain of ``ks`` (a scalar is a 1-element array).
+
+    The frequencies are omega_-+ = sqrt((-b -+ sqrt(b^2-4ac))/(2a)) from the
+    frequency quadratic; each base delay tau_0 solves the cos/sin pair with
+    omega*tau_0 = atan2(sin, cos) mod 2*pi.  Raises ValueError unless
+    (epsilon, mu) is an instance SystemParams allows; inadmissible gains are
+    only masked.
+    """
+    k = np.array(ks, dtype=float, ndmin=1)
+    # inadmissible gains (NaN, +-inf, h2 failing) make NaN here, masked below
+    with np.errstate(all="ignore"):
+        h1 = k < gain_bound(epsilon, mu)
+        w = w_poly(epsilon, mu, k)
+        disc = w.discriminant
+        h2 = disc > 0.0
+        sq = np.sqrt(disc)
+        # row 0 the slow ("minus") branch, row 1 the fast ("plus") branch
+        omega = np.sqrt(np.stack([-w.b - sq, -w.b + sq]) / (2.0 * w.a))
+        ok = h1 & h2 & (omega[0] > 0.0)
+    om = omega[:, ok]
+    cos_v, sin_v = _cos_sin_rhs(om, epsilon, mu, k[ok])
+    theta = np.fromiter(
+        map(math.atan2, sin_v.ravel().tolist(), cos_v.ravel().tolist()), float, om.size
+    ).reshape(om.shape) % (2.0 * math.pi)
+    tau0 = np.full_like(omega, np.nan)
+    tau0[:, ok] = theta / om
+    omega[:, ~ok] = np.nan
+    return HopfLadders(
+        epsilon, mu, k, h1, h2, ok,
+        {"minus": omega[0], "plus": omega[1]},
+        {"minus": tau0[0], "plus": tau0[1]},
+    )
+
+
+def hopf_frequencies(epsilon: float, mu: float, k: float) -> HopfFrequencies:
+    """The two positive frequencies omega_- < omega_+ at gain k.
+
+    Raises HypothesisViolated unless both admissibility conditions hold.
+    """
+    lad = hopf_ladders(epsilon, mu, k)
+    lad.require_admissible()
+    return HopfFrequencies(lad.omega["minus"].item(), lad.omega["plus"].item())
 
 
 def hopf_branch(epsilon: float, mu: float, k: float, sign: str) -> HopfBranch:
@@ -254,11 +333,9 @@ def hopf_branch(epsilon: float, mu: float, k: float, sign: str) -> HopfBranch:
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    freqs = hopf_frequencies(epsilon, mu, k)
-    omega = freqs.omega_plus if sign == "plus" else freqs.omega_minus
-    cos_v, sin_v = _cos_sin_rhs(omega, epsilon, mu, k)
-    theta = math.atan2(sin_v, cos_v) % (2.0 * math.pi)
-    return HopfBranch(sign, omega, theta / omega)
+    lad = hopf_ladders(epsilon, mu, k)
+    lad.require_admissible()
+    return HopfBranch(sign, lad.omega[sign].item(), lad.tau0[sign].item())
 
 
 def tau_branch(epsilon: float, mu: float, k: float, sign: str, j: int = 0) -> float:

@@ -32,7 +32,7 @@ from .errors import DoubleHopfError, NonFiniteState
 __all__ = ["main", "build_parser"]
 
 _FMT = ".17g"
-_ROW_BLOCK = 16384  # trajectory CSV rows formatted per block (~6 MB of text and floats)
+_ROW_BLOCK = 16384  # CSV rows formatted per block (~6 MB of text and floats)
 
 
 def _f(v: float) -> str:
@@ -87,6 +87,19 @@ def _csv_rows(fh, header: Sequence[str], rows) -> None:
         fh.write("\n")
 
 
+def _csv_block_rows(fh, cols: Sequence[np.ndarray], prefix: str = "") -> None:
+    """Write rows ``prefix`` + the float columns' values, as _csv_rows would.
+
+    Each block of _ROW_BLOCK rows is formatted by one %-format ("%.17g"
+    gives the digits of format(v, ".17g") for every float, inf and nan
+    included), so a long table holds one block of text at a time.
+    """
+    row = prefix + ",".join(["%" + _FMT] * len(cols)) + "\n"
+    for r in range(0, len(cols[0]), _ROW_BLOCK):
+        block = np.column_stack([c[r : r + _ROW_BLOCK] for c in cols])
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 @contextlib.contextmanager
 def _fresh_output(path: str):
     """Open path for writing before a run; remove it if the block raises,
@@ -112,7 +125,12 @@ def _parse_range(text: str) -> np.ndarray:
     if hi < lo:
         return np.empty(0)
     n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    try:
+        return lo + step * np.arange(n)
+    except MemoryError as exc:
+        raise ValueError(
+            f"range {text!r} has {n} gains, too many to hold in memory"
+        ) from exc
 
 
 def _parse_bracket(text: str) -> tuple:
@@ -212,11 +230,10 @@ def cmd_hopf_curves(args) -> int:
             },
         )
     else:
-        _write_csv(
-            args.out,
-            ["branch_sign", "j", "k", "tau", "omega"],
-            ((r.branch_sign, r.j, r.k, r.tau, r.omega) for r in table.rows),
-        )
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write("branch_sign,j,k,tau,omega\n")
+            for sign, j, *cols in table.curves():
+                _csv_block_rows(fh, cols, f"{sign},{j},")
     if table.skipped_k:
         print(
             f"skipped {len(table.skipped_k)} gain values outside the admissible region",
@@ -254,10 +271,9 @@ class _TrajectoryRows:
     """Run reader writing (t, x, y, theta, y_delayed) at every stride-th
     sample to ``fh``, as _write_csv would write them.
 
-    Called with consecutive blocks of a run (see nfde_sim._stream).  Each
-    block of _ROW_BLOCK rows is formatted by one %-format ("%.17g" gives the
-    digits of format(v, ".17g") for every float, inf and nan included), so
-    a dense export holds one block of text at a time.
+    Called with consecutive blocks of a run (see nfde_sim._stream); the
+    rows go out through _csv_block_rows, so a dense export holds one block
+    of text at a time.
     """
 
     def __init__(self, fh, h: float, n_delay: int, y0: float, stride: int):
@@ -274,12 +290,9 @@ class _TrajectoryRows:
         y_delayed = np.full(len(idx), self.y0)
         past = idx >= self.n_delay
         y_delayed[past] = y[idx[past] - self.n_delay - base]
-        cols = (idx * self.h, x[lo :: self.stride], y[lo :: self.stride],
-                theta[lo :: self.stride], y_delayed)
-        row = ",".join(["%" + _FMT] * len(cols)) + "\n"
-        for r in range(0, len(idx), _ROW_BLOCK):
-            block = np.column_stack([c[r : r + _ROW_BLOCK] for c in cols])
-            self.fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        _csv_block_rows(self.fh, (idx * self.h, x[lo :: self.stride],
+                                  y[lo :: self.stride], theta[lo :: self.stride],
+                                  y_delayed))
 
 
 def cmd_simulate(args) -> int:

@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple, Tuple
+
+import numpy as np
 
 from .chareq import (
+    HopfLadders,
     SystemParams,
     _check_instance,
     gain_bound,
-    hopf_branch,
     hopf_frequencies,
+    hopf_ladders,
     tau_branch,
 )
 from .errors import HypothesisViolated, NoSignChange
@@ -61,8 +65,9 @@ class HopfHopfPoint:
         return SystemParams(self.epsilon, self.mu, self.k0 + alpha1, self.tau0 + alpha2)
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
+    """One point (k, tau) of the curve tau_j^{branch_sign}, with its frequency."""
+
     branch_sign: str
     j: int
     k: float
@@ -70,16 +75,55 @@ class CurveRow:
     omega: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HopfCurveTable:
-    rows: Tuple[CurveRow, ...]
-    skipped_k: Tuple[float, ...]
+    """The curves tau_j^{+-}(k), j = 0..j_max, over a gain grid, as columns.
+
+    ``ladders`` holds both ladders at every gain of the grid, in input
+    order.  ``curves`` gives the columns of each curve and ``rows`` the
+    same table row by row, both ordered by (j, branch sign, k in input
+    order); ``skipped_k`` are the inadmissible gains, in input order.
+    """
+
+    ladders: HopfLadders
+    j_max: int
+
+    @property
+    def skipped_k(self) -> Tuple[float, ...]:
+        return tuple(self.ladders.k[~self.ladders.admissible].tolist())
+
+    def curves(self) -> Iterator[Tuple[str, int, np.ndarray, np.ndarray, np.ndarray]]:
+        """(branch sign, j, k, tau, omega) of each curve, the last three arrays."""
+        lad = self.ladders
+        ok = lad.admissible
+        k = lad.k[ok]
+        for j in range(self.j_max + 1):
+            for sign in ("minus", "plus"):
+                yield sign, j, k, lad.tau(sign, j)[ok], lad.omega[sign][ok]
+
+    @property
+    def rows(self) -> Tuple[CurveRow, ...]:
+        return tuple(chain.from_iterable(
+            map(CurveRow._make,
+                zip(repeat(sign), repeat(j), *(c.tolist() for c in cols)))
+            for sign, j, *cols in self.curves()
+        ))
 
 
 def _gap(epsilon: float, mu: float, k: float, j_plus: int, j_minus: int) -> float:
     return tau_branch(epsilon, mu, k, "plus", j_plus) - tau_branch(
         epsilon, mu, k, "minus", j_minus
     )
+
+
+def _gaps(
+    epsilon: float, mu: float, ks: np.ndarray, j_plus: int, j_minus: int
+) -> np.ndarray:
+    """``_gap`` at every gain of ks, in one evaluation; raises
+    HypothesisViolated at the first inadmissible gain."""
+    lad = hopf_ladders(epsilon, mu, ks)
+    lad.require_admissible()
+    return lad.tau("plus", j_plus) - lad.tau("minus", j_minus)
 
 
 def find_hopf_hopf(
@@ -97,7 +141,8 @@ def find_hopf_hopf(
     points for a sign change of the delay gap and bisected until
     |gap| < 1e-10.  Raises NoSignChange when the gap has constant sign on
     the bracket, HypothesisViolated when the clipped bracket is empty or a
-    scanned gain still fails h2.
+    scanned gain still fails h2.  The scan is one array evaluation and the
+    bisection scalar; both give the bits of ``tau_branch``.
     """
     if not k_lo < k_hi:
         raise ValueError("need k_lo < k_hi")
@@ -109,27 +154,20 @@ def find_hopf_hopf(
         )
 
     # the min only touches a point that would round onto the bound itself
-    ks = [
-        min(k_lo + (k_hi - k_lo) * i / (_SCAN_POINTS - 1), k_max)
-        for i in range(_SCAN_POINTS)
-    ]
-    gaps = [_gap(epsilon, mu, k, j_plus, j_minus) for k in ks]
-
-    lo = hi = None
-    for i in range(len(ks) - 1):
-        if gaps[i] == 0.0:
-            lo = hi = ks[i]
-            break
-        if gaps[i] * gaps[i + 1] < 0.0:
-            lo, hi = ks[i], ks[i + 1]
-            break
-    if lo is None:
+    ks = np.minimum(
+        k_lo + (k_hi - k_lo) * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1), k_max
+    )
+    gaps = _gaps(epsilon, mu, ks, j_plus, j_minus)
+    # first scan interval with a zero at its left end or a sign change
+    hits = np.flatnonzero((gaps[:-1] == 0.0) | (gaps[:-1] * gaps[1:] < 0.0))
+    if not len(hits):
         raise NoSignChange(
             f"delay gap has no sign change on [{k_lo}, {k_hi}] for "
             f"branches (+,{j_plus}) / (-,{j_minus})"
         )
-
-    g_lo = _gap(epsilon, mu, lo, j_plus, j_minus)
+    i = hits[0]
+    lo, g_lo = float(ks[i]), float(gaps[i])
+    hi = lo if g_lo == 0.0 else float(ks[i + 1])
     k0 = 0.5 * (lo + hi)
     for _ in range(200):
         k0 = 0.5 * (lo + hi)
@@ -177,28 +215,16 @@ def scan_hopf_curves(
 ) -> HopfCurveTable:
     """Tabulate tau_j^{+-}(k) over a gain grid for plotting the Hopf curves.
 
+    The whole grid is evaluated in one ``hopf_ladders`` call, which gives
+    every row the bits of ``tau_branch`` and ``hopf_branch`` at its gain.
     Gains failing the admissibility conditions are skipped and reported in
-    ``skipped_k``.  Rows are ordered by (j, branch sign, k); each gain's two
-    ladders are built once and hold no state beyond their rows.  Raises
-    ValueError, before any gain is examined, for an instance SystemParams
-    forbids or j_max < 0.
+    ``skipped_k``.  The table stores the grid's ladders, not its rows: rows
+    are formed when read.  Raises ValueError, before any gain is examined,
+    for an instance SystemParams forbids or j_max < 0.
     """
     _check_instance(epsilon, mu)
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
-    skipped: List[float] = []
-    # buckets[j][i]: rows of rung j on branch ("minus", "plus")[i], by k
-    buckets = [([], []) for _ in range(j_max + 1)]
-    for k in k_values:
-        try:
-            pair = [hopf_branch(epsilon, mu, k, sign) for sign in ("minus", "plus")]
-        except HypothesisViolated:
-            skipped.append(k)
-            continue
-        for j, per_sign in enumerate(buckets):
-            for branch, rows in zip(pair, per_sign):
-                rows.append(CurveRow(branch.sign, j, k, branch.tau(j), branch.omega))
-    return HopfCurveTable(
-        tuple(row for per_sign in buckets for rows in per_sign for row in rows),
-        tuple(skipped),
-    )
+    if not isinstance(k_values, np.ndarray):
+        k_values = list(k_values)
+    return HopfCurveTable(hopf_ladders(epsilon, mu, k_values), j_max)

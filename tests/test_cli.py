@@ -68,6 +68,32 @@ def test_hopf_curves_empty_range(tmp_path):
     assert rows == []
 
 
+def test_hopf_curves_blocks_match_row_writer(tmp_path, monkeypatch):
+    # each curve goes out in %-formatted blocks behind its (sign, j) prefix;
+    # the bytes are those of the row-by-row writer, partial blocks included
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 4)
+    out = tmp_path / "curves.csv"
+    assert run_cli("hopf-curves", "--k-range", "2.6:3.0:0.02", "--j-max", "2",
+                   "--out", str(out)) == 0
+    table = dh.scan_hopf_curves(EPS, MU, cli._parse_range("2.6:3.0:0.02"), 2)
+    n_curve = len(table.rows) // 6
+    assert table.skipped_k and n_curve % 4 != 0
+    whole = tmp_path / "whole.csv"
+    cli._write_csv(str(whole), ["branch_sign", "j", "k", "tau", "omega"],
+                   ((r.branch_sign, r.j, r.k, r.tau, r.omega) for r in table.rows))
+    assert out.read_bytes() == whole.read_bytes()
+
+
+def test_hopf_curves_grid_too_large_is_json_error(tmp_path, capsys):
+    # 10**18 + 1 gains: numpy refuses the allocation before committing memory
+    out = tmp_path / "curves.csv"
+    assert run_cli("hopf-curves", "--k-range", "0:1e9:1e-9", "--out", str(out)) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "1000000000000000001 gains" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(("--mu", "1.5", "--k-range", "5:4:0.1"), id="mu-empty-grid"),
     pytest.param(("--epsilon", "nan", "--k-range", "5:4:0.1"), id="epsilon-empty-grid"),

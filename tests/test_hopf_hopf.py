@@ -82,14 +82,15 @@ def test_bracket_beyond_gain_bound():
 
 
 def test_admissible_bracket_scan_points_unchanged(monkeypatch):
+    # the scan is one call of the array gap; record the gains it is given
     seen = []
-    gap = dh.hopf_hopf._gap
+    gaps = dh.hopf_hopf._gaps
 
-    def recording_gap(epsilon, mu, k, j_plus, j_minus):
-        seen.append(k)
-        return gap(epsilon, mu, k, j_plus, j_minus)
+    def recording_gaps(epsilon, mu, ks, j_plus, j_minus):
+        seen.extend(ks.tolist())
+        return gaps(epsilon, mu, ks, j_plus, j_minus)
 
-    monkeypatch.setattr(dh.hopf_hopf, "_gap", recording_gap)
+    monkeypatch.setattr(dh.hopf_hopf, "_gaps", recording_gaps)
     dh.find_hopf_hopf(EPS, MU, 1, 1, 4.5, 5.2)
     assert seen[:400] == [4.5 + (5.2 - 4.5) * i / 399 for i in range(400)]
 
