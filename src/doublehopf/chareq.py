@@ -141,6 +141,12 @@ class HopfBranch:
         return _rung(self.tau0, self.omega, j)
 
 
+def _check_rung(j: int) -> None:
+    """j is a ladder index, a nonnegative integer; raises ValueError."""
+    if j < 0 or int(j) != j:
+        raise ValueError(f"branch index j must be a nonnegative integer, got {j}")
+
+
 def _rung(tau0, omega, j: int):
     """Rung tau0 + j*2*pi/omega of a ladder; scalars or arrays."""
     return tau0 + j * (2.0 * math.pi / omega)
@@ -340,8 +346,7 @@ def hopf_branch(epsilon: float, mu: float, k: float, sign: str) -> HopfBranch:
 
 def tau_branch(epsilon: float, mu: float, k: float, sign: str, j: int = 0) -> float:
     """Critical delay tau_j = hopf_branch(...).tau(j) on the given branch."""
-    if j < 0 or int(j) != j:
-        raise ValueError(f"branch index j must be a nonnegative integer, got {j}")
+    _check_rung(j)
     return hopf_branch(epsilon, mu, k, sign).tau(j)
 
 

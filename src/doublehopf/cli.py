@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import DoubleHopfError, NonFiniteState
 __all__ = ["main", "build_parser"]
 
 _FMT = ".17g"
-_ROW_BLOCK = 16384  # CSV rows formatted per block (~6 MB of text and floats)
+_ROW_BLOCK = 2048  # CSV rows formatted per block (under 1 MB of text and floats)
 
 
 def _f(v: float) -> str:
@@ -87,17 +87,57 @@ def _csv_rows(fh, header: Sequence[str], rows) -> None:
         fh.write("\n")
 
 
-def _csv_block_rows(fh, cols: Sequence[np.ndarray], prefix: str = "") -> None:
-    """Write rows ``prefix`` + the float columns' values, as _csv_rows would.
+class _Text:
+    """A float column formatted once, for _blocks to write as text.
 
-    Each block of _ROW_BLOCK rows is formatted by one %-format ("%.17g"
-    gives the digits of format(v, ".17g") for every float, inf and nan
-    included), so a long table holds one block of text at a time.
+    Holds format(x, ".17g") of every value, one newline-joined string per
+    block of _ROW_BLOCK values; slicing a block gives the block's texts.
     """
-    row = prefix + ",".join(["%" + _FMT] * len(cols)) + "\n"
+
+    def __init__(self, v: np.ndarray):
+        self.n = len(v)
+        self.blocks = [
+            "\n".join(["%" + _FMT] * len(b)) % tuple(b.tolist())
+            for b in np.split(v, range(_ROW_BLOCK, len(v), _ROW_BLOCK))
+        ]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> List[str]:
+        # _blocks slices at multiples of _ROW_BLOCK, one block at a time
+        return self.blocks[rows.start // _ROW_BLOCK].split("\n")
+
+
+def _blocks(row: str, cols: Sequence) -> Iterator[str]:
+    """The text of ``row`` %-formatted with each row of the columns, one
+    string per block of _ROW_BLOCK rows.
+
+    A column is a float array, whose slot in ``row`` is "%.17g" (the digits
+    of format(v, ".17g") for every float, inf and nan included), or a
+    ``_Text`` of already formatted values, whose slot is "%s".  Each
+    block is one %-format, so a long table holds one block of text at a time.
+    """
+    m = len(cols)
     for r in range(0, len(cols[0]), _ROW_BLOCK):
-        block = np.column_stack([c[r : r + _ROW_BLOCK] for c in cols])
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        block = [c[r : r + _ROW_BLOCK] for c in cols]
+        vals = [None] * (m * len(block[0]))
+        for i, b in enumerate(block):
+            vals[i::m] = b.tolist() if isinstance(b, np.ndarray) else b
+        yield (row * len(block[0])) % tuple(vals)
+
+
+def _csv_block_rows(fh, cols: Sequence, prefix: str = "") -> None:
+    """Write rows ``prefix`` + the columns' values, as _csv_rows would.
+
+    Each column is a float array, written "%.17g", or a ``_Text``, written
+    "%s": a column that several tables share is formatted once.  Rows go
+    out in blocks (``_blocks``).
+    """
+    row = prefix + ",".join(
+        "%" + _FMT if isinstance(c, np.ndarray) else "%s" for c in cols
+    ) + "\n"
+    fh.writelines(_blocks(row, cols))
 
 
 @contextlib.contextmanager
@@ -214,25 +254,54 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _curve_texts(table: hopf_hopf.HopfCurveTable) -> Iterator[tuple]:
+    """(sign, j, k, tau, omega) of each curve of ``table.curves()``, with k
+    and omega as ``_Text``: k is formatted once per table and omega once
+    per branch sign, so only tau is formatted per curve."""
+    text = {}
+    for sign, j, k, tau, omega in table.curves():
+        if "k" not in text:
+            text["k"] = _Text(k)
+        if sign not in text:
+            text[sign] = _Text(omega)
+        yield sign, j, text["k"], tau, text[sign]
+
+
+# one row of the hopf-curves JSON, as _json_text indents it in the list
+_JSON_CURVE_ROW = (
+    ',\n    {\n      "branch_sign": %s,\n      "j": %d,\n      "k": %%s,\n'
+    '      "tau": %%.17g,\n      "omega": %%s\n    }'
+)
+
+
+def _write_curves_json(fh, table: hopf_hopf.HopfCurveTable) -> None:
+    """The bytes _write_json gives {"rows": [row dicts], "skipped_k": [...]},
+    with each curve's rows written in blocks through one %-template.
+
+    The rows need none of _json_text's finiteness checks: on an admissible
+    gain k is finite, omega >= sqrt(5e-324) and so every rung tau finite.
+    """
+    fh.write('{\n  "rows": [')
+    first = True
+    for sign, j, k, tau, omega in _curve_texts(table):
+        row = _JSON_CURVE_ROW % (json.dumps(sign), j)
+        for text in _blocks(row, (k, tau, omega)):
+            # every row starts ",\n"; the first row of the list must not
+            fh.write(text[1:] if first else text)
+            first = False
+    fh.write("]" if first else "\n  ]")
+    fh.write(',\n  "skipped_k": ' + _json_text(list(table.skipped_k), 1) + "\n}\n")
+
+
 def cmd_hopf_curves(args) -> int:
     ks = _parse_range(args.k_range)
     table = hopf_hopf.scan_hopf_curves(args.epsilon, args.mu, ks, args.j_max)
-    if args.format == "json":
-        _write_json(
-            args.out,
-            {
-                "rows": [
-                    {"branch_sign": r.branch_sign, "j": r.j, "k": r.k,
-                     "tau": r.tau, "omega": r.omega}
-                    for r in table.rows
-                ],
-                "skipped_k": list(table.skipped_k),
-            },
-        )
-    else:
-        with open(args.out, "w", newline="\n") as fh:
+    with _fresh_output(args.out) as fh:
+        if args.format == "json":
+            _write_curves_json(fh, table)
+        else:
             fh.write("branch_sign,j,k,tau,omega\n")
-            for sign, j, *cols in table.curves():
+            for sign, j, *cols in _curve_texts(table):
                 _csv_block_rows(fh, cols, f"{sign},{j},")
     if table.skipped_k:
         print(

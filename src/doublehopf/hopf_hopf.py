@@ -20,10 +20,10 @@ from .chareq import (
     HopfLadders,
     SystemParams,
     _check_instance,
+    _check_rung,
     gain_bound,
-    hopf_frequencies,
     hopf_ladders,
-    tau_branch,
+    tau_branch,  # not called here; perfbench/tracing.py counts calls through this name
 )
 from .errors import HypothesisViolated, NoSignChange
 
@@ -110,17 +110,11 @@ class HopfCurveTable:
         ))
 
 
-def _gap(epsilon: float, mu: float, k: float, j_plus: int, j_minus: int) -> float:
-    return tau_branch(epsilon, mu, k, "plus", j_plus) - tau_branch(
-        epsilon, mu, k, "minus", j_minus
-    )
-
-
 def _gaps(
     epsilon: float, mu: float, ks: np.ndarray, j_plus: int, j_minus: int
 ) -> np.ndarray:
-    """``_gap`` at every gain of ks, in one evaluation; raises
-    HypothesisViolated at the first inadmissible gain."""
+    """Delay gap tau_{j_plus}^+ - tau_{j_minus}^- at every gain of ks, in one
+    evaluation; raises HypothesisViolated at the first inadmissible gain."""
     lad = hopf_ladders(epsilon, mu, ks)
     lad.require_admissible()
     return lad.tau("plus", j_plus) - lad.tau("minus", j_minus)
@@ -139,11 +133,16 @@ def find_hopf_hopf(
     k_hi is first clipped to the largest float below the closed-form gain
     bound of h1 (chareq.gain_bound).  The bracket is then scanned on 400
     points for a sign change of the delay gap and bisected until
-    |gap| < 1e-10.  Raises NoSignChange when the gap has constant sign on
-    the bracket, HypothesisViolated when the clipped bracket is empty or a
-    scanned gain still fails h2.  The scan is one array evaluation and the
-    bisection scalar; both give the bits of ``tau_branch``.
+    |gap| < 1e-10.  Raises ValueError for a ladder index that is not a
+    nonnegative integer, NoSignChange when the gap has constant sign on the
+    bracket, HypothesisViolated when the clipped bracket is empty or a
+    scanned gain still fails h2.  Every gain is one ``hopf_ladders`` call:
+    the scan one call of 400 gains, each bisection gain a call of one, and
+    tau0 and the frequencies come from one more at k0.  All give the bits
+    of ``tau_branch`` and ``hopf_frequencies``.
     """
+    _check_rung(j_plus)
+    _check_rung(j_minus)
     if not k_lo < k_hi:
         raise ValueError("need k_lo < k_hi")
     k_max = math.nextafter(gain_bound(epsilon, mu), -math.inf)
@@ -171,7 +170,7 @@ def find_hopf_hopf(
     k0 = 0.5 * (lo + hi)
     for _ in range(200):
         k0 = 0.5 * (lo + hi)
-        g_mid = _gap(epsilon, mu, k0, j_plus, j_minus)
+        g_mid = _gaps(epsilon, mu, np.array([k0]), j_plus, j_minus).item()
         if abs(g_mid) < _GAP_TOL:
             break
         if g_lo * g_mid <= 0.0:
@@ -179,10 +178,11 @@ def find_hopf_hopf(
         else:
             lo, g_lo = k0, g_mid
 
-    freqs = hopf_frequencies(epsilon, mu, k0)
-    tau0 = tau_branch(epsilon, mu, k0, "plus", j_plus)
+    # admissible: the last bisection gain was k0 itself
+    lad = hopf_ladders(epsilon, mu, k0)
     return HopfHopfPoint(
-        epsilon, mu, k0, tau0, freqs.omega_minus, freqs.omega_plus, j_plus, j_minus
+        epsilon, mu, k0, lad.tau("plus", j_plus).item(),
+        lad.omega["minus"].item(), lad.omega["plus"].item(), j_plus, j_minus,
     )
 
 

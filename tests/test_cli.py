@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -582,3 +583,52 @@ def test_inadmissible_instance_is_json_error(tmp_path, capsys, command, flag, va
     assert err["error"] == "ValueError"
     assert err["message"].startswith(flag[2:])
     assert list(tmp_path.iterdir()) == []
+
+
+def _row_by_row_curves(table):
+    """The hopf-curves CSV and JSON of ``table`` from its rows, one at a time."""
+    csv = io.StringIO()
+    cli._csv_rows(csv, ["branch_sign", "j", "k", "tau", "omega"], table.rows)
+    doc = {"rows": [r._asdict() for r in table.rows],
+           "skipped_k": list(table.skipped_k)}
+    return csv.getvalue().encode(), (cli._json_text(doc) + "\n").encode()
+
+
+@pytest.mark.parametrize("block", [4, 16384])
+@pytest.mark.parametrize("k_range", [
+    pytest.param("2.6:3.0:0.02", id="skipped-below"),
+    pytest.param("9.9:10.2:0.05", id="skipped-above"),
+    pytest.param("1:2:0.1", id="all-skipped"),
+    pytest.param("5:4:0.1", id="empty"),
+    pytest.param("4.6:4.62:0.01", id="one-partial-block"),
+])
+@pytest.mark.parametrize("j_max", [0, 1, 2, 3])
+def test_hopf_curves_writers_match_row_by_row(tmp_path, monkeypatch, k_range,
+                                              j_max, block):
+    # both formats write each curve in blocks with k and omega formatted
+    # once; the bytes are those of the row-by-row writers
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    table = dh.scan_hopf_curves(EPS, MU, cli._parse_range(k_range), j_max)
+    want_csv, want_json = _row_by_row_curves(table)
+    for fmt, want in (("csv", want_csv), ("json", want_json)):
+        out = tmp_path / f"curves.{fmt}"
+        assert run_cli("--format", fmt, "hopf-curves", "--k-range", k_range,
+                       "--j-max", str(j_max), "--out", str(out)) == 0
+        assert out.read_bytes() == want, fmt
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 10])
+def test_text_columns_match_row_writer(monkeypatch, n):
+    # a column formatted once by _Text goes out as "%s" next to float
+    # columns, in blocks of 3 rows with a partial last block
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
+    vals = np.array([0.1, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan,
+                     1.0 / 3.0, 2.0**53 + 2.0, -2.5])[:n]
+    floats = vals[::-1].copy()
+    got = io.StringIO()
+    cli._csv_block_rows(got, [cli._Text(vals), floats, cli._Text(floats), vals],
+                        "s,1,")
+    want = io.StringIO()
+    cli._csv_rows(want, [], (("s", 1, a, b, b, a)
+                             for a, b in zip(vals.tolist(), floats.tolist())))
+    assert got.getvalue() == want.getvalue()[1:]  # _csv_rows' empty header
