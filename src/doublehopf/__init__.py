@@ -3,15 +3,12 @@ extended delay feedback: critical-point detection, cubic normal form and
 unfolding, amplitude-system predictions, and neutral-delay simulation."""
 
 from .chareq import (
-    HopfBranch,
     HopfFrequencies,
     HopfLadders,
     StabilityWindows,
     SystemParams,
     WPoly,
-    check_hypotheses,
     eval_char,
-    hopf_branch,
     hopf_frequencies,
     hopf_ladders,
     rightmost_roots,

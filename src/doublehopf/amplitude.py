@@ -72,7 +72,11 @@ class AmplitudeEquilibrium:
     state: AmplitudeState
     kind: str  # origin | r1_axis | r2_axis | interior
     eigenvalues: Tuple[complex, complex]
-    stable: bool
+
+    @property
+    def stable(self) -> bool:
+        """Linearly stable: both eigenvalues in the open left half plane."""
+        return bool(np.max(np.real(self.eigenvalues)) < 0.0)
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,7 @@ def _jacobian(r1, r2, c1, c2, b0, c0, d0):
 def _make_eq(r1, r2, kind, c1, c2, b0, c0, d0) -> AmplitudeEquilibrium:
     eigs = np.linalg.eigvals(_jacobian(r1, r2, c1, c2, b0, c0, d0))
     return AmplitudeEquilibrium(
-        AmplitudeState(r1, r2),
-        kind,
-        (complex(eigs[0]), complex(eigs[1])),
-        bool(np.max(eigs.real) < 0.0),
+        AmplitudeState(r1, r2), kind, (complex(eigs[0]), complex(eigs[1]))
     )
 
 
@@ -293,10 +294,15 @@ def predict_attractor(
     L5 opens only at the uncomputed quadratic order).  D5 is therefore
     probed on the shared L4/L5 ray itself, where the center family stands
     in for the amplitude limit cycle.  No amplitude orbit is integrated.
+
+    Raises ValueError for a region outside 1..8 or a radius that is not
+    finite and positive, and WrongCase outside case VIa.
     """
     if not 1 <= region <= 8:
         raise ValueError(f"region must be 1..8, got {region}")
-    case = u.case if u.case is not None else normalform.classify_unfolding(u)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    case = normalform.classify_unfolding(u)
     if case != "VIa":
         raise WrongCase(f"attractor map defined for case VIa, not {case}")
     params = _probe_params(region, u, radius)

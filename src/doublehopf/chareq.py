@@ -18,10 +18,11 @@ the real quadratic W(rho) = a*rho^2 + b*rho + c.  Under the gain bound (h1)
 and positive discriminant (h2) there are exactly two admissible frequencies
 omega_minus < omega_plus, each the base of a ladder of critical delays
 tau_j = tau_0 + j*2*pi/omega; every critical delay in the package is a rung
-of such a ladder.  ``hopf_ladders`` is the one evaluator of both ladders and
-works on an array of gains first: ``check_hypotheses``,
-``hopf_frequencies``, ``hopf_branch`` and ``tau_branch`` are its 1-element
-views, so a gain scanned in an array gets the bits of the scalar call.
+of such a ladder.  ``hopf_ladders`` is the one evaluator and the one ladder
+type: it works on an array of gains, and ``hopf_frequencies``,
+``tau_branch``, ``transversality_sign`` and ``stability_windows`` each read
+one 1-element call of it, so a gain scanned in an array gets the bits of
+the scalar call.
 Its arithmetic is numpy's elementwise +, -, *, /, sqrt and Python-semantics
 %, which round as Python floats do; only the angle atan2(sin, cos) is
 taken per element with ``math.atan2``, because ``np.arctan2``'s vectorized
@@ -35,7 +36,7 @@ All frequencies and delays here are in the original (unrescaled) time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,18 +47,15 @@ __all__ = [
     "SystemParams",
     "WPoly",
     "HopfFrequencies",
-    "HopfBranch",
     "HopfLadders",
     "StabilityWindows",
     "eval_char",
     "char_deriv",
     "w_poly",
     "gain_bound",
-    "check_hypotheses",
     "hopf_ladders",
     "hopf_frequencies",
     "tau_branch",
-    "hopf_branch",
     "transversality_sign",
     "stability_windows",
     "rightmost_roots",
@@ -122,44 +120,28 @@ class HopfFrequencies:
     omega_plus: float
 
 
-@dataclass(frozen=True)
-class HopfBranch:
-    """One ladder of critical delays tau_j = tau0 + j*period_step.
-
-    ``omega`` is the branch frequency and omega*tau0 lies in [0, 2*pi).
-    """
-
-    sign: str
-    omega: float
-    tau0: float
-
-    @property
-    def period_step(self) -> float:
-        return 2.0 * math.pi / self.omega
-
-    def tau(self, j: int) -> float:
-        return _rung(self.tau0, self.omega, j)
-
-
 def _check_rung(j: int) -> None:
     """j is a ladder index, a nonnegative integer; raises ValueError."""
     if j < 0 or int(j) != j:
         raise ValueError(f"branch index j must be a nonnegative integer, got {j}")
 
 
-def _rung(tau0, omega, j: int):
-    """Rung tau0 + j*2*pi/omega of a ladder; scalars or arrays."""
-    return tau0 + j * (2.0 * math.pi / omega)
+def _check_sign(sign: str) -> None:
+    """sign names a branch, 'plus' or 'minus'; raises ValueError."""
+    if sign not in ("plus", "minus"):
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class HopfLadders:
     """Both ladders of critical delays at every gain of a 1-D array ``k``.
 
-    Elementwise: ``h1`` and ``h2`` are the conditions of
-    ``check_hypotheses``, and ``admissible`` is h1 & h2 & rho_minus > 0.
-    ``omega`` and ``tau0`` map each branch sign to its frequencies and base
-    delays (omega*tau0 in [0, 2*pi)); they are NaN on inadmissible gains.
+    Elementwise: ``h1`` is the gain bound k < gain_bound(eps, mu), which
+    forces c > 0 and b < 0 in the frequency quadratic; ``h2`` is its
+    positive discriminant b^2 - 4ac; ``admissible`` is
+    h1 & h2 & rho_minus > 0.  ``omega`` and ``tau0`` map each branch sign
+    to its frequencies and base delays (omega*tau0 in [0, 2*pi)); they are
+    NaN on inadmissible gains.
     """
 
     epsilon: float
@@ -173,7 +155,7 @@ class HopfLadders:
 
     def tau(self, sign: str, j: int) -> np.ndarray:
         """Critical delays tau_j of the branch at every gain."""
-        return _rung(self.tau0[sign], self.omega[sign], j)
+        return self.tau0[sign] + j * (2.0 * math.pi / self.omega[sign])
 
     def require_admissible(self) -> None:
         """Raise HypothesisViolated at the first inadmissible gain, if any."""
@@ -181,25 +163,26 @@ class HopfLadders:
             return
         i = np.flatnonzero(~self.admissible)[0]
         h1, h2 = bool(self.h1[i]), bool(self.h2[i])
+        where = f"(epsilon={self.epsilon}, mu={self.mu}, k={self.k[i].item()})"
         if not (h1 and h2):
-            raise HypothesisViolated(
-                f"(epsilon={self.epsilon}, mu={self.mu}, k={self.k[i].item()}) "
-                f"fails h1={h1}, h2={h2}"
-            )
-        # cannot occur under h1 (c > 0, b < 0), kept as a numerical guard
-        raise HypothesisViolated("smaller quadratic root is not positive")
+            raise HypothesisViolated(f"{where} fails h1={h1}, h2={h2}")
+        # rho_minus > 0 in exact arithmetic under h1 (c > 0, b < 0), but c
+        # vanishes at k = 1/eps: when that term sets the gain bound, rho_minus
+        # rounds to zero at gains a few ulps below it
+        raise HypothesisViolated(f"{where} smaller quadratic root is not positive")
 
 
 @dataclass(frozen=True)
 class StabilityWindows:
-    """Open delay intervals on which the origin is (linearly) stable.
+    """Open delay intervals on which the origin is (linearly) stable."""
 
-    ``m`` is the window count; None when the first interval is already
-    empty (origin unstable for every delay).
-    """
+    windows: Tuple[Tuple[float, float], ...] = ()
 
-    windows: Tuple[Tuple[float, float], ...] = field(default_factory=tuple)
-    m: Optional[int] = None
+    @property
+    def m(self) -> Optional[int]:
+        """The window count; None when there is no window (origin unstable
+        for every delay)."""
+        return len(self.windows) or None
 
 
 def eval_char(lam, p: SystemParams):
@@ -261,17 +244,6 @@ def gain_bound(epsilon: float, mu: float) -> float:
     )
 
 
-def check_hypotheses(epsilon: float, mu: float, k: float) -> dict:
-    """Admissibility conditions for two positive Hopf frequencies.
-
-    h1: the gain bound k < gain_bound(eps, mu), which forces c > 0 and
-        b < 0 in the frequency quadratic.
-    h2: positive discriminant b^2 - 4ac of the frequency quadratic.
-    """
-    lad = hopf_ladders(epsilon, mu, k)
-    return {"h1": bool(lad.h1.item()), "h2": bool(lad.h2.item())}
-
-
 def _cos_sin_rhs(omega, epsilon: float, mu: float, k):
     """Right-hand sides for cos(omega*tau), sin(omega*tau) at a Hopf frequency.
 
@@ -329,25 +301,18 @@ def hopf_frequencies(epsilon: float, mu: float, k: float) -> HopfFrequencies:
     return HopfFrequencies(lad.omega["minus"].item(), lad.omega["plus"].item())
 
 
-def hopf_branch(epsilon: float, mu: float, k: float, sign: str) -> HopfBranch:
-    """Ladder of critical delays on the fast ('plus') or slow ('minus') branch.
+def tau_branch(epsilon: float, mu: float, k: float, sign: str, j: int = 0) -> float:
+    """Critical delay tau_j on the fast ('plus') or slow ('minus') branch at gain k.
 
-    The base delay tau_0 is the unique solution of the cos/sin pair with
-    omega*tau_0 = atan2(sin, cos) mod 2*pi, in [0, 2*pi).  Raises
-    ValueError for an unknown sign and HypothesisViolated outside the
-    admissible region.
+    Raises ValueError for a ladder index that is not a nonnegative integer
+    or an unknown sign, and HypothesisViolated outside the admissible
+    region.
     """
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    _check_rung(j)
+    _check_sign(sign)
     lad = hopf_ladders(epsilon, mu, k)
     lad.require_admissible()
-    return HopfBranch(sign, lad.omega[sign].item(), lad.tau0[sign].item())
-
-
-def tau_branch(epsilon: float, mu: float, k: float, sign: str, j: int = 0) -> float:
-    """Critical delay tau_j = hopf_branch(...).tau(j) on the given branch."""
-    _check_rung(j)
-    return hopf_branch(epsilon, mu, k, sign).tau(j)
+    return lad.tau(sign, j).item()
 
 
 def transversality_sign(
@@ -358,7 +323,10 @@ def transversality_sign(
     Equals the sign of W'(rho) at rho = omega^2: +1 on the fast branch
     (roots cross rightward), -1 on the slow branch.
     """
-    omega = hopf_branch(epsilon, mu, k, sign).omega
+    _check_sign(sign)
+    lad = hopf_ladders(epsilon, mu, k)
+    lad.require_admissible()
+    omega = lad.omega[sign].item()
     d = w_poly(epsilon, mu, k).deriv(omega * omega)
     if abs(d) < tol:
         raise DegenerateRoot(f"|W'({omega}^2)| = {abs(d)} below tolerance {tol}")
@@ -373,21 +341,19 @@ def stability_windows(epsilon: float, mu: float, k: float) -> StabilityWindows:
     where the ordering fails.  Empty (m = None) when already tau_0^- >
     tau_0^+: the origin is then unstable for every delay.
     """
-    slow = hopf_branch(epsilon, mu, k, "minus")
-    fast = hopf_branch(epsilon, mu, k, "plus")
+    lad = hopf_ladders(epsilon, mu, k)
+    lad.require_admissible()
     windows: List[Tuple[float, float]] = []
     j = 0
     prev_hi = 0.0
     while True:
-        lo, hi = slow.tau(j), fast.tau(j)
+        lo, hi = lad.tau("minus", j).item(), lad.tau("plus", j).item()
         if lo >= hi or (j > 0 and lo <= prev_hi):
             break
         windows.append((lo, hi))
         prev_hi = hi
         j += 1
-    if not windows:
-        return StabilityWindows((), None)
-    return StabilityWindows(tuple(windows), len(windows))
+    return StabilityWindows(tuple(windows))
 
 
 def rightmost_roots(

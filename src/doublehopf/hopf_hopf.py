@@ -38,6 +38,8 @@ __all__ = [
 
 _SCAN_POINTS = 400
 _GAP_TOL = 1e-10
+# floats under the h1 bound searched for the highest gain with ladders
+_TOP_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,23 @@ def _gaps(
     return lad.tau("plus", j_plus) - lad.tau("minus", j_minus)
 
 
+def _top_gain(epsilon: float, mu: float, k_max: float) -> float:
+    """Where the scan of a bracket that reaches the h1 bound ends.
+
+    k_max is the largest float under the bound.  When the 1/eps term sets
+    the bound, c(1/eps) = 0, and on the floats just under it the smaller
+    root of the frequency quadratic rounds to zero although h1 and h2 hold.
+    Returns the first of the _TOP_ULPS floats from k_max down that is not
+    such a gain (it is admissible or fails h2), or k_max when all are.
+    """
+    ks = [k_max]
+    for _ in range(_TOP_ULPS - 1):
+        ks.append(math.nextafter(ks[-1], -math.inf))
+    lad = hopf_ladders(epsilon, mu, ks)
+    rounded = lad.h1 & lad.h2 & ~lad.admissible
+    return ks[int(np.argmin(rounded))]
+
+
 def find_hopf_hopf(
     epsilon: float,
     mu: float,
@@ -131,14 +150,17 @@ def find_hopf_hopf(
     """Intersection of the tau_{j_plus}^+ and tau_{j_minus}^- curves in [k_lo, k_hi].
 
     k_hi is first clipped to the largest float below the closed-form gain
-    bound of h1 (chareq.gain_bound).  The bracket is then scanned on 400
-    points for a sign change of the delay gap and bisected until
-    |gap| < 1e-10.  Raises ValueError for a ladder index that is not a
-    nonnegative integer, NoSignChange when the gap has constant sign on the
-    bracket, HypothesisViolated when the clipped bracket is empty or a
-    scanned gain still fails h2.  Every gain is one ``hopf_ladders`` call:
-    the scan one call of 400 gains, each bisection gain a call of one, and
-    tau0 and the frequencies come from one more at k0.  All give the bits
+    bound of h1 (chareq.gain_bound); where the smaller frequency rounds to
+    zero there, to the highest gain under the bound whose ladders exist
+    (_top_gain).  The bracket is then scanned on 400 points for a sign
+    change of the delay gap and bisected until |gap| < 1e-10.  Raises
+    ValueError for a ladder index that is not a nonnegative integer,
+    NoSignChange when the gap has constant sign on the bracket,
+    HypothesisViolated when the clipped bracket is empty or a scanned gain
+    still fails h2.  Every gain is one ``hopf_ladders`` call: the scan one
+    call of 400 gains, each bisection gain a call of one, and tau0 and the
+    frequencies come from one more at k0 (a bracket that reaches the bound
+    takes one more, of the _TOP_ULPS gains under it).  All give the bits
     of ``tau_branch`` and ``hopf_frequencies``.
     """
     _check_rung(j_plus)
@@ -146,6 +168,8 @@ def find_hopf_hopf(
     if not k_lo < k_hi:
         raise ValueError("need k_lo < k_hi")
     k_max = math.nextafter(gain_bound(epsilon, mu), -math.inf)
+    if k_hi >= k_max:
+        k_max = _top_gain(epsilon, mu, k_max)
     k_hi = min(k_hi, k_max)
     if not k_lo < k_hi:
         raise HypothesisViolated(
@@ -216,7 +240,8 @@ def scan_hopf_curves(
     """Tabulate tau_j^{+-}(k) over a gain grid for plotting the Hopf curves.
 
     The whole grid is evaluated in one ``hopf_ladders`` call, which gives
-    every row the bits of ``tau_branch`` and ``hopf_branch`` at its gain.
+    every row the bits of ``tau_branch`` and ``hopf_frequencies`` at its
+    gain.
     Gains failing the admissibility conditions are skipped and reported in
     ``skipped_k``.  The table stores the grid's ladders, not its rows: rows
     are formed when read.  Raises ValueError, before any gain is examined,

@@ -62,7 +62,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chareq import SystemParams, check_hypotheses
+from .chareq import SystemParams, hopf_ladders
 from .errors import HypothesisViolated, InsufficientData, NonFiniteState
 from .hopf_hopf import HopfHopfPoint
 
@@ -1069,8 +1069,8 @@ def line_T_scan(
             todo.append((iota, None))
             continue
         params = hh.params(0.1 * iota, 0.081 * iota)
-        hyp = check_hypotheses(hh.epsilon, hh.mu, params.k)
-        if not (hyp["h1"] and hyp["h2"]):
+        lad = hopf_ladders(hh.epsilon, hh.mu, params.k)
+        if not (lad.h1 & lad.h2).item():
             raise HypothesisViolated(f"iota={iota} leaves the admissible gain region")
         cfg = SimConfig.from_divisor(params, x0, y0, h_div, t_end, transient)
         if compute_exponent:

@@ -144,8 +144,7 @@ class UnfoldingParams:
     """Scaled planar amplitude-system data derived from the cubic coefficients.
 
     c1_map and c2_map are the rows of the linear map (alpha1, alpha2) ->
-    (c1, c2); det = d0 - b0*c0.  ``case`` is the unfolding label, or None
-    when a sign quantity sits on a boundary.
+    (c1, c2).  The unfolding case is classify_unfolding(u).
     """
 
     eps1: int
@@ -153,10 +152,13 @@ class UnfoldingParams:
     b0: float
     c0: float
     d0: int
-    det: float
     c1_map: np.ndarray
     c2_map: np.ndarray
-    case: Optional[str] = None
+
+    @property
+    def det(self) -> float:
+        """d0 - b0*c0, the fourth sign quantity of the classification."""
+        return self.d0 - self.b0 * self.c0
 
 
 @dataclass(frozen=True)
@@ -345,22 +347,15 @@ def unfolding_params(coeffs: NormalFormCoeffs) -> UnfoldingParams:
     eps2 = 1 if re22 > 0 else -1
     b0 = eps1 * eps2 * coeffs.c12.real / re22
     c0 = coeffs.c21.real / re11
-    d0 = eps1 * eps2
-    u = UnfoldingParams(
+    return UnfoldingParams(
         eps1=eps1,
         eps2=eps2,
         b0=b0,
         c0=c0,
-        d0=d0,
-        det=d0 - b0 * c0,
+        d0=eps1 * eps2,
         c1_map=eps1 * np.array([coeffs.a11.real, coeffs.a12.real]),
         c2_map=eps1 * np.array([coeffs.a21.real, coeffs.a22.real]),
     )
-    try:
-        u.case = classify_unfolding(u)
-    except BoundaryCase:
-        u.case = None
-    return u
 
 
 def classify_unfolding(u: UnfoldingParams, tol: float = 1e-9) -> str:
@@ -417,7 +412,7 @@ def via_lines(u: UnfoldingParams) -> ViaLines:
     quadratic correction is not computed, so it is emitted with the L5
     slope and flagged.  Raises WrongCase outside case VIa.
     """
-    case = u.case if u.case is not None else classify_unfolding(u)
+    case = classify_unfolding(u)
     if case != "VIa":
         raise WrongCase(f"bifurcation rays defined for case VIa, not {case}")
     b0, c0 = u.b0, u.c0
@@ -447,8 +442,11 @@ def region_of(
     Region i lies between rays L_{i-1} and L_i counterclockwise, with D1
     between L8 and L1.  Raises OnBoundary within ``tol`` radians of a ray
     (the L4/L5 pair is tangent at the origin, so the linear-order D5 sector
-    has zero width and maps to OnBoundary).
+    has zero width and maps to OnBoundary).  Raises ValueError for a
+    non-finite point or the origin.
     """
+    if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
+        raise ValueError(f"alpha must be finite, got {(alpha1, alpha2)}")
     if alpha1 == 0.0 and alpha2 == 0.0:
         raise ValueError("region undefined at the origin")
     theta = math.atan2(alpha2, alpha1)

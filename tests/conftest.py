@@ -54,8 +54,8 @@ def draw_admissible(rng, n):
         eps = rng.uniform(0.05, 0.6)
         mu = rng.uniform(0.1, 0.9)
         k = rng.uniform(-2.0, 1.0 / eps)
-        hyp = dh.check_hypotheses(eps, mu, k)
-        if hyp["h1"] and hyp["h2"]:
+        lad = dh.hopf_ladders(eps, mu, k)
+        if lad.h1.item() and lad.h2.item():
             out.append((eps, mu, k))
     return out
 

@@ -215,11 +215,33 @@ def test_escaping_oracle_run_raises_no_warning(ladder_unfoldings):
 
 def test_predict_attractor_wrong_case():
     u = dh.normalform.UnfoldingParams(
-        eps1=1, eps2=1, b0=0.5, c0=1.0, d0=1, det=0.5,
+        eps1=1, eps2=1, b0=0.5, c0=1.0, d0=1,
         c1_map=np.array([1.0, 0.0]), c2_map=np.array([0.0, 1.0]),
     )
+    assert u.det == 0.5
     with pytest.raises(WrongCase):
         dh.predict_attractor(8, u)
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        ("radius", -0.1), ("radius", 0.0), ("radius", math.nan),
+        ("radius", math.inf), ("radius", -math.inf),
+        ("alpha", (math.nan, 0.1)), ("alpha", (0.1, math.nan)),
+        ("alpha", (math.inf, 0.1)), ("alpha", (0.1, -math.inf)),
+    ],
+    ids=str,
+)
+def test_bad_probe_input_raises_value_error(unfolding, lines, probe):
+    # a negative radius would probe the antipodal sector, and a non-finite
+    # one or a non-finite point has no sector at all
+    what, value = probe
+    with pytest.raises(ValueError, match="must be finite"):
+        if what == "radius":
+            dh.predict_attractor(6, unfolding, radius=value)
+        else:
+            dh.region_of(*value, lines)
 
 
 def test_amplitude_state_validation():

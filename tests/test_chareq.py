@@ -89,13 +89,18 @@ def test_w_poly_magnitude_identity_random():
             assert magnitude_identity_residual(om, eps, mu, k) < 1e-10
 
 
-def test_check_hypotheses_reference_point():
-    hyp = dh.check_hypotheses(EPS, MU, REF_K0)
+def _hypotheses(eps, mu, k):
+    lad = dh.hopf_ladders(eps, mu, k)
+    return {"h1": lad.h1.item(), "h2": lad.h2.item()}
+
+
+def test_hypotheses_reference_point():
+    hyp = _hypotheses(EPS, MU, REF_K0)
     assert hyp == {"h1": True, "h2": True}
 
 
-def test_check_hypotheses_gain_too_large():
-    assert dh.check_hypotheses(0.1, 0.5, 100.0)["h1"] is False
+def test_hypotheses_gain_too_large():
+    assert _hypotheses(0.1, 0.5, 100.0)["h1"] is False
 
 
 def test_h2_flips_at_discriminant_zero():
@@ -108,8 +113,8 @@ def test_h2_flips_at_discriminant_zero():
             hi = mid
         else:
             lo = mid
-    assert dh.check_hypotheses(0.1, 0.5, lo)["h2"] is False
-    assert dh.check_hypotheses(0.1, 0.5, hi)["h2"] is True
+    assert _hypotheses(0.1, 0.5, lo)["h2"] is False
+    assert _hypotheses(0.1, 0.5, hi)["h2"] is True
 
 
 def test_hopf_frequencies_reference_values():
@@ -180,20 +185,20 @@ def test_tau_branch_residual_at_rounding_level():
                 assert abs(dh.eval_char(1j * om, p)) <= 1e-14
 
 
-def test_hopf_branch_is_the_ladder():
+def test_hopf_ladders_are_the_ladder():
     freqs = dh.hopf_frequencies(EPS, MU, 4.6)
+    lad = dh.hopf_ladders(EPS, MU, 4.6)
     for sign, om in (("minus", freqs.omega_minus), ("plus", freqs.omega_plus)):
-        b = dh.hopf_branch(EPS, MU, 4.6, sign)
-        assert (b.sign, b.omega) == (sign, om)
-        assert 0.0 <= om * b.tau0 < 2 * math.pi
-        assert b.period_step == 2 * math.pi / om
+        tau0 = lad.tau0[sign].item()
+        assert lad.omega[sign].item() == om
+        assert 0.0 <= om * tau0 < 2 * math.pi
         for j in range(4):
-            assert b.tau(j) == b.tau0 + j * b.period_step
-            assert b.tau(j) == dh.tau_branch(EPS, MU, 4.6, sign, j)
+            assert lad.tau(sign, j).item() == tau0 + j * (2 * math.pi / om)
+            assert lad.tau(sign, j).item() == dh.tau_branch(EPS, MU, 4.6, sign, j)
     with pytest.raises(ValueError):
-        dh.hopf_branch(EPS, MU, 4.6, "up")
+        dh.tau_branch(EPS, MU, 4.6, "up")
     with pytest.raises(HypothesisViolated):
-        dh.hopf_branch(EPS, MU, 50.0, "plus")
+        dh.tau_branch(EPS, MU, 50.0, "plus")
 
 
 def test_tau_branch_rung_spacing():
@@ -239,9 +244,7 @@ def test_stability_windows_boundaries_are_branch_delays():
 
 def test_stability_windows_empty_case():
     # slow branch already crosses after the fast one: unstable for all delays
-    mb = dh.hopf_branch(0.05, 0.9, -3.0, "minus")
-    pb = dh.hopf_branch(0.05, 0.9, -3.0, "plus")
-    assert mb.tau0 > pb.tau0
+    assert dh.tau_branch(0.05, 0.9, -3.0, "minus") > dh.tau_branch(0.05, 0.9, -3.0, "plus")
     sw = dh.stability_windows(0.05, 0.9, -3.0)
     assert sw.windows == () and sw.m is None
 

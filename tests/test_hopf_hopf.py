@@ -74,6 +74,51 @@ def test_bracket_clipped_to_gain_bound(k_hi):
     assert pt.tau0 == pytest.approx(REF_TAU0, abs=1e-8)
 
 
+def test_bracket_reaching_a_rounded_gain_bound():
+    # at (0.5, 0.5) the 1/eps term sets the gain bound 2, where c = 0: the
+    # largest float below it satisfies h1 and h2, but the smaller root of
+    # the frequency quadratic rounds to zero there; the scan ends at the
+    # highest gain under the bound whose ladders exist
+    from doublehopf.errors import HypothesisViolated
+
+    k_max = math.nextafter(2.0, -math.inf)
+    with pytest.raises(
+        HypothesisViolated,
+        match=r"^\(epsilon=0\.5, mu=0\.5, k=1\.9999999999999998\) "
+        r"smaller quadratic root is not positive$",
+    ):
+        dh.tau_branch(0.5, 0.5, k_max, "minus")
+    inside = dh.find_hopf_hopf(0.5, 0.5, 2, 1, 1.77, 1.99)
+    pt = dh.find_hopf_hopf(0.5, 0.5, 2, 1, 1.77, 5.0)
+    gap = dh.tau_branch(0.5, 0.5, pt.k0, "plus", 2) - dh.tau_branch(
+        0.5, 0.5, pt.k0, "minus", 1)
+    assert abs(gap) < 1e-10
+    assert pt.k0 == pytest.approx(inside.k0, abs=1e-9)
+
+
+def test_no_bracket_ends_where_the_smaller_root_rounds_to_zero():
+    # on a 40 x 17 instance grid, 104 instances have no ladders at the
+    # largest float below the gain bound although h1 and h2 hold there; a
+    # bracket reaching the bound now finds no sign change, fails h1/h2 by
+    # name, or finds a point, and never meets the rounded root
+    from doublehopf.chareq import gain_bound
+    from doublehopf.errors import HypothesisViolated
+
+    rounded = 0
+    for eps in np.linspace(0.05, 0.8, 40).tolist():
+        for mu in np.linspace(0.1, 0.9, 17).tolist():
+            bound = gain_bound(eps, mu)
+            lad = dh.hopf_ladders(eps, mu, math.nextafter(bound, -math.inf))
+            rounded += bool(lad.h1[0] and lad.h2[0] and not lad.admissible[0])
+            try:
+                dh.find_hopf_hopf(eps, mu, 0, 0, bound - 0.01, bound + 1.0)
+            except NoSignChange:
+                pass
+            except HypothesisViolated as exc:
+                assert "fails h1=" in str(exc)
+    assert rounded == 104
+
+
 def test_bracket_beyond_gain_bound():
     from doublehopf.errors import HypothesisViolated
 
@@ -166,4 +211,5 @@ def test_scan_curves_rows_are_branch_rungs():
     table = dh.scan_hopf_curves(EPS, MU, [4.6, 4.65, 4.7], j_max=2)
     for row in table.rows:
         assert row.tau == dh.tau_branch(EPS, MU, row.k, row.branch_sign, row.j)
-        assert row.omega == dh.hopf_branch(EPS, MU, row.k, row.branch_sign).omega
+        freqs = dh.hopf_frequencies(EPS, MU, row.k)
+        assert row.omega == getattr(freqs, f"omega_{row.branch_sign}")

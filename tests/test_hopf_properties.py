@@ -36,12 +36,12 @@ def _grids(draw):
 
 
 def _scalar_outcome(eps, mu, k):
-    """True when hopf_branch accepts k on both branches, False when both
+    """True when tau_branch accepts k on both branches, False when both
     raise HypothesisViolated."""
     ok = []
     for sign in ("minus", "plus"):
         try:
-            dh.hopf_branch(eps, mu, k, sign)
+            dh.tau_branch(eps, mu, k, sign)
             ok.append(True)
         except HypothesisViolated:
             ok.append(False)
@@ -73,4 +73,5 @@ def test_scan_rows_are_scalar_ladder_bits(grid):
         assert [r.k for r in curve] == kept
         for r in curve:
             assert r.tau == dh.tau_branch(eps, mu, r.k, sign, j)
-            assert r.omega == dh.hopf_branch(eps, mu, r.k, sign).omega
+            freqs = dh.hopf_frequencies(eps, mu, r.k)
+            assert r.omega == getattr(freqs, f"omega_{sign}")

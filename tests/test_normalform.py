@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -180,7 +180,7 @@ def test_unfolding_reference_values(unfolding):
     assert unfolding.det == pytest.approx(3.0, abs=1e-9)
     # structural identity: b0*c0 = -4 because c12 = 2c11 and c21 = 2c22
     assert unfolding.b0 * unfolding.c0 == pytest.approx(-4.0, abs=1e-9)
-    assert unfolding.case == "VIa"
+    assert dh.classify_unfolding(unfolding) == "VIa"
 
 
 def test_unfolding_sign_product():
@@ -210,10 +210,23 @@ def test_maps_vanish_at_origin(unfolding):
 
 def _mk_unfolding(d0, b0, c0):
     u = UnfoldingParams(
-        eps1=1, eps2=d0, b0=b0, c0=c0, d0=d0, det=d0 - b0 * c0,
+        eps1=1, eps2=d0, b0=b0, c0=c0, d0=d0,
         c1_map=np.array([1.0, 0.0]), c2_map=np.array([0.0, 1.0]),
     )
+    assert u.det == d0 - b0 * c0
     return u
+
+
+def test_unfolding_stores_no_derived_value():
+    # det and the case follow from b0, c0 and d0: neither is a field, and
+    # det cannot be set apart from them
+    names = [f.name for f in fields(UnfoldingParams)]
+    assert names == ["eps1", "eps2", "b0", "c0", "d0", "c1_map", "c2_map"]
+    u = _mk_unfolding(-1, 1.0, -2.0)
+    with pytest.raises(AttributeError):
+        u.det = 0.0
+    u.b0 = 2.0
+    assert u.det == -1 - 2.0 * -2.0
 
 
 @pytest.mark.parametrize(
@@ -244,7 +257,7 @@ def test_classification_scale_invariance(coeffs):
             coeffs.a21, coeffs.a22, scale * coeffs.c21, scale * coeffs.c22,
         )
         u = dh.unfolding_params(scaled)
-        assert u.case == "VIa"
+        assert dh.classify_unfolding(u) == "VIa"
         assert u.det == pytest.approx(3.0, abs=1e-9)
 
 
