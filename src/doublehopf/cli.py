@@ -12,6 +12,16 @@ indices 1/1, gain bracket 4.5:5.2); everything is overridable.  Scalar
 reports are JSON, sampled data CSV (header row, comma separators, LF line
 endings, '.' decimal separator), numbers with 17 significant digits.
 Errors exit nonzero after printing a machine-readable JSON object.
+
+Every number is written as the bytes of format(v, ".17g").  Scalar
+reports and short tables format value by value (_f).  The long tables --
+the hopf-curves rows and the sampled trajectory -- go through _fmt17,
+which gives the same bytes for a whole array at once for values written
+in fixed notation (decimal exponent d in [-4, 16]) and calls _f for the
+rest (0, -0, inf, nan, subnormals, |v| < 1e-4, |v| >= 1e17).  Their rows
+are assembled _ROW_BLOCK at a time, so a table of any length holds one
+block of formatting state (under 1 MB), plus 24 bytes per value of the
+columns formatted once for a whole table (k and omega of hopf-curves).
 """
 
 from __future__ import annotations
@@ -32,7 +42,11 @@ from .errors import DoubleHopfError, NonFiniteState
 __all__ = ["main", "build_parser"]
 
 _FMT = ".17g"
-_ROW_BLOCK = 2048  # CSV rows formatted per block (under 1 MB of text and floats)
+# Rows per block of the long tables.  A block holds one 24-byte _fmt17 row
+# per value, the row matrix (24 bytes per value plus the fixed text) and its
+# text, and _fmt17's temporaries of about 0.2 kB per value of one column:
+# 0.75 MB at 2048 rows of five columns (tracemalloc peak).
+_ROW_BLOCK = 2048
 
 
 def _f(v: float) -> str:
@@ -87,57 +101,149 @@ def _csv_rows(fh, header: Sequence[str], rows) -> None:
         fh.write("\n")
 
 
-class _Text:
-    """A float column formatted once, for _blocks to write as text.
+# _fmt17's tables; every entry is exact
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_P10 = np.array([float(10**p) for p in range(21)])  # exact up to 10**22
+_P10_HI = _SPLIT * _P10 - (_SPLIT * _P10 - _P10)
+_P10_LO = _P10 - _P10_HI
+_E8 = np.uint64(10**8)
+# the ASCII digits of 0..9999, first digit in the low byte
+_QUAD = sum(
+    (np.arange(10000, dtype=np.uint32) // 10 ** (3 - i) % 10 + 48) << 8 * i
+    for i in range(4)
+).astype(np.uint32)
+# the sign, "0." and the zeros before the first digit, right-aligned in the
+# first 7 bytes of a word, by 5 * (v < 0) + min(d, 0) + 4
+_LEAD = np.array([
+    int.from_bytes((sign + ("0." + "0" * (-d - 1) if d < 0 else ""))
+                   .encode().rjust(7, b"\0"), "little")
+    for sign in ("", "-") for d in range(-4, 1)
+], dtype=np.uint64)
+# by c in 0..16: masks of the first c of the 16 digits after the first, in
+# their two words, and a point as byte c of those words (none at c = 16)
+_KEEP = [np.array([(1 << 8 * min(max(c - w, 0), 8)) - 1 for c in range(17)],
+                  dtype=np.uint64) for w in (0, 8)]
+_POINT = [np.array([46 << 8 * (c - w) if w <= c < w + 8 else 0 for c in range(17)],
+                   dtype=np.uint64) for w in (0, 8)]
 
-    Holds format(x, ".17g") of every value, one newline-joined string per
-    block of _ROW_BLOCK values; slicing a block gives the block's texts.
+
+def _times_pow10(a: np.ndarray, p: np.ndarray) -> tuple:
+    """(hi, lo) with hi + lo = a * 10**p exactly and hi = fl(a * 10**p):
+    Dekker's product with Veltkamp's split, for 0 <= p <= 20."""
+    hi = a * _P10.take(p)
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    bh, bl = _P10_HI.take(p), _P10_LO.take(p)
+    return hi, al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+
+
+def _fmt17(v: np.ndarray) -> np.ndarray:
+    """An (n, 24) uint8 matrix whose row i, NUL bytes dropped, is the text
+    of format(v[i], ".17g"); the text is contiguous, padded with NUL.
+
+    For 1e-4 <= |v| < 1e17 the text is fixed notation of the 17-digit
+    integer q = round(|v| * 10**(16 - d)), d = floor(log10|v|), rounded
+    half to even as Python's correctly rounded conversion does.  The
+    product is Dekker's exact hi + lo.  hi is then an even integer above
+    2**53, so q = hi + rint(lo).  log10 may miss the decade by one; such
+    values are evaluated once more at the right d.  Other values go
+    through _f.  A longer array than _ROW_BLOCK is formatted a block at a
+    time, so the temporaries, about 0.2 kB per value, are those of a block.
     """
+    v = np.asarray(v, dtype=np.float64)
+    if len(v) > _ROW_BLOCK:
+        return np.concatenate([_fmt17(v[r : r + _ROW_BLOCK])
+                               for r in range(0, len(v), _ROW_BLOCK)])
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)
+    d = np.maximum(np.minimum(np.floor(np.log10(a)).astype(np.intp), 16), -4)
+    hi, lo = _times_pow10(a, 16 - d)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    miss = low | high
+    if miss.any():
+        d[miss] += high[miss].astype(np.intp) - low[miss]
+        hi[miss], lo[miss] = _times_pow10(a[miss], 16 - d[miss])
+    # q < 10**17: rounding moves |v| by at most 5e-18 of 10**(d+1), and no
+    # double lies that close below it (10**(d+1) is a double for d >= -1,
+    # and for d < -1 its nearest double is above it)
+    q = (hi.astype(np.int64) + np.rint(lo).astype(np.int64)).view(np.uint64)
+    # q = lead * 10**16 + the 16 digits after it, two halves of 8 digits
+    # and four groups of 4, read as ASCII from _QUAD
+    h = q // _E8
+    first = h // _E8
+    halves = np.empty((2, len(v)), np.uint64)
+    np.subtract(h, first * _E8, out=halves[0])
+    np.subtract(q, h * _E8, out=halves[1])
+    # byte i of a "<" (little-endian) word is text position i on any platform
+    quads = np.empty((2, len(v), 2), "<u4")
+    top = halves // np.uint64(10**4)
+    quads[..., 0] = _QUAD.take(top)
+    quads[..., 1] = _QUAD.take(halves - top * np.uint64(10**4))
+    words = quads.view("<u8")[..., 0]  # digits 2..9 and 10..17
+    # last = how many of the 16 digits there are up to the last nonzero one
+    bits = np.frexp((words - np.uint64(0x3030303030303030)).astype(np.float64))[1]
+    last = (np.where(bits[1] != 0, 64 + bits[1], bits[0]) + 7) >> 3
+    # the first c digits stand before the point, the rest up to last after
+    # it, one byte on; below 1 the point is in the lead and c = last
+    c = np.where(d >= 0, d, last)
+    point = np.where((d >= 0) & (last > d), d, 16)
+    out = np.empty((len(v), 4), "<u8")
+    out[:, 0] = (_LEAD.take(5 * (v < 0) + np.minimum(d, 0) + 4)
+                 | (first + np.uint64(48)) << np.uint64(56))
+    carried = np.uint64(0)
+    for w, (keep, dot) in enumerate(zip(_KEEP, _POINT)):
+        kc = keep.take(c)
+        tail = words[w] & ~kc & keep.take(last)
+        out[:, 1 + w] = (words[w] & kc) | (tail << np.uint64(8)) | carried | dot.take(point)
+        carried = tail >> np.uint64(56)
+    out[:, 3] = carried
+    text = out.view(np.uint8)[:, 1:25]
+    rest = np.flatnonzero(~fixed)
+    if len(rest):
+        texts = np.array([_f(x) for x in v[rest].tolist()], dtype="S24")
+        text[rest] = texts.view(np.uint8).reshape(-1, 24)
+    return text
 
-    def __init__(self, v: np.ndarray):
-        self.n = len(v)
-        self.blocks = [
-            "\n".join(["%" + _FMT] * len(b)) % tuple(b.tolist())
-            for b in np.split(v, range(_ROW_BLOCK, len(v), _ROW_BLOCK))
-        ]
 
-    def __len__(self) -> int:
-        return self.n
+def _row_blocks(parts: Sequence) -> Iterator[str]:
+    """The text of rows made of ``parts``, one string per block of
+    _ROW_BLOCK rows.
 
-    def __getitem__(self, rows: slice) -> List[str]:
-        # _blocks slices at multiples of _ROW_BLOCK, one block at a time
-        return self.blocks[rows.start // _ROW_BLOCK].split("\n")
-
-
-def _blocks(row: str, cols: Sequence) -> Iterator[str]:
-    """The text of ``row`` %-formatted with each row of the columns, one
-    string per block of _ROW_BLOCK rows.
-
-    A column is a float array, whose slot in ``row`` is "%.17g" (the digits
-    of format(v, ".17g") for every float, inf and nan included), or a
-    ``_Text`` of already formatted values, whose slot is "%s".  Each
-    block is one %-format, so a long table holds one block of text at a time.
+    A part is a str, written in every row, or a column: a float array,
+    written by _fmt17 one block at a time, or an _fmt17 matrix, so a column
+    that several tables share is formatted once.  Each block is one byte
+    matrix, the parts side by side, with its NUL padding dropped.
     """
-    m = len(cols)
-    for r in range(0, len(cols[0]), _ROW_BLOCK):
-        block = [c[r : r + _ROW_BLOCK] for c in cols]
-        vals = [None] * (m * len(block[0]))
-        for i, b in enumerate(block):
-            vals[i::m] = b.tolist() if isinstance(b, np.ndarray) else b
-        yield (row * len(block[0])) % tuple(vals)
+    n = len(next(p for p in parts if not isinstance(p, str)))
+    width = sum(len(p) if isinstance(p, str) else 24 for p in parts)
+    for r in range(0, n, _ROW_BLOCK):
+        rows = np.empty((min(_ROW_BLOCK, n - r), width), np.uint8)
+        at = 0
+        for p in parts:
+            if isinstance(p, str):
+                p = np.frombuffer(p.encode(), np.uint8)
+            else:
+                p = p[r : r + _ROW_BLOCK]
+                if p.ndim == 1:
+                    p = _fmt17(p)
+            rows[:, at : at + p.shape[-1]] = p
+            at += p.shape[-1]
+        yield rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _csv_block_rows(fh, cols: Sequence, prefix: str = "") -> None:
     """Write rows ``prefix`` + the columns' values, as _csv_rows would.
 
-    Each column is a float array, written "%.17g", or a ``_Text``, written
-    "%s": a column that several tables share is formatted once.  Rows go
-    out in blocks (``_blocks``).
+    Each column is a float array or an _fmt17 matrix (see _row_blocks).
     """
-    row = prefix + ",".join(
-        "%" + _FMT if isinstance(c, np.ndarray) else "%s" for c in cols
-    ) + "\n"
-    fh.writelines(_blocks(row, cols))
+    parts = [prefix]
+    for c in cols:
+        parts += [c, ","]
+    parts[-1] = "\n"
+    fh.writelines(_row_blocks(parts))
 
 
 @contextlib.contextmanager
@@ -254,38 +360,42 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _curve_texts(table: hopf_hopf.HopfCurveTable) -> Iterator[tuple]:
+def _curve_columns(table: hopf_hopf.HopfCurveTable) -> Iterator[tuple]:
     """(sign, j, k, tau, omega) of each curve of ``table.curves()``, with k
-    and omega as ``_Text``: k is formatted once per table and omega once
-    per branch sign, so only tau is formatted per curve."""
+    and omega as _fmt17 matrices: k is formatted once per table and omega
+    once per branch sign, so only tau is formatted per curve."""
     text = {}
     for sign, j, k, tau, omega in table.curves():
         if "k" not in text:
-            text["k"] = _Text(k)
+            text["k"] = _fmt17(k)
         if sign not in text:
-            text[sign] = _Text(omega)
+            text[sign] = _fmt17(omega)
         yield sign, j, text["k"], tau, text[sign]
 
 
-# one row of the hopf-curves JSON, as _json_text indents it in the list
+# the text of one row of the hopf-curves JSON around its k, tau and omega,
+# as _json_text indents the row in the list
 _JSON_CURVE_ROW = (
-    ',\n    {\n      "branch_sign": %s,\n      "j": %d,\n      "k": %%s,\n'
-    '      "tau": %%.17g,\n      "omega": %%s\n    }'
+    ',\n    {\n      "branch_sign": %s,\n      "j": %d,\n      "k": ',
+    ',\n      "tau": ',
+    ',\n      "omega": ',
+    "\n    }",
 )
 
 
 def _write_curves_json(fh, table: hopf_hopf.HopfCurveTable) -> None:
     """The bytes _write_json gives {"rows": [row dicts], "skipped_k": [...]},
-    with each curve's rows written in blocks through one %-template.
+    with each curve's rows written in blocks (_row_blocks).
 
     The rows need none of _json_text's finiteness checks: on an admissible
     gain k is finite, omega >= sqrt(5e-324) and so every rung tau finite.
     """
     fh.write('{\n  "rows": [')
     first = True
-    for sign, j, k, tau, omega in _curve_texts(table):
-        row = _JSON_CURVE_ROW % (json.dumps(sign), j)
-        for text in _blocks(row, (k, tau, omega)):
+    head, at_tau, at_omega, tail = _JSON_CURVE_ROW
+    for sign, j, k, tau, omega in _curve_columns(table):
+        parts = (head % (json.dumps(sign), j), k, at_tau, tau, at_omega, omega, tail)
+        for text in _row_blocks(parts):
             # every row starts ",\n"; the first row of the list must not
             fh.write(text[1:] if first else text)
             first = False
@@ -301,7 +411,7 @@ def cmd_hopf_curves(args) -> int:
             _write_curves_json(fh, table)
         else:
             fh.write("branch_sign,j,k,tau,omega\n")
-            for sign, j, *cols in _curve_texts(table):
+            for sign, j, *cols in _curve_columns(table):
                 _csv_block_rows(fh, cols, f"{sign},{j},")
     if table.skipped_k:
         print(

@@ -27,7 +27,7 @@ counterclockwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -139,12 +139,13 @@ class NormalFormCoeffs:
     c22: complex
 
 
-@dataclass
+@dataclass(eq=False)
 class UnfoldingParams:
     """Scaled planar amplitude-system data derived from the cubic coefficients.
 
     c1_map and c2_map are the rows of the linear map (alpha1, alpha2) ->
-    (c1, c2).  The unfolding case is classify_unfolding(u).
+    (c1, c2).  The unfolding case is classify_unfolding(u).  Two unfoldings
+    are equal when every field is, the maps compared by value.
     """
 
     eps1: int
@@ -159,6 +160,12 @@ class UnfoldingParams:
     def det(self) -> float:
         """d0 - b0*c0, the fourth sign quantity of the classification."""
         return self.d0 - self.b0 * self.c0
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)

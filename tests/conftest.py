@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,19 @@ def grid_scan_oracle(c1, c2, b0, c0, d0, box, n=400):
         if all(np.linalg.norm(p - q) > 1e-4 for q in found):
             found.append(p)
     return sorted(found, key=lambda q: (q[0], q[1]))
+
+
+def format_cases():
+    """About 70 k finite and special doubles for checks that a formatter
+    gives the digits of format(v, ".17g"): random bit patterns, normals
+    scaled over the whole exponent range, and the zeros, subnormals,
+    extremes, ties and non-finite values."""
+    rng = np.random.default_rng(17)
+    raw = rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-320, 300, 20_000)
+    vals = [v for v in np.concatenate([raw, scaled]).tolist() if math.isfinite(v)]
+    vals += [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+             2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+             1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0**53 + 2.0,
+             math.inf, -math.inf, math.nan]
+    return vals

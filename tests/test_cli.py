@@ -14,7 +14,7 @@ from doublehopf import cli, nfde_sim
 from doublehopf.chareq import SystemParams
 from doublehopf.cli import main
 
-from conftest import EPS, MU, REF_B0, REF_C0, REF_K0, REF_TAU0
+from conftest import EPS, MU, REF_B0, REF_C0, REF_K0, REF_TAU0, format_cases
 
 
 def run_cli(*argv):
@@ -505,16 +505,9 @@ def test_trajectory_export_blocks_match_whole_arrays(
 
 
 def test_percent_format_matches_format_spec():
-    # the trajectory writer formats blocks with "%.17g"; every other
-    # output uses format(v, ".17g"), and the two must agree digit for digit
-    rng = np.random.default_rng(17)
-    raw = rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(np.float64)
-    scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-320, 300, 20_000)
-    vals = [v for v in np.concatenate([raw, scaled]).tolist() if math.isfinite(v)]
-    vals += [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
-             2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
-             1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0**53 + 2.0,
-             math.inf, -math.inf, math.nan]
+    # "%.17g" and format(v, ".17g") agree digit for digit; the long tables'
+    # _fmt17 is checked against the same values in test_cli_properties
+    vals = format_cases()
     text = ("%.17g,%.17g\n" * (len(vals) // 2)) % tuple(vals[: len(vals) // 2 * 2])
     want = "".join(
         f"{format(a, '.17g')},{format(b, '.17g')}\n"
@@ -619,14 +612,14 @@ def test_hopf_curves_writers_match_row_by_row(tmp_path, monkeypatch, k_range,
 
 @pytest.mark.parametrize("n", [0, 1, 3, 10])
 def test_text_columns_match_row_writer(monkeypatch, n):
-    # a column formatted once by _Text goes out as "%s" next to float
-    # columns, in blocks of 3 rows with a partial last block
+    # a column formatted once by _fmt17 goes out next to float columns,
+    # in blocks of 3 rows with a partial last block
     monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
     vals = np.array([0.1, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan,
                      1.0 / 3.0, 2.0**53 + 2.0, -2.5])[:n]
     floats = vals[::-1].copy()
     got = io.StringIO()
-    cli._csv_block_rows(got, [cli._Text(vals), floats, cli._Text(floats), vals],
+    cli._csv_block_rows(got, [cli._fmt17(vals), floats, cli._fmt17(floats), vals],
                         "s,1,")
     want = io.StringIO()
     cli._csv_rows(want, [], (("s", 1, a, b, b, a)

@@ -208,6 +208,23 @@ def test_maps_vanish_at_origin(unfolding):
     assert float(unfolding.c2_map @ alpha) == 0.0
 
 
+def test_unfolding_equality_compares_maps_by_value(coeffs):
+    # the maps are arrays: equality compares them entry by entry instead
+    # of asking an array for its truth value
+    u, again = dh.unfolding_params(coeffs), dh.unfolding_params(coeffs)
+    assert u == again and not u != again
+    assert u.c1_map is not again.c1_map
+    bumped = u.c2_map.copy()
+    bumped[1] = math.nextafter(bumped[1], math.inf)
+    for other in (replace(u, b0=math.nextafter(u.b0, 0.0)), replace(u, c2_map=bumped),
+                  replace(u, c1_map=u.c1_map[::-1].copy())):
+        assert u != other and not u == other
+    assert u != "VIa"
+    # the maps stay arrays: c = map @ alpha
+    alpha = np.array([0.1, -0.2])
+    assert float(u.c1_map @ alpha) == pytest.approx(u.c1_map[0] * 0.1 - u.c1_map[1] * 0.2)
+
+
 def _mk_unfolding(d0, b0, c0):
     u = UnfoldingParams(
         eps1=1, eps2=d0, b0=b0, c0=c0, d0=d0,
