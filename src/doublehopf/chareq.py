@@ -138,10 +138,13 @@ class HopfLadders:
 
     Elementwise: ``h1`` is the gain bound k < gain_bound(eps, mu), which
     forces c > 0 and b < 0 in the frequency quadratic; ``h2`` is its
-    positive discriminant b^2 - 4ac; ``admissible`` is
-    h1 & h2 & rho_minus > 0.  ``omega`` and ``tau0`` map each branch sign
-    to its frequencies and base delays (omega*tau0 in [0, 2*pi)); they are
-    NaN on inadmissible gains.
+    positive discriminant b^2 - 4ac; ``admissible`` is h1 & h2, since then
+    both frequencies are positive up to the largest float under the bound:
+    a float k below fl(1/eps) has eps*k < 1 exactly, so both factors of the
+    computed c (see w_poly) and rho_minus = 2c/(sqrt(disc) - b) are
+    positive.  ``omega`` and ``tau0`` map each branch sign to its
+    frequencies and base delays (omega*tau0 in [0, 2*pi)); they are NaN on
+    inadmissible gains.
     """
 
     epsilon: float
@@ -149,9 +152,12 @@ class HopfLadders:
     k: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
-    admissible: np.ndarray
     omega: Dict[str, np.ndarray]
     tau0: Dict[str, np.ndarray]
+
+    @property
+    def admissible(self) -> np.ndarray:
+        return self.h1 & self.h2
 
     def tau(self, sign: str, j: int) -> np.ndarray:
         """Critical delays tau_j of the branch at every gain."""
@@ -159,17 +165,12 @@ class HopfLadders:
 
     def require_admissible(self) -> None:
         """Raise HypothesisViolated at the first inadmissible gain, if any."""
-        if self.admissible.all():
-            return
-        i = np.flatnonzero(~self.admissible)[0]
-        h1, h2 = bool(self.h1[i]), bool(self.h2[i])
-        where = f"(epsilon={self.epsilon}, mu={self.mu}, k={self.k[i].item()})"
-        if not (h1 and h2):
-            raise HypothesisViolated(f"{where} fails h1={h1}, h2={h2}")
-        # rho_minus > 0 in exact arithmetic under h1 (c > 0, b < 0), but c
-        # vanishes at k = 1/eps: when that term sets the gain bound, rho_minus
-        # rounds to zero at gains a few ulps below it
-        raise HypothesisViolated(f"{where} smaller quadratic root is not positive")
+        ok = self.admissible
+        if not ok.all():
+            i = np.flatnonzero(~ok)[0]
+            raise HypothesisViolated(
+                f"(epsilon={self.epsilon}, mu={self.mu}, k={self.k[i].item()}) "
+                f"fails h1={bool(self.h1[i])}, h2={bool(self.h2[i])}")
 
 
 @dataclass(frozen=True)
@@ -222,14 +223,32 @@ def char_deriv(lam, p: SystemParams):
     return val if np.ndim(lam) else val[0]
 
 
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _two_product(x, y):
+    """(hi, lo) with hi = fl(x*y) and hi + lo = x*y exactly, elementwise:
+    Dekker's product (Numer. Math. 18, 1971) with Veltkamp's split, exact
+    barring overflow and underflow."""
+    hi = x * y
+    cx, cy = _SPLIT * x, _SPLIT * y
+    xh, yh = cx - (cx - x), cy - (cy - y)
+    xl, yl = x - xh, y - yh
+    return hi, xl * yl - (((hi - xh * yh) - xl * yh) - xh * yl)
+
+
 def w_poly(epsilon: float, mu: float, k: float) -> WPoly:
     """Frequency quadratic for pure-imaginary characteristic roots.
 
-    Elementwise in k: an array of gains gives a WPoly of arrays."""
+    c = (1 - eps*k)*(1 + mu - eps*k*(1 - mu)) is u*(2*mu + (1 - mu)*u), with
+    u = 1 - eps*k rounded once from the exact eps*k, so it keeps its
+    relative precision as it vanishes at k = 1/eps.  Elementwise in k: an
+    array of gains gives a WPoly of arrays."""
     a = 1.0 + mu
     b = 2.0 * epsilon * k - 2.0 * (1.0 + mu) + epsilon * epsilon * (1.0 + mu)
-    c = epsilon * epsilon * k * k * (1.0 - mu) - 2.0 * epsilon * k + 1.0 + mu
-    return WPoly(a, b, c)
+    p_hi, p_lo = _two_product(epsilon, k)
+    u = (1.0 - p_hi) - p_lo
+    return WPoly(a, b, u * (2.0 * mu + (1.0 - mu) * u))
 
 
 def gain_bound(epsilon: float, mu: float) -> float:
@@ -259,11 +278,12 @@ def _cos_sin_rhs(omega, epsilon: float, mu: float, k):
 def hopf_ladders(epsilon: float, mu: float, ks) -> HopfLadders:
     """Both Hopf ladders at every gain of ``ks`` (a scalar is a 1-element array).
 
-    The frequencies are omega_-+ = sqrt((-b -+ sqrt(b^2-4ac))/(2a)) from the
-    frequency quadratic; each base delay tau_0 solves the cos/sin pair with
-    omega*tau_0 = atan2(sin, cos) mod 2*pi.  Raises ValueError unless
-    (epsilon, mu) is an instance SystemParams allows; inadmissible gains are
-    only masked.
+    The frequencies are omega_-+ = sqrt(rho_-+), the roots rho_- = 2c/t and
+    rho_+ = t/(2a), t = -b + sqrt(b^2-4ac), of the frequency quadratic, in
+    forms without cancellation; each base delay tau_0 solves the cos/sin
+    pair with omega*tau_0 = atan2(sin, cos) mod 2*pi.  Raises ValueError
+    unless (epsilon, mu) is an instance SystemParams allows; inadmissible
+    gains are only masked.
     """
     k = np.array(ks, dtype=float, ndmin=1)
     # inadmissible gains (NaN, +-inf, h2 failing) make NaN here, masked below
@@ -272,10 +292,10 @@ def hopf_ladders(epsilon: float, mu: float, ks) -> HopfLadders:
         w = w_poly(epsilon, mu, k)
         disc = w.discriminant
         h2 = disc > 0.0
-        sq = np.sqrt(disc)
+        t = np.sqrt(disc) - w.b
         # row 0 the slow ("minus") branch, row 1 the fast ("plus") branch
-        omega = np.sqrt(np.stack([-w.b - sq, -w.b + sq]) / (2.0 * w.a))
-        ok = h1 & h2 & (omega[0] > 0.0)
+        omega = np.sqrt(np.stack([2.0 * w.c / t, t / (2.0 * w.a)]))
+    ok = h1 & h2
     om = omega[:, ok]
     cos_v, sin_v = _cos_sin_rhs(om, epsilon, mu, k[ok])
     theta = np.fromiter(
@@ -285,7 +305,7 @@ def hopf_ladders(epsilon: float, mu: float, ks) -> HopfLadders:
     tau0[:, ok] = theta / om
     omega[:, ~ok] = np.nan
     return HopfLadders(
-        epsilon, mu, k, h1, h2, ok,
+        epsilon, mu, k, h1, h2,
         {"minus": omega[0], "plus": omega[1]},
         {"minus": tau0[0], "plus": tau0[1]},
     )

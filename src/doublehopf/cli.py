@@ -37,6 +37,7 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from . import hopf_hopf, nfde_sim, normalform
+from .chareq import _two_product
 from .errors import DoubleHopfError, NonFiniteState
 
 __all__ = ["main", "build_parser"]
@@ -102,10 +103,7 @@ def _csv_rows(fh, header: Sequence[str], rows) -> None:
 
 
 # _fmt17's tables; every entry is exact
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _P10 = np.array([float(10**p) for p in range(21)])  # exact up to 10**22
-_P10_HI = _SPLIT * _P10 - (_SPLIT * _P10 - _P10)
-_P10_LO = _P10 - _P10_HI
 _E8 = np.uint64(10**8)
 # the ASCII digits of 0..9999, first digit in the low byte
 _QUAD = sum(
@@ -125,17 +123,6 @@ _KEEP = [np.array([(1 << 8 * min(max(c - w, 0), 8)) - 1 for c in range(17)],
                   dtype=np.uint64) for w in (0, 8)]
 _POINT = [np.array([46 << 8 * (c - w) if w <= c < w + 8 else 0 for c in range(17)],
                    dtype=np.uint64) for w in (0, 8)]
-
-
-def _times_pow10(a: np.ndarray, p: np.ndarray) -> tuple:
-    """(hi, lo) with hi + lo = a * 10**p exactly and hi = fl(a * 10**p):
-    Dekker's product with Veltkamp's split, for 0 <= p <= 20."""
-    hi = a * _P10.take(p)
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    bh, bl = _P10_HI.take(p), _P10_LO.take(p)
-    return hi, al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
 
 
 def _fmt17(v: np.ndarray) -> np.ndarray:
@@ -159,13 +146,13 @@ def _fmt17(v: np.ndarray) -> np.ndarray:
     fixed = (a >= 1e-4) & (a < 1e17)
     a = np.where(fixed, a, 1.0)
     d = np.maximum(np.minimum(np.floor(np.log10(a)).astype(np.intp), 16), -4)
-    hi, lo = _times_pow10(a, 16 - d)
+    hi, lo = _two_product(a, _P10.take(16 - d))
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
     miss = low | high
     if miss.any():
         d[miss] += high[miss].astype(np.intp) - low[miss]
-        hi[miss], lo[miss] = _times_pow10(a[miss], 16 - d[miss])
+        hi[miss], lo[miss] = _two_product(a[miss], _P10.take(16 - d[miss]))
     # q < 10**17: rounding moves |v| by at most 5e-18 of 10**(d+1), and no
     # double lies that close below it (10**(d+1) is a double for d >= -1,
     # and for d < -1 its nearest double is above it)

@@ -4,7 +4,8 @@ The two critical-delay ladders tau_j^+(k) and tau_j^-(k) sweep curves in
 the (k, tau) plane as the feedback gain varies.  Where a fast-branch curve
 crosses a slow-branch curve the linearization carries two pure-imaginary
 pairs simultaneously: a double-Hopf point.  It is found as a root of the
-gap function g(k) = tau_jp^+(k) - tau_jm^-(k) by scan-and-bisect.
+gap function g(k) = tau_jp^+(k) - tau_jm^-(k): a scan brackets it and
+Illinois regula falsi narrows the bracket to adjacent floats.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ __all__ = [
 ]
 
 _SCAN_POINTS = 400
-_GAP_TOL = 1e-10
-# floats under the h1 bound searched for the highest gain with ladders
-_TOP_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -114,29 +112,13 @@ class HopfCurveTable:
 
 def _gaps(
     epsilon: float, mu: float, ks: np.ndarray, j_plus: int, j_minus: int
-) -> np.ndarray:
-    """Delay gap tau_{j_plus}^+ - tau_{j_minus}^- at every gain of ks, in one
-    evaluation; raises HypothesisViolated at the first inadmissible gain."""
+) -> Tuple[HopfLadders, np.ndarray]:
+    """The ladders at every gain of ks and the delay gap tau_{j_plus}^+ -
+    tau_{j_minus}^- there; raises HypothesisViolated at the first
+    inadmissible gain."""
     lad = hopf_ladders(epsilon, mu, ks)
     lad.require_admissible()
-    return lad.tau("plus", j_plus) - lad.tau("minus", j_minus)
-
-
-def _top_gain(epsilon: float, mu: float, k_max: float) -> float:
-    """Where the scan of a bracket that reaches the h1 bound ends.
-
-    k_max is the largest float under the bound.  When the 1/eps term sets
-    the bound, c(1/eps) = 0, and on the floats just under it the smaller
-    root of the frequency quadratic rounds to zero although h1 and h2 hold.
-    Returns the first of the _TOP_ULPS floats from k_max down that is not
-    such a gain (it is admissible or fails h2), or k_max when all are.
-    """
-    ks = [k_max]
-    for _ in range(_TOP_ULPS - 1):
-        ks.append(math.nextafter(ks[-1], -math.inf))
-    lad = hopf_ladders(epsilon, mu, ks)
-    rounded = lad.h1 & lad.h2 & ~lad.admissible
-    return ks[int(np.argmin(rounded))]
+    return lad, lad.tau("plus", j_plus) - lad.tau("minus", j_minus)
 
 
 def find_hopf_hopf(
@@ -150,26 +132,25 @@ def find_hopf_hopf(
     """Intersection of the tau_{j_plus}^+ and tau_{j_minus}^- curves in [k_lo, k_hi].
 
     k_hi is first clipped to the largest float below the closed-form gain
-    bound of h1 (chareq.gain_bound); where the smaller frequency rounds to
-    zero there, to the highest gain under the bound whose ladders exist
-    (_top_gain).  The bracket is then scanned on 400 points for a sign
-    change of the delay gap and bisected until |gap| < 1e-10.  Raises
+    bound of h1 (chareq.gain_bound).  The bracket is then scanned on 400
+    points for a sign change of the delay gap, and the first scan interval
+    with one is narrowed by Illinois regula falsi steps (Dowell & Jarratt,
+    BIT 11, 1971), with a bisection step wherever the bracket has not
+    halved over the two steps before, until the gap is 0 or the ends are
+    adjacent floats.  k0 is the end with the smaller |gap|.  Raises
     ValueError for a ladder index that is not a nonnegative integer,
     NoSignChange when the gap has constant sign on the bracket,
     HypothesisViolated when the clipped bracket is empty or a scanned gain
     still fails h2.  Every gain is one ``hopf_ladders`` call: the scan one
-    call of 400 gains, each bisection gain a call of one, and tau0 and the
-    frequencies come from one more at k0 (a bracket that reaches the bound
-    takes one more, of the _TOP_ULPS gains under it).  All give the bits
-    of ``tau_branch`` and ``hopf_frequencies``.
+    call of 400 gains and each step one call of one gain, and tau0 and the
+    frequencies are read from the ladders of the call at k0, so they are
+    the bits of ``tau_branch`` and ``hopf_frequencies``.
     """
     _check_rung(j_plus)
     _check_rung(j_minus)
     if not k_lo < k_hi:
         raise ValueError("need k_lo < k_hi")
     k_max = math.nextafter(gain_bound(epsilon, mu), -math.inf)
-    if k_hi >= k_max:
-        k_max = _top_gain(epsilon, mu, k_max)
     k_hi = min(k_hi, k_max)
     if not k_lo < k_hi:
         raise HypothesisViolated(
@@ -180,7 +161,7 @@ def find_hopf_hopf(
     ks = np.minimum(
         k_lo + (k_hi - k_lo) * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1), k_max
     )
-    gaps = _gaps(epsilon, mu, ks, j_plus, j_minus)
+    lad, gaps = _gaps(epsilon, mu, ks, j_plus, j_minus)
     # first scan interval with a zero at its left end or a sign change
     hits = np.flatnonzero((gaps[:-1] == 0.0) | (gaps[:-1] * gaps[1:] < 0.0))
     if not len(hits):
@@ -189,24 +170,31 @@ def find_hopf_hopf(
             f"branches (+,{j_plus}) / (-,{j_minus})"
         )
     i = hits[0]
-    lo, g_lo = float(ks[i]), float(gaps[i])
-    hi = lo if g_lo == 0.0 else float(ks[i + 1])
-    k0 = 0.5 * (lo + hi)
-    for _ in range(200):
-        k0 = 0.5 * (lo + hi)
-        g_mid = _gaps(epsilon, mu, np.array([k0]), j_plus, j_minus).item()
-        if abs(g_mid) < _GAP_TOL:
+    # the ends (gain, gap, its ladders, its index there): b the latest step,
+    # a the other end, whose gap the Illinois rule weighs as fa
+    a, b = ((float(ks[j]), float(gaps[j]), lad, j) for j in (i, i + 1))
+    fa, widths = a[1], [math.inf, math.inf]
+    while a[1] != 0.0 and b[1] != 0.0:
+        lo, hi = sorted((a[0], b[0]))
+        if math.nextafter(lo, hi) == hi:
             break
-        if g_lo * g_mid <= 0.0:
-            hi = k0
+        widths.append(hi - lo)
+        if widths[-1] > 0.5 * widths[-3]:
+            k = 0.5 * (lo + hi)
         else:
-            lo, g_lo = k0, g_mid
-
-    # admissible: the last bisection gain was k0 itself
-    lad = hopf_ladders(epsilon, mu, k0)
+            k = b[0] - b[1] * (b[0] - a[0]) / (b[1] - fa)
+        # a step that rounds onto an end moves one float inside it
+        k = min(max(k, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        lad, g = _gaps(epsilon, mu, np.array([k]), j_plus, j_minus)
+        if (g[0] < 0.0) != (b[1] < 0.0):
+            a, fa = b, b[1]
+        else:
+            fa *= 0.5
+        b = (k, float(g[0]), lad, 0)
+    k0, _, lad, i = min(b, a, key=lambda end: abs(end[1]))
     return HopfHopfPoint(
-        epsilon, mu, k0, lad.tau("plus", j_plus).item(),
-        lad.omega["minus"].item(), lad.omega["plus"].item(), j_plus, j_minus,
+        epsilon, mu, k0, lad.tau("plus", j_plus)[i].item(),
+        lad.omega["minus"][i].item(), lad.omega["plus"][i].item(), j_plus, j_minus,
     )
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -141,3 +142,37 @@ def format_cases():
              1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0**53 + 2.0,
              math.inf, -math.inf, math.nan]
     return vals
+
+
+def mp_ladders(eps, mu, k, ctx=mpmath.mp):
+    """The closed-form ladders at gain k, in mpmath: {sign: (omega, tau0)}.
+
+    ctx is ``mpmath.mp`` for values at its working precision, or
+    ``mpmath.iv`` for enclosures; eps, mu and k are taken as the exact
+    values of their doubles.  c is the unfactored eps^2 k^2 (1 - mu) -
+    2 eps k + 1 + mu, and each root of the frequency quadratic is written
+    as (-b -+ sqrt(disc))/(2a), the forms ``chareq`` avoids.  An enclosure
+    of the angle that straddles 0 raises ValueError."""
+    e, m, kk = ctx.mpf(eps), ctx.mpf(mu), ctx.mpf(k)
+    a = 1 + m
+    b = 2 * e * kk - 2 * (1 + m) + e * e * (1 + m)
+    c = e * e * kk * kk * (1 - m) - 2 * e * kk + 1 + m
+    sq = ctx.sqrt(b * b - 4 * a * c)
+    out = {}
+    for sign, rho in (("minus", (-b - sq) / (2 * a)), ("plus", (-b + sq) / (2 * a))):
+        w = ctx.sqrt(rho)
+        p, q, r, s = m * w * w - m, e * m * w, w * w - 1 + e * kk * (1 - m), e * w
+        den = p * p + q * q
+        theta = ctx.atan2((q * r - p * s) / den, (p * r + q * s) / den)
+        negative = theta < 0
+        if negative is None:
+            raise ValueError(f"the angle at k={k} straddles 0")
+        out[sign] = (w, (theta + 2 * ctx.pi if negative else theta) / w)
+    return out
+
+
+def mp_gap(eps, mu, k, j_plus, j_minus, ctx=mpmath.mp):
+    """tau_{j_plus}^+ - tau_{j_minus}^- at gain k, by ``mp_ladders``."""
+    lad = mp_ladders(eps, mu, k, ctx)
+    (w_p, t_p), (w_m, t_m) = lad["plus"], lad["minus"]
+    return t_p + j_plus * 2 * ctx.pi / w_p - t_m - j_minus * 2 * ctx.pi / w_m

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import doublehopf as dh
-from doublehopf.chareq import SystemParams
+from doublehopf.chareq import SystemParams, gain_bound
 from doublehopf.errors import DegenerateRoot, HypothesisViolated
 
-from conftest import EPS, MU, REF_K0, REF_TAU0, REF_OM1, REF_OM2, draw_admissible
+from conftest import (
+    EPS, MU, REF_K0, REF_TAU0, REF_OM1, REF_OM2, draw_admissible, mp_ladders,
+)
 
 
 def mp_char(lam, eps, mu, k, tau):
@@ -87,6 +89,25 @@ def test_w_poly_magnitude_identity_random():
         freqs = dh.hopf_frequencies(eps, mu, k)
         for om in (freqs.omega_minus, freqs.omega_plus):
             assert magnitude_identity_residual(om, eps, mu, k) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "eps,mu", [(0.1, 0.5), (0.5, 0.5), (0.3, 0.7), (0.05, 0.2)])
+@pytest.mark.parametrize("below", [1e-9, 1e-12, "ulp"])
+def test_frequencies_keep_their_precision_at_the_gain_bound(eps, mu, below):
+    # the 1/eps term sets the bound here, and c vanishes there: both
+    # frequencies stay within 1e-15 relative of their 50-digit values up
+    # to the largest float under the bound
+    bound = gain_bound(eps, mu)
+    assert bound == 1.0 / eps
+    k = math.nextafter(bound, -math.inf) if below == "ulp" else bound - below
+    freqs = dh.hopf_frequencies(eps, mu, k)
+    with mpmath.workdps(50):
+        lad = mp_ladders(eps, mu, k)
+        for sign in ("minus", "plus"):
+            want = lad[sign][0]
+            got = getattr(freqs, f"omega_{sign}")
+            assert abs((got - want) / want) <= 1e-15
 
 
 def _hypotheses(eps, mu, k):

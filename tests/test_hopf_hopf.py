@@ -74,33 +74,32 @@ def test_bracket_clipped_to_gain_bound(k_hi):
     assert pt.tau0 == pytest.approx(REF_TAU0, abs=1e-8)
 
 
-def test_bracket_reaching_a_rounded_gain_bound():
-    # at (0.5, 0.5) the 1/eps term sets the gain bound 2, where c = 0: the
-    # largest float below it satisfies h1 and h2, but the smaller root of
-    # the frequency quadratic rounds to zero there; the scan ends at the
-    # highest gain under the bound whose ladders exist
-    from doublehopf.errors import HypothesisViolated
-
+def test_bracket_reaching_a_rounded_gain_bound(monkeypatch):
+    # at (0.5, 0.5) the 1/eps term sets the gain bound 2, where c = 0; the
+    # ladders exist up to the largest float below it, so a bracket that
+    # reaches the bound is scanned up to that float
     k_max = math.nextafter(2.0, -math.inf)
-    with pytest.raises(
-        HypothesisViolated,
-        match=r"^\(epsilon=0\.5, mu=0\.5, k=1\.9999999999999998\) "
-        r"smaller quadratic root is not positive$",
-    ):
-        dh.tau_branch(0.5, 0.5, k_max, "minus")
+    assert math.isfinite(dh.tau_branch(0.5, 0.5, k_max, "minus"))
     inside = dh.find_hopf_hopf(0.5, 0.5, 2, 1, 1.77, 1.99)
+    scanned = []
+    gaps = dh.hopf_hopf._gaps
+
+    def recording_gaps(epsilon, mu, ks, j_plus, j_minus):
+        scanned.append(ks.tolist())
+        return gaps(epsilon, mu, ks, j_plus, j_minus)
+
+    monkeypatch.setattr(dh.hopf_hopf, "_gaps", recording_gaps)
     pt = dh.find_hopf_hopf(0.5, 0.5, 2, 1, 1.77, 5.0)
-    gap = dh.tau_branch(0.5, 0.5, pt.k0, "plus", 2) - dh.tau_branch(
-        0.5, 0.5, pt.k0, "minus", 1)
-    assert abs(gap) < 1e-10
-    assert pt.k0 == pytest.approx(inside.k0, abs=1e-9)
+    assert scanned[0][-1] == k_max
+    assert pt.k0 == pytest.approx(inside.k0, abs=1e-12)
 
 
 def test_no_bracket_ends_where_the_smaller_root_rounds_to_zero():
-    # on a 40 x 17 instance grid, 104 instances have no ladders at the
-    # largest float below the gain bound although h1 and h2 hold there; a
-    # bracket reaching the bound now finds no sign change, fails h1/h2 by
-    # name, or finds a point, and never meets the rounded root
+    # on a 40 x 17 instance grid, every one of the 64 floats under the gain
+    # bound where h1 and h2 hold has both ladders, with omega_minus > 0
+    # (104 instances had none at the largest of them while rho_minus was
+    # formed as (-b - sqrt(disc))/(2a)); a bracket reaching the bound finds
+    # no sign change, fails h1/h2 by name, or finds a point
     from doublehopf.chareq import gain_bound
     from doublehopf.errors import HypothesisViolated
 
@@ -108,15 +107,22 @@ def test_no_bracket_ends_where_the_smaller_root_rounds_to_zero():
     for eps in np.linspace(0.05, 0.8, 40).tolist():
         for mu in np.linspace(0.1, 0.9, 17).tolist():
             bound = gain_bound(eps, mu)
-            lad = dh.hopf_ladders(eps, mu, math.nextafter(bound, -math.inf))
-            rounded += bool(lad.h1[0] and lad.h2[0] and not lad.admissible[0])
+            ks = [math.nextafter(bound, -math.inf)]
+            while len(ks) < 64:
+                ks.append(math.nextafter(ks[-1], -math.inf))
+            lad = dh.hopf_ladders(eps, mu, ks)
+            hold = lad.h1 & lad.h2
+            assert (lad.admissible == hold).all()
+            rounded += int((~(lad.omega["minus"][hold] > 0.0)).sum())
+            for sign in ("minus", "plus"):
+                assert np.isfinite(lad.tau0[sign][hold]).all()
             try:
                 dh.find_hopf_hopf(eps, mu, 0, 0, bound - 0.01, bound + 1.0)
             except NoSignChange:
                 pass
             except HypothesisViolated as exc:
                 assert "fails h1=" in str(exc)
-    assert rounded == 104
+    assert rounded == 0
 
 
 def test_bracket_beyond_gain_bound():

@@ -643,10 +643,17 @@ def test_streamed_section_across_chunk_boundaries(hh, monkeypatch):
     traj = dh.simulate_theta(cfg)
     y, h = traj.y, cfg.h
     cross = np.nonzero(y[:-1] * y[1:] < 0.0)[0]
-    c, z = cross[cross > 4000][:2]
-    # a crossing next to node c + 1: past step 4096 its time rounds onto
-    # the node, so its dense output reads sample c + 2
-    y[c + 1] = math.copysign(1e-300, y[c + 1])
+    cross = cross[cross > 4000]
+    # a crossing next to node c + 1: past step 4096 its time can round onto
+    # the node, so that its dense output reads sample c + 2; c is the first
+    # crossing after step 4000 where it does, which depends on the bits of h
+    for c, z in zip(cross, cross[1:]):
+        y_c = y[c + 1]
+        y[c + 1] = math.copysign(1e-300, y_c)
+        times = dh.poincare(traj, "both", cfg.transient).t.tolist()
+        if [int(t / h) for t in times if c * h <= t < z * h] == [c + 1]:
+            break
+        y[c + 1] = y_c
     y[z + 1] = 0.0  # an exact-zero node: interval z's crossing moves onto it
     assert y[z] * y[z + 2] < 0.0
     want = dh.poincare(traj, "both", cfg.transient)
