@@ -90,11 +90,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        _csv_rows(fh, header, rows)
-
-
 def _csv_rows(fh, header: Sequence[str], rows) -> None:
     fh.write(",".join(header) + "\n")
     for row in rows:
@@ -435,7 +430,7 @@ def _resolve_point(args) -> hopf_hopf.HopfHopfPoint:
 
 class _TrajectoryRows:
     """Run reader writing (t, x, y, theta, y_delayed) at every stride-th
-    sample to ``fh``, as _write_csv would write them.
+    sample to ``fh``, as _csv_rows would write them.
 
     Called with consecutive blocks of a run (see nfde_sim._stream); the
     rows go out through _csv_block_rows, so a dense export holds one block
@@ -480,12 +475,11 @@ def cmd_simulate(args) -> int:
         label = None
         label_error = f"{type(exc).__name__}: {exc}"
 
-    _write_csv(
-        f"{args.out}.section.csv",
-        ["t", "x", "y_delayed", "direction"],
-        zip(sec.t.tolist(), sec.x.tolist(), sec.y_delayed.tolist(),
-            sec.direction.tolist()),
-    )
+    with open(f"{args.out}.section.csv", "w", newline="\n") as fh:
+        fh.write("t,x,y_delayed,direction\n")
+        # direction as a float column: _fmt17 writes +-1.0 as 1 and -1
+        _csv_block_rows(fh, (sec.t, sec.x, sec.y_delayed,
+                             sec.direction.astype(float)))
     payload = {
         "epsilon": params.epsilon,
         "mu": params.mu,

@@ -41,9 +41,10 @@ read that chunk plus the trailing delay window.  Both steppers write theta
 per block, so every reader gets it from either formulation.  A streamed run
 (stream_section, divergence_exponent; line_T_scan and the CLI's simulate)
 needs O(N + _CHUNK) memory however long it is; a stored run
-(simulate_theta, simulate_neutral) is the stream plus a store, so it needs
-its own columns plus that.  Either way the samples are those of one
-unsplit stepper run, bit for bit.
+(simulate_theta, simulate_neutral) is the stream plus a store of the four
+columns x, y, y' and theta in either formulation, so it needs 32 bytes per
+step plus that.  Either way the samples are those of one unsplit stepper
+run, bit for bit.
 
 The scales of a line_T_scan are independent runs, so _map_runs runs them
 one per usable CPU in worker processes, each with the bits it has alone;
@@ -104,8 +105,10 @@ class SimConfig:
             raise ValueError(
                 f"tau/h must be an integer >= 4, got {ratio!r}"
             )
-        if not math.isfinite(self.t_end):
-            raise ValueError(f"t_end must be finite, got {self.t_end!r}")
+        for name in ("x0", "y0", "t_end"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if not 0 <= self.transient < self.t_end:
             raise ValueError("need 0 <= transient < t_end")
         if self.formulation not in ("theta_form", "neutral_form"):
@@ -184,10 +187,10 @@ def _fill_memory(m: np.ndarray, src: np.ndarray, lo: int, mu: float, nd: int,
 class Trajectory:
     """Uniform-grid solution samples with cubic Hermite dense output.
 
-    ``params`` is the system the samples solve.  Arrays x, y, dy (= y')
-    live on t = 0, h, 2h, ...; theta and dtheta are stored for theta-form
-    runs and otherwise each reconstructed on its own first read.  The
-    constant initial history extends every evaluation to t <= 0.
+    ``params`` is the system the samples solve.  Arrays x, y, dy (= y') and
+    theta (the feedback memory) live on t = 0, h, 2h, ..., the same four
+    columns in either formulation.  The constant initial history extends
+    every evaluation to t <= 0.
     """
 
     def __init__(
@@ -198,10 +201,9 @@ class Trajectory:
         x: np.ndarray,
         y: np.ndarray,
         dy: np.ndarray,
+        theta: np.ndarray,
         x0: float,
         y0: float,
-        theta: Optional[np.ndarray] = None,
-        dtheta: Optional[np.ndarray] = None,
     ):
         self.params = params
         self.h = h
@@ -209,10 +211,9 @@ class Trajectory:
         self.x = x
         self.y = y
         self.dy = dy
+        self.theta = theta
         self.x0 = x0
         self.y0 = y0
-        self._theta = theta
-        self._dtheta = dtheta
 
     def __len__(self) -> int:
         return len(self.x)
@@ -220,27 +221,6 @@ class Trajectory:
     @property
     def t(self) -> np.ndarray:
         return np.arange(len(self.x)) * self.h
-
-    @property
-    def theta(self) -> np.ndarray:
-        if self._theta is None:
-            self._theta = self._rebuild_memory(self.x, self.x0)
-        return self._theta
-
-    @property
-    def dtheta(self) -> np.ndarray:
-        if self._dtheta is None:
-            self._dtheta = self._rebuild_memory(self.y, 0.0)
-        return self._dtheta
-
-    def _rebuild_memory(self, src: np.ndarray, hist: float) -> np.ndarray:
-        """m = (1-mu)*src + mu*m(t - tau) on the grid, with history m = hist.
-
-        theta is the memory of x (history x0), dtheta that of y (history 0).
-        """
-        m = np.empty(len(src))
-        _fill_memory(m, src, 0, self.params.mu, self.n_delay, hist)
-        return m
 
     def y_delayed(self) -> np.ndarray:
         """Grid samples of y(t - tau); exact buffer reads plus history fill."""
@@ -553,17 +533,16 @@ def _transient_steps(cfg: SimConfig) -> int:
 
 
 class _Store:
-    """Run reader that copies every chunk into whole-run columns, preallocated
-    for n samples: (x, y, y') of a neutral run, (x, y, y', theta, theta') of
-    a theta-form one (see _stream)."""
+    """Run reader that copies every chunk into the whole-run columns x, y,
+    y' and theta, preallocated for n samples (see _stream)."""
 
-    def __init__(self, n: int, n_cols: int):
-        self.cols = [np.empty(n) for _ in range(n_cols)]
+    def __init__(self, n: int):
+        self.cols = [np.empty(n) for _ in range(4)]
         self.next = 0  # first run sample not yet copied
 
     def __call__(self, base, x, y, dy, theta, dtheta) -> None:
         lo, hi = self.next, base + len(x)
-        for dst, src in zip(self.cols, (x, y, dy, theta, dtheta)):
+        for dst, src in zip(self.cols, (x, y, dy, theta)):
             dst[lo:hi] = src[lo - base :]
         self.next = hi
 
@@ -603,11 +582,9 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
 
 def _stored(cfg: SimConfig) -> Trajectory:
     """cfg's whole run: _stream with a _Store reader."""
-    store = _Store(_n_steps(cfg) + 1, 3 if cfg.formulation == "neutral_form" else 5)
+    store = _Store(_n_steps(cfg) + 1)
     _stream(cfg, [store])
-    x, y, dy, *memory = store.cols
-    return Trajectory(cfg.params, cfg.h, cfg.n_delay, x, y, dy, cfg.x0, cfg.y0,
-                      *memory)
+    return Trajectory(cfg.params, cfg.h, cfg.n_delay, *store.cols, cfg.x0, cfg.y0)
 
 
 def simulate_theta(cfg: SimConfig) -> Trajectory:

@@ -63,6 +63,17 @@ def draw_admissible(rng, n):
     return out
 
 
+def memory_recursion(src, hist, nd, mu=MU):
+    """The feedback memory of src node by node, independent of nfde_sim:
+    m[n] = (1-mu)*src[n] + mu*m[n-nd], with m = hist before node 0.
+
+    theta is the memory of x (history x0), theta' that of y (history 0)."""
+    m = []
+    for n, v in enumerate(np.asarray(src, np.float64).tolist()):
+        m.append((1.0 - mu) * v + mu * (hist if n < nd else m[n - nd]))
+    return np.array(m)
+
+
 def draw_amplitude_params(rng):
     """Signed magnitudes in [0.3, 5] with a nondegenerate determinant."""
     while True:

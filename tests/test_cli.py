@@ -29,6 +29,12 @@ def read_csv(path):
     return header, rows
 
 
+def write_rows(path, header, rows):
+    """The row-by-row CSV writer: each float by format(v, ".17g")."""
+    with open(path, "w", newline="\n") as fh:
+        cli._csv_rows(fh, header, rows)
+
+
 def test_analyze_report(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli("analyze", "--out", str(out)) == 0
@@ -80,8 +86,8 @@ def test_hopf_curves_blocks_match_row_writer(tmp_path, monkeypatch):
     n_curve = len(table.rows) // 6
     assert table.skipped_k and n_curve % 4 != 0
     whole = tmp_path / "whole.csv"
-    cli._write_csv(str(whole), ["branch_sign", "j", "k", "tau", "omega"],
-                   ((r.branch_sign, r.j, r.k, r.tau, r.omega) for r in table.rows))
+    write_rows(whole, ["branch_sign", "j", "k", "tau", "omega"],
+               ((r.branch_sign, r.j, r.k, r.tau, r.omega) for r in table.rows))
     assert out.read_bytes() == whole.read_bytes()
 
 
@@ -492,8 +498,8 @@ def test_trajectory_export_blocks_match_whole_arrays(
     assert len(traj) % (16 * stride) != 0  # ends in a partial block
     assert len(traj) > 2 * 16 * stride
     whole = tmp_path / "whole.csv"
-    cli._write_csv(
-        str(whole),
+    write_rows(
+        whole,
         ["t", "x", "y", "theta", "y_delayed"],
         zip(traj.t[::stride].tolist(), traj.x[::stride].tolist(),
             traj.y[::stride].tolist(), traj.theta[::stride].tolist(),
@@ -502,6 +508,40 @@ def test_trajectory_export_blocks_match_whole_arrays(
     for chunk in (1 << 16, 7, 40):
         got = tmp_path / f"run{chunk}.trajectory.csv"
         assert got.read_bytes() == whole.read_bytes(), chunk
+
+
+@pytest.mark.parametrize("direction", ["both", "up", "down"])
+def test_section_csv_matches_row_writer(tmp_path, monkeypatch, hh, direction):
+    # the section goes out in _fmt17 blocks with direction a float column;
+    # the bytes are those of the row-by-row writer with direction an int
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 4)
+    assert run_cli(
+        "simulate", "--alpha1", "-0.1", "--alpha2", "0.1", "--h-div", "50",
+        "--t-end", "100", "--transient", "5", "--direction", direction,
+        "--out", str(tmp_path / "run"),
+    ) == 0
+    params = SystemParams(EPS, MU, hh.k0 - 0.1, hh.tau0 + 0.1)
+    sec = nfde_sim.stream_section(nfde_sim.SimConfig.from_divisor(
+        params, 0.1, 0.0, 50, 100.0, 5.0), direction)
+    assert len(sec) > 2 * 4 and len(sec) % 4 != 0  # ends in a partial block
+    assert set(sec.direction.tolist()) == ({-1, 1} if direction == "both" else
+                                           {1 if direction == "up" else -1})
+    whole = tmp_path / "whole.csv"
+    write_rows(whole, ["t", "x", "y_delayed", "direction"],
+               zip(sec.t.tolist(), sec.x.tolist(), sec.y_delayed.tolist(),
+                   sec.direction.tolist()))
+    assert (tmp_path / "run.section.csv").read_bytes() == whole.read_bytes()
+
+
+def test_section_without_crossings_is_its_header(tmp_path):
+    # y falls from 0 through the window [2, 3] and turns only after it
+    assert run_cli(
+        "simulate", "--alpha1", "-0.1", "--alpha2", "0.1", "--h-div", "50",
+        "--t-end", "3", "--transient", "2", "--out", str(tmp_path / "run"),
+    ) == 0
+    cls = json.loads((tmp_path / "run.classification.json").read_text())
+    assert cls["n_crossings"] == 0
+    assert (tmp_path / "run.section.csv").read_bytes() == b"t,x,y_delayed,direction\n"
 
 
 def test_percent_format_matches_format_spec():
@@ -560,6 +600,19 @@ def test_non_finite_offset_is_json_error(tmp_path, capsys, other, flag, name):
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{name} must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "line-t"])
+@pytest.mark.parametrize("name", ["x0", "y0"])
+def test_non_finite_initial_data_is_json_error(tmp_path, capsys, command, name):
+    # bad input, not a blow-up: exit 2, not NonFiniteState at the first step
+    for bad in ("nan", "inf", "-inf"):
+        assert run_cli(*_COMMANDS[command], f"--{name}={bad}",
+                       "--out", str(tmp_path / "z")) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == (
+            "ValueError", f"{name} must be finite, got {bad}")
     assert list(tmp_path.iterdir()) == []
 
 

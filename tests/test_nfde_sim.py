@@ -15,7 +15,7 @@ from doublehopf.chareq import SystemParams
 from doublehopf.errors import DoubleHopfError, InsufficientData, NonFiniteState
 from doublehopf.nfde_sim import PoincareSection, Trajectory
 
-from conftest import EPS, MU
+from conftest import EPS, MU, memory_recursion
 
 
 def cfg_at(hh, a1, a2, x0=0.1, y0=0.0, h_div=500, t_end=100.0, transient=0.0,
@@ -42,6 +42,11 @@ def test_config_validation(hh):
     with pytest.raises(ValueError):
         dh.SimConfig(params, 0.1, 0.0, params.tau / 2000, 10.0,
                      formulation="implicit")
+    for name in ("x0", "y0"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+                dh.SimConfig(params, **{"x0": 0.1, "y0": 0.0, name: bad},
+                             h=params.tau / 2000, t_end=10.0)
     cfg = dh.SimConfig.from_divisor(params, 0.1, 0.0, 2000, 10.0)
     assert cfg.n_delay == 2000
 
@@ -78,18 +83,15 @@ def test_neutral_memory_reconstruction_matches_theta(hh):
     assert np.max(np.abs(tr_t.theta - tr_n.theta)) < 1e-8
 
 
-def test_neutral_memory_rebuilds_each_array_on_first_read(hh):
-    cfg = cfg_at(hh, -0.1, 0.1, h_div=50, t_end=30.0, formulation="neutral_form")
-    traj = dh.simulate_neutral(cfg)
-    theta = traj.theta
-    assert traj._dtheta is None  # reading theta leaves dtheta unbuilt
-    # node-by-node recursion m[n] = (1-mu)*src[n] + mu*m[n-N], history hist
-    nd = cfg.n_delay
-    for got, src, hist in ((theta, traj.x, cfg.x0), (traj.dtheta, traj.y, 0.0)):
-        ref = []
-        for n, v in enumerate(src):
-            ref.append((1.0 - MU) * float(v) + MU * (hist if n < nd else ref[n - nd]))
-        assert np.array_equal(got, ref)
+@pytest.mark.parametrize("y0", [0.0, -0.0])
+@pytest.mark.parametrize("formulation", ["theta_form", "neutral_form"])
+def test_stored_theta_is_the_memory_recursion(hh, formulation, y0):
+    # node 0 is x0 in theta form and (1-mu)*x0 + mu*x0 in neutral form, the
+    # same float at mu = 1/2
+    cfg = cfg_at(hh, -0.1, 0.1, y0=y0, h_div=50, t_end=30.0, formulation=formulation)
+    traj = nfde_sim.simulate(cfg)
+    want = memory_recursion(traj.x, cfg.x0, cfg.n_delay)
+    assert traj.theta.tobytes() == want.tobytes()
 
 
 def test_decay_toward_stable_equilibrium(hh):
@@ -155,10 +157,10 @@ def test_delayed_samples_of_a_run_shorter_than_one_delay(hh):
     # samples of systems with delay n_delay * h; more than half a delay, so
     # y[:len - nd] is a nonempty slice from the end
     syn = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 0.1, 10,
-                     np.zeros(7), np.ones(7), np.zeros(7), 0.0, 1.0)
+                     np.zeros(7), np.ones(7), np.zeros(7), np.zeros(7), 0.0, 1.0)
     assert np.array_equal(syn.y_delayed(), np.ones(7))  # y0 = y[0]
     syn = Trajectory(SystemParams(EPS, MU, 0.0, 0.4), 0.1, 4,
-                     np.zeros(7), np.arange(7.0), np.zeros(7), 0.0, -1.0)
+                     np.zeros(7), np.arange(7.0), np.zeros(7), np.zeros(7), 0.0, -1.0)
     assert np.array_equal(syn.y_delayed(), [-1.0] * 4 + [0.0, 1.0, 2.0])
     cfg = cfg_at(hh, -0.1, 0.1, y0=0.25, h_div=50, t_end=0.6 * (hh.tau0 + 0.1))
     traj = dh.simulate_theta(cfg)
@@ -199,7 +201,7 @@ def test_poincare_synthetic_circle():
     h = 0.01
     t = np.arange(0.0, 20.0 + h / 2, h)
     traj = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), h, 100,
-                      np.cos(t), -np.sin(t), -np.cos(t), 1.0, 0.0)
+                      np.cos(t), -np.sin(t), -np.cos(t), np.cos(t), 1.0, 0.0)
     sec = dh.poincare(traj, "both", 0.0)
     expect = np.arange(1, 7) * math.pi
     assert len(sec) == len(expect)
@@ -624,13 +626,15 @@ def test_streamed_neutral_section_shorter_than_one_delay(hh, monkeypatch):
 
 
 def _replay(run):
-    """A stepper class whose steps append the samples of a stored run."""
+    """A stepper class whose steps append the samples of a stored run, with
+    theta' the memory of its y."""
+    cols = (run.x, run.y, run.dy, run.theta,
+            memory_recursion(run.y, 0.0, run.n_delay, run.params.mu))
 
     class Replay(nfde_sim._ThetaStepper):
         def step(self, n):
             g = self.base + self.j  # run index of the last sample
             bufs = (self.xs, self.ys, self.dys, self.ths, self.dths)
-            cols = (run.x, run.y, run.dy, run.theta, run.dtheta)
             for buf, col in zip(bufs, cols):
                 buf.extend(col[g + 1 : g + n + 1].tolist())
             self.j += n
@@ -686,7 +690,7 @@ def test_streamed_blowup_matches_stored_run(monkeypatch):
 
 def test_line_t_scan_memory_flat_in_the_transient(hh, monkeypatch):
     # the same 1800 time units measured after a transient of 400 and 7000:
-    # a stored run would add 5 arrays of 8 bytes per step
+    # a stored run would add 4 arrays of 8 bytes per step
     monkeypatch.setattr(nfde_sim, "_CHUNK", 1024)
     peaks = []
     for t_end, transient in ((2200.0, 400.0), (8800.0, 7000.0)):
@@ -697,7 +701,7 @@ def test_line_t_scan_memory_flat_in_the_transient(hh, monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    stored = 5 * 8 * _n_steps(cfg_at(hh, 0.2, 0.162, h_div=50, t_end=8800.0))
+    stored = 4 * 8 * _n_steps(cfg_at(hh, 0.2, 0.162, h_div=50, t_end=8800.0))
     assert peaks[1] < 0.25 * stored
     assert peaks[1] < 1.2 * peaks[0]
 
@@ -716,14 +720,8 @@ def test_stored_run_matches_one_unsplit_stepper_run(hh, monkeypatch, formulation
     traj = nfde_sim.simulate(cfg)
     st = getattr(nfde_sim, _STEPPERS[formulation])(cfg.params, cfg.x0, cfg.y0, cfg.h)
     st.step(_n_steps(cfg))
-    cols = [traj.x, traj.y, traj.dy]
-    if formulation == "theta_form":
-        cols += [traj.theta, traj.dtheta]
-    else:
-        assert traj._theta is None and traj._dtheta is None  # rebuilt on read
-        cols += [traj.theta]  # the stepper's theta is that rebuild
-    assert len(cols) == len(st._BUFFERS)
-    for got, name in zip(cols, st._BUFFERS):
+    # the first four buffers of either stepper are x, y, y' and theta
+    for got, name in zip((traj.x, traj.y, traj.dy, traj.theta), st._BUFFERS[:4]):
         assert got.tobytes() == getattr(st, name).tobytes(), name
 
 
@@ -740,9 +738,10 @@ def test_stored_run_memory_is_its_columns_plus_a_chunk(hh, monkeypatch, formulat
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    cols = [traj.x, traj.y, traj.dy, traj._theta, traj._dtheta]
-    stored = sum(c.nbytes for c in cols if c is not None)
-    assert stored == (5 if formulation == "theta_form" else 3) * 8 * (_n_steps(cfg) + 1)
+    cols = {k: v for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
+    assert sorted(cols) == ["dy", "theta", "x", "y"]
+    stored = sum(c.nbytes for c in cols.values())
+    assert stored == 4 * 8 * (_n_steps(cfg) + 1)
     # the stepper's chunk of at most five columns, twice over, plus 64 KiB
     # for the interpreter's free lists and the recorded window
     assert peak < stored + 2 * 5 * 8 * 512 + (1 << 16)

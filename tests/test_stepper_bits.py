@@ -15,6 +15,7 @@ import json
 import math
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from doublehopf.cli import main
 from doublehopf.errors import NonFiniteState
 from doublehopf.nfde_sim import _BLOWUP_SQ, SimConfig, Trajectory
 
-from conftest import EPS, MU
+from conftest import EPS, MU, memory_recursion
 
 
 def oracle_step(self, n: int) -> None:
@@ -203,11 +204,12 @@ def oracle_run_neutral(cfg: SimConfig) -> Trajectory:
         ys.append(y)
         dys.append(dy)
 
+    x = np.frombuffer(xs, np.float64)
     return Trajectory(
-        p, h, N,
-        np.frombuffer(xs, np.float64),
+        p, h, N, x,
         np.frombuffer(ys, np.float64),
         np.frombuffer(dys, np.float64),
+        memory_recursion(x, x0, N, mu),
         x0, y0,
     )
 
@@ -335,8 +337,12 @@ def test_nan_raises_like_oracle(hh):
     p = _params(hh, -0.1, 0.1)
     st, ref = _stepper_pair(p, p.tau / 20, x0=math.nan)
     assert _raised(st.step, 10) == _raised(oracle_step, ref, 10)
-    cfg = SimConfig.from_divisor(p, math.nan, 0.0, 20, 50.0, 0.0, "neutral_form")
-    assert _raised(nfde_sim.simulate_neutral, cfg) == _raised(oracle_run_neutral, cfg)
+    # SimConfig refuses NaN initial data, so the stepper meets it directly
+    run = SimpleNamespace(params=p, x0=math.nan, y0=0.0, h=p.tau / 20, n_delay=20,
+                          t_end=50.0)
+    st = nfde_sim._NeutralStepper(p, math.nan, 0.0, run.h)
+    assert _raised(st.step, int(round(run.t_end / run.h))) == _raised(
+        oracle_run_neutral, run)
     # a NaN planted in the delay window, past the prefix loop
     st, ref = _stepper_pair(p, p.tau / 20)
     for s in (st, ref):
@@ -555,23 +561,27 @@ def test_streamed_neutral_chunks_off_the_delay_grid(hh, monkeypatch, h_div, off)
 
     nfde_sim.stream_section(cfg, "both", [read])
     want = oracle_run_neutral(cfg)
-    # theta is the whole run's memory recursion (Trajectory.theta)
+    # theta is the whole run's memory recursion (the oracle's node loop)
     for name, col in (("x", want.x), ("y", want.y), ("dy", want.dy),
                       ("theta", want.theta)):
         assert _bits(np.concatenate(got[name])) == _bits(col), name
 
 
 def test_theta_memory_columns_are_the_memory_recursion(hh):
+    # theta and theta' of the theta-form stepper and theta of the neutral
+    # one, stepped in calls split off the delay grid; node 0 of each is the
+    # history's fixed point, which the node loop gives at mu = 1/2
     p = _params(hh, 0.2, 0.164)
-    st = nfde_sim._ThetaStepper(p, 0.1, 0.0, p.tau / 20)
-    for n in (7, 20, 33, 1, 45):
-        st.step(n)
-    for name, src, hist in (("ths", "xs", 0.1), ("dths", "ys", 0.0)):
+    steppers = [nfde_sim._ThetaStepper(p, 0.1, 0.0, p.tau / 20),
+                nfde_sim._NeutralStepper(p, 0.1, 0.0, p.tau / 20)]
+    for st in steppers:
+        for n in (7, 20, 33, 1, 45):
+            st.step(n)
+    theta, neutral = steppers
+    for st, name, src, hist in ((theta, "ths", "xs", 0.1), (theta, "dths", "ys", 0.0),
+                                (neutral, "ths", "xs", 0.1)):
         col = np.frombuffer(getattr(st, name), np.float64)
-        m = np.empty(len(col))
-        m[0] = col[0]  # the history's fixed point, set at the start
-        nfde_sim._fill_memory(m, np.frombuffer(getattr(st, src), np.float64), 1,
-                              p.mu, st.N, hist)
-        assert _bits(m) == _bits(col), name
-    xs, ys, ths = (np.frombuffer(getattr(st, c), np.float64) for c in ("xs", "ys", "ths"))
-    assert _bits(st._dy(xs, ys, ths)) == _bits(st.dys)
+        want = memory_recursion(getattr(st, src), hist, st.N, p.mu)
+        assert _bits(want) == _bits(col), (type(st).__name__, name)
+    xs, ys, ths = (np.frombuffer(getattr(theta, c), np.float64) for c in ("xs", "ys", "ths"))
+    assert _bits(theta._dy(xs, ys, ths)) == _bits(theta.dys)
