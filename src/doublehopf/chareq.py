@@ -36,7 +36,7 @@ All frequencies and delays here are in the original (unrescaled) time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -68,6 +68,19 @@ def _check_instance(epsilon: float, mu: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < mu < 1:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
+
+
+class _ValueEq:
+    """Dataclass equality by value: every field equal, arrays compared by
+    np.array_equal, where a generated __eq__ would ask an array for its
+    truth value and raise.  A subclass is a dataclass with eq=False, and
+    unhashable."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)

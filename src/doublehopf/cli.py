@@ -556,6 +556,14 @@ def _add_point_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_run_args(p: argparse.ArgumentParser, t_end: float, transient: float) -> None:
+    p.add_argument("--x0", type=float, default=0.1)
+    p.add_argument("--y0", type=float, default=0.0)
+    p.add_argument("--h-div", type=int, default=2000, help="steps per delay")
+    p.add_argument("--t-end", type=float, default=t_end)
+    p.add_argument("--transient", type=float, default=transient)
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise ValueError instead of
     exiting, so main reports them as JSON.  Subparsers inherit the class."""
@@ -603,11 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha1", type=float, required=True, help="gain offset k - k0")
     p.add_argument("--alpha2", type=float, required=True, help="delay offset tau - tau0")
-    p.add_argument("--x0", type=float, default=0.1)
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--h-div", type=int, default=2000, help="steps per delay")
-    p.add_argument("--t-end", type=float, default=6000.0)
-    p.add_argument("--transient", type=float, default=3000.0)
+    _add_run_args(p, t_end=6000.0, transient=3000.0)
     p.add_argument(
         "--formulation", choices=("theta_form", "neutral_form"), default="theta_form"
     )
@@ -620,11 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     _add_point_args(p)
     p.add_argument("--iota", default="2.0,2.4,2.5,2.6", help="comma-separated scales")
-    p.add_argument("--x0", type=float, default=0.1)
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--h-div", type=int, default=2000)
-    p.add_argument("--t-end", type=float, default=12000.0)
-    p.add_argument("--transient", type=float, default=8000.0)
+    _add_run_args(p, t_end=12000.0, transient=8000.0)
     p.add_argument("--delta0", type=float, default=1e-9)
     p.add_argument("--renorm-T", dest="renorm_T", type=float, default=20.0)
     p.add_argument("--n-renorm", type=int, default=50)

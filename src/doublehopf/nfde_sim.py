@@ -14,13 +14,15 @@ interpolation is only needed at half-step stage times):
                   derivative history stored alongside the state.
 
 Initial data are constant histories x = x0, y = y0 on [-tau, 0].  The two
-auxiliary histories are started at the fixed points of their recursions
-(theta = x0, and y'-history = g(x0,y0,x0,y0)/(1-mu)), which makes the two
-formulations the same initial-value problem and keeps y' continuous at
-t = 0.  Second derivatives still jump at every multiple of tau (neutral
-systems do not smooth), so the derivative history is interpolated with
-one-sided stencils next to those breaking nodes; both formulations then
-converge at fourth order and agree to ~1e-10 at desk step sizes.
+auxiliary histories are the fixed points of their recursions (theta = x0,
+and y'-history = g(x0,y0,x0,y0)/(1-mu)), which makes the two formulations
+the same initial-value problem and keeps y' continuous at t = 0.  Both
+formulations start theta at t = 0 by the recursion itself, (1-mu)*x0 +
+mu*x0, so theta is the memory recursion of x node by node from node 0.
+Second derivatives still jump at every multiple of tau (neutral systems
+do not smooth), so the derivative history is interpolated with one-sided
+stencils next to those breaking nodes; both formulations then converge at
+fourth order and agree to ~1e-10 at desk step sizes.
 
 Both integrators step one delay interval at a time (the method of steps):
 within a block that ends on the delay grid every delayed term is data
@@ -63,7 +65,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chareq import SystemParams, hopf_ladders
+from .chareq import SystemParams, _ValueEq, hopf_ladders
 from .errors import HypothesisViolated, InsufficientData, NonFiniteState
 from .hopf_hopf import HopfHopfPoint
 
@@ -168,9 +170,9 @@ def _fill_memory(m: np.ndarray, src: np.ndarray, lo: int, mu: float, nd: int,
     """m[i] = (1-mu)*src[i] + mu*m[i - nd] for i >= lo, the feedback memory
     of src on the samples base, base + 1, ... of a run.
 
-    Before run sample nd the delayed memory is the history value hist (node
-    0 uses the history fixed point directly).  Elementwise in blocks of at
-    most nd samples, so a run split anywhere gets the bits of a whole one.
+    Before run sample nd the delayed memory is the history value hist.
+    Elementwise in blocks of at most nd samples, so a run split anywhere
+    gets the bits of a whole one.
     """
     n = len(src)
     while lo < n:
@@ -197,7 +199,6 @@ class Trajectory:
         self,
         params: SystemParams,
         h: float,
-        n_delay: int,
         x: np.ndarray,
         y: np.ndarray,
         dy: np.ndarray,
@@ -207,7 +208,6 @@ class Trajectory:
     ):
         self.params = params
         self.h = h
-        self.n_delay = n_delay
         self.x = x
         self.y = y
         self.dy = dy
@@ -221,6 +221,11 @@ class Trajectory:
     @property
     def t(self) -> np.ndarray:
         return np.arange(len(self.x)) * self.h
+
+    @property
+    def n_delay(self) -> int:
+        """Steps per delay, tau/h."""
+        return int(round(self.params.tau / self.h))
 
     def y_delayed(self) -> np.ndarray:
         """Grid samples of y(t - tau); exact buffer reads plus history fill."""
@@ -241,25 +246,38 @@ class _Stepper:
     """Sample buffers of an incremental integrator on the grid t = 0, h, ...
 
     ``step(n)`` appends n steps to the buffers named in _BUFFERS, in the
-    order (x, y, y', ...) that a run reader takes them, and continues from
-    where the previous call stopped.  ``j`` is the buffer index of the last
-    sample and ``base`` the run step index of buffer sample 0, so a blow-up
-    reports the run time whatever was trimmed.
+    order (x, y, y', theta, ...) that a run reader takes them, and
+    continues from where the previous call stopped.  ``j`` is the buffer
+    index of the last sample and ``base`` the run step index of buffer
+    sample 0, so a blow-up reports the run time whatever was trimmed.
 
-    A call grows every buffer by n samples at once, then steps in blocks
-    that end on the delay grid (run indices that are multiples of N), so a
-    block has at most N steps and every delayed node it reads is already
-    computed.  Per block, numpy forms the delayed terms of every step, the
-    scalar RK4 loop carries (x, y, k1y) and stores x and y, and numpy then
-    writes the block's other columns, each elementwise in the scalar
+    A run starts from sample 0 of the constant history: x0, y0 and theta
+    by the memory recursion, (1-mu)*x0 + mu*x0.  A call grows every buffer
+    by n samples at once, then steps in blocks that end on the delay grid
+    (run indices that are multiples of N), so a block has at most N steps
+    and every delayed node it reads is already computed.  Per block, numpy
+    forms the delayed terms of every step, the scalar RK4 loop carries
+    (x, y, k1y) and stores x and y (_block), and numpy then writes the
+    block's other columns, theta first, each elementwise in the scalar
     operation order.  A blow-up raises inside the loop and leaves the
     stepper spent: the rest of its buffers is unwritten.
     """
 
     _BUFFERS: Tuple[str, ...] = ()
 
+    def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
+        self.p = p
+        self.h = h
+        self.N = int(round(p.tau / h))
+        self.x0, self.y0 = x0, y0
+        self.xs = array("d", [x0])
+        self.ys = array("d", [y0])
+        self.ths = array("d", [(1.0 - p.mu) * x0 + p.mu * x0])
+        self.j = 0
+        self.base = 0  # run step index of buffer sample 0; trim advances it
+
     def step(self, n: int) -> None:
-        N, j, j1 = self.N, self.j, self.j + n
+        N, mu, j, j1 = self.N, self.p.mu, self.j, self.j + n
         x, y = self.xs[j], self.ys[j]
         k1y = self._k1y(j, x, y)
         for name in self._BUFFERS:
@@ -267,8 +285,17 @@ class _Stepper:
         while j < j1:
             e = min(j1, j + N - (self.base + j) % N)
             x, y, k1y = self._block(j, e, x, y, k1y)
+            cols = [c[: e + 1] for c in self._columns()]
+            _fill_memory(cols[3], cols[0], j + 1, mu, N, self.x0, self.base)
+            self._after_theta(j + 1, *cols)
             j = e
         self.j = j1
+
+    def _after_theta(self, lo: int, *cols: np.ndarray) -> None:
+        """Write the block's columns that follow theta, from buffer sample
+        lo on; ``cols`` are the buffers in _BUFFERS order, up to the block's
+        end.  The neutral form has none: its y' reads no theta, and its
+        _block writes it."""
 
     def _overflow(self, i: int) -> NonFiniteState:
         """The error of the step to buffer sample i."""
@@ -306,17 +333,9 @@ class _ThetaStepper(_Stepper):
     _BUFFERS = ("xs", "ys", "dys", "ths", "dths")
 
     def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
-        self.p = p
-        self.h = h
-        self.N = int(round(p.tau / h))
-        self.x0, self.y0 = x0, y0
-        self.xs = array("d", [x0])
-        self.ys = array("d", [y0])
-        self.ths = array("d", [x0])
-        self.dys = array("d", [self._dy(x0, y0, x0)])
+        super().__init__(p, x0, y0, h)
+        self.dys = array("d", [self._dy(x0, y0, self.ths[0])])
         self.dths = array("d", [(1.0 - p.mu) * y0])
-        self.j = 0
-        self.base = 0  # run step index of buffer sample 0; trim advances it
 
     def _dy(self, x, y, th):
         """Theta-form y' in the scalar operation order, on floats or arrays."""
@@ -373,12 +392,11 @@ class _ThetaStepper(_Stepper):
             k1y = neps * (x * x - 1.0) * y - x + ek * (one_mu * x + mth_b)
             xs[i] = x
             ys[i] = y
-        xv, yv, dy, th, dth = (c[: e + 1] for c in self._columns())
-        lo = j + 1
-        _fill_memory(th, xv, lo, mu, self.N, self.x0, self.base)
-        _fill_memory(dth, yv, lo, mu, self.N, 0.0, self.base)
-        dy[lo:] = self._dy(xv[lo:], yv[lo:], th[lo:])
         return x, y, k1y
+
+    def _after_theta(self, lo, xv, yv, dy, th, dth) -> None:
+        _fill_memory(dth, yv, lo, self.p.mu, self.N, 0.0, self.base)
+        dy[lo:] = self._dy(xv[lo:], yv[lo:], th[lo:])
 
     @classmethod
     def at_window(cls, p: SystemParams, x0: float, y0: float, h: float,
@@ -406,19 +424,16 @@ class _NeutralStepper(_Stepper):
 
     Steps every neutral-form run (see _stream).  The midpoint's y' stencil
     reads back to two samples before the delayed node (trim keeps them).
-    theta is not part of the state; each block writes it by the memory
-    recursion, as the theta-form stepper does, so the stream's readers get
-    the same column from either formulation.
+    theta is not part of the state; _Stepper.step writes it per block by
+    the memory recursion, as for the theta form, so the stream's readers
+    get the same column from either formulation.
     """
 
     _BUFFERS = ("xs", "ys", "dys", "ths")
 
     def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
+        super().__init__(p, x0, y0, h)
         eps, mu = p.epsilon, p.mu
-        self.p = p
-        self.h = h
-        self.N = int(round(p.tau / h))
-        self.x0, self.y0 = x0, y0
         self.c_x = c_x = -1.0 + eps * p.k * (1.0 - mu)
         # g(x0, y0, x0, y0)/(1 - mu), in g's term order (see _block): the fixed
         # point of the derivative recursion keeps y' continuous at t = 0 and
@@ -427,13 +442,7 @@ class _NeutralStepper(_Stepper):
             c_x * x0 + eps * y0 + mu * x0 - eps * mu * y0
             - eps * x0 * x0 * y0 + eps * mu * x0 * x0 * y0
         ) / (1.0 - mu)
-        self.xs = array("d", [x0])
-        self.ys = array("d", [y0])
         self.dys = array("d", [self.dy_h])
-        # sample 0 by the recursion with history x0, as Trajectory.theta has it
-        self.ths = array("d", [(1.0 - mu) * x0 + mu * x0])
-        self.j = 0
-        self.base = 0
 
     def _k1y(self, j: int, x: float, y: float) -> float:
         # the end-of-step y' is the next step's k1y, so it is read back from
@@ -516,11 +525,9 @@ class _NeutralStepper(_Stepper):
             k1y = c_x * x + eps * y + bA - bB - eps * x * x * y + bC + bD
             xs[i] = x
             ys[i] = y
-        xv, yv, dy, th = (c[: e + 1] for c in self._columns())
+        xv, yv, dy = (c[j + 1 : e + 1] for c in self._columns()[:3])
         bA, bB, bC, bD = terms[4:]
-        xn, yn = xv[j + 1 :], yv[j + 1 :]
-        dy[j + 1 :] = c_x * xn + eps * yn + bA - bB - eps * xn * xn * yn + bC + bD
-        _fill_memory(th, xv, j + 1, self.p.mu, self.N, self.x0, self.base)
+        dy[:] = c_x * xv + eps * yv + bA - bB - eps * xv * xv * yv + bC + bD
         return x, y, k1y
 
 
@@ -555,14 +562,15 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
 
     The stepper is cfg.formulation's.  After each chunk every reader is
     called as ``reader(base, x, y, dy, theta, dtheta)``: numpy views of the
-    samples base, base + 1, ... up to the last step so far.  A neutral run
-    has no dtheta (None); its theta, written per block by the stepper, has
-    the bits of Trajectory.theta.  A reader that needs the run's end works
-    it out from its own sample count.  A reader must copy what it keeps,
-    because the stepper then drops all but the trailing N + 3 samples (see
-    _Stepper.trim), which every later block starts with, and grows its
-    buffers again.  The steps are those of one unsplit stepper run, bit for
-    bit, and a blow-up raises at the same time with the same message.
+    samples base, base + 1, ... up to the last step so far.  theta is the
+    memory recursion of x from node 0 in either formulation (see _Stepper);
+    a neutral run has no dtheta (None).  A reader that needs the run's end
+    works it out from its own sample count.  A reader must copy what it
+    keeps, because the stepper then drops all but the trailing N + 3
+    samples (see _Stepper.trim), which every later block starts with, and
+    grows its buffers again.  The steps are those of one unsplit stepper
+    run, bit for bit, and a blow-up raises at the same time with the same
+    message.
     """
     stepper = _NeutralStepper if cfg.formulation == "neutral_form" else _ThetaStepper
     st = stepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
@@ -584,7 +592,7 @@ def _stored(cfg: SimConfig) -> Trajectory:
     """cfg's whole run: _stream with a _Store reader."""
     store = _Store(_n_steps(cfg) + 1)
     _stream(cfg, [store])
-    return Trajectory(cfg.params, cfg.h, cfg.n_delay, *store.cols, cfg.x0, cfg.y0)
+    return Trajectory(cfg.params, cfg.h, *store.cols, cfg.x0, cfg.y0)
 
 
 def simulate_theta(cfg: SimConfig) -> Trajectory:
@@ -606,13 +614,14 @@ def simulate(cfg: SimConfig) -> Trajectory:
     return _stored(cfg)
 
 
-@dataclass(frozen=True)
-class PoincareSection:
+@dataclass(frozen=True, eq=False)
+class PoincareSection(_ValueEq):
     """Ordered crossings of y(t) = 0 with refined states.
 
     direction holds +1 for upward (y increasing) and -1 for downward
     crossings.  state_norm_first/last record |(x, y)| at the start and end
-    of the analyzed window (used by the equilibrium classification).
+    of the analyzed window (used by the equilibrium classification).  Two
+    sections are equal when every field is, the arrays compared by value.
     """
 
     t: np.ndarray
@@ -702,14 +711,14 @@ class _Crossings:
     def section(self, direction: str) -> PoincareSection:
         rec = self.cross + self.zeros
         rec.sort(key=lambda r: r[0])
-        if direction != "both":
-            want = 1 if direction == "up" else -1
-            rec = [r for r in rec if r[3] == want]
         arr = np.array(rec, dtype=float).reshape(-1, 4)
-        return PoincareSection(
+        sec = PoincareSection(
             arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(int),
             state_norm_first=self.norm_first, state_norm_last=self.norm_last,
         )
+        if direction == "both":
+            return sec
+        return sec.subset(1 if direction == "up" else -1)
 
 
 def _check_direction(direction: str) -> None:
@@ -1047,7 +1056,7 @@ def line_T_scan(
             continue
         params = hh.params(0.1 * iota, 0.081 * iota)
         lad = hopf_ladders(hh.epsilon, hh.mu, params.k)
-        if not (lad.h1 & lad.h2).item():
+        if not lad.admissible.item():
             raise HypothesisViolated(f"iota={iota} leaves the admissible gain region")
         cfg = SimConfig.from_divisor(params, x0, y0, h_div, t_end, transient)
         if compute_exponent:

@@ -27,12 +27,12 @@ counterclockwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .chareq import char_deriv
+from .chareq import _ValueEq, char_deriv
 from .errors import (
     BoundaryCase,
     DegenerateCubic,
@@ -79,7 +79,7 @@ UNFOLDING_TABLE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearPieces:
     """Point masses of the rescaled linear system (delay normalized to 1).
 
@@ -102,7 +102,7 @@ class LinearPieces:
         return cls(b1, b2, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenBasis:
     """Critical eigenbasis Phi, adjoint rows Psi, and normalizers D1, D2.
 
@@ -125,22 +125,31 @@ class NormalFormCoeffs:
     """Cubic normal-form coefficients of the four critical modes.
 
     a11, a12 (a21, a22) multiply the two parameter offsets in the slow
-    (fast) mode; c11, c12, c21, c22 are the cubic self/cross couplings.
-    The shared factor structure gives c12 = 2*c11 and c21 = 2*c22 exactly.
+    (fast) mode; c11, c22 are the cubic self couplings.  The shared factor
+    structure makes the cross couplings c12 = 2*c11 and c21 = 2*c22, so
+    they are properties.
     """
 
     a11: complex
     a12: complex
     c11: complex
-    c12: complex
     a21: complex
     a22: complex
-    c21: complex
     c22: complex
+
+    @property
+    def c12(self) -> complex:
+        """The slow mode's cross coupling, 2*c11."""
+        return 2.0 * self.c11
+
+    @property
+    def c21(self) -> complex:
+        """The fast mode's cross coupling, 2*c22."""
+        return 2.0 * self.c22
 
 
 @dataclass(eq=False)
-class UnfoldingParams:
+class UnfoldingParams(_ValueEq):
     """Scaled planar amplitude-system data derived from the cubic coefficients.
 
     c1_map and c2_map are the rows of the linear map (alpha1, alpha2) ->
@@ -152,20 +161,18 @@ class UnfoldingParams:
     eps2: int
     b0: float
     c0: float
-    d0: int
     c1_map: np.ndarray
     c2_map: np.ndarray
+
+    @property
+    def d0(self) -> int:
+        """eps1*eps2, the scaled fast self coupling."""
+        return self.eps1 * self.eps2
 
     @property
     def det(self) -> float:
         """d0 - b0*c0, the fourth sign quantity of the classification."""
         return self.d0 - self.b0 * self.c0
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -334,7 +341,7 @@ def nf_coefficients(hh: HopfHopfPoint, epsilon: float, mu: float) -> NormalFormC
     (a11, a12, c11), (a21, a22, c22) = map(
         mode, _normalizers(hh), (hh.omega1, hh.omega2)
     )
-    return NormalFormCoeffs(a11, a12, c11, 2.0 * c11, a21, a22, 2.0 * c22, c22)
+    return NormalFormCoeffs(a11, a12, c11, a21, a22, c22)
 
 
 def unfolding_params(coeffs: NormalFormCoeffs) -> UnfoldingParams:
@@ -359,7 +366,6 @@ def unfolding_params(coeffs: NormalFormCoeffs) -> UnfoldingParams:
         eps2=eps2,
         b0=b0,
         c0=c0,
-        d0=eps1 * eps2,
         c1_map=eps1 * np.array([coeffs.a11.real, coeffs.a12.real]),
         c2_map=eps1 * np.array([coeffs.a21.real, coeffs.a22.real]),
     )

@@ -215,7 +215,7 @@ def test_escaping_oracle_run_raises_no_warning(ladder_unfoldings):
 
 def test_predict_attractor_wrong_case():
     u = dh.normalform.UnfoldingParams(
-        eps1=1, eps2=1, b0=0.5, c0=1.0, d0=1,
+        eps1=1, eps2=1, b0=0.5, c0=1.0,
         c1_map=np.array([1.0, 0.0]), c2_map=np.array([0.0, 1.0]),
     )
     assert u.det == 0.5

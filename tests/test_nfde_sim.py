@@ -4,6 +4,7 @@ import inspect
 import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -156,10 +157,10 @@ def _y_at(traj, t):
 def test_delayed_samples_of_a_run_shorter_than_one_delay(hh):
     # samples of systems with delay n_delay * h; more than half a delay, so
     # y[:len - nd] is a nonempty slice from the end
-    syn = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 0.1, 10,
+    syn = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 0.1,
                      np.zeros(7), np.ones(7), np.zeros(7), np.zeros(7), 0.0, 1.0)
     assert np.array_equal(syn.y_delayed(), np.ones(7))  # y0 = y[0]
-    syn = Trajectory(SystemParams(EPS, MU, 0.0, 0.4), 0.1, 4,
+    syn = Trajectory(SystemParams(EPS, MU, 0.0, 0.4), 0.1,
                      np.zeros(7), np.arange(7.0), np.zeros(7), np.zeros(7), 0.0, -1.0)
     assert np.array_equal(syn.y_delayed(), [-1.0] * 4 + [0.0, 1.0, 2.0])
     cfg = cfg_at(hh, -0.1, 0.1, y0=0.25, h_div=50, t_end=0.6 * (hh.tau0 + 0.1))
@@ -200,7 +201,7 @@ def test_poincare_synthetic_circle():
     # x = cos t, y = -sin t injected through the dense-output machinery
     h = 0.01
     t = np.arange(0.0, 20.0 + h / 2, h)
-    traj = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), h, 100,
+    traj = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), h,
                       np.cos(t), -np.sin(t), -np.cos(t), np.cos(t), 1.0, 0.0)
     sec = dh.poincare(traj, "both", 0.0)
     expect = np.arange(1, 7) * math.pi
@@ -215,6 +216,27 @@ def test_poincare_synthetic_circle():
     downs = dh.poincare(traj, "down", 0.0)
     assert len(ups) + len(downs) == len(sec)
     assert np.all(ups.direction == 1) and np.all(downs.direction == -1)
+
+
+def test_sections_compare_by_value(hh):
+    # the arrays compare entry by entry: asking an array for its truth
+    # value, as a generated __eq__ does, raises ValueError
+    pts = [[0.1, 0.2], [0.3, -0.1], [-0.2, 0.05]]
+    a, b = _section(pts), _section(pts)
+    assert a == b and not a != b
+    assert a.x is not b.x
+    bumped = a.x.copy()
+    bumped[2] = math.nextafter(bumped[2], math.inf)
+    for other in (replace(a, x=bumped), replace(a, direction=-a.direction),
+                  replace(a, state_norm_last=2.0), a.subset(-1)):
+        assert a != other and not a == other
+    assert a != (a.t, a.x, a.y_delayed, a.direction)
+    # a one-direction streamed section is the subset of the whole one
+    cfg = cfg_at(hh, -0.1, 0.1, h_div=50, t_end=100.0, transient=20.0)
+    both = nfde_sim.stream_section(cfg, "both")
+    assert len(both.subset(1)) and len(both.subset(-1))
+    assert nfde_sim.stream_section(cfg, "up") == both.subset(1)
+    assert nfde_sim.stream_section(cfg, "down") == both.subset(-1)
 
 
 def test_poincare_refinement_on_real_run(hh):

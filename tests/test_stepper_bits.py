@@ -206,7 +206,7 @@ def oracle_run_neutral(cfg: SimConfig) -> Trajectory:
 
     x = np.frombuffer(xs, np.float64)
     return Trajectory(
-        p, h, N, x,
+        p, h, x,
         np.frombuffer(ys, np.float64),
         np.frombuffer(dys, np.float64),
         memory_recursion(x, x0, N, mu),
@@ -567,11 +567,13 @@ def test_streamed_neutral_chunks_off_the_delay_grid(hh, monkeypatch, h_div, off)
         assert _bits(np.concatenate(got[name])) == _bits(col), name
 
 
-def test_theta_memory_columns_are_the_memory_recursion(hh):
+@pytest.mark.parametrize("mu", [MU, 0.3])
+def test_theta_memory_columns_are_the_memory_recursion(hh, mu):
     # theta and theta' of the theta-form stepper and theta of the neutral
-    # one, stepped in calls split off the delay grid; node 0 of each is the
-    # history's fixed point, which the node loop gives at mu = 1/2
-    p = _params(hh, 0.2, 0.164)
+    # one, stepped in calls split off the delay grid, node 0 included: at
+    # mu = 0.3, (1-mu)*x0 + mu*x0 is not x0 = 0.1, so a stepper that starts
+    # theta at the history value fails here
+    p = SystemParams(EPS, mu, hh.k0 + 0.2, hh.tau0 + 0.164)
     steppers = [nfde_sim._ThetaStepper(p, 0.1, 0.0, p.tau / 20),
                 nfde_sim._NeutralStepper(p, 0.1, 0.0, p.tau / 20)]
     for st in steppers:
