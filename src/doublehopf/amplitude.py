@@ -106,20 +106,20 @@ def amplitude_rhs(
     )
 
 
-def _jacobian(r1, r2, c1, c2, b0, c0, d0):
-    return np.array(
-        [
-            [c1 + 3.0 * r1 * r1 + b0 * r2 * r2, 2.0 * b0 * r1 * r2],
-            [2.0 * c0 * r1 * r2, c2 + c0 * r1 * r1 + 3.0 * d0 * r2 * r2],
-        ]
-    )
-
-
-def _make_eq(r1, r2, kind, c1, c2, b0, c0, d0) -> AmplitudeEquilibrium:
-    eigs = np.linalg.eigvals(_jacobian(r1, r2, c1, c2, b0, c0, d0))
+def _eq(r1_sq: float, r2_sq: float, kind: str, lam1, lam2) -> AmplitudeEquilibrium:
     return AmplitudeEquilibrium(
-        AmplitudeState(r1, r2), kind, (complex(eigs[0]), complex(eigs[1]))
+        AmplitudeState(math.sqrt(r1_sq), math.sqrt(r2_sq)), kind,
+        (complex(lam1), complex(lam2)),
     )
+
+
+def _interior(c1, c2, b0, c0, d0) -> Tuple[float, float, float]:
+    """(r1^2, r2^2, det) of the interior equilibrium, det = d0 - b0*c0;
+    raises DegenerateDet when det vanishes."""
+    det = d0 - b0 * c0
+    if abs(det) < 1e-12:
+        raise DegenerateDet(f"d0 - b0*c0 = {det:.3e}; interior branch undefined")
+    return (b0 * c2 - d0 * c1) / det, (c0 * c1 - c2) / det, det
 
 
 def equilibria(
@@ -132,21 +132,23 @@ def equilibria(
     r2^2 = (c0*c1 - c2)/det when both radicands are positive.  Raises
     DegenerateDet when det = d0 - b0*c0 vanishes (interior branch
     undefined).
+
+    Eigenvalues in closed form: (c1, c2) at the origin, (-2*c1, c2 - c0*c1)
+    and (c1 + b0*r2^2, -2*c2) on the axes, and q +- sqrt(q^2 -
+    4*r1^2*r2^2*det) with q = r1^2 + d0*r2^2 at the interior point.
     """
-    out = [_make_eq(0.0, 0.0, "origin", c1, c2, b0, c0, d0)]
+    out = [_eq(0.0, 0.0, "origin", c1, c2)]
     if c1 < 0.0:
-        out.append(_make_eq(math.sqrt(-c1), 0.0, "r1_axis", c1, c2, b0, c0, d0))
+        out.append(_eq(-c1, 0.0, "r1_axis", -2.0 * c1, c2 - c0 * c1))
     if d0 != 0.0 and -c2 / d0 > 0.0:
-        out.append(_make_eq(0.0, math.sqrt(-c2 / d0), "r2_axis", c1, c2, b0, c0, d0))
-    det = d0 - b0 * c0
-    if abs(det) < 1e-12:
-        raise DegenerateDet(f"d0 - b0*c0 = {det:.3e}; interior branch undefined")
-    r1_sq = (b0 * c2 - d0 * c1) / det
-    r2_sq = (c0 * c1 - c2) / det
+        r2_sq = -c2 / d0
+        out.append(_eq(0.0, r2_sq, "r2_axis", c1 + b0 * r2_sq, -2.0 * c2))
+    r1_sq, r2_sq, det = _interior(c1, c2, b0, c0, d0)
     if r1_sq > 0.0 and r2_sq > 0.0:
-        out.append(
-            _make_eq(math.sqrt(r1_sq), math.sqrt(r2_sq), "interior", c1, c2, b0, c0, d0)
-        )
+        q = r1_sq + d0 * r2_sq
+        disc = q * q - 4.0 * r1_sq * r2_sq * det
+        root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
+        out.append(_eq(r1_sq, r2_sq, "interior", q + root, q - root))
     return out
 
 
@@ -230,8 +232,8 @@ def find_attractor(
     return "none", None
 
 
-def _representative_alpha(region: int, lines: ViaLines, radius: float) -> np.ndarray:
-    """Representative parameter point inside a region at the given radius.
+def _representative_alpha(region: int, lines: ViaLines) -> np.ndarray:
+    """Unit direction of a region's representative parameter point.
 
     Ordinary regions use the angular bisector of their bounding rays; the
     linear-order D5 sector is degenerate (the connection ray L4 is tangent
@@ -247,19 +249,19 @@ def _representative_alpha(region: int, lines: ViaLines, radius: float) -> np.nda
         lo = angles[(region - 2) % 8]
         hi = angles[region - 1]
         theta = lo + 0.5 * ((hi - lo) % two_pi)
-    return radius * np.array([math.cos(theta), math.sin(theta)])
+    return np.array([math.cos(theta), math.sin(theta)])
 
 
 def _probe_params(
-    region: int, u: UnfoldingParams, radius: float
+    region: int, u: UnfoldingParams
 ) -> Tuple[float, float, float, float, float]:
     """Amplitude parameters (c1, c2, b0, c0, d0) at a region's representative point.
 
     The truncated system is self-similar under (r, t) -> (s*r, t/s^2),
-    c -> s^2*c, so (c1, c2) is normalized to unit length: the portrait is
-    unchanged and all rates are O(1) for the find_attractor oracle.
+    c -> s^2*c, so only the point's direction matters: (c1, c2) is
+    normalized to unit length, and all rates are O(1) for find_attractor.
     """
-    alpha = _representative_alpha(region, normalform.via_lines(u), radius)
+    alpha = _representative_alpha(region, normalform.via_lines(u))
     c1 = float(u.c1_map @ alpha)
     c2 = float(u.c2_map @ alpha)
     scale = math.hypot(c1, c2)
@@ -268,20 +270,18 @@ def _probe_params(
     return (c1 / scale, c2 / scale, u.b0, u.c0, float(u.d0))
 
 
-def predict_attractor(
-    region: int,
-    u: UnfoldingParams,
-    radius: float = 0.1,
-) -> AttractorPrediction:
+def predict_attractor(region: int, u: UnfoldingParams) -> AttractorPrediction:
     """Stable object of the amplitude system in one case-VIa region.
 
-    Decided in closed form at a representative parameter point (bisector at
-    ``radius``, see _representative_alpha and _probe_params):
+    Decided in closed form in a representative direction (the bisector, see
+    _representative_alpha and _probe_params); by the scaling symmetry the
+    distance from the double-Hopf point never changes the label.
 
     1. torus3 when the interior equilibrium is a linear center: zero trace,
-       |r1^2 + d0*r2^2| <= _CENTER_TOL*(r1^2 + |d0|*r2^2), and positive
-       determinant, d0 - b0*c0 > 0 (det J = 4*r1^2*r2^2*(d0 - b0*c0)).  The
-       center family of periodic amplitude orbits then surrounds it.
+       |q| <= _CENTER_TOL*(r1^2 + |d0|*r2^2), q as in equilibria, and
+       positive determinant, d0 - b0*c0 > 0 (det J = 4*r1^2*r2^2*(d0 -
+       b0*c0)).  The center family of periodic amplitude orbits then
+       surrounds it.
     2. Otherwise the first stable equilibrium in the order interior (torus2),
        r2_axis (periodic, mode 2), r1_axis (periodic, mode 1), origin
        (trivial_eq).
@@ -295,26 +295,20 @@ def predict_attractor(
     probed on the shared L4/L5 ray itself, where the center family stands
     in for the amplitude limit cycle.  No amplitude orbit is integrated.
 
-    Raises ValueError for a region outside 1..8 or a radius that is not
-    finite and positive, and WrongCase outside case VIa.
+    Raises ValueError for a region that is not one of the integers 1..8,
+    and WrongCase outside case VIa.
     """
-    if not 1 <= region <= 8:
-        raise ValueError(f"region must be 1..8, got {region}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
+    if region not in range(1, 9):
+        raise ValueError(f"region must be an integer in 1..8, got {region!r}")
     case = normalform.classify_unfolding(u)
     if case != "VIa":
         raise WrongCase(f"attractor map defined for case VIa, not {case}")
-    params = _probe_params(region, u, radius)
-    _, _, b0, c0, d0 = params
+    params = _probe_params(int(region), u)
     eqs = {e.kind: e for e in equilibria(*params)}
-    interior = eqs.get("interior")
-    if interior is not None:
-        r1_sq = interior.state.r1 ** 2
-        r2_sq = interior.state.r2 ** 2
-        half_trace = r1_sq + d0 * r2_sq
-        zero_trace = abs(half_trace) <= _CENTER_TOL * (r1_sq + abs(d0) * r2_sq)
-        if zero_trace and d0 - b0 * c0 > 0.0:
+    if "interior" in eqs:
+        r1_sq, r2_sq, det = _interior(*params)
+        q = r1_sq + u.d0 * r2_sq
+        if abs(q) <= _CENTER_TOL * (r1_sq + abs(u.d0) * r2_sq) and det > 0.0:
             return AttractorPrediction("torus3", None, region)
     for kind, label, mode in (
         ("interior", "torus2", None),

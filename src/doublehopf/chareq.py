@@ -61,6 +61,8 @@ __all__ = [
     "rightmost_roots",
 ]
 
+_TRANSVERSALITY_TOL = 1e-9  # transversality_sign's bound on |W'(omega^2)|
+
 
 def _check_instance(epsilon: float, mu: float) -> None:
     """epsilon > 0 and 0 < mu < 1, NaN rejected; raises ValueError."""
@@ -133,10 +135,10 @@ class HopfFrequencies:
     omega_plus: float
 
 
-def _check_rung(j: int) -> None:
-    """j is a ladder index, a nonnegative integer; raises ValueError."""
-    if j < 0 or int(j) != j:
-        raise ValueError(f"branch index j must be a nonnegative integer, got {j}")
+def _check_rung(j: int, name: str = "branch index j") -> None:
+    """j is a ladder index, a nonnegative integer; raises ValueError naming it."""
+    if not (j >= 0 and j % 1 == 0):  # NaN and inf fail it too
+        raise ValueError(f"{name} must be a nonnegative integer, got {j}")
 
 
 def _check_sign(sign: str) -> None:
@@ -348,21 +350,21 @@ def tau_branch(epsilon: float, mu: float, k: float, sign: str, j: int = 0) -> fl
     return lad.tau(sign, j).item()
 
 
-def transversality_sign(
-    epsilon: float, mu: float, k: float, sign: str, tol: float = 1e-9
-) -> int:
+def transversality_sign(epsilon: float, mu: float, k: float, sign: str) -> int:
     """Sign of d(Re lam)/d(tau) at the branch's critical delays.
 
     Equals the sign of W'(rho) at rho = omega^2: +1 on the fast branch
-    (roots cross rightward), -1 on the slow branch.
+    (roots cross rightward), -1 on the slow branch; DegenerateRoot when
+    |W'| < ``_TRANSVERSALITY_TOL``.
     """
     _check_sign(sign)
     lad = hopf_ladders(epsilon, mu, k)
     lad.require_admissible()
     omega = lad.omega[sign].item()
     d = w_poly(epsilon, mu, k).deriv(omega * omega)
-    if abs(d) < tol:
-        raise DegenerateRoot(f"|W'({omega}^2)| = {abs(d)} below tolerance {tol}")
+    if abs(d) < _TRANSVERSALITY_TOL:
+        raise DegenerateRoot(
+            f"|W'({omega}^2)| = {abs(d)} below tolerance {_TRANSVERSALITY_TOL}")
     return 1 if d > 0 else -1
 
 

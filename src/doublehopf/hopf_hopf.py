@@ -138,8 +138,9 @@ def find_hopf_hopf(
     BIT 11, 1971), with a bisection step wherever the bracket has not
     halved over the two steps before, until the gap is 0 or the ends are
     adjacent floats.  k0 is the end with the smaller |gap|.  Raises
-    ValueError for a ladder index that is not a nonnegative integer,
-    NoSignChange when the gap has constant sign on the bracket,
+    ValueError for a ladder index that is not a nonnegative integer, a
+    non-finite k_lo or k_lo >= k_hi, NoSignChange when the gap has
+    constant sign on the bracket,
     HypothesisViolated when the clipped bracket is empty or a scanned gain
     still fails h2.  Every gain is one ``hopf_ladders`` call: the scan one
     call of 400 gains and each step one call of one gain, and tau0 and the
@@ -148,6 +149,8 @@ def find_hopf_hopf(
     """
     _check_rung(j_plus)
     _check_rung(j_minus)
+    if not math.isfinite(k_lo):
+        raise ValueError(f"k_lo must be finite, got {k_lo!r}")
     if not k_lo < k_hi:
         raise ValueError("need k_lo < k_hi")
     k_max = math.nextafter(gain_bound(epsilon, mu), -math.inf)
@@ -233,11 +236,11 @@ def scan_hopf_curves(
     Gains failing the admissibility conditions are skipped and reported in
     ``skipped_k``.  The table stores the grid's ladders, not its rows: rows
     are formed when read.  Raises ValueError, before any gain is examined,
-    for an instance SystemParams forbids or j_max < 0.
+    for an instance SystemParams forbids or a j_max that is not a
+    nonnegative integer.
     """
     _check_instance(epsilon, mu)
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
+    _check_rung(j_max, "j_max")
     if not isinstance(k_values, np.ndarray):
         k_values = list(k_values)
-    return HopfCurveTable(hopf_ladders(epsilon, mu, k_values), j_max)
+    return HopfCurveTable(hopf_ladders(epsilon, mu, k_values), int(j_max))

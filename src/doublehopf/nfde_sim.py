@@ -18,7 +18,8 @@ auxiliary histories are the fixed points of their recursions (theta = x0,
 and y'-history = g(x0,y0,x0,y0)/(1-mu)), which makes the two formulations
 the same initial-value problem and keeps y' continuous at t = 0.  Both
 formulations start theta at t = 0 by the recursion itself, (1-mu)*x0 +
-mu*x0, so theta is the memory recursion of x node by node from node 0.
+mu*x0, and the theta form theta' at (1-mu)*y0 + mu*0.0, so both are the
+memory recursions of x and y (history 0) node by node from node 0.
 Second derivatives still jump at every multiple of tau (neutral systems
 do not smooth), so the derivative history is interpolated with one-sided
 stencils next to those breaking nodes; both formulations then converge at
@@ -335,7 +336,7 @@ class _ThetaStepper(_Stepper):
     def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
         super().__init__(p, x0, y0, h)
         self.dys = array("d", [self._dy(x0, y0, self.ths[0])])
-        self.dths = array("d", [(1.0 - p.mu) * y0])
+        self.dths = array("d", [(1.0 - p.mu) * y0 + p.mu * 0.0])
 
     def _dy(self, x, y, th):
         """Theta-form y' in the scalar operation order, on floats or arrays."""
@@ -652,13 +653,12 @@ class _Crossings:
     a grid node where y is exactly zero counts once, by the sign change
     across it.  A grid interval or node i is examined once sample i + 2 is
     in (its crossing's dense output may read it), or once sample n - 1 is;
-    its delayed value reads back to sample i - N - 1.
+    its delayed value reads back to sample i - N - 1, or to y0 before t = 0.
     """
 
-    def __init__(self, h: float, tau: float, n: int, transient: float,
-                 x0: float, y0: float):
+    def __init__(self, h: float, tau: float, n: int, transient: float, y0: float):
         self.h, self.tau, self.n = h, tau, n
-        self.x0, self.y0 = x0, y0
+        self.y0 = y0
         self.j0 = min(int(math.ceil(transient / h)), n - 1)
         self.next = self.j0  # first interval and node not yet examined
         self.cross: List[Tuple[float, float, float, int]] = []
@@ -696,7 +696,7 @@ class _Crossings:
             t_star = i * h + 0.5 * (left + right)
             self.cross.append((
                 t_star,
-                _dense(x, y, self.x0, t_star, h, n, base),
+                _dense(x, y, None, t_star, h, n, base),  # t_star > 0
                 _dense(y, dy, self.y0, t_star - self.tau, h, n, base),
                 1 if yb > ya else -1,
             ))
@@ -737,7 +737,7 @@ def poincare(
     section").
     """
     _check_direction(direction)
-    sec = _Crossings(traj.h, traj.tau, len(traj), transient, traj.x0, traj.y0)
+    sec = _Crossings(traj.h, traj.tau, len(traj), transient, traj.y0)
     sec(0, traj.x, traj.y, traj.dy, None, None)
     return sec.section(direction)
 
@@ -752,8 +752,7 @@ def stream_section(
     section is the same, bit for bit.
     """
     _check_direction(direction)
-    sec = _Crossings(cfg.h, cfg.params.tau, _n_steps(cfg) + 1, cfg.transient,
-                     cfg.x0, cfg.y0)
+    sec = _Crossings(cfg.h, cfg.params.tau, _n_steps(cfg) + 1, cfg.transient, cfg.y0)
     _stream(cfg, (sec, *readers))
     return sec.section(direction)
 
@@ -766,24 +765,22 @@ _TOL_CURVE = 0.25
 _MIN_CROSSINGS = 200
 
 
-def _nn_stats(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbor distances and indices of the two nearest points.
+def _nn_stats(pts: np.ndarray) -> np.ndarray:
+    """Indices of the two nearest other points of every point, one row each.
 
     Squared distances are formed for a block of rows at a time, so memory
-    stays at O(_NN_BLOCK_ELEMS) instead of O(n^2); each row's values and
-    argsort are those of the whole-matrix formula.
+    stays at O(_NN_BLOCK_ELEMS) instead of O(n^2); each row's argsort is
+    that of the whole-matrix formula.
     """
     n = len(pts)
     rows = max(1, _NN_BLOCK_ELEMS // max(n, 1))
-    nn2 = np.empty(n)
     order = np.empty((n, 2), dtype=np.intp)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         d2 = np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         order[lo:hi] = np.argsort(d2, axis=1)[:, :2]
-        nn2[lo:hi] = np.min(d2, axis=1)
-    return np.sqrt(nn2), order
+    return order
 
 
 def classify_section(
@@ -850,7 +847,7 @@ def classify_section(
     if divergence_exponent is not None:
         return "scattered" if divergence_exponent > 1e-3 else "curve_family"
 
-    nn, nbrs = _nn_stats(pts)
+    nbrs = _nn_stats(pts)
     v1 = pts[nbrs[:, 0]] - pts
     v2 = pts[nbrs[:, 1]] - pts
     denom = np.linalg.norm(v1, axis=1) * np.linalg.norm(v2, axis=1)
@@ -864,8 +861,8 @@ def _leg_steps(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int) ->
     arguments."""
     if not 1e-10 <= delta0 <= 1e-6:
         raise ValueError(f"delta0 must lie in [1e-10, 1e-6], got {delta0}")
-    if n_renorm < 50:
-        raise ValueError(f"n_renorm must be >= 50, got {n_renorm}")
+    if not (n_renorm >= 50 and n_renorm % 1 == 0):
+        raise ValueError(f"n_renorm must be an integer >= 50, got {n_renorm}")
     if not cfg.h <= renorm_T < math.inf:
         raise ValueError(f"renorm_T must be finite and >= h, got {renorm_T!r}")
     return max(1, int(round(renorm_T / cfg.h)))
@@ -888,7 +885,7 @@ class _Exponent:
         self.n_seg = n_seg = _leg_steps(cfg, delta0, renorm_T, n_renorm)
         self.cfg, self.delta0 = cfg, delta0
         n_tr = _transient_steps(cfg)
-        self.end = n_tr + n_renorm * n_seg
+        self.end = n_tr + int(n_renorm) * n_seg
         self.pending = list(range(self.end, n_tr - 1, -n_seg))  # popped from the end
         self.twin: Optional[_ThetaStepper] = None
         self.rates: List[float] = []
@@ -976,8 +973,7 @@ def _scale_run(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int,
     if not compute_exponent:
         return stream_section(cfg, "both"), None
     ex = _Exponent(cfg, delta0, renorm_T, n_renorm)
-    sec = _Crossings(cfg.h, cfg.params.tau, _n_steps(cfg) + 1, cfg.transient,
-                     cfg.x0, cfg.y0)
+    sec = _Crossings(cfg.h, cfg.params.tau, _n_steps(cfg) + 1, cfg.transient, cfg.y0)
     _stream(replace(cfg, t_end=max(_n_steps(cfg), ex.end) * cfg.h), [sec, ex])
     return sec.section("both"), ex.rate()
 

@@ -78,6 +78,10 @@ UNFOLDING_TABLE = {
     (-1, -1, -1, -1): "VIII",
 }
 
+_SIGN_TOL = 1e-9  # classify_unfolding's margin about zero of each sign quantity
+_RAY_TOL = 1e-6  # region_of's margin about each ray, in radians
+_N_NODES = 64  # Gauss-Legendre nodes of bilinear_form's integral
+
 
 @dataclass(frozen=True, eq=False)
 class LinearPieces:
@@ -283,7 +287,6 @@ def bilinear_form(
     phi_col: Callable[[float], np.ndarray],
     pieces: LinearPieces,
     psi_row_deriv: Callable[[float], np.ndarray],
-    n_nodes: int = 64,
 ) -> complex | np.ndarray:
     """Neutral dual pairing of adjoint rows with basis columns.
 
@@ -294,12 +297,12 @@ def bilinear_form(
     pair to the r x c matrix of every row with every column.  The delta
     masses reduce the pairing to two point products plus one definite
     integral, evaluated by composite Gauss-Legendre quadrature with
-    ``n_nodes`` nodes.
+    ``_N_NODES`` nodes.
     """
     m = pieces.M
     b2 = pieces.B2
     val = psi_row(0.0) @ phi_col(0.0) - psi_row(0.0) @ (m @ phi_col(-1.0))
-    nodes, weights = _gauss_nodes(n_nodes)
+    nodes, weights = _gauss_nodes(_N_NODES)
     for xi, w in zip(nodes, weights):
         col = phi_col(xi)
         val += w * (psi_row(xi + 1.0) @ (b2 @ col) - psi_row_deriv(xi + 1.0) @ (m @ col))
@@ -371,11 +374,12 @@ def unfolding_params(coeffs: NormalFormCoeffs) -> UnfoldingParams:
     )
 
 
-def classify_unfolding(u: UnfoldingParams, tol: float = 1e-9) -> str:
-    """Case label from the signs of (d0, b0, c0, d0 - b0*c0)."""
+def classify_unfolding(u: UnfoldingParams) -> str:
+    """Case label from the signs of (d0, b0, c0, d0 - b0*c0); BoundaryCase
+    when one lies within ``_SIGN_TOL`` of zero."""
     for name, val in (("d0", u.d0), ("b0", u.b0), ("c0", u.c0), ("det", u.det)):
-        if abs(val) < tol:
-            raise BoundaryCase(f"{name} = {val:.3e} within {tol} of zero")
+        if abs(val) < _SIGN_TOL:
+            raise BoundaryCase(f"{name} = {val:.3e} within {_SIGN_TOL} of zero")
     key = (
         1 if u.d0 > 0 else -1,
         1 if u.b0 > 0 else -1,
@@ -447,13 +451,11 @@ def via_lines(u: UnfoldingParams) -> ViaLines:
     return ViaLines(tuple(lines))
 
 
-def region_of(
-    alpha1: float, alpha2: float, lines: ViaLines, tol: float = 1e-6
-) -> int:
+def region_of(alpha1: float, alpha2: float, lines: ViaLines) -> int:
     """Sector index 1..8 of a parameter point among the eight rays.
 
     Region i lies between rays L_{i-1} and L_i counterclockwise, with D1
-    between L8 and L1.  Raises OnBoundary within ``tol`` radians of a ray
+    between L8 and L1.  Raises OnBoundary within ``_RAY_TOL`` radians of a ray
     (the L4/L5 pair is tangent at the origin, so the linear-order D5 sector
     has zero width and maps to OnBoundary).  Raises ValueError for a
     non-finite point or the origin.
@@ -466,8 +468,9 @@ def region_of(
     angles = [ln.angle for ln in lines.lines]
     for ang in angles:
         d = abs((theta - ang + math.pi) % (2.0 * math.pi) - math.pi)
-        if d < tol:
-            raise OnBoundary(f"point at angle {theta:.8f} lies on a ray within {tol}")
+        if d < _RAY_TOL:
+            raise OnBoundary(
+                f"point at angle {theta:.8f} lies on a ray within {_RAY_TOL}")
     # work counterclockwise from L8 so the wrap sits inside D1
     two_pi = 2.0 * math.pi
     base = angles[7]

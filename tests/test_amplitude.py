@@ -7,7 +7,7 @@ import pytest
 import doublehopf as dh
 from doublehopf import amplitude
 from doublehopf.amplitude import AmplitudeState, find_attractor
-from doublehopf.errors import DegenerateDet, WrongCase
+from doublehopf.errors import DegenerateDet, OnBoundary, WrongCase
 
 from conftest import EPS, MU, draw_amplitude_params, grid_scan_oracle
 
@@ -75,6 +75,34 @@ def test_equilibria_reside_on_vector_field_zeros():
             assert np.max(np.abs(res)) < 1e-10
             jac_re = [ev.real for ev in eq.eigenvalues]
             assert eq.stable == (max(jac_re) < 0)
+
+
+def _jacobian(r1, r2, c1, c2, b0, c0, d0):
+    """Jacobian of the amplitude vector field in (r1, r2)."""
+    return np.array([
+        [c1 + 3.0 * r1 * r1 + b0 * r2 * r2, 2.0 * b0 * r1 * r2],
+        [2.0 * c0 * r1 * r2, c2 + c0 * r1 * r1 + 3.0 * d0 * r2 * r2],
+    ])
+
+
+def test_closed_form_eigenvalues_match_eigen_solve():
+    # the Jacobian at each equilibrium, solved by LAPACK, is the oracle of
+    # the closed forms; the comparison is relative to the largest modulus
+    rng = np.random.default_rng(23)
+    kinds = dict.fromkeys(("origin", "r1_axis", "r2_axis", "interior", "focus"), 0)
+    for _ in range(2000):
+        params = draw_amplitude_params(rng)
+        for eq in dh.equilibria(*params):
+            want = np.sort_complex(
+                np.linalg.eigvals(_jacobian(eq.state.r1, eq.state.r2, *params)))
+            got = np.sort_complex(np.array(eq.eigenvalues))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (
+                eq.kind, params)
+            assert eq.stable == bool(np.max(want.real) < 0.0), (eq.kind, params)
+            kinds[eq.kind] += 1
+            kinds["focus"] += eq.eigenvalues[0].imag != 0.0
+    # every closed form is exercised, complex interior pairs included
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_equilibria_match_grid_oracle_sample():
@@ -194,17 +222,32 @@ def test_center_rule_matches_simulation_oracle(ladder_unfoldings, point):
     # orbit started next to the interior point recurs only in D5
     u = ladder_unfoldings[point]
     for region, is_cycle in ((5, True), (4, False)):
-        params = amplitude._probe_params(region, u, 0.1)
+        params = amplitude._probe_params(region, u)
         interior = [e for e in dh.equilibria(*params) if e.kind == "interior"][0]
         s0 = (interior.state.r1 * 0.995, interior.state.r2 * 0.995)
         label, _ = find_attractor(params, s0, t_end=4000.0, h=0.01)
         assert (label == "cycle") == is_cycle, (region, label)
 
 
+@pytest.mark.parametrize("point", LADDER_POINTS, ids=lambda p: f"{p[0]}-{p[1]}")
+def test_every_probe_lies_in_its_region(ladder_unfoldings, point):
+    # _representative_alpha and region_of encode the sector order twice; D5
+    # is probed on the shared L4/L5 ray, which region_of calls a boundary
+    u = ladder_unfoldings[point]
+    lines = dh.via_lines(u)
+    for region in range(1, 9):
+        probe = amplitude._representative_alpha(region, lines)
+        if region == 5:
+            with pytest.raises(OnBoundary):
+                dh.region_of(*probe, lines)
+        else:
+            assert dh.region_of(*probe, lines) == region
+
+
 def test_escaping_oracle_run_raises_no_warning(ladder_unfoldings):
     # the (3,2) D4 probe escapes; its last stages overflow to inf in Python
     # floats, which warn nowhere, and the label stays "none"
-    params = amplitude._probe_params(4, ladder_unfoldings[3, 2], 0.1)
+    params = amplitude._probe_params(4, ladder_unfoldings[3, 2])
     interior = [e for e in dh.equilibria(*params) if e.kind == "interior"][0]
     s0 = (interior.state.r1 * 0.995, interior.state.r2 * 0.995)
     with warnings.catch_warnings():
@@ -226,22 +269,16 @@ def test_predict_attractor_wrong_case():
 @pytest.mark.parametrize(
     "probe",
     [
-        ("radius", -0.1), ("radius", 0.0), ("radius", math.nan),
-        ("radius", math.inf), ("radius", -math.inf),
         ("alpha", (math.nan, 0.1)), ("alpha", (0.1, math.nan)),
         ("alpha", (math.inf, 0.1)), ("alpha", (0.1, -math.inf)),
     ],
     ids=str,
 )
 def test_bad_probe_input_raises_value_error(unfolding, lines, probe):
-    # a negative radius would probe the antipodal sector, and a non-finite
-    # one or a non-finite point has no sector at all
-    what, value = probe
+    # a non-finite point has no sector at all
+    _, value = probe
     with pytest.raises(ValueError, match="must be finite"):
-        if what == "radius":
-            dh.predict_attractor(6, unfolding, radius=value)
-        else:
-            dh.region_of(*value, lines)
+        dh.region_of(*value, lines)
 
 
 def test_amplitude_state_validation():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import doublehopf as dh
+from doublehopf import chareq
 from doublehopf.chareq import SystemParams, gain_bound
 from doublehopf.errors import DegenerateRoot, HypothesisViolated
 
@@ -246,10 +247,11 @@ def test_transversality_signs():
         assert dh.transversality_sign(eps, mu, k, "minus") == -1
 
 
-def test_transversality_degenerate_tolerance():
+def test_transversality_degenerate_tolerance(monkeypatch):
     # an inflated tolerance triggers the double-root guard
+    monkeypatch.setattr(chareq, "_TRANSVERSALITY_TOL", 10.0)
     with pytest.raises(DegenerateRoot):
-        dh.transversality_sign(EPS, MU, 4.6, "plus", tol=10.0)
+        dh.transversality_sign(EPS, MU, 4.6, "plus")
 
 
 def test_stability_windows_boundaries_are_branch_delays():

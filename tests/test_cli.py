@@ -276,6 +276,7 @@ def test_zero_delay_divisor_is_json_error(tmp_path, capsys, command):
     pytest.param(("line-t", "--iota", "2.0,nan"), "iota", id="line-t-iota-nan"),
     pytest.param(("line-t", "--iota", "inf"), "iota", id="line-t-iota-inf"),
     pytest.param(("line-t", "--iota=-inf"), "iota", id="line-t-iota-minus-inf"),
+    pytest.param(("analyze", "--bracket=-inf:5.2"), "k_lo", id="analyze-bracket-lo"),
 ])
 def test_non_finite_argument_is_json_error(tmp_path, capsys, command, name):
     assert run_cli(*command, "--out", str(tmp_path / "z")) == 2

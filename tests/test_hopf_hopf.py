@@ -59,6 +59,14 @@ def test_no_sign_change():
         dh.find_hopf_hopf(EPS, MU, 1, 1, 3.0, 3.5)
 
 
+@pytest.mark.parametrize("k_hi", [5.2, math.inf])
+def test_non_finite_lower_bracket_end_is_a_value_error(k_hi):
+    # rejected before the scan, whose grid would be -inf and nan (numpy
+    # warns on both) and end in a HypothesisViolated about k = nan
+    with pytest.raises(ValueError, match="^k_lo must be finite, got -inf$"):
+        dh.find_hopf_hopf(EPS, MU, 1, 1, -math.inf, k_hi)
+
+
 def test_bracket_outside_admissible_region():
     from doublehopf.errors import HypothesisViolated
 
@@ -66,7 +74,7 @@ def test_bracket_outside_admissible_region():
         dh.find_hopf_hopf(EPS, MU, 1, 1, 2.5, 3.1)
 
 
-@pytest.mark.parametrize("k_hi", [12.0, 10.0])
+@pytest.mark.parametrize("k_hi", [12.0, 10.0, math.inf])
 def test_bracket_clipped_to_gain_bound(k_hi):
     # h1 caps the gain at 1/eps = 10 here; the bracket is clipped below it
     pt = dh.find_hopf_hopf(EPS, MU, 1, 1, 4.5, k_hi)

@@ -18,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import doublehopf as dh  # noqa: E402
+from doublehopf import chareq  # noqa: E402
 from doublehopf.chareq import gain_bound  # noqa: E402
 from doublehopf.errors import DegenerateRoot, HypothesisViolated  # noqa: E402
 
@@ -29,8 +30,9 @@ SIGNS = ("minus", "plus")
 def transversality_omega(eps, mu, k, sign):
     """The omega transversality_sign evaluates W' at, read back from the
     DegenerateRoot an infinite tolerance forces (a float repr round-trips)."""
-    with pytest.raises(DegenerateRoot) as info:
-        dh.transversality_sign(eps, mu, k, sign, tol=math.inf)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(DegenerateRoot) as info:
+        mp.setattr(chareq, "_TRANSVERSALITY_TOL", math.inf)
+        dh.transversality_sign(eps, mu, k, sign)
     return float(re.match(r"^\|W'\((.*)\^2\)\|", str(info.value)).group(1))
 
 

@@ -404,9 +404,7 @@ def test_nn_stats_blocks_match_whole_matrix(monkeypatch, block):
         pts[-2] = pts[1]
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)
-        nn, order = nfde_sim._nn_stats(pts)
-        assert np.array_equal(nn, np.sqrt(np.min(d2, axis=1)))
-        assert np.array_equal(order, np.argsort(d2, axis=1)[:, :2])
+        assert np.array_equal(nfde_sim._nn_stats(pts), np.argsort(d2, axis=1)[:, :2])
 
 
 @pytest.fixture
@@ -594,6 +592,29 @@ def test_line_t_scan_checks_exponent_arguments_before_any_run(hh, step_calls, kw
     kw = {"iota_list": [2.0, 2.6], **kw}
     with pytest.raises(ValueError):
         dh.line_T_scan(hh=hh, h_div=100, t_end=2200.0, transient=400.0, **kw)
+    assert step_calls == [] and pools == []
+
+
+_NON_INTEGER_INDEX_CALLS = {
+    "predict_attractor": lambda hh, u: dh.predict_attractor(2.5, u),
+    # the table is formed lazily, so the check must come at the call
+    "scan_hopf_curves": lambda hh, u: dh.scan_hopf_curves(EPS, MU, [4.6, 4.7], 1.5),
+    "divergence_exponent": lambda hh, u: dh.divergence_exponent(
+        cfg_at(hh, 0.2, 0.162, h_div=100, t_end=2200.0, transient=400.0),
+        1e-9, 1.0, 50.5),
+    "line_T_scan": lambda hh, u: dh.line_T_scan(
+        [2.0, 2.6], hh, h_div=100, t_end=2200.0, transient=400.0, n_renorm=50.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_INTEGER_INDEX_CALLS))
+def test_non_integer_index_raises_value_error_at_the_call(
+        hh, unfolding, step_calls, pools, monkeypatch, name):
+    # a region, a ladder index or a leg count of 1.5 is no index; it fails
+    # as an argument, before any step, not as a TypeError deep inside
+    monkeypatch.setattr(nfde_sim, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="integer"):
+        _NON_INTEGER_INDEX_CALLS[name](hh, unfolding)
     assert step_calls == [] and pools == []
 
 

@@ -567,15 +567,18 @@ def test_streamed_neutral_chunks_off_the_delay_grid(hh, monkeypatch, h_div, off)
         assert _bits(np.concatenate(got[name])) == _bits(col), name
 
 
-@pytest.mark.parametrize("mu", [MU, 0.3])
-def test_theta_memory_columns_are_the_memory_recursion(hh, mu):
+@pytest.mark.parametrize("mu,y0", [(MU, 0.0), (0.3, 0.0), (MU, -0.0), (0.3, -0.0)],
+                         ids=["0.5", "0.3", "0.5-y0=-0", "0.3-y0=-0"])
+def test_theta_memory_columns_are_the_memory_recursion(hh, mu, y0):
     # theta and theta' of the theta-form stepper and theta of the neutral
     # one, stepped in calls split off the delay grid, node 0 included: at
     # mu = 0.3, (1-mu)*x0 + mu*x0 is not x0 = 0.1, so a stepper that starts
-    # theta at the history value fails here
+    # theta at the history value fails here; at y0 = -0.0, (1-mu)*y0 is
+    # -0.0 and the recursion's (1-mu)*y0 + mu*0.0 is +0.0, so one that
+    # starts theta' without the history term fails in the sign bit
     p = SystemParams(EPS, mu, hh.k0 + 0.2, hh.tau0 + 0.164)
-    steppers = [nfde_sim._ThetaStepper(p, 0.1, 0.0, p.tau / 20),
-                nfde_sim._NeutralStepper(p, 0.1, 0.0, p.tau / 20)]
+    steppers = [nfde_sim._ThetaStepper(p, 0.1, y0, p.tau / 20),
+                nfde_sim._NeutralStepper(p, 0.1, y0, p.tau / 20)]
     for st in steppers:
         for n in (7, 20, 33, 1, 45):
             st.step(n)
