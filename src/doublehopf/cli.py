@@ -437,8 +437,8 @@ class _TrajectoryRows:
     of text at a time.
     """
 
-    def __init__(self, fh, h: float, n_delay: int, y0: float, stride: int):
-        self.fh, self.h, self.n_delay, self.y0, self.stride = fh, h, n_delay, y0, stride
+    def __init__(self, fh, cfg: nfde_sim.SimConfig, stride: int):
+        self.fh, self.cfg, self.stride = fh, cfg, stride
         self.next = 0  # the next row's sample index
         fh.write("t,x,y,theta,y_delayed\n")
 
@@ -448,10 +448,11 @@ class _TrajectoryRows:
             return
         self.next = int(idx[-1]) + self.stride
         lo = idx[0] - base
-        y_delayed = np.full(len(idx), self.y0)
-        past = idx >= self.n_delay
-        y_delayed[past] = y[idx[past] - self.n_delay - base]
-        _csv_block_rows(self.fh, (idx * self.h, x[lo :: self.stride],
+        nd = self.cfg.h_div
+        y_delayed = np.full(len(idx), self.cfg.y0)
+        past = idx >= nd
+        y_delayed[past] = y[idx[past] - nd - base]
+        _csv_block_rows(self.fh, (idx * self.cfg.h, x[lo :: self.stride],
                                   y[lo :: self.stride], theta[lo :: self.stride],
                                   y_delayed))
 
@@ -460,12 +461,10 @@ def cmd_simulate(args) -> int:
     if args.stride < 1:
         raise ValueError(f"stride must be a positive integer, got {args.stride}")
     params = _resolve_point(args).params(args.alpha1, args.alpha2)
-    cfg = nfde_sim.SimConfig.from_divisor(
-        params, args.x0, args.y0, args.h_div, args.t_end, args.transient,
-        args.formulation,
-    )
+    cfg = nfde_sim.SimConfig(params, args.x0, args.y0, args.h_div, args.t_end,
+                             args.transient, args.formulation)
     with _fresh_output(f"{args.out}.trajectory.csv") as fh:
-        rows = _TrajectoryRows(fh, cfg.h, cfg.n_delay, cfg.y0, args.stride)
+        rows = _TrajectoryRows(fh, cfg, args.stride)
         # streamed: neither the run nor the CSV text is held
         sec = nfde_sim.stream_section(cfg, args.direction, [rows])
     label_error = None

@@ -2,9 +2,9 @@
 sections on y = 0, and attractor diagnostics.
 
 Two interchangeable formulations are integrated with a classical
-fourth-order one-step method on a grid commensurate with the delay
-(tau/h is an integer, so delayed node lookups are exact buffer reads and
-interpolation is only needed at half-step stage times):
+fourth-order one-step method on the grid h = tau/h_div, h_div an integer
+(SimConfig), so delayed node lookups are exact buffer reads and
+interpolation is only needed at half-step stage times:
 
 * theta form      x' = y,  y' = -eps*(x^2-1)*y - x + eps*k*theta(t), with
                   the feedback memory theta(t) = (1-mu)*x(t) + mu*theta(t-tau)
@@ -13,7 +13,8 @@ interpolation is only needed at half-step stage times):
                   integrating the eliminated equation directly, with the
                   derivative history stored alongside the state.
 
-Initial data are constant histories x = x0, y = y0 on [-tau, 0].  The two
+Initial data are constant histories x = x0, y = y0 on [-tau, 0], so a
+run's first sample (x0, y0) is its history (Trajectory).  The two
 auxiliary histories are the fixed points of their recursions (theta = x0,
 and y'-history = g(x0,y0,x0,y0)/(1-mu)), which makes the two formulations
 the same initial-value problem and keeps y' continuous at t = 0.  Both
@@ -90,24 +91,25 @@ _BLOWUP_SQ = 1e16  # |state|^2 guard; ~1e8 per component
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration protocol: parameters, constant initial data, grid, horizon."""
+    """Integration protocol: parameters, constant initial data, grid, horizon.
+
+    The grid is h = tau/h_div with ``h_div`` an integer >= 4 (a float, even
+    2000.0, is rejected), so the delay is exactly h_div steps.
+    """
 
     params: SystemParams
     x0: float
     y0: float
-    h: float
+    h_div: int
     t_end: float
     transient: float = 0.0
     formulation: str = "theta_form"
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        ratio = self.params.tau / self.h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 4:
-            raise ValueError(
-                f"tau/h must be an integer >= 4, got {ratio!r}"
-            )
+        if not isinstance(self.h_div, int) or self.h_div < 4:
+            raise ValueError(f"h_div must be an integer >= 4, got {self.h_div!r}")
+        if not self.h > 0:
+            raise ValueError(f"h = tau/h_div must be positive, got {self.h!r}")
         for name in ("x0", "y0", "t_end"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -118,24 +120,12 @@ class SimConfig:
             raise ValueError(f"unknown formulation {self.formulation!r}")
 
     @property
-    def n_delay(self) -> int:
-        return int(round(self.params.tau / self.h))
+    def h(self) -> float:
+        """The step, tau/h_div."""
+        return self.params.tau / self.h_div
 
-    @classmethod
-    def from_divisor(
-        cls,
-        params: SystemParams,
-        x0: float,
-        y0: float,
-        h_div: int,
-        t_end: float,
-        transient: float = 0.0,
-        formulation: str = "theta_form",
-    ) -> "SimConfig":
-        """Grid defined by the delay divisor: h = tau/h_div, h_div >= 4."""
-        if h_div < 4:
-            raise ValueError(f"h_div must be an integer >= 4, got {h_div!r}")
-        return cls(params, x0, y0, params.tau / h_div, t_end, transient, formulation)
+    # the constructor's earlier name, which tests/test_acceptance.py calls
+    from_divisor = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))
 
 
 def _hermite(off: float, h: float, v0: float, v1: float, d0: float, d1: float) -> float:
@@ -192,29 +182,18 @@ class Trajectory:
 
     ``params`` is the system the samples solve.  Arrays x, y, dy (= y') and
     theta (the feedback memory) live on t = 0, h, 2h, ..., the same four
-    columns in either formulation.  The constant initial history extends
-    every evaluation to t <= 0.
+    columns in either formulation.  The history before t = 0 is constant
+    and equal to the first sample: y[0] is the run's y0, bit for bit.
     """
 
-    def __init__(
-        self,
-        params: SystemParams,
-        h: float,
-        x: np.ndarray,
-        y: np.ndarray,
-        dy: np.ndarray,
-        theta: np.ndarray,
-        x0: float,
-        y0: float,
-    ):
+    def __init__(self, params: SystemParams, h: float, x: np.ndarray,
+                 y: np.ndarray, dy: np.ndarray, theta: np.ndarray):
         self.params = params
         self.h = h
         self.x = x
         self.y = y
         self.dy = dy
         self.theta = theta
-        self.x0 = x0
-        self.y0 = y0
 
     def __len__(self) -> int:
         return len(self.x)
@@ -232,15 +211,10 @@ class Trajectory:
         """Grid samples of y(t - tau); exact buffer reads plus history fill."""
         nd = self.n_delay
         out = np.empty_like(self.y)
-        out[:nd] = self.y0
+        out[:nd] = self.y[0]
         if len(out) > nd:
             out[nd:] = self.y[: len(out) - nd]
         return out
-
-    @property
-    def tau(self) -> float:
-        """The delay, params.tau."""
-        return self.params.tau
 
 
 class _Stepper:
@@ -537,7 +511,7 @@ def _n_steps(cfg: SimConfig) -> int:
 
 
 def _transient_steps(cfg: SimConfig) -> int:
-    return max(int(math.ceil(cfg.transient / cfg.h)), cfg.n_delay)
+    return max(int(math.ceil(cfg.transient / cfg.h)), cfg.h_div)
 
 
 class _Store:
@@ -593,7 +567,7 @@ def _stored(cfg: SimConfig) -> Trajectory:
     """cfg's whole run: _stream with a _Store reader."""
     store = _Store(_n_steps(cfg) + 1)
     _stream(cfg, [store])
-    return Trajectory(cfg.params, cfg.h, *store.cols, cfg.x0, cfg.y0)
+    return Trajectory(cfg.params, cfg.h, *store.cols)
 
 
 def simulate_theta(cfg: SimConfig) -> Trajectory:
@@ -734,10 +708,12 @@ def poincare(
     Sign changes on the grid are refined by bisection (at most 40 halvings)
     on the Hermite interpolant, giving |y| < 1e-9 at every reported time.
     ``direction`` selects upward, downward, or all crossings ("whole
-    section").
+    section").  ``transient`` must be finite and >= 0, as in SimConfig.
     """
     _check_direction(direction)
-    sec = _Crossings(traj.h, traj.tau, len(traj), transient, traj.y0)
+    if not 0 <= transient < math.inf:
+        raise ValueError(f"transient must be finite and >= 0, got {transient!r}")
+    sec = _Crossings(traj.h, traj.params.tau, len(traj), transient, traj.y[0])
     sec(0, traj.x, traj.y, traj.dy, None, None)
     return sec.section(direction)
 
@@ -895,7 +871,7 @@ class _Exponent:
         last = base + len(x) - 1
         while self.pending and self.pending[-1] <= last:
             j = self.pending.pop()
-            a = j - cfg.n_delay - base
+            a = j - cfg.h_div - base
             xr, yr, thr, dthr = (c[a : j + 1 - base] for c in (x, y, theta, dtheta))
             if self.twin is None:
                 # uniform x-offset; the memory recursion's fixed point shifts
@@ -1054,7 +1030,7 @@ def line_T_scan(
         lad = hopf_ladders(hh.epsilon, hh.mu, params.k)
         if not lad.admissible.item():
             raise HypothesisViolated(f"iota={iota} leaves the admissible gain region")
-        cfg = SimConfig.from_divisor(params, x0, y0, h_div, t_end, transient)
+        cfg = SimConfig(params, x0, y0, h_div, t_end, transient)
         if compute_exponent:
             _leg_steps(cfg, delta0, renorm_T, n_renorm)
         todo.append((iota, cfg))

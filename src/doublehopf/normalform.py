@@ -108,19 +108,19 @@ class LinearPieces:
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """Critical eigenbasis Phi, adjoint rows Psi, and normalizers D1, D2.
+    """Critical eigenbasis Phi and adjoint rows Psi.
 
     phi(theta) is 2x4 on [-1, 0]; psi(s) is 4x2 on [0, 1]; psi_deriv is the
     exact s-derivative of psi (each row is a pure exponential).  B is the
-    4x4 diagonal of the rescaled critical eigenvalues.
+    4x4 diagonal of the rescaled critical eigenvalues.  The normalizers
+    D1, D2 enter through psi: the second components of its rows at s = 0
+    are -D1, -conj(D1), -D2, -conj(D2).
     """
 
     B: np.ndarray
     phi: Callable[[float], np.ndarray]
     psi: Callable[[float], np.ndarray]
     psi_deriv: Callable[[float], np.ndarray]
-    D1: complex
-    D2: complex
     pieces: LinearPieces
 
 
@@ -240,9 +240,9 @@ def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
 
     The instance is the point's own; ``epsilon`` and ``mu`` must equal
     hh.epsilon and hh.mu, else ValueError names both pairs.  Modes are
-    ordered slow, conjugate, fast, conjugate.  D1, D2 are
-    -1/Delta'(i*omega_i) (``chareq.char_deriv``); SingularNormalizer is
-    raised when |Delta'| < 1e-12.
+    ordered slow, conjugate, fast, conjugate.  The adjoint rows are scaled
+    by the normalizers D1, D2 = -1/Delta'(i*omega_i) (``chareq.char_deriv``);
+    SingularNormalizer is raised when |Delta'| < 1e-12.
     """
     _check_point_instance(hh, epsilon, mu)
     t0, oms = hh.tau0, (hh.omega1, hh.omega2)
@@ -256,7 +256,7 @@ def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
         row0 = np.exp(lams * theta)
         return np.vstack([row0, dy * row0])
 
-    # first components of the four adjoint rows at s = 0; the second is -1
+    # first components of the four adjoint rows at s = 0; the second is -D_i
     heads = _conj_pairs([
         d * ((epsilon - 1j * om) * (1.0 - mu * np.exp(-1j * t0 * om)))
         for d, om in zip(norms, oms)
@@ -270,10 +270,7 @@ def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
     def psi_deriv(s: float) -> np.ndarray:
         return (-lams)[:, None] * psi(s)
 
-    return EigenBasis(
-        b_mat, phi, psi, psi_deriv, norms[0], norms[1],
-        LinearPieces.at_point(hh),
-    )
+    return EigenBasis(b_mat, phi, psi, psi_deriv, LinearPieces.at_point(hh))
 
 
 def _gauss_nodes(n: int) -> Tuple[np.ndarray, np.ndarray]:

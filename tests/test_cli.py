@@ -494,7 +494,7 @@ def test_trajectory_export_blocks_match_whole_arrays(
             "--formulation", formulation, "--out", str(tmp_path / f"run{chunk}"),
         ) == 0
     params = SystemParams(EPS, MU, hh.k0 - 0.1, hh.tau0 + 0.1)
-    traj = nfde_sim.simulate(nfde_sim.SimConfig.from_divisor(
+    traj = nfde_sim.simulate(nfde_sim.SimConfig(
         params, 0.1, 0.0, 50, 60.0, 5.0, formulation))
     assert len(traj) % (16 * stride) != 0  # ends in a partial block
     assert len(traj) > 2 * 16 * stride
@@ -522,7 +522,7 @@ def test_section_csv_matches_row_writer(tmp_path, monkeypatch, hh, direction):
         "--out", str(tmp_path / "run"),
     ) == 0
     params = SystemParams(EPS, MU, hh.k0 - 0.1, hh.tau0 + 0.1)
-    sec = nfde_sim.stream_section(nfde_sim.SimConfig.from_divisor(
+    sec = nfde_sim.stream_section(nfde_sim.SimConfig(
         params, 0.1, 0.0, 50, 100.0, 5.0), direction)
     assert len(sec) > 2 * 4 and len(sec) % 4 != 0  # ends in a partial block
     assert set(sec.direction.tolist()) == ({-1, 1} if direction == "both" else

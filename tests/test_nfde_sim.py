@@ -22,34 +22,36 @@ from conftest import EPS, MU, memory_recursion
 def cfg_at(hh, a1, a2, x0=0.1, y0=0.0, h_div=500, t_end=100.0, transient=0.0,
            formulation="theta_form"):
     params = SystemParams(EPS, MU, hh.k0 + a1, hh.tau0 + a2)
-    return dh.SimConfig.from_divisor(params, x0, y0, h_div, t_end, transient,
-                                     formulation)
+    return dh.SimConfig(params, x0, y0, h_div, t_end, transient, formulation)
 
 
 def test_from_divisor_rejects_small_divisor(hh):
-    # the same h_div >= 4 rule SimConfig applies to tau/h, before dividing
+    # h_div >= 4, checked before dividing
     params = SystemParams(EPS, MU, hh.k0, hh.tau0)
     for h_div in (0, 3):
         with pytest.raises(ValueError, match="h_div"):
-            dh.SimConfig.from_divisor(params, 0.1, 0.0, h_div, 10.0)
+            dh.SimConfig(params, 0.1, 0.0, h_div, 10.0)
 
 
 def test_config_validation(hh):
     params = SystemParams(EPS, MU, hh.k0, hh.tau0)
+    # the grid is an integer divisor of tau: a float, even a whole one, is
+    # a call written for the step h and is refused
+    for bad in (params.tau / 2000, 2000.5, 2000.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^h_div must be an integer >= 4"):
+            dh.SimConfig(params, 0.1, 0.0, bad, 10.0)
     with pytest.raises(ValueError):
-        dh.SimConfig(params, 0.1, 0.0, params.tau / 2000 * 1.01, 10.0)
+        dh.SimConfig(params, 0.1, 0.0, 2000, 10.0, transient=20.0)
     with pytest.raises(ValueError):
-        dh.SimConfig(params, 0.1, 0.0, params.tau / 2000, 10.0, transient=20.0)
-    with pytest.raises(ValueError):
-        dh.SimConfig(params, 0.1, 0.0, params.tau / 2000, 10.0,
-                     formulation="implicit")
+        dh.SimConfig(params, 0.1, 0.0, 2000, 10.0, formulation="implicit")
     for name in ("x0", "y0"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
                 dh.SimConfig(params, **{"x0": 0.1, "y0": 0.0, name: bad},
-                             h=params.tau / 2000, t_end=10.0)
-    cfg = dh.SimConfig.from_divisor(params, 0.1, 0.0, 2000, 10.0)
-    assert cfg.n_delay == 2000
+                             h_div=2000, t_end=10.0)
+    with pytest.raises(ValueError, match="^h = tau/h_div must be positive"):
+        dh.SimConfig(replace(params, tau=0.0), 0.1, 0.0, 2000, 10.0)
+    assert dh.SimConfig(params, 0.1, 0.0, 2000, 10.0).h == params.tau / 2000
 
 
 def test_zero_data_stays_zero(hh):
@@ -91,7 +93,7 @@ def test_stored_theta_is_the_memory_recursion(hh, formulation, y0):
     # same float at mu = 1/2
     cfg = cfg_at(hh, -0.1, 0.1, y0=y0, h_div=50, t_end=30.0, formulation=formulation)
     traj = nfde_sim.simulate(cfg)
-    want = memory_recursion(traj.x, cfg.x0, cfg.n_delay)
+    want = memory_recursion(traj.x, cfg.x0, cfg.h_div)
     assert traj.theta.tobytes() == want.tobytes()
 
 
@@ -151,32 +153,31 @@ def _shifted(y, nd, y0):
 
 def _y_at(traj, t):
     """y(t) by the Hermite interpolant that refines the section crossings."""
-    return nfde_sim._dense(traj.y, traj.dy, traj.y0, t, traj.h, len(traj.y))
+    return nfde_sim._dense(traj.y, traj.dy, traj.y[0], t, traj.h, len(traj.y))
 
 
 def test_delayed_samples_of_a_run_shorter_than_one_delay(hh):
     # samples of systems with delay n_delay * h; more than half a delay, so
-    # y[:len - nd] is a nonempty slice from the end
+    # y[:len - nd] is a nonempty slice from the end; the history is y[0]
     syn = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 0.1,
-                     np.zeros(7), np.ones(7), np.zeros(7), np.zeros(7), 0.0, 1.0)
-    assert np.array_equal(syn.y_delayed(), np.ones(7))  # y0 = y[0]
+                     np.zeros(7), np.ones(7), np.zeros(7), np.zeros(7))
+    assert np.array_equal(syn.y_delayed(), np.ones(7))
     syn = Trajectory(SystemParams(EPS, MU, 0.0, 0.4), 0.1,
-                     np.zeros(7), np.arange(7.0), np.zeros(7), np.zeros(7), 0.0, -1.0)
-    assert np.array_equal(syn.y_delayed(), [-1.0] * 4 + [0.0, 1.0, 2.0])
+                     np.zeros(7), np.arange(-1.0, 6.0), np.zeros(7), np.zeros(7))
+    assert np.array_equal(syn.y_delayed(), [-1.0] * 4 + [-1.0, 0.0, 1.0])
     cfg = cfg_at(hh, -0.1, 0.1, y0=0.25, h_div=50, t_end=0.6 * (hh.tau0 + 0.1))
     traj = dh.simulate_theta(cfg)
-    assert cfg.n_delay / 2 < len(traj) < cfg.n_delay
-    assert np.array_equal(traj.y_delayed(), _shifted(traj.y, cfg.n_delay, 0.25))
+    assert cfg.h_div / 2 < len(traj) < cfg.h_div
+    assert np.array_equal(traj.y_delayed(), _shifted(traj.y, cfg.h_div, 0.25))
 
 
 def test_blowup_raises_with_time():
     params = SystemParams(0.1, 0.5, 500.0, 1.0)
-    cfg = dh.SimConfig.from_divisor(params, 1.0, 0.0, 50, 100.0)
+    cfg = dh.SimConfig(params, 1.0, 0.0, 50, 100.0)
     with pytest.raises(NonFiniteState) as exc:
         dh.simulate_theta(cfg)
     assert 0.0 < exc.value.time < 100.0
-    cfg_n = dh.SimConfig.from_divisor(params, 1.0, 0.0, 50, 100.0,
-                                      formulation="neutral_form")
+    cfg_n = dh.SimConfig(params, 1.0, 0.0, 50, 100.0, formulation="neutral_form")
     with pytest.raises(NonFiniteState):
         dh.simulate_neutral(cfg_n)
 
@@ -202,7 +203,7 @@ def test_poincare_synthetic_circle():
     h = 0.01
     t = np.arange(0.0, 20.0 + h / 2, h)
     traj = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), h,
-                      np.cos(t), -np.sin(t), -np.cos(t), np.cos(t), 1.0, 0.0)
+                      np.cos(t), -np.sin(t), -np.cos(t), np.cos(t))
     sec = dh.poincare(traj, "both", 0.0)
     expect = np.arange(1, 7) * math.pi
     assert len(sec) == len(expect)
@@ -339,7 +340,7 @@ def test_divergence_exponent_unstable_origin_rate(hh):
     roots = dh.rightmost_roots(params, -0.1, 0.3, 4.0, grid_n=24)
     growth = max(r.real for r in roots)
     assert growth > 0
-    cfg = dh.SimConfig.from_divisor(params, 0.0, 0.0, 400, 600.0)
+    cfg = dh.SimConfig(params, 0.0, 0.0, 400, 600.0)
     lam = dh.divergence_exponent(cfg, 1e-8, 10.0, 50)
     assert lam == pytest.approx(growth, abs=0.1 * growth + 0.002)
 
@@ -458,7 +459,7 @@ def test_line_t_scan_steps_its_run_and_the_clone(hh, step_calls, monkeypatch,
     monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
     kw = dict(h_div=100, t_end=t_end, transient=400.0)
     cfgs = [cfg_at(hh, 0.1 * iota, 0.081 * iota, **kw) for iota in (2.0, 2.6)]
-    assert {c.n_delay for c in cfgs} == {100}
+    assert {c.h_div for c in cfgs} == {100}
     runs = []
     for cfg in cfgs:
         ex = nfde_sim._Exponent(cfg, 1e-9, 5.0, 50)
@@ -486,7 +487,7 @@ def test_line_t_scan_runs_the_point_instance():
     pt = dh.find_hopf_hopf(0.2, MU, 2, 1, 2.46, 4.98)
     kw = dict(h_div=100, t_end=300.0, transient=100.0)
     [row] = dh.line_T_scan([1.0], hh=pt, renorm_T=2.0, **kw)
-    cfg = dh.SimConfig.from_divisor(pt.params(0.1, 0.081), 0.1, 0.0, **kw)
+    cfg = dh.SimConfig(pt.params(0.1, 0.081), 0.1, 0.0, **kw)
     assert cfg.params.epsilon == 0.2
     lam = dh.divergence_exponent(cfg, 1e-9, 2.0, 50)
     assert (row.k.hex(), row.tau.hex()) == (cfg.params.k.hex(), cfg.params.tau.hex())
@@ -571,8 +572,8 @@ def test_traced_line_t_scan_matches_untraced():
     assert [r.divergence_exponent.hex() for r in traced] == [
         r.divergence_exponent.hex() for r in plain]
     # a standalone exponent is one span (the tracer wraps the module's name)
-    cfg = dh.SimConfig.from_divisor(SystemParams(EPS, MU, plain[0].k, plain[0].tau),
-                                    0.1, 0.0, 100, 2200.0, 400.0)
+    cfg = dh.SimConfig(SystemParams(EPS, MU, plain[0].k, plain[0].tau),
+                       0.1, 0.0, 100, 2200.0, 400.0)
     with _load_tracing().Tracer() as tracer:
         alone = nfde_sim.divergence_exponent(cfg, 1e-9, 5.0, 50)
     spans = [s for s in tracer.spans if s["name"] == "nfde_sim.divergence_exponent"]
@@ -639,11 +640,13 @@ def test_streamed_section_matches_stored_run(hh, monkeypatch, chunk, transient):
 
 def test_streamed_section_shorter_than_one_delay(hh, monkeypatch):
     monkeypatch.setattr(nfde_sim, "_CHUNK", 7)
-    cfg = cfg_at(hh, -0.1, 0.1, h_div=200, t_end=6.0)
-    assert cfg.t_end < cfg.params.tau
-    want = dh.poincare(dh.simulate_theta(cfg), "both", 0.0)
-    assert len(want) >= 1  # its delayed value is the history's
-    assert _section_hex(nfde_sim.stream_section(cfg)) == _section_hex(want)
+    # the stored run's history is its first sample, the stream's is y0
+    for y0 in (0.0, -0.0, 0.25):
+        cfg = cfg_at(hh, -0.1, 0.1, y0=y0, h_div=200, t_end=6.0)
+        assert cfg.t_end < cfg.params.tau
+        want = dh.poincare(dh.simulate_theta(cfg), "both", 0.0)
+        assert len(want) >= 1  # its delayed value is the history's
+        assert _section_hex(nfde_sim.stream_section(cfg)) == _section_hex(want)
 
 
 @pytest.mark.parametrize("chunk", [7, 64, 1 << 16])
@@ -661,11 +664,13 @@ def test_streamed_neutral_section_matches_stored_run(hh, monkeypatch, chunk, tra
 
 def test_streamed_neutral_section_shorter_than_one_delay(hh, monkeypatch):
     monkeypatch.setattr(nfde_sim, "_CHUNK", 7)
-    cfg = cfg_at(hh, -0.1, 0.1, h_div=200, t_end=6.0, formulation="neutral_form")
-    assert cfg.t_end < cfg.params.tau
-    want = dh.poincare(dh.simulate_neutral(cfg), "both", 0.0)
-    assert len(want) >= 1
-    assert _section_hex(nfde_sim.stream_section(cfg)) == _section_hex(want)
+    for y0 in (0.0, -0.0, 0.25):
+        cfg = cfg_at(hh, -0.1, 0.1, y0=y0, h_div=200, t_end=6.0,
+                     formulation="neutral_form")
+        assert cfg.t_end < cfg.params.tau
+        want = dh.poincare(dh.simulate_neutral(cfg), "both", 0.0)
+        assert len(want) >= 1
+        assert _section_hex(nfde_sim.stream_section(cfg)) == _section_hex(want)
 
 
 def _replay(run):
@@ -723,7 +728,7 @@ def _raised(fn, *args):
 def test_streamed_blowup_matches_stored_run(monkeypatch):
     monkeypatch.setattr(nfde_sim, "_CHUNK", 7)
     params = SystemParams(0.1, 0.5, 500.0, 1.0)
-    cfg = dh.SimConfig.from_divisor(params, 1.0, 0.0, 50, 100.0)
+    cfg = dh.SimConfig(params, 1.0, 0.0, 50, 100.0)
     st = nfde_sim._ThetaStepper(params, cfg.x0, cfg.y0, cfg.h)
     want = _raised(st.step, _n_steps(cfg))  # one unsplit run
     assert want[0] > 10 * 7 * cfg.h  # many chunks in
@@ -759,7 +764,7 @@ def test_stored_run_matches_one_unsplit_stepper_run(hh, monkeypatch, formulation
     monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
     cfg = cfg_at(hh, 0.2, 0.164, h_div=50, t_end=200.0, transient=60.0,
                  formulation=formulation)
-    assert cfg.n_delay == 50
+    assert cfg.h_div == 50
     traj = nfde_sim.simulate(cfg)
     st = getattr(nfde_sim, _STEPPERS[formulation])(cfg.params, cfg.x0, cfg.y0, cfg.h)
     st.step(_n_steps(cfg))
@@ -788,3 +793,12 @@ def test_stored_run_memory_is_its_columns_plus_a_chunk(hh, monkeypatch, formulat
     # the stepper's chunk of at most five columns, twice over, plus 64 KiB
     # for the interpreter's free lists and the recorded window
     assert peak < stored + 2 * 5 * 8 * 512 + (1 << 16)
+
+
+@pytest.mark.parametrize("transient", [-1.0, -1e9, math.inf, math.nan])
+def test_poincare_rejects_a_transient_not_finite_and_nonnegative(hh, transient):
+    # a negative transient would read the section past the end of the run
+    # and before its start, as SimConfig refuses it for a streamed run
+    traj = dh.simulate_theta(dh.SimConfig(hh.params(-0.1, 0.1), 0.1, 0.0, 100, 300.0))
+    with pytest.raises(ValueError, match="^transient must be finite and >= 0"):
+        dh.poincare(traj, "both", transient)

@@ -422,11 +422,12 @@ def test_normalizers_invert_char_deriv(hh, basis):
     from doublehopf.chareq import SystemParams, char_deriv
 
     p = SystemParams(EPS, MU, hh.k0, hh.tau0)
-    assert basis.D1 == complex(-1.0 / char_deriv(1j * hh.omega1, p))
-    assert basis.D2 == complex(-1.0 / char_deriv(1j * hh.omega2, p))
+    d1, d2 = (complex(-1.0 / char_deriv(1j * om, p)) for om in (hh.omega1, hh.omega2))
+    # the second component of the slow and fast adjoint rows at s = 0
+    assert (-basis.psi(0.0)[[0, 2], 1]).tolist() == [d1, d2]
     c = dh.nf_coefficients(hh, EPS, MU)
-    assert c.a11 == -basis.D1 * EPS * (1.0 - MU) * hh.tau0
-    assert c.a21 == -basis.D2 * EPS * (1.0 - MU) * hh.tau0
+    assert c.a11 == -d1 * EPS * (1.0 - MU) * hh.tau0
+    assert c.a21 == -d2 * EPS * (1.0 - MU) * hh.tau0
     assert (c.c12, c.c21) == (2.0 * c.c11, 2.0 * c.c22)
 
 

@@ -130,7 +130,7 @@ def oracle_run_neutral(cfg: SimConfig) -> Trajectory:
     p = cfg.params
     eps, mu = p.epsilon, p.mu
     c_x = -1.0 + eps * p.k * (1.0 - mu)
-    N = cfg.n_delay
+    N = cfg.h_div
     h = cfg.h
     n_steps = int(round(cfg.t_end / h))
     x0, y0 = cfg.x0, cfg.y0
@@ -210,7 +210,6 @@ def oracle_run_neutral(cfg: SimConfig) -> Trajectory:
         np.frombuffer(ys, np.float64),
         np.frombuffer(dys, np.float64),
         memory_recursion(x, x0, N, mu),
-        x0, y0,
     )
 
 
@@ -306,8 +305,8 @@ def test_neutral_matches_oracle(hh, h_div, t_end):
     # h_div 4 and 5 put most midpoints next to a breaking node, so the
     # r == 0 (including m = 0) and r == N - 1 stencils fire often
     for a1, a2 in ((-0.1, 0.1), (0.2, 0.164)):
-        cfg = SimConfig.from_divisor(_params(hh, a1, a2), 0.1, 0.0, h_div, t_end,
-                                     0.0, "neutral_form")
+        cfg = SimConfig(_params(hh, a1, a2), 0.1, 0.0, h_div, t_end,
+                        0.0, "neutral_form")
         got = nfde_sim.simulate_neutral(cfg)
         want = oracle_run_neutral(cfg)
         for a, b in ((got.x, want.x), (got.y, want.y), (got.dy, want.dy)):
@@ -315,10 +314,9 @@ def test_neutral_matches_oracle(hh, h_div, t_end):
 
 
 def test_neutral_shorter_than_one_delay(hh):
-    cfg = SimConfig.from_divisor(_params(hh, -0.1, 0.1), 0.1, 0.0, 2000, 3.0,
-                                 0.0, "neutral_form")
+    cfg = SimConfig(_params(hh, -0.1, 0.1), 0.1, 0.0, 2000, 3.0, 0.0, "neutral_form")
     got = nfde_sim.simulate_neutral(cfg)
-    assert len(got) - 1 < cfg.n_delay
+    assert len(got) - 1 < cfg.h_div
     assert np.array_equal(got.dy, oracle_run_neutral(cfg).dy)
 
 
@@ -329,7 +327,7 @@ def test_blowup_raises_like_oracle(tau):
     got = _raised(st.step, 5000)
     assert got == _raised(oracle_step, ref, 5000)
     assert (got[0] > tau) == (tau == 1.0)
-    cfg = SimConfig.from_divisor(p, 1.0, 0.0, 50, 200.0, 0.0, "neutral_form")
+    cfg = SimConfig(p, 1.0, 0.0, 50, 200.0, 0.0, "neutral_form")
     assert _raised(nfde_sim.simulate_neutral, cfg) == _raised(oracle_run_neutral, cfg)
 
 
@@ -338,7 +336,7 @@ def test_nan_raises_like_oracle(hh):
     st, ref = _stepper_pair(p, p.tau / 20, x0=math.nan)
     assert _raised(st.step, 10) == _raised(oracle_step, ref, 10)
     # SimConfig refuses NaN initial data, so the stepper meets it directly
-    run = SimpleNamespace(params=p, x0=math.nan, y0=0.0, h=p.tau / 20, n_delay=20,
+    run = SimpleNamespace(params=p, x0=math.nan, y0=0.0, h=p.tau / 20, h_div=20,
                           t_end=50.0)
     st = nfde_sim._NeutralStepper(p, math.nan, 0.0, run.h)
     assert _raised(st.step, int(round(run.t_end / run.h))) == _raised(
@@ -365,9 +363,9 @@ def _assert_neutral_run(st, want):
 @pytest.mark.parametrize("h_div", [4, 5, 20, 50])
 def test_neutral_split_steps_with_trims_match_oracle(hh, h_div):
     p = _params(hh, 0.2, 0.164)
-    cfg = SimConfig.from_divisor(p, 0.1, 0.0, h_div, 40 * p.tau, 0.0, "neutral_form")
+    cfg = SimConfig(p, 0.1, 0.0, h_div, 40 * p.tau, 0.0, "neutral_form")
     want = oracle_run_neutral(cfg)
-    N, n = cfg.n_delay, len(want) - 1
+    N, n = cfg.h_div, len(want) - 1
     # calls that cross the first delay's end, then calls whose first step
     # has r = 0 and r = N - 1, each right after a trim, so the stencil reads
     # the oldest kept sample; then random splits and trims
@@ -388,7 +386,7 @@ def test_neutral_split_steps_with_trims_match_oracle(hh, h_div):
 def test_streamed_neutral_blowup_raises_like_oracle(monkeypatch, tau):
     monkeypatch.setattr(nfde_sim, "_CHUNK", 1)
     p = SystemParams(0.1, 0.5, 500.0, tau)
-    cfg = SimConfig.from_divisor(p, 1.0, 0.0, 50, 200.0, 0.0, "neutral_form")
+    cfg = SimConfig(p, 1.0, 0.0, 50, 200.0, 0.0, "neutral_form")
     got = _raised(nfde_sim.stream_section, cfg)
     assert got == _raised(oracle_run_neutral, cfg)
     assert (got[0] > tau) == (tau == 1.0)
@@ -452,7 +450,7 @@ def _oracle_at_window(p, h, win):
 ])
 def test_exponent_matches_the_frozen_oracle(hh, iota, mu, t_end):
     p = SystemParams(EPS, mu, hh.k0 + 0.1 * iota, hh.tau0 + 0.081 * iota)
-    cfg = SimConfig.from_divisor(p, 0.1, 0.0, 50, t_end, 100.0)
+    cfg = SimConfig(p, 0.1, 0.0, 50, t_end, 100.0)
     want = oracle_exponent(cfg, 1e-9, 5.0, 50).hex()
     assert nfde_sim.divergence_exponent(cfg, 1e-9, 5.0, 50).hex() == want
     assert nfde_sim._scale_run(cfg, 1e-9, 5.0, 50, True)[1].hex() == want
@@ -490,7 +488,7 @@ def test_theta_calls_on_and_next_to_the_delay_grid(hh, h_div, start):
 @pytest.mark.parametrize("h_div", [4, 5, 20])
 def test_neutral_calls_on_and_next_to_the_delay_grid(hh, h_div):
     p = _params(hh, 0.2, 0.164)
-    cfg = SimConfig.from_divisor(p, 0.1, 0.0, h_div, 20 * p.tau, 0.0, "neutral_form")
+    cfg = SimConfig(p, 0.1, 0.0, h_div, 20 * p.tau, 0.0, "neutral_form")
     want = oracle_run_neutral(cfg)
     st = nfde_sim._NeutralStepper(p, 0.1, 0.0, cfg.h)
     N = st.N
@@ -529,7 +527,7 @@ def test_planted_delayed_node_raises_inside_a_block(hh, value, where):
     assert _bits(st.xs[: f + 1]) == _bits(ref.xs)  # the steps before it
     # neutral form: x at node b of the failing step; the run is the
     # oracle's up to that step
-    cfg = SimConfig.from_divisor(p, 0.1, 0.0, 20, 10 * p.tau, 0.0, "neutral_form")
+    cfg = SimConfig(p, 0.1, 0.0, 20, 10 * p.tau, 0.0, "neutral_form")
     want = oracle_run_neutral(cfg)
     st = nfde_sim._NeutralStepper(p, 0.1, 0.0, h)
     st.step(3 * N + 5)
@@ -547,8 +545,8 @@ def test_streamed_neutral_chunks_off_the_delay_grid(hh, monkeypatch, h_div, off)
     # chunks of N - 1 and N + 1 steps start calls at every residue, so the
     # first block of a call starts at r = N - 1 and at r = 1
     p = _params(hh, 0.2, 0.164)
-    cfg = SimConfig.from_divisor(p, 0.1, 0.0, h_div, 30 * p.tau, 0.0, "neutral_form")
-    monkeypatch.setattr(nfde_sim, "_CHUNK", cfg.n_delay + off)
+    cfg = SimConfig(p, 0.1, 0.0, h_div, 30 * p.tau, 0.0, "neutral_form")
+    monkeypatch.setattr(nfde_sim, "_CHUNK", cfg.h_div + off)
     got = {"x": [], "y": [], "dy": [], "theta": []}
     seen = [0]  # samples read so far
 
