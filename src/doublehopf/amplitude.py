@@ -21,8 +21,9 @@ Games and Population Dynamics, 1998, ch. 5).  So the system has no
 isolated periodic orbit: a periodic orbit must surround the interior
 equilibrium, and there is one only when that trace vanishes, as a center
 family filling the region around a linear center.  predict_attractor
-therefore decides the attractors algebraically; simulate_amplitude and
-find_attractor integrate the system and serve as its independent oracle.
+therefore decides the attractors algebraically in the scaled (c1, c2)
+plane; simulate_amplitude and find_attractor integrate the system and
+serve as its independent oracle.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ import numpy as np
 
 from . import normalform
 from .errors import DegenerateDet, WrongCase
-from .normalform import UnfoldingParams, ViaLines
+from .normalform import UnfoldingParams
 
 # Relative tolerance of the zero-trace test for a center at the interior
 # equilibrium.  On the D5 probes of the worked instance's double-Hopf
-# points |trace|/scale stays below 3e-13; every other region with an
+# points |trace|/scale stays below 4e-15; every other region with an
 # interior equilibrium has at least 0.33.
 _CENTER_TOL = 1e-9
 
@@ -232,50 +233,30 @@ def find_attractor(
     return "none", None
 
 
-def _representative_alpha(region: int, lines: ViaLines) -> np.ndarray:
-    """Unit direction of a region's representative parameter point.
+def _probe_params(region: int, u: UnfoldingParams) -> Tuple[float, ...]:
+    """Amplitude parameters (c1, c2, b0, c0, d0) at a region's probe.
 
-    Ordinary regions use the angular bisector of their bounding rays; the
-    linear-order D5 sector is degenerate (the connection ray L4 is tangent
-    to L5), so its probe sits exactly on the shared ray.
+    The probe is the unit bisector of the region's bounding rays in the
+    scaled (c1, c2) plane (normalform._c_rays), or for D5, whose sector has
+    zero width at linear order, the shared L4/L5 ray.  The truncated system
+    is self-similar under (r, t) -> (s*r, t/s^2), c -> s^2*c, so only the
+    direction matters, and all rates are O(1) for find_attractor.
     """
-    angles = [ln.angle for ln in lines.lines]
-    two_pi = 2.0 * math.pi
-    if region == 5:
-        # the D5 sliver collapses onto the shared L4/L5 ray at linear
-        # order; the probe sits exactly on it (see predict_attractor)
-        theta = angles[4]
-    else:
-        lo = angles[(region - 2) % 8]
-        hi = angles[region - 1]
-        theta = lo + 0.5 * ((hi - lo) % two_pi)
-    return np.array([math.cos(theta), math.sin(theta)])
-
-
-def _probe_params(
-    region: int, u: UnfoldingParams
-) -> Tuple[float, float, float, float, float]:
-    """Amplitude parameters (c1, c2, b0, c0, d0) at a region's representative point.
-
-    The truncated system is self-similar under (r, t) -> (s*r, t/s^2),
-    c -> s^2*c, so only the point's direction matters: (c1, c2) is
-    normalized to unit length, and all rates are O(1) for find_attractor.
-    """
-    alpha = _representative_alpha(region, normalform.via_lines(u))
-    c1 = float(u.c1_map @ alpha)
-    c2 = float(u.c2_map @ alpha)
+    rays = normalform._c_rays(u.b0, u.c0)
+    ends = [rays[4]] if region == 5 else [rays[region - 2], rays[region - 1]]
+    c1, c2 = (sum(v) for v in zip(*ends))
     scale = math.hypot(c1, c2)
-    if scale == 0.0:
-        raise ValueError("representative point maps to the origin")
     return (c1 / scale, c2 / scale, u.b0, u.c0, float(u.d0))
 
 
 def predict_attractor(region: int, u: UnfoldingParams) -> AttractorPrediction:
     """Stable object of the amplitude system in one case-VIa region.
 
-    Decided in closed form in a representative direction (the bisector, see
-    _representative_alpha and _probe_params); by the scaling symmetry the
-    distance from the double-Hopf point never changes the label.
+    Decided in closed form at the region's probe in the scaled (c1, c2)
+    plane (see _probe_params), so the label depends on (b0, c0, d0) alone,
+    not on the parameter map, which may even reverse orientation; by the
+    scaling symmetry the distance from the double-Hopf point never changes
+    it either.
 
     1. torus3 when the interior equilibrium is a linear center: zero trace,
        |q| <= _CENTER_TOL*(r1^2 + |d0|*r2^2), q as in equilibria, and

@@ -31,6 +31,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence
 
@@ -293,7 +294,7 @@ def _analyze_payload(args) -> dict:
     resid = normalform.duality_residual(basis)
     u = normalform.unfolding_params(coeffs)
     case = normalform.classify_unfolding(u)
-    lines = normalform.via_lines(u) if case == "VIa" else None
+    lines = normalform.via_lines(u).lines if case == "VIa" else ()
     payload = {
         "epsilon": hh.epsilon,
         "mu": hh.mu,
@@ -320,18 +321,7 @@ def _analyze_payload(args) -> dict:
         "c2_map": list(u.c2_map),
         "case": case,
         "duality_residual": resid,
-        "lines": [
-            {
-                "name": ln.name,
-                "slope": ln.slope,
-                "half_plane": ln.half_plane,
-                "angle": ln.angle,
-                "tangent_correction_omitted": ln.tangent_correction_omitted,
-            }
-            for ln in lines.lines
-        ]
-        if lines is not None
-        else [],
+        "lines": [asdict(ln) for ln in lines],
     }
     return payload
 

@@ -58,6 +58,7 @@ the labels are assigned in the calling process.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from array import array
 from dataclasses import dataclass, replace
@@ -93,8 +94,9 @@ _BLOWUP_SQ = 1e16  # |state|^2 guard; ~1e8 per component
 class SimConfig:
     """Integration protocol: parameters, constant initial data, grid, horizon.
 
-    The grid is h = tau/h_div with ``h_div`` an integer >= 4 (a float, even
-    2000.0, is rejected), so the delay is exactly h_div steps.
+    The grid is h = tau/h_div with ``h_div`` an integer >= 4 of any integer
+    type, stored as an int (a float, even 2000.0, is rejected), so the
+    delay is exactly h_div steps.
     """
 
     params: SystemParams
@@ -106,8 +108,11 @@ class SimConfig:
     formulation: str = "theta_form"
 
     def __post_init__(self):
-        if not isinstance(self.h_div, int) or self.h_div < 4:
+        is_int = hasattr(type(self.h_div), "__index__")
+        h_div = operator.index(self.h_div) if is_int else 0
+        if h_div < 4:
             raise ValueError(f"h_div must be an integer >= 4, got {self.h_div!r}")
+        object.__setattr__(self, "h_div", h_div)
         if not self.h > 0:
             raise ValueError(f"h = tau/h_div must be positive, got {self.h!r}")
         for name in ("x0", "y0", "t_end"):
@@ -181,15 +186,16 @@ class Trajectory:
     """Uniform-grid solution samples with cubic Hermite dense output.
 
     ``params`` is the system the samples solve.  Arrays x, y, dy (= y') and
-    theta (the feedback memory) live on t = 0, h, 2h, ..., the same four
-    columns in either formulation.  The history before t = 0 is constant
-    and equal to the first sample: y[0] is the run's y0, bit for bit.
+    theta (the feedback memory) live on t = 0, h, 2h, ... (h = tau/h_div),
+    the same four columns in either formulation.  The history before t = 0
+    is constant and equal to the first sample: y[0] is the run's y0, bit
+    for bit.
     """
 
-    def __init__(self, params: SystemParams, h: float, x: np.ndarray,
+    def __init__(self, params: SystemParams, h_div: int, x: np.ndarray,
                  y: np.ndarray, dy: np.ndarray, theta: np.ndarray):
         self.params = params
-        self.h = h
+        self.h_div = h_div
         self.x = x
         self.y = y
         self.dy = dy
@@ -199,17 +205,17 @@ class Trajectory:
         return len(self.x)
 
     @property
+    def h(self) -> float:
+        """The step, tau/h_div: SimConfig.h's bits."""
+        return self.params.tau / self.h_div
+
+    @property
     def t(self) -> np.ndarray:
         return np.arange(len(self.x)) * self.h
 
-    @property
-    def n_delay(self) -> int:
-        """Steps per delay, tau/h."""
-        return int(round(self.params.tau / self.h))
-
     def y_delayed(self) -> np.ndarray:
         """Grid samples of y(t - tau); exact buffer reads plus history fill."""
-        nd = self.n_delay
+        nd = self.h_div
         out = np.empty_like(self.y)
         out[:nd] = self.y[0]
         if len(out) > nd:
@@ -240,10 +246,10 @@ class _Stepper:
 
     _BUFFERS: Tuple[str, ...] = ()
 
-    def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
+    def __init__(self, p: SystemParams, x0: float, y0: float, h_div: int):
         self.p = p
-        self.h = h
-        self.N = int(round(p.tau / h))
+        self.h = p.tau / h_div
+        self.N = h_div
         self.x0, self.y0 = x0, y0
         self.xs = array("d", [x0])
         self.ys = array("d", [y0])
@@ -307,8 +313,8 @@ class _ThetaStepper(_Stepper):
 
     _BUFFERS = ("xs", "ys", "dys", "ths", "dths")
 
-    def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
-        super().__init__(p, x0, y0, h)
+    def __init__(self, p: SystemParams, x0: float, y0: float, h_div: int):
+        super().__init__(p, x0, y0, h_div)
         self.dys = array("d", [self._dy(x0, y0, self.ths[0])])
         self.dths = array("d", [(1.0 - p.mu) * y0 + p.mu * 0.0])
 
@@ -374,12 +380,13 @@ class _ThetaStepper(_Stepper):
         dy[lo:] = self._dy(xv[lo:], yv[lo:], th[lo:])
 
     @classmethod
-    def at_window(cls, p: SystemParams, x0: float, y0: float, h: float,
+    def at_window(cls, p: SystemParams, h_div: int,
                   xw, yw, thw, dthw) -> "_ThetaStepper":
         """A stepper at j = N whose buffers hold just the given delay window
-        of x, y, theta and theta'; y' is recomputed pointwise."""
-        st = cls(p, x0, y0, h)
+        of x, y, theta and theta'; y' is recomputed pointwise.  No step from
+        j = N reads x0 or y0; the window's first sample stands in."""
         x, y, th, dth = (np.asarray(v, dtype=np.float64) for v in (xw, yw, thw, dthw))
+        st = cls(p, float(x[0]), float(y[0]), h_div)
         st.xs, st.ys, st.ths, st.dths, st.dys = (
             array("d", v.tobytes()) for v in (x, y, th, dth, st._dy(x, y, th)))
         st.j = st.N
@@ -406,8 +413,8 @@ class _NeutralStepper(_Stepper):
 
     _BUFFERS = ("xs", "ys", "dys", "ths")
 
-    def __init__(self, p: SystemParams, x0: float, y0: float, h: float):
-        super().__init__(p, x0, y0, h)
+    def __init__(self, p: SystemParams, x0: float, y0: float, h_div: int):
+        super().__init__(p, x0, y0, h_div)
         eps, mu = p.epsilon, p.mu
         self.c_x = c_x = -1.0 + eps * p.k * (1.0 - mu)
         # g(x0, y0, x0, y0)/(1 - mu), in g's term order (see _block): the fixed
@@ -548,7 +555,7 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
     message.
     """
     stepper = _NeutralStepper if cfg.formulation == "neutral_form" else _ThetaStepper
-    st = stepper(cfg.params, cfg.x0, cfg.y0, cfg.h)
+    st = stepper(cfg.params, cfg.x0, cfg.y0, cfg.h_div)
     left = _n_steps(cfg)
     while True:
         n = min(_CHUNK, left)
@@ -567,7 +574,7 @@ def _stored(cfg: SimConfig) -> Trajectory:
     """cfg's whole run: _stream with a _Store reader."""
     store = _Store(_n_steps(cfg) + 1)
     _stream(cfg, [store])
-    return Trajectory(cfg.params, cfg.h, *store.cols)
+    return Trajectory(cfg.params, cfg.h_div, *store.cols)
 
 
 def simulate_theta(cfg: SimConfig) -> Trajectory:
@@ -887,7 +894,7 @@ class _Exponent:
                 s = delta0 / sep
                 win = (xr + s * (xc - xr), yr + s * (yc - yr),
                        thr + s * (thc - thr), dthr + s * (dthc - dthr))
-            self.twin = _ThetaStepper.at_window(cfg.params, cfg.x0, cfg.y0, cfg.h, *win)
+            self.twin = _ThetaStepper.at_window(cfg.params, cfg.h_div, *win)
 
     def rate(self) -> float:
         """The mean of the leg rates."""

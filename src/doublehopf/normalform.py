@@ -21,7 +21,7 @@ the arbiter for all sign conventions.
 Signs of the four unfolding quantities (b0, c0, d0, d0 - b0*c0) select one
 of twelve planar unfoldings; in case VIa eight bifurcation rays divide the
 parameter plane into the regions D1..D8 (D1 between L8 and L1, advancing
-counterclockwise).
+counterclockwise, or clockwise where the parameter map reverses orientation).
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class ViaLine:
 
 @dataclass(frozen=True)
 class ViaLines:
-    """The eight case-VIa rays, ordered L1..L8 counterclockwise."""
+    """The eight case-VIa rays L1..L8, in cyclic order (see region_of)."""
 
     lines: Tuple[ViaLine, ...]
 
@@ -390,6 +390,37 @@ def classify_unfolding(u: UnfoldingParams) -> str:
     return label
 
 
+def _ray_table(b0: float, c0: float) -> tuple:
+    """The case-VIa rays L1..L8 of the scaled (c1, c2) plane as (name, m1,
+    m2, half), the half of m1*c1 + m2*c2 = 0 where half = (coordinate,
+    sign) holds: L1/L7 halve c2 = 0, L2/L8 c1 = 0; L3 is c2 = c0*c1, L5 the
+    interior-equilibrium Hopf ray c2 = (c0-1)/(b0+1)*c1 and L6 c2 = -c1/b0,
+    all with c2 > 0.  L4, the torus-destroying connection, is tangent to L5
+    at the origin; its quadratic correction is not computed, so it repeats L5.
+    """
+    hopf_slope = (c0 - 1.0) / (b0 + 1.0)
+    return (
+        ("L1", 0.0, 1.0, ("c1", 1)),
+        ("L2", 1.0, 0.0, ("c2", 1)),
+        ("L3", c0, -1.0, ("c2", 1)),
+        ("L4", hopf_slope, -1.0, ("c2", 1)),
+        ("L5", hopf_slope, -1.0, ("c2", 1)),
+        ("L6", 1.0 / b0, 1.0, ("c2", 1)),
+        ("L7", 0.0, 1.0, ("c1", -1)),
+        ("L8", 1.0, 0.0, ("c2", -1)),
+    )
+
+
+def _c_rays(b0: float, c0: float) -> Tuple[Tuple[float, float], ...]:
+    """Unit (c1, c2) directions of the rays of _ray_table, counterclockwise
+    in case VIa; they depend on (b0, c0) alone."""
+    out = []
+    for _, m1, m2, (cname, csign) in _ray_table(b0, c0):
+        d = (-m2 / math.hypot(m1, m2), m1 / math.hypot(m1, m2))
+        out.append(d if csign * d[0 if cname == "c1" else 1] > 0.0 else (-d[0], -d[1]))
+    return tuple(out)
+
+
 def _alpha_ray(
     u: UnfoldingParams, m1: float, m2: float, half: Tuple[str, int]
 ) -> Tuple[Optional[float], str, float]:
@@ -417,45 +448,30 @@ def _alpha_ray(
 
 
 def via_lines(u: UnfoldingParams) -> ViaLines:
-    """The eight case-VIa bifurcation rays in the parameter plane.
-
-    In scaled coordinates: L1/L7 are the halves of c2 = 0, L2/L8 of c1 = 0,
-    L3 is c2 = c0*c1, L5 is the interior-equilibrium Hopf ray
-    c2 = (c0-1)/(b0+1)*c1, L6 is c2 = -c1/b0, all with c2 > 0.  L4 (the
-    torus-destroying connection) is tangent to L5 at the origin; its
-    quadratic correction is not computed, so it is emitted with the L5
-    slope and flagged.  Raises WrongCase outside case VIa.
+    """The eight case-VIa bifurcation rays of _ray_table in the parameter
+    plane; L4 carries the L5 slope and is flagged (tangent_correction_omitted).
+    Raises WrongCase outside case VIa.
     """
     case = classify_unfolding(u)
     if case != "VIa":
         raise WrongCase(f"bifurcation rays defined for case VIa, not {case}")
-    b0, c0 = u.b0, u.c0
-    hopf_slope = (c0 - 1.0) / (b0 + 1.0)
-    defs = [
-        ("L1", 0.0, 1.0, ("c1", 1), False),
-        ("L2", 1.0, 0.0, ("c2", 1), False),
-        ("L3", c0, -1.0, ("c2", 1), False),
-        ("L4", hopf_slope, -1.0, ("c2", 1), True),
-        ("L5", hopf_slope, -1.0, ("c2", 1), False),
-        ("L6", 1.0 / b0, 1.0, ("c2", 1), False),
-        ("L7", 0.0, 1.0, ("c1", -1), False),
-        ("L8", 1.0, 0.0, ("c2", -1), False),
-    ]
     lines = []
-    for name, m1, m2, half, tangent in defs:
+    for name, m1, m2, half in _ray_table(u.b0, u.c0):
         slope, half_plane, angle = _alpha_ray(u, m1, m2, half)
-        lines.append(ViaLine(name, slope, half_plane, angle, tangent))
+        lines.append(ViaLine(name, slope, half_plane, angle, name == "L4"))
     return ViaLines(tuple(lines))
 
 
 def region_of(alpha1: float, alpha2: float, lines: ViaLines) -> int:
     """Sector index 1..8 of a parameter point among the eight rays.
 
-    Region i lies between rays L_{i-1} and L_i counterclockwise, with D1
-    between L8 and L1.  Raises OnBoundary within ``_RAY_TOL`` radians of a ray
-    (the L4/L5 pair is tangent at the origin, so the linear-order D5 sector
-    has zero width and maps to OnBoundary).  Raises ValueError for a
-    non-finite point or the origin.
+    Region i lies between rays L_{i-1} and L_i, with D1 between L8 and L1;
+    rays that run clockwise (a parameter map that reverses orientation)
+    are read in their mirror image.  Raises OnBoundary within ``_RAY_TOL``
+    radians of a ray (the L4/L5 pair is tangent at the origin, so the
+    linear-order D5 sector has zero width and maps to OnBoundary).  Raises
+    ValueError for a non-finite point, the origin, or rays in neither
+    cyclic order.
     """
     if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
         raise ValueError(f"alpha must be finite, got {(alpha1, alpha2)}")
@@ -468,15 +484,13 @@ def region_of(alpha1: float, alpha2: float, lines: ViaLines) -> int:
         if d < _RAY_TOL:
             raise OnBoundary(
                 f"point at angle {theta:.8f} lies on a ray within {_RAY_TOL}")
-    # work counterclockwise from L8 so the wrap sits inside D1
     two_pi = 2.0 * math.pi
-    base = angles[7]
-    delta = (theta - base) % two_pi
-    offsets = [(a - base) % two_pi for a in angles[:7]] + [two_pi]
-    # ties allowed: the tangent pair L4/L5 shares an angle (zero-width D5)
-    if any(offsets[i] > offsets[i + 1] + 1e-12 for i in range(7)):
-        raise ValueError("rays are not in counterclockwise order; regions undefined")
-    for i, off in enumerate(offsets):
-        if delta < off:
-            return i + 1
-    return 1
+    for sign in (1.0, -1.0):  # the diagram, then its mirror image
+        # work counterclockwise from L8 so the wrap sits inside D1
+        base = sign * angles[7]
+        delta = (sign * theta - base) % two_pi
+        offsets = [(sign * a - base) % two_pi for a in angles[:7]] + [two_pi]
+        # ties allowed: the tangent pair L4/L5 shares an angle (zero-width D5)
+        if all(offsets[i] <= offsets[i + 1] + 1e-12 for i in range(7)):
+            return next(i + 1 for i, off in enumerate(offsets) if delta < off)
+    raise ValueError("rays are in neither cyclic order; regions undefined")

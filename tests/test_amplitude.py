@@ -15,6 +15,12 @@ from conftest import EPS, MU, draw_amplitude_params, grid_scan_oracle
 # instance inside the admissible gain interval 2.72 < k < 9.99
 LADDER_POINTS = ((1, 1), (2, 1), (3, 1), (3, 2))
 
+# (epsilon, mu, j_plus, j_minus) -> gain bracket of case-VIa double-Hopf
+# points at negative gain whose parameter map reverses orientation, so
+# their alpha-plane rays run clockwise
+REVERSING_POINTS = {(EPS, MU, 1, 1): (-8.0, -7.5), (0.1, 0.3, 2, 2): (-8.5, -8.0),
+                    (0.6, 0.9, 1, 0): (-13.0, -12.5)}
+
 # case-VIa attractor table: region -> (kind, mode)
 VIA_TABLE = {1: ("none_stable", None), 2: ("none_stable", None),
              3: ("none_stable", None), 4: ("none_stable", None),
@@ -22,12 +28,56 @@ VIA_TABLE = {1: ("none_stable", None), 2: ("none_stable", None),
              7: ("periodic", 2), 8: ("trivial_eq", None)}
 
 
+# The earlier probe, frozen as an oracle: it found a region's direction in
+# the alpha plane from the bisected ray angles of via_lines and mapped it
+# to (c1, c2).  Where the parameter map preserves orientation it lies in
+# the region's c-plane sector, as the c-plane probe does.
+def _representative_alpha(region: int, lines) -> np.ndarray:
+    """Unit direction of a region's representative parameter point.
+
+    Ordinary regions use the angular bisector of their bounding rays; the
+    linear-order D5 sector is degenerate (the connection ray L4 is tangent
+    to L5), so its probe sits exactly on the shared ray.
+    """
+    angles = [ln.angle for ln in lines.lines]
+    two_pi = 2.0 * math.pi
+    if region == 5:
+        # the D5 sliver collapses onto the shared L4/L5 ray at linear
+        # order; the probe sits exactly on it (see predict_attractor)
+        theta = angles[4]
+    else:
+        lo = angles[(region - 2) % 8]
+        hi = angles[region - 1]
+        theta = lo + 0.5 * ((hi - lo) % two_pi)
+    return np.array([math.cos(theta), math.sin(theta)])
+
+
+def _alpha_plane_probe(region: int, u):
+    """Amplitude parameters (c1, c2, b0, c0, d0) at a region's representative point.
+
+    The truncated system is self-similar under (r, t) -> (s*r, t/s^2),
+    c -> s^2*c, so only the point's direction matters: (c1, c2) is
+    normalized to unit length, and all rates are O(1) for find_attractor.
+    """
+    alpha = _representative_alpha(region, dh.via_lines(u))
+    c1 = float(u.c1_map @ alpha)
+    c2 = float(u.c2_map @ alpha)
+    scale = math.hypot(c1, c2)
+    if scale == 0.0:
+        raise ValueError("representative point maps to the origin")
+    return (c1 / scale, c2 / scale, u.b0, u.c0, float(u.d0))
+
+
 @pytest.fixture(scope="module")
 def ladder_unfoldings():
+    """The unfoldings of LADDER_POINTS and of REVERSING_POINTS, by key."""
     out = {}
     for jp, jm in LADDER_POINTS:
         hh = dh.find_hopf_hopf(EPS, MU, jp, jm, 2.72, 9.99)
         out[jp, jm] = dh.unfolding_params(dh.nf_coefficients(hh, EPS, MU))
+    for (eps, mu, jp, jm), bracket in REVERSING_POINTS.items():
+        hh = dh.find_hopf_hopf(eps, mu, jp, jm, *bracket)
+        out[eps, mu, jp, jm] = dh.unfolding_params(dh.nf_coefficients(hh, eps, mu))
     return out
 
 
@@ -207,6 +257,7 @@ def test_predict_attractor_closed_form_at_ladder_points(
 
     monkeypatch.setattr(amplitude, "simulate_amplitude", no_simulation)
     monkeypatch.setattr(amplitude, "find_attractor", no_simulation)
+    # the reversing points included: a label never sees the map's orientation
     got, want = {}, {}
     for point, u in ladder_unfoldings.items():
         for region, kind_mode in VIA_TABLE.items():
@@ -229,14 +280,24 @@ def test_center_rule_matches_simulation_oracle(ladder_unfoldings, point):
         assert (label == "cycle") == is_cycle, (region, label)
 
 
-@pytest.mark.parametrize("point", LADDER_POINTS, ids=lambda p: f"{p[0]}-{p[1]}")
+def _probe_alpha(region, u):
+    """The c-plane probe of a region solved back to the alpha plane."""
+    c1, c2 = amplitude._probe_params(region, u)[:2]
+    return np.linalg.solve(np.vstack([u.c1_map, u.c2_map]), [c1, c2])
+
+
+@pytest.mark.parametrize("point", [*LADDER_POINTS, *REVERSING_POINTS],
+                         ids=lambda p: "-".join(map(str, p)))
 def test_every_probe_lies_in_its_region(ladder_unfoldings, point):
-    # _representative_alpha and region_of encode the sector order twice; D5
-    # is probed on the shared L4/L5 ray, which region_of calls a boundary
+    # _probe_params finds the sector in the c plane and region_of in the
+    # alpha plane, in the mirror image where the map reverses orientation;
+    # D5 is probed on the shared L4/L5 ray, which region_of calls a boundary
     u = ladder_unfoldings[point]
+    det = np.linalg.det(np.vstack([u.c1_map, u.c2_map]))
+    assert (det < 0) == (point in REVERSING_POINTS)
     lines = dh.via_lines(u)
     for region in range(1, 9):
-        probe = amplitude._representative_alpha(region, lines)
+        probe = _probe_alpha(region, u)
         if region == 5:
             with pytest.raises(OnBoundary):
                 dh.region_of(*probe, lines)
@@ -245,15 +306,57 @@ def test_every_probe_lies_in_its_region(ladder_unfoldings, point):
 
 
 def test_escaping_oracle_run_raises_no_warning(ladder_unfoldings):
-    # the (3,2) D4 probe escapes; its last stages overflow to inf in Python
-    # floats, which warn nowhere, and the label stays "none"
-    params = amplitude._probe_params(4, ladder_unfoldings[3, 2])
+    # the (3,2) D4 point of the alpha-plane probe escapes; its last stages
+    # overflow to inf in Python floats, which warn nowhere, and the label
+    # stays "none"
+    params = _alpha_plane_probe(4, ladder_unfoldings[3, 2])
     interior = [e for e in dh.equilibria(*params) if e.kind == "interior"][0]
     s0 = (interior.state.r1 * 0.995, interior.state.r2 * 0.995)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         label, _ = find_attractor(params, s0, t_end=4000.0, h=0.01)
     assert label == "none"
+    assert not np.all(np.isfinite(dh.simulate_amplitude(s0, params, 4000.0, 0.01)[1]))
+
+
+def test_center_residue_on_the_d5_probe(ladder_unfoldings):
+    # the c-plane L5 direction puts the interior point on the center family
+    # to rounding, whichever way the map turns: the trace residue is far
+    # below _CENTER_TOL
+    for u in ladder_unfoldings.values():
+        r1_sq, r2_sq, _ = amplitude._interior(*amplitude._probe_params(5, u))
+        assert abs(r1_sq + u.d0 * r2_sq) <= 1e-14 * (r1_sq + r2_sq)
+
+
+def _draw_via(rng):
+    """A random case-VIa unfolding; its parameter map has either orientation."""
+    b0 = math.exp(rng.uniform(-3.0, 3.0))
+    c0 = -(1.0 + math.exp(rng.uniform(-5.0, 4.0))) / b0  # b0*c0 < -1: det > 0
+    eps1 = int(rng.choice([-1, 1]))
+    m = rng.standard_normal((2, 2))
+    return dh.normalform.UnfoldingParams(eps1, -eps1, b0, c0, m[0], m[1])
+
+
+def test_c_plane_labels_match_the_table_and_the_alpha_plane_oracle(monkeypatch):
+    # every draw gets the case-VIa table, whichever way its map turns; where
+    # the map keeps orientation the frozen alpha-plane probe agrees
+    rng = np.random.default_rng(28)
+    draws = [_draw_via(rng) for _ in range(10_000)]
+    kept = [u for u in draws if np.linalg.det(np.vstack([u.c1_map, u.c2_map])) > 0]
+    assert 4000 < len(kept) < 6000
+
+    def labels(u):
+        return [(p.kind, p.mode) for p in
+                (dh.predict_attractor(region, u) for region in range(1, 9))]
+
+    table = [VIA_TABLE[region] for region in range(1, 9)]
+    got = {id(u): labels(u) for u in draws}
+    assert all(v == table for v in got.values())
+    # the oracle maps each draw's rays once, not once per region
+    lines_of = {id(u): dh.via_lines(u) for u in kept}
+    monkeypatch.setattr(dh, "via_lines", lambda u: lines_of[id(u)])
+    monkeypatch.setattr(amplitude, "_probe_params", _alpha_plane_probe)
+    assert all(labels(u) == got[id(u)] for u in kept)
 
 
 def test_predict_attractor_wrong_case():

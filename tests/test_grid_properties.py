@@ -19,8 +19,10 @@ def test_the_grid_is_tau_over_an_integer_divisor(tau, h_div):
     cfg = dh.SimConfig(p, 0.1, 0.0, h_div, 10.0)
     assert cfg.h.hex() == (p.tau / h_div).hex()
     assert dh.SimConfig.from_divisor(p, 0.1, 0.0, h_div, 10.0) == cfg
-    # the steppers read the delay back from h as h_div steps
-    assert nfde_sim._ThetaStepper(p, 0.1, 0.0, cfg.h).N == h_div
+    # the steppers take the divisor itself: the delay is h_div steps of
+    # cfg.h's bits, with no rounding of tau/h
+    st = nfde_sim._ThetaStepper(p, 0.1, 0.0, cfg.h_div)
+    assert st.N == h_div and st.h.hex() == cfg.h.hex()
     # a call written for the step h, not the divisor, is refused
     with pytest.raises(ValueError, match="h_div"):
         dh.SimConfig(p, 0.1, 0.0, p.tau / 2000, 10.0)

@@ -54,6 +54,19 @@ def test_config_validation(hh):
     assert dh.SimConfig(params, 0.1, 0.0, 2000, 10.0).h == params.tau / 2000
 
 
+def test_config_takes_any_integer_type(hh):
+    # numpy integers index like ints and are stored as one; a numpy float
+    # is still a float
+    params = SystemParams(EPS, MU, hh.k0, hh.tau0)
+    want = dh.SimConfig(params, 0.1, 0.0, 2000, 10.0)
+    for h_div in (np.int64(2000), np.int32(2000), np.uint16(2000)):
+        cfg = dh.SimConfig(params, 0.1, 0.0, h_div, 10.0)
+        assert type(cfg.h_div) is int and cfg == want
+        assert cfg.h.hex() == want.h.hex()
+    with pytest.raises(ValueError, match="^h_div must be an integer >= 4"):
+        dh.SimConfig(params, 0.1, 0.0, np.float64(2000.0), 10.0)
+
+
 def test_zero_data_stays_zero(hh):
     for form, runner in (("theta_form", dh.simulate_theta),
                          ("neutral_form", dh.simulate_neutral)):
@@ -142,7 +155,7 @@ def test_delayed_samples_are_exact_buffer_reads(hh):
     cfg = cfg_at(hh, -0.1, 0.1, h_div=300, t_end=80.0)
     traj = dh.simulate_theta(cfg)
     ydel = traj.y_delayed()
-    nd = traj.n_delay
+    nd = traj.h_div
     assert np.array_equal(ydel[nd:], traj.y[:-nd])
     assert np.all(ydel[:nd] == cfg.y0)
 
@@ -157,12 +170,12 @@ def _y_at(traj, t):
 
 
 def test_delayed_samples_of_a_run_shorter_than_one_delay(hh):
-    # samples of systems with delay n_delay * h; more than half a delay, so
+    # samples of systems with delay h_div * h; more than half a delay, so
     # y[:len - nd] is a nonempty slice from the end; the history is y[0]
-    syn = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 0.1,
+    syn = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 10,
                      np.zeros(7), np.ones(7), np.zeros(7), np.zeros(7))
     assert np.array_equal(syn.y_delayed(), np.ones(7))
-    syn = Trajectory(SystemParams(EPS, MU, 0.0, 0.4), 0.1,
+    syn = Trajectory(SystemParams(EPS, MU, 0.0, 0.4), 4,
                      np.zeros(7), np.arange(-1.0, 6.0), np.zeros(7), np.zeros(7))
     assert np.array_equal(syn.y_delayed(), [-1.0] * 4 + [-1.0, 0.0, 1.0])
     cfg = cfg_at(hh, -0.1, 0.1, y0=0.25, h_div=50, t_end=0.6 * (hh.tau0 + 0.1))
@@ -200,9 +213,9 @@ def test_errors_survive_pickling(cls):
 
 def test_poincare_synthetic_circle():
     # x = cos t, y = -sin t injected through the dense-output machinery
-    h = 0.01
+    h = 0.01  # tau/100 at tau = 1
     t = np.arange(0.0, 20.0 + h / 2, h)
-    traj = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), h,
+    traj = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 100,
                       np.cos(t), -np.sin(t), -np.cos(t), np.cos(t))
     sec = dh.poincare(traj, "both", 0.0)
     expect = np.arange(1, 7) * math.pi
@@ -677,7 +690,7 @@ def _replay(run):
     """A stepper class whose steps append the samples of a stored run, with
     theta' the memory of its y."""
     cols = (run.x, run.y, run.dy, run.theta,
-            memory_recursion(run.y, 0.0, run.n_delay, run.params.mu))
+            memory_recursion(run.y, 0.0, run.h_div, run.params.mu))
 
     class Replay(nfde_sim._ThetaStepper):
         def step(self, n):
@@ -729,7 +742,7 @@ def test_streamed_blowup_matches_stored_run(monkeypatch):
     monkeypatch.setattr(nfde_sim, "_CHUNK", 7)
     params = SystemParams(0.1, 0.5, 500.0, 1.0)
     cfg = dh.SimConfig(params, 1.0, 0.0, 50, 100.0)
-    st = nfde_sim._ThetaStepper(params, cfg.x0, cfg.y0, cfg.h)
+    st = nfde_sim._ThetaStepper(params, cfg.x0, cfg.y0, cfg.h_div)
     want = _raised(st.step, _n_steps(cfg))  # one unsplit run
     assert want[0] > 10 * 7 * cfg.h  # many chunks in
     assert _raised(dh.simulate_theta, cfg) == want
@@ -766,7 +779,7 @@ def test_stored_run_matches_one_unsplit_stepper_run(hh, monkeypatch, formulation
                  formulation=formulation)
     assert cfg.h_div == 50
     traj = nfde_sim.simulate(cfg)
-    st = getattr(nfde_sim, _STEPPERS[formulation])(cfg.params, cfg.x0, cfg.y0, cfg.h)
+    st = getattr(nfde_sim, _STEPPERS[formulation])(cfg.params, cfg.x0, cfg.y0, cfg.h_div)
     st.step(_n_steps(cfg))
     # the first four buffers of either stepper are x, y, y' and theta
     for got, name in zip((traj.x, traj.y, traj.dy, traj.theta), st._BUFFERS[:4]):

@@ -11,6 +11,7 @@ from doublehopf.normalform import (
     NormalFormCoeffs,
     UnfoldingParams,
     UNFOLDING_TABLE,
+    ViaLines,
     bilinear_form,
 )
 
@@ -355,6 +356,39 @@ def test_region_boundary_and_origin(lines):
         dh.region_of(0.2 * math.cos(ang), 0.2 * math.sin(ang), lines)
     with pytest.raises(ValueError):
         dh.region_of(0.0, 0.0, lines)
+
+
+@pytest.mark.parametrize("bracket", [(4.5, 5.2), (-8.0, -7.5)], ids=str)
+def test_alpha_rays_map_onto_the_c_plane_rays(bracket):
+    # one ray table: each alpha-plane ray direction maps to a positive
+    # multiple of its c-plane direction, whichever way the map turns
+    hh = dh.find_hopf_hopf(EPS, MU, 1, 1, *bracket)
+    u = dh.unfolding_params(dh.nf_coefficients(hh, EPS, MU))
+    cmap = np.vstack([u.c1_map, u.c2_map])
+    for ln, ray in zip(dh.via_lines(u).lines, normalform._c_rays(u.b0, u.c0)):
+        c = cmap @ [math.cos(ln.angle), math.sin(ln.angle)]
+        assert c @ ray > 0.0, ln.name
+        assert abs(c[0] * ray[1] - c[1] * ray[0]) <= 1e-12 * np.hypot(*c), ln.name
+
+
+def test_region_of_reads_a_clockwise_diagram_in_its_mirror(lines):
+    # a reversing parameter map turns the rays clockwise: the mirror image
+    # of the worked diagram puts every mirrored point in its own region
+    mirror = ViaLines(tuple(replace(ln, angle=-ln.angle) for ln in lines.lines))
+    for name in ("L1", "L2", "L3", "L6", "L7", "L8"):
+        for rot in (-1e-4, 1e-4):
+            ang = lines[name].angle + rot
+            want = dh.region_of(math.cos(ang), math.sin(ang), lines)
+            assert dh.region_of(math.cos(ang), -math.sin(ang), mirror) == want
+
+
+def test_region_of_refuses_rays_in_neither_cyclic_order(lines):
+    # swapping L2 and L6 breaks the order in both senses of rotation
+    rays = list(lines.lines)
+    rays[1], rays[5] = replace(rays[1], angle=rays[5].angle), replace(
+        rays[5], angle=rays[1].angle)
+    with pytest.raises(ValueError, match="neither cyclic order"):
+        dh.region_of(-0.1, -0.08, ViaLines(tuple(rays)))
 
 
 def test_region_adjacency_across_lines(lines):

@@ -108,10 +108,10 @@ def oracle_exponent(cfg: SimConfig, delta0: float, renorm_T: float,
     """
     p, h = cfg.params, cfg.h
     n_seg = max(1, int(round(renorm_T / h)))
-    ref = nfde_sim._ThetaStepper(p, cfg.x0, cfg.y0, h)
+    ref = nfde_sim._ThetaStepper(p, cfg.x0, cfg.y0, cfg.h_div)
     oracle_step(ref, max(int(math.ceil(cfg.transient / h)), ref.N))
     xr, yr, thr, dthr = ref.window()
-    twin = _oracle_at_window(p, h, [xr + delta0, yr, thr + delta0, dthr])
+    twin = _oracle_at_window(p, cfg.h_div, [xr + delta0, yr, thr + delta0, dthr])
     rates = []
     for _ in range(n_renorm):
         oracle_step(ref, n_seg)
@@ -206,7 +206,7 @@ def oracle_run_neutral(cfg: SimConfig) -> Trajectory:
 
     x = np.frombuffer(xs, np.float64)
     return Trajectory(
-        p, h, x,
+        p, N, x,
         np.frombuffer(ys, np.float64),
         np.frombuffer(dys, np.float64),
         memory_recursion(x, x0, N, mu),
@@ -217,9 +217,9 @@ def _params(hh, a1, a2):
     return SystemParams(EPS, MU, hh.k0 + a1, hh.tau0 + a2)
 
 
-def _stepper_pair(p, h, x0=0.1, y0=0.0):
-    return (nfde_sim._ThetaStepper(p, x0, y0, h),
-            nfde_sim._ThetaStepper(p, x0, y0, h))
+def _stepper_pair(p, h_div, x0=0.1, y0=0.0):
+    return (nfde_sim._ThetaStepper(p, x0, y0, h_div),
+            nfde_sim._ThetaStepper(p, x0, y0, h_div))
 
 
 def _bits(col):
@@ -241,7 +241,7 @@ def _raised(fn, *args):
 @pytest.mark.parametrize("h_div", [4, 5, 20])
 def test_split_steps_cross_the_prefix_boundary(hh, h_div):
     p = _params(hh, 0.2, 0.164)
-    st, ref = _stepper_pair(p, p.tau / h_div)
+    st, ref = _stepper_pair(p, h_div)
     N = st.N
     for n in (3, N, 7, 0, 1, N - 1, 2 * N + 3, 1):
         st.step(n)
@@ -256,7 +256,7 @@ def test_split_steps_cross_the_prefix_boundary(hh, h_div):
 
 def test_one_call_equals_oracle_over_a_long_run(hh):
     p = _params(hh, 0.1, 0.085)
-    st, ref = _stepper_pair(p, p.tau / 50)
+    st, ref = _stepper_pair(p, 50)
     st.step(6000)
     oracle_step(ref, 6000)
     _assert_same_buffers(st, ref)
@@ -267,12 +267,11 @@ def test_random_windows_through_at_window(hh):
     # must come from the state on entry, not from a carried value
     p = _params(hh, 0.2, 0.164)
     N = 20
-    h = p.tau / N
     rng = np.random.default_rng(20)
     for _ in range(20):
         win = [rng.standard_normal(N + 1) * s for s in (1.0, 1.0, 1.0, 0.5)]
-        st = nfde_sim._ThetaStepper.at_window(p, 0.1, 0.0, h, *win)
-        ref = _oracle_at_window(p, h, win)
+        st = nfde_sim._ThetaStepper.at_window(p, N, *win)
+        ref = _oracle_at_window(p, N, win)
         _assert_same_buffers(st, ref)
         for _ in range(2):
             n = int(rng.integers(1, 3 * N))
@@ -286,9 +285,9 @@ def test_random_windows_through_at_window(hh):
 
 def test_window_copy_round_trip_is_exact(hh):
     p = _params(hh, 0.2, 0.164)
-    st = nfde_sim._ThetaStepper(p, 0.1, 0.0, p.tau / 20)
+    st = nfde_sim._ThetaStepper(p, 0.1, 0.0, 20)
     st.step(45)
-    twin = nfde_sim._ThetaStepper.at_window(p, 0.1, 0.0, st.h, *st.window())
+    twin = nfde_sim._ThetaStepper.at_window(p, 20, *st.window())
     assert twin.j == twin.N and len(twin.xs) == twin.N + 1
     # at_window recomputes y' pointwise, as the stepper writes it; the rest
     # is copied
@@ -323,7 +322,7 @@ def test_neutral_shorter_than_one_delay(hh):
 @pytest.mark.parametrize("tau", [1.0, 50.0])  # past the first delay, inside it
 def test_blowup_raises_like_oracle(tau):
     p = SystemParams(0.1, 0.5, 500.0, tau)
-    st, ref = _stepper_pair(p, tau / 50, x0=1.0)
+    st, ref = _stepper_pair(p, 50, x0=1.0)
     got = _raised(st.step, 5000)
     assert got == _raised(oracle_step, ref, 5000)
     assert (got[0] > tau) == (tau == 1.0)
@@ -333,16 +332,16 @@ def test_blowup_raises_like_oracle(tau):
 
 def test_nan_raises_like_oracle(hh):
     p = _params(hh, -0.1, 0.1)
-    st, ref = _stepper_pair(p, p.tau / 20, x0=math.nan)
+    st, ref = _stepper_pair(p, 20, x0=math.nan)
     assert _raised(st.step, 10) == _raised(oracle_step, ref, 10)
     # SimConfig refuses NaN initial data, so the stepper meets it directly
     run = SimpleNamespace(params=p, x0=math.nan, y0=0.0, h=p.tau / 20, h_div=20,
                           t_end=50.0)
-    st = nfde_sim._NeutralStepper(p, math.nan, 0.0, run.h)
+    st = nfde_sim._NeutralStepper(p, math.nan, 0.0, run.h_div)
     assert _raised(st.step, int(round(run.t_end / run.h))) == _raised(
         oracle_run_neutral, run)
     # a NaN planted in the delay window, past the prefix loop
-    st, ref = _stepper_pair(p, p.tau / 20)
+    st, ref = _stepper_pair(p, 20)
     for s in (st, ref):
         oracle_step(s, 30)
         xw, yw, thw, dthw = s.window()
@@ -372,7 +371,7 @@ def test_neutral_split_steps_with_trims_match_oracle(hh, h_div):
     fixed = [3, N - 1, N + 1, 2 * N, 3 * N - 1, 3 * N, 5 * N - 1, 5 * N + 1]
     rng = np.random.default_rng(h_div)
     cuts = fixed + sorted(rng.integers(6 * N, n, 12).tolist()) + [n]
-    st = nfde_sim._NeutralStepper(p, 0.1, 0.0, cfg.h)
+    st = nfde_sim._NeutralStepper(p, 0.1, 0.0, cfg.h_div)
     for a, b in zip([0] + cuts, cuts):
         st.step(b - a)
         _assert_neutral_run(st, want)
@@ -434,8 +433,8 @@ def test_streamed_neutral_simulate_memory_flat_in_t_end(hh, tmp_path, monkeypatc
 # multiples of N).  The cases below start and end calls on the grid and next
 # to it, fail inside a block, and check the columns written per block.
 
-def _oracle_at_window(p, h, win):
-    ref = nfde_sim._ThetaStepper(p, 0.1, 0.0, h)
+def _oracle_at_window(p, h_div, win):
+    ref = nfde_sim._ThetaStepper(p, 0.1, 0.0, h_div)
     ref.xs, ref.ys, ref.ths, ref.dys, ref.dths = (
         array("d", bytes(8 * (ref.N + 1))) for _ in range(5))
     ref.j = ref.N
@@ -466,7 +465,7 @@ def _edge_calls(N):
 @pytest.mark.parametrize("start", ["trim", "at_window"])
 def test_theta_calls_on_and_next_to_the_delay_grid(hh, h_div, start):
     p = _params(hh, 0.2, 0.164)
-    st, ref = _stepper_pair(p, p.tau / h_div)
+    st, ref = _stepper_pair(p, h_div)
     N = st.N
     for s in (st, ref):
         oracle_step(s, 3 * N - 1)
@@ -476,8 +475,8 @@ def test_theta_calls_on_and_next_to_the_delay_grid(hh, h_div, start):
         assert st.base > 0
     else:  # at j = N, residue 0
         win = [w + 1e-3 for w in ref.window()]
-        st = nfde_sim._ThetaStepper.at_window(p, 0.1, 0.0, st.h, *win)
-        ref = _oracle_at_window(p, st.h, win)
+        st = nfde_sim._ThetaStepper.at_window(p, h_div, *win)
+        ref = _oracle_at_window(p, h_div, win)
     _assert_same_buffers(st, ref)
     for n in _edge_calls(N):
         st.step(n)
@@ -490,7 +489,7 @@ def test_neutral_calls_on_and_next_to_the_delay_grid(hh, h_div):
     p = _params(hh, 0.2, 0.164)
     cfg = SimConfig(p, 0.1, 0.0, h_div, 20 * p.tau, 0.0, "neutral_form")
     want = oracle_run_neutral(cfg)
-    st = nfde_sim._NeutralStepper(p, 0.1, 0.0, cfg.h)
+    st = nfde_sim._NeutralStepper(p, 0.1, 0.0, h_div)
     N = st.N
     for n in _edge_calls(N):  # from the run's start
         st.step(n)
@@ -514,7 +513,7 @@ def test_planted_delayed_node_raises_inside_a_block(hh, value, where):
     p = _params(hh, -0.1, 0.1)
     h = p.tau / 20
     # theta form: theta at node b of the failing step f, planted in both
-    st, ref = _stepper_pair(p, h)
+    st, ref = _stepper_pair(p, 20)
     N = st.N
     for s in (st, ref):
         oracle_step(s, 3 * N + 5)
@@ -529,7 +528,7 @@ def test_planted_delayed_node_raises_inside_a_block(hh, value, where):
     # oracle's up to that step
     cfg = SimConfig(p, 0.1, 0.0, 20, 10 * p.tau, 0.0, "neutral_form")
     want = oracle_run_neutral(cfg)
-    st = nfde_sim._NeutralStepper(p, 0.1, 0.0, h)
+    st = nfde_sim._NeutralStepper(p, 0.1, 0.0, 20)
     st.step(3 * N + 5)
     st.trim()
     f = _failing_step(st.j, N, where)
@@ -575,8 +574,8 @@ def test_theta_memory_columns_are_the_memory_recursion(hh, mu, y0):
     # -0.0 and the recursion's (1-mu)*y0 + mu*0.0 is +0.0, so one that
     # starts theta' without the history term fails in the sign bit
     p = SystemParams(EPS, mu, hh.k0 + 0.2, hh.tau0 + 0.164)
-    steppers = [nfde_sim._ThetaStepper(p, 0.1, y0, p.tau / 20),
-                nfde_sim._NeutralStepper(p, 0.1, y0, p.tau / 20)]
+    steppers = [nfde_sim._ThetaStepper(p, 0.1, y0, 20),
+                nfde_sim._NeutralStepper(p, 0.1, y0, 20)]
     for st in steppers:
         for n in (7, 20, 33, 1, 45):
             st.step(n)
