@@ -77,7 +77,7 @@ class AmplitudeEquilibrium:
     @property
     def stable(self) -> bool:
         """Linearly stable: both eigenvalues in the open left half plane."""
-        return bool(np.max(np.real(self.eigenvalues)) < 0.0)
+        return all(z.real < 0.0 for z in self.eigenvalues)
 
 
 @dataclass(frozen=True)

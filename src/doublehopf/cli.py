@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -624,25 +625,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> None:
-    """Install a ``--config FILE`` (or ``--config=FILE``) file as defaults.
+def _config_path(argv: List[str]) -> Optional[str]:
+    """The file of a ``--config FILE`` (or ``--config=FILE``) argument."""
+    for at, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            return arg[len("--config="):]
+        if arg == "--config":
+            if at + 1 == len(argv):
+                raise ValueError("--config needs a file path")
+            return argv[at + 1]
+    return None
+
+
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Install the config file at ``path`` as the parser's defaults.
 
     Each value stays a string, which argparse converts with the flag's own
     ``type`` as it does any string default; ``choices`` are checked here, a
     ``store_true`` flag takes true or false, and keys a parser lacks are
     ignored.  Explicit flags win, because they are parsed after this.
     """
-    for at, arg in enumerate(argv):
-        if arg.startswith("--config="):
-            path = arg[len("--config="):]
-            break
-        if arg == "--config":
-            if at + 1 == len(argv):
-                raise ValueError("--config needs a file path")
-            path = argv[at + 1]
-            break
-    else:
-        return
     raw = _load_config(path)
     sub = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
@@ -663,12 +665,26 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> None:
             p.set_defaults(**{action.dest: val})
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every main call without --config, built once.
+
+    A --config call installs its file as defaults, so it parses with a
+    parser of its own and leaves this one as built.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
 
     try:
-        _apply_config(parser, argv)
+        path = _config_path(argv)
+        if path is None:
+            parser = _shared_parser()
+        else:
+            parser = build_parser()
+            _apply_config(parser, path)
         args = parser.parse_args(argv)
         return args.func(args)
     except NonFiniteState as exc:

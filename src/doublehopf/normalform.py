@@ -26,6 +26,7 @@ counterclockwise, or clockwise where the parameter map reverses orientation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -115,12 +116,17 @@ class EigenBasis:
     4x4 diagonal of the rescaled critical eigenvalues.  The normalizers
     D1, D2 enter through psi: the second components of its rows at s = 0
     are -D1, -conj(D1), -D2, -conj(D2).
+
+    The three functions broadcast: an array of points gives the values
+    at every point along trailing axes, (2, 4, n) for phi and (4, 2, n)
+    for psi and psi_deriv at n points, each with the bits of a scalar
+    call.  A scalar gives the 2x4 or 4x2 matrix.
     """
 
     B: np.ndarray
-    phi: Callable[[float], np.ndarray]
-    psi: Callable[[float], np.ndarray]
-    psi_deriv: Callable[[float], np.ndarray]
+    phi: Callable[[float | np.ndarray], np.ndarray]
+    psi: Callable[[float | np.ndarray], np.ndarray]
+    psi_deriv: Callable[[float | np.ndarray], np.ndarray]
     pieces: LinearPieces
 
 
@@ -252,9 +258,9 @@ def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
     b_mat = np.diag(lams)
     dy = _conj_pairs([1j * om for om in oms])
 
-    def phi(theta: float) -> np.ndarray:
-        row0 = np.exp(lams * theta)
-        return np.vstack([row0, dy * row0])
+    def phi(theta: float | np.ndarray) -> np.ndarray:
+        row0 = np.exp(np.multiply.outer(lams, theta))
+        return np.stack([row0, _lead(dy, row0) * row0])
 
     # first components of the four adjoint rows at s = 0; the second is -D_i
     heads = _conj_pairs([
@@ -263,27 +269,40 @@ def eigenbasis(hh: HopfHopfPoint, epsilon: float, mu: float) -> EigenBasis:
     ])
     scales = _conj_pairs(norms)
 
-    def psi(s: float) -> np.ndarray:
-        ex = np.exp(-lams * s)
-        return np.column_stack([heads * ex, -scales * ex])
+    def psi(s: float | np.ndarray) -> np.ndarray:
+        ex = np.exp(np.multiply.outer(-lams, s))
+        return np.stack([_lead(heads, ex) * ex, _lead(-scales, ex) * ex], axis=1)
 
-    def psi_deriv(s: float) -> np.ndarray:
-        return (-lams)[:, None] * psi(s)
+    def psi_deriv(s: float | np.ndarray) -> np.ndarray:
+        rows = psi(s)
+        return _lead(-lams, rows) * rows
 
     return EigenBasis(b_mat, phi, psi, psi_deriv, LinearPieces.at_point(hh))
 
 
+def _lead(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The mode vector v shaped to scale axis 0 of ``like`` over its other axes."""
+    return v.reshape(v.shape + (1,) * (like.ndim - 1))
+
+
+@functools.cache
 def _gauss_nodes(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 0]."""
+    """Gauss-Legendre nodes and weights on [-1, 0], computed once per n.
+
+    The arrays are shared between calls, so they are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x - 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x - 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def bilinear_form(
-    psi_row: Callable[[float], np.ndarray],
-    phi_col: Callable[[float], np.ndarray],
+    psi_row: Callable[[float | np.ndarray], np.ndarray],
+    phi_col: Callable[[float | np.ndarray], np.ndarray],
     pieces: LinearPieces,
-    psi_row_deriv: Callable[[float], np.ndarray],
+    psi_row_deriv: Callable[[float | np.ndarray], np.ndarray],
 ) -> complex | np.ndarray:
     """Neutral dual pairing of adjoint rows with basis columns.
 
@@ -295,15 +314,36 @@ def bilinear_form(
     masses reduce the pairing to two point products plus one definite
     integral, evaluated by composite Gauss-Legendre quadrature with
     ``_N_NODES`` nodes.
+
+    Each callable must also take a 1-D array of n points and return its
+    value at every point along a trailing axis: (2, n) or (r, 2, n) for
+    the rows, (2, n) or (2, c, n) for the columns, as ``EigenBasis``'s
+    functions do.  The three are evaluated once each on all the nodes;
+    the per-node integrands are then summed in node order, so the result
+    has the bits of a node-by-node loop.
     """
     m = pieces.M
     b2 = pieces.B2
-    val = psi_row(0.0) @ phi_col(0.0) - psi_row(0.0) @ (m @ phi_col(-1.0))
+    row0 = psi_row(0.0)
+    col0 = phi_col(0.0)
+    val = row0 @ col0 - row0 @ (m @ phi_col(-1.0))
     nodes, weights = _gauss_nodes(_N_NODES)
-    for xi, w in zip(nodes, weights):
-        col = phi_col(xi)
-        val += w * (psi_row(xi + 1.0) @ (b2 @ col) - psi_row_deriv(xi + 1.0) @ (m @ col))
-    return val
+    s = nodes + 1.0
+    # node axis first, with a length-1 axis where a row or column is a
+    # vector: each node's products have the matrix shapes of a scalar
+    # call, on contiguous operands, and so take the same matmul kernels
+    rows = np.moveaxis(psi_row(s), -1, 0)
+    drows = np.moveaxis(psi_row_deriv(s), -1, 0)
+    cols = np.moveaxis(phi_col(nodes), -1, 0)
+    if row0.ndim == 1:
+        rows, drows = rows[:, None, :], drows[:, None, :]
+    if col0.ndim == 1:
+        cols = cols[:, :, None]
+    rows, drows, cols = map(np.ascontiguousarray, (rows, drows, cols))
+    terms = rows @ (b2 @ cols) - drows @ (m @ cols)
+    terms = weights[:, None, None] * terms
+    terms = terms.reshape((len(nodes),) + np.shape(val))
+    return np.add.accumulate(np.concatenate([[val], terms]))[-1]
 
 
 def duality_residual(basis: EigenBasis) -> float:

@@ -187,3 +187,18 @@ def mp_gap(eps, mu, k, j_plus, j_minus, ctx=mpmath.mp):
     lad = mp_ladders(eps, mu, k, ctx)
     (w_p, t_p), (w_m, t_m) = lad["plus"], lad["minus"]
     return t_p + j_plus * 2 * ctx.pi / w_p - t_m - j_minus * 2 * ctx.pi / w_m
+
+
+def loop_bilinear_form(psi_row, phi_col, pieces, psi_row_deriv, n_nodes=64):
+    """The neutral dual pairing as a loop over the Gauss-Legendre nodes on
+    [-1, 0], calling each function with one scalar per node and adding the
+    weighted integrands in node order: the oracle of the single-pass
+    ``normalform.bilinear_form``, which must match it bit for bit."""
+    m, b2 = pieces.M, pieces.B2
+    val = psi_row(0.0) @ phi_col(0.0) - psi_row(0.0) @ (m @ phi_col(-1.0))
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    for xi, wi in zip(0.5 * (x - 1.0), 0.5 * w):
+        col = phi_col(xi)
+        val += wi * (psi_row(xi + 1.0) @ (b2 @ col)
+                     - psi_row_deriv(xi + 1.0) @ (m @ col))
+    return val

@@ -127,6 +127,18 @@ def test_equilibria_reside_on_vector_field_zeros():
             assert eq.stable == (max(jac_re) < 0)
 
 
+@pytest.mark.parametrize("eigs", [
+    (-1.0 + 0j, -2.0 + 0j), (-1.0 + 2j, -1.0 - 2j), (-1.0 + 0j, 0.5 + 0j),
+    (-1.0 + 0j, 0.0 + 1j), (-1.0 + 0j, -0.0 + 0j), (0.0 + 0j, -1.0 + 0j),
+    (-1.0 + 0j, complex(math.nan, 0.0)), (complex(math.nan, 0.0), -1.0 + 0j),
+    (-1.0 + 0j, complex(-math.inf, 0.0)),
+])
+def test_stable_matches_numpy_max(eigs):
+    # a zero real part is not stable, and neither is a NaN in either slot
+    eq = amplitude.AmplitudeEquilibrium(AmplitudeState(0.0, 0.0), "origin", eigs)
+    assert eq.stable is bool(np.max(np.real(eigs)) < 0.0)
+
+
 def _jacobian(r1, r2, c1, c2, b0, c0, d0):
     """Jacobian of the amplitude vector field in (r1, r2)."""
     return np.array([

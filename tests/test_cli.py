@@ -563,6 +563,42 @@ def test_config_as_last_argument(tmp_path, capsys):
     assert err["error"] == "ValueError"
 
 
+def test_config_does_not_leak_into_later_calls(tmp_path, capsys):
+    # main parses with one shared parser; a --config call's defaults stay
+    # with that call, and the next plain call sees the built-in defaults
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("j_max=0\nformat=json\n")
+    grid = ("hopf-curves", "--k-range", "4.6:4.7:0.05")
+    assert run_cli("--config", str(cfg), *grid, "--out", str(tmp_path / "c.json")) == 0
+    assert len(json.loads((tmp_path / "c.json").read_text())["rows"]) == 2 * 3
+    out = tmp_path / "c.csv"
+    assert run_cli(*grid, "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 2 * 4 * 3  # j = 0..3, both signs, 3 gains, as CSV
+
+
+def test_usage_error_leaves_next_call_unaffected(tmp_path, capsys):
+    first, again = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli("analyze", "--out", str(first)) == 0
+    capsys.readouterr()
+    assert run_cli("simulate", "--alpha1", "0.1") == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError" and "--alpha2" in err["message"]
+    assert run_cli("analyze", "--out", str(again)) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_build_parser_is_public_and_fresh():
+    assert "build_parser" in cli.__all__
+    built = cli.build_parser()
+    assert built is not cli.build_parser()
+    assert built is not cli._shared_parser()
+    assert cli._shared_parser() is cli._shared_parser()
+    # a caller's changes to a built parser stay with that parser
+    built.set_defaults(format="json")
+    assert cli._shared_parser().parse_args(["analyze"]).format == "csv"
+
+
 def test_line_t_locates_point_from_options(tmp_path, capsys):
     args = ("line-t", "--epsilon", "0.2", "--j-plus", "2", "--j-minus", "1",
             "--bracket", "2.46:4.98", "--iota", "1.0", "--no-exponent")

@@ -24,6 +24,7 @@ from conftest import (
     REF_C2_MAP,
     REF_SLOPES,
     REF_TAU0,
+    loop_bilinear_form,
 )
 
 
@@ -81,7 +82,7 @@ def test_quadrature_refinement_agrees(basis, monkeypatch):
 
 
 def test_bilinear_form_linearity(basis):
-    zero = lambda s: np.zeros(2, dtype=complex)
+    zero = lambda s: np.zeros((2,) + np.shape(s), dtype=complex)
     col = lambda th: basis.phi(th)[:, 0]
     assert bilinear_form(zero, col, basis.pieces, zero) == 0.0
 
@@ -110,6 +111,63 @@ def test_block_pairing_matches_entrywise(j_plus, j_minus):
     assert gram.shape == (4, 4)
     assert np.max(np.abs(gram - ref)) <= 1e-15
     assert dh.duality_residual(b) == float(np.max(np.abs(gram - np.eye(4))))
+
+
+# the four worked points, the (2,1) point at epsilon = 0.2 and the (1,1)
+# point at negative gain, as (epsilon, j_plus, j_minus, bracket)
+_PAIRING_POINTS = [
+    (EPS, 1, 1, (2.72, 9.99)),
+    (EPS, 2, 1, (2.72, 9.99)),
+    (EPS, 3, 1, (2.72, 9.99)),
+    (EPS, 3, 2, (2.72, 9.99)),
+    (0.2, 2, 1, (2.46, 4.98)),
+    (EPS, 1, 1, (-8.0, -7.5)),
+]
+
+
+@pytest.mark.parametrize("epsilon,j_plus,j_minus,bracket", _PAIRING_POINTS)
+def test_pairing_matches_node_loop(epsilon, j_plus, j_minus, bracket):
+    # one pass over all nodes gives the per-node loop's bits: the 4 x 4
+    # Gram, one row with one column, and the same pair as a 1 x 1 block
+    hh = dh.find_hopf_hopf(epsilon, MU, j_plus, j_minus, *bracket)
+    b = dh.eigenbasis(hh, epsilon, MU)
+    row = lambda s: b.psi(s)[2]
+    drow = lambda s: b.psi_deriv(s)[2]
+    col = lambda th: b.phi(th)[:, 1]
+    cases = [
+        (b.psi, b.phi, b.psi_deriv),
+        (row, col, drow),
+        (lambda s: row(s)[None, :], lambda th: col(th)[:, None],
+         lambda s: drow(s)[None, :]),
+    ]
+    for psi_row, phi_col, psi_row_deriv in cases:
+        got = bilinear_form(psi_row, phi_col, b.pieces, psi_row_deriv)
+        want = loop_bilinear_form(psi_row, phi_col, b.pieces, psi_row_deriv)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    assert isinstance(bilinear_form(row, col, b.pieces, drow), complex)
+
+
+def test_basis_functions_broadcast_over_nodes(basis):
+    # an array argument puts the points on a trailing axis, and each point
+    # has the bits of a scalar call
+    pts = np.linspace(-1.0, 0.0, 7)
+    for fn, arg, shape in ((basis.phi, pts, (2, 4)), (basis.psi, pts + 1.0, (4, 2)),
+                           (basis.psi_deriv, pts + 1.0, (4, 2))):
+        block = fn(arg)
+        assert block.shape == shape + (len(pts),)
+        for i, x in enumerate(arg):
+            assert fn(float(x)).shape == shape
+            assert np.array_equal(block[..., i], fn(float(x)))
+
+
+def test_gauss_nodes_are_shared_and_read_only():
+    nodes, weights = normalform._gauss_nodes(normalform._N_NODES)
+    again = normalform._gauss_nodes(normalform._N_NODES)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_one_row_block_matches_vector_call(basis):
