@@ -239,8 +239,9 @@ def _probe_params(region: int, u: UnfoldingParams) -> Tuple[float, ...]:
     The probe is the unit bisector of the region's bounding rays in the
     scaled (c1, c2) plane (normalform._c_rays), or for D5, whose sector has
     zero width at linear order, the shared L4/L5 ray.  The truncated system
-    is self-similar under (r, t) -> (s*r, t/s^2), c -> s^2*c, so only the
-    direction matters, and all rates are O(1) for find_attractor.
+    is self-similar under (r, t) -> (s*r, t/s^2), c -> s^2*c, so the
+    direction alone fixes the attractor, and a unit probe stands for the
+    whole sector.
     """
     rays = normalform._c_rays(u.b0, u.c0)
     ends = [rays[4]] if region == 5 else [rays[region - 2], rays[region - 1]]

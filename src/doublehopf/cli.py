@@ -254,10 +254,14 @@ def _parse_range(text: str) -> np.ndarray:
         raise ValueError("range step must be positive")
     if hi < lo:
         return np.empty(0)
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    count = np.floor((hi - lo) / step + 1e-9)
+    if not math.isfinite(count):
+        raise ValueError(
+            f"range {text!r} has over 1.8e308 gains, too many to hold in memory")
+    n = int(count) + 1
     try:
         return lo + step * np.arange(n)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         raise ValueError(
             f"range {text!r} has {n} gains, too many to hold in memory"
         ) from exc

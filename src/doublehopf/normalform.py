@@ -20,8 +20,9 @@ the arbiter for all sign conventions.
 
 Signs of the four unfolding quantities (b0, c0, d0, d0 - b0*c0) select one
 of twelve planar unfoldings; in case VIa eight bifurcation rays divide the
-parameter plane into the regions D1..D8 (D1 between L8 and L1, advancing
-counterclockwise, or clockwise where the parameter map reverses orientation).
+scaled (c1, c2) plane counterclockwise into the regions D1..D8 (D1 between
+L8 and L1).  Mapped through the adjugate of the parameter map, the rays run
+clockwise in the parameter plane exactly when its determinant is negative.
 """
 
 from __future__ import annotations
@@ -431,74 +432,59 @@ def classify_unfolding(u: UnfoldingParams) -> str:
 
 
 def _ray_table(b0: float, c0: float) -> tuple:
-    """The case-VIa rays L1..L8 of the scaled (c1, c2) plane as (name, m1,
-    m2, half), the half of m1*c1 + m2*c2 = 0 where half = (coordinate,
-    sign) holds: L1/L7 halve c2 = 0, L2/L8 c1 = 0; L3 is c2 = c0*c1, L5 the
-    interior-equilibrium Hopf ray c2 = (c0-1)/(b0+1)*c1 and L6 c2 = -c1/b0,
+    """The case-VIa rays L1..L8 of the scaled (c1, c2) plane as (name, d1,
+    d2), one direction per ray, not normalized: L1/L7 run along +-c1, L2/L8
+    along +-c2; with b0 > 0 > c0, L3 lies on c2 = c0*c1, L5, the interior-
+    equilibrium Hopf ray, on c2 = (c0-1)/(b0+1)*c1 and L6 on c2 = -c1/b0,
     all with c2 > 0.  L4, the torus-destroying connection, is tangent to L5
     at the origin; its quadratic correction is not computed, so it repeats L5.
     """
     hopf_slope = (c0 - 1.0) / (b0 + 1.0)
     return (
-        ("L1", 0.0, 1.0, ("c1", 1)),
-        ("L2", 1.0, 0.0, ("c2", 1)),
-        ("L3", c0, -1.0, ("c2", 1)),
-        ("L4", hopf_slope, -1.0, ("c2", 1)),
-        ("L5", hopf_slope, -1.0, ("c2", 1)),
-        ("L6", 1.0 / b0, 1.0, ("c2", 1)),
-        ("L7", 0.0, 1.0, ("c1", -1)),
-        ("L8", 1.0, 0.0, ("c2", -1)),
+        ("L1", 1.0, 0.0),
+        ("L2", 0.0, 1.0),
+        ("L3", -1.0, -c0),
+        ("L4", -1.0, -hopf_slope),
+        ("L5", -1.0, -hopf_slope),
+        ("L6", -1.0, 1.0 / b0),
+        ("L7", -1.0, 0.0),
+        ("L8", 0.0, -1.0),
     )
 
 
 def _c_rays(b0: float, c0: float) -> Tuple[Tuple[float, float], ...]:
     """Unit (c1, c2) directions of the rays of _ray_table, counterclockwise
     in case VIa; they depend on (b0, c0) alone."""
-    out = []
-    for _, m1, m2, (cname, csign) in _ray_table(b0, c0):
-        d = (-m2 / math.hypot(m1, m2), m1 / math.hypot(m1, m2))
-        out.append(d if csign * d[0 if cname == "c1" else 1] > 0.0 else (-d[0], -d[1]))
-    return tuple(out)
-
-
-def _alpha_ray(
-    u: UnfoldingParams, m1: float, m2: float, half: Tuple[str, int]
-) -> Tuple[Optional[float], str, float]:
-    """Ray m1*c1 + m2*c2 = 0 mapped to the parameter plane.
-
-    ``half`` names which scaled coordinate ('c1' or 'c2') must have which
-    sign on the ray.  Returns (slope or None, half-plane label, angle).
-    """
-    a_coef = m1 * u.c1_map[0] + m2 * u.c2_map[0]
-    b_coef = m1 * u.c1_map[1] + m2 * u.c2_map[1]
-    d = np.array([-b_coef, a_coef])
-    nrm = math.hypot(d[0], d[1])
-    if nrm == 0.0:
-        raise DegenerateCubic("parameter map is singular; ray direction undefined")
-    d /= nrm
-    cname, csign = half
-    cmap = u.c1_map if cname == "c1" else u.c2_map
-    if csign * float(cmap @ d) < 0.0:
-        d = -d
-    angle = math.atan2(d[1], d[0])
-    if abs(d[0]) < 1e-14:
-        return None, ("alpha2>0" if d[1] > 0 else "alpha2<0"), angle
-    slope = d[1] / d[0]
-    return float(slope), ("alpha1>0" if d[0] > 0 else "alpha1<0"), angle
+    return tuple(
+        (d1 / math.hypot(d1, d2), d2 / math.hypot(d1, d2))
+        for _, d1, d2 in _ray_table(b0, c0)
+    )
 
 
 def via_lines(u: UnfoldingParams) -> ViaLines:
     """The eight case-VIa bifurcation rays of _ray_table in the parameter
     plane; L4 carries the L5 slope and is flagged (tangent_correction_omitted).
-    Raises WrongCase outside case VIa.
+    Each c-plane direction d maps to adj(A) d / copysign(|adj(A) d|, det A),
+    A = [c1_map; c2_map], so the rays run clockwise exactly when det A < 0.
+    Raises WrongCase outside case VIa, DegenerateCubic for a singular map.
     """
     case = classify_unfolding(u)
     if case != "VIa":
         raise WrongCase(f"bifurcation rays defined for case VIa, not {case}")
+    (p, q), (r, s) = map(float, u.c1_map), map(float, u.c2_map)
+    det = p * s - q * r
+    if det == 0.0:
+        raise DegenerateCubic("parameter map is singular; rays undefined")
     lines = []
-    for name, m1, m2, half in _ray_table(u.b0, u.c0):
-        slope, half_plane, angle = _alpha_ray(u, m1, m2, half)
-        lines.append(ViaLine(name, slope, half_plane, angle, name == "L4"))
+    for name, d1, d2 in _ray_table(u.b0, u.c0):
+        a1, a2 = s * d1 - q * d2, p * d2 - r * d1
+        nrm = math.copysign(math.hypot(a1, a2), det)
+        a1, a2 = a1 / nrm, a2 / nrm
+        if abs(a1) < 1e-14:
+            slope, half = None, "alpha2>0" if a2 > 0 else "alpha2<0"
+        else:
+            slope, half = a2 / a1, "alpha1>0" if a1 > 0 else "alpha1<0"
+        lines.append(ViaLine(name, slope, half, math.atan2(a2, a1), name == "L4"))
     return ViaLines(tuple(lines))
 
 
@@ -506,12 +492,12 @@ def region_of(alpha1: float, alpha2: float, lines: ViaLines) -> int:
     """Sector index 1..8 of a parameter point among the eight rays.
 
     Region i lies between rays L_{i-1} and L_i, with D1 between L8 and L1;
-    rays that run clockwise (a parameter map that reverses orientation)
-    are read in their mirror image.  Raises OnBoundary within ``_RAY_TOL``
-    radians of a ray (the L4/L5 pair is tangent at the origin, so the
-    linear-order D5 sector has zero width and maps to OnBoundary).  Raises
-    ValueError for a non-finite point, the origin, or rays in neither
-    cyclic order.
+    rays that run clockwise (those of a parameter map with negative
+    determinant) are read in their mirror image.  Raises OnBoundary within
+    ``_RAY_TOL`` radians of a ray (the L4/L5 pair is tangent at the origin,
+    so the linear-order D5 sector has zero width and maps to OnBoundary).
+    Raises ValueError for a non-finite point, the origin, or rays in
+    neither cyclic order.
     """
     if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
         raise ValueError(f"alpha must be finite, got {(alpha1, alpha2)}")

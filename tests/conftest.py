@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import doublehopf as dh
+from doublehopf.normalform import ViaLine, ViaLines
 
 # the worked instance used throughout: epsilon = 0.1, mu = 0.5
 EPS = 0.1
@@ -202,3 +203,39 @@ def loop_bilinear_form(psi_row, phi_col, pieces, psi_row_deriv, n_nodes=64):
         val += wi * (psi_row(xi + 1.0) @ (b2 @ col)
                      - psi_row_deriv(xi + 1.0) @ (m @ col))
     return val
+
+
+def covector_via_lines(u):
+    """The case-VIa rays pulled back one covector at a time: each ray is the
+    half of m1*c1 + m2*c2 = 0 where a named scaled coordinate has a given
+    sign, mapped to the kernel of the covector's pullback and oriented by
+    that half-plane test.  The oracle of ``normalform.via_lines``, which
+    maps the c-plane directions through the adjugate and must match it
+    field for field."""
+    hopf_slope = (u.c0 - 1.0) / (u.b0 + 1.0)
+    table = (
+        ("L1", 0.0, 1.0, ("c1", 1)),
+        ("L2", 1.0, 0.0, ("c2", 1)),
+        ("L3", u.c0, -1.0, ("c2", 1)),
+        ("L4", hopf_slope, -1.0, ("c2", 1)),
+        ("L5", hopf_slope, -1.0, ("c2", 1)),
+        ("L6", 1.0 / u.b0, 1.0, ("c2", 1)),
+        ("L7", 0.0, 1.0, ("c1", -1)),
+        ("L8", 1.0, 0.0, ("c2", -1)),
+    )
+    lines = []
+    for name, m1, m2, (cname, csign) in table:
+        a_coef = m1 * u.c1_map[0] + m2 * u.c2_map[0]
+        b_coef = m1 * u.c1_map[1] + m2 * u.c2_map[1]
+        d = np.array([-b_coef, a_coef])
+        d /= math.hypot(d[0], d[1])
+        cmap = u.c1_map if cname == "c1" else u.c2_map
+        if csign * float(cmap @ d) < 0.0:
+            d = -d
+        angle = math.atan2(d[1], d[0])
+        if abs(d[0]) < 1e-14:
+            slope, half = None, "alpha2>0" if d[1] > 0 else "alpha2<0"
+        else:
+            slope, half = float(d[1] / d[0]), "alpha1>0" if d[0] > 0 else "alpha1<0"
+        lines.append(ViaLine(name, slope, half, angle, name == "L4"))
+    return ViaLines(tuple(lines))

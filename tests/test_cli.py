@@ -101,6 +101,19 @@ def test_hopf_curves_grid_too_large_is_json_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k_range",
+                         ["0:1e308:1e-10", "-1e308:1e308:1e-300", "0:1e19:1"])
+def test_hopf_curves_uncountable_grid_is_json_error(tmp_path, capsys, k_range):
+    # the gain count overflows a double, or numpy's index type: the same
+    # error, not a traceback or numpy's own message
+    out = tmp_path / "curves.csv"
+    assert run_cli("hopf-curves", f"--k-range={k_range}", "--out", str(out)) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "too many to hold in memory" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(("--mu", "1.5", "--k-range", "5:4:0.1"), id="mu-empty-grid"),
     pytest.param(("--epsilon", "nan", "--k-range", "5:4:0.1"), id="epsilon-empty-grid"),

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -400,6 +401,32 @@ def test_via_lines_wrong_case():
     u = _mk_unfolding(1, 0.5, 1.0)  # case Ia
     with pytest.raises(WrongCase):
         dh.via_lines(u)
+
+
+def test_via_lines_refuse_a_singular_parameter_map():
+    # det(c-map) = 1*4 - 2*2 = 0: every ray would have slope -0.5
+    u = UnfoldingParams(eps1=1, eps2=-1, b0=2.0, c0=-1.5,
+                        c1_map=np.array([1.0, 2.0]), c2_map=np.array([2.0, 4.0]))
+    assert dh.classify_unfolding(u) == "VIa"
+    with pytest.raises(DegenerateCubic, match="singular"):
+        dh.via_lines(u)
+
+
+def test_via_lines_orient_an_ill_conditioned_map():
+    # c1_map (1e-17, 0), c2_map (1, 1): the mapped L3..L5 directions map
+    # back to c vectors whose c2 cancels to zero in floating point, so a
+    # half-plane test cannot orient them; the sign of det can.  Each angle
+    # is that of the exact A^-1 d, computed in rationals
+    t = 1e-17
+    u = UnfoldingParams(eps1=1, eps2=-1, b0=1.0, c0=-2.0,
+                        c1_map=np.array([t, 0.0]), c2_map=np.array([1.0, 1.0]))
+    (p, q), (r, s) = (map(Fraction, u.c1_map), map(Fraction, u.c2_map))
+    det = p * s - q * r
+    for ln, (d1, d2) in zip(dh.via_lines(u).lines,
+                            normalform._c_rays(u.b0, u.c0)):
+        a1 = (s * Fraction(d1) - q * Fraction(d2)) / det
+        a2 = (p * Fraction(d2) - r * Fraction(d1)) / det
+        assert ln.angle == pytest.approx(math.atan2(a2, a1), abs=1e-12), ln.name
 
 
 def test_region_reference_points(lines):
