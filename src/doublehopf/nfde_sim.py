@@ -44,11 +44,12 @@ it beside the run), trajectory CSV rows, the columns of a stored run --
 read that chunk plus the trailing delay window.  Both steppers write theta
 per block, so every reader gets it from either formulation.  A streamed run
 (stream_section, divergence_exponent; line_T_scan and the CLI's simulate)
-needs O(N + _CHUNK) memory however long it is; a stored run
-(simulate_theta, simulate_neutral) is the stream plus a store of the four
-columns x, y, y' and theta in either formulation, so it needs 32 bytes per
-step plus that.  Either way the samples are those of one unsplit stepper
-run, bit for bit.
+holds at most N + 3 + _CHUNK samples of each stepper buffer however long
+it is: 8 bytes each in five buffers for the theta form (0.74 MB at N =
+2000) and four for the neutral form; a stored run (simulate_theta,
+simulate_neutral) is the stream plus a store of the four columns x, y, y'
+and theta in either formulation, so it needs 32 bytes per step plus that.
+Either way the samples are those of one unsplit stepper run, bit for bit.
 
 The scales of a line_T_scan are independent runs, so _map_runs runs them
 one per usable CPU in worker processes, each with the bits it has alone;
@@ -536,7 +537,10 @@ class _Store:
         self.next = hi
 
 
-_CHUNK = 1 << 16  # steps per chunk of a run (~2.6 MB of theta-form samples)
+# steps per chunk of a run: a theta-form stepper then holds 5*8*(N + 3 +
+# _CHUNK) bytes, 0.74 MB at N = 2000, and each reader's per-chunk
+# temporaries are of the chunk's length
+_CHUNK = 1 << 14
 
 
 def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
@@ -740,7 +744,7 @@ def stream_section(
     return sec.section(direction)
 
 
-_NN_BLOCK_ELEMS = 1 << 20  # pairwise distances held at once by _nn_stats
+_NN_BLOCK_ELEMS = 1 << 16  # pairwise distances held at once by _nn_stats
 # classify_section's thresholds: the last-50 spread of a periodic orbit, the
 # largest polygon gap / diameter of a closed curve, and the section size
 _TOL_POINT = 1e-4
@@ -751,16 +755,24 @@ _MIN_CROSSINGS = 200
 def _nn_stats(pts: np.ndarray) -> np.ndarray:
     """Indices of the two nearest other points of every point, one row each.
 
-    Squared distances are formed for a block of rows at a time, so memory
-    stays at O(_NN_BLOCK_ELEMS) instead of O(n^2); each row's argsort is
-    that of the whole-matrix formula.
+    Squared distances are formed for a block of rows at a time, (rows, n)
+    with rows*n about _NN_BLOCK_ELEMS, as dx*dx + dy*dy in place: a block
+    holds two (rows, n) arrays of 8 bytes per element at once (the squared
+    distances, and dy or the argsort's indices), not the whole n^2 matrix.
+    The whole-matrix formula's sum of squares over the length-2 coordinate
+    axis is that one addition, so each row's argsort is that formula's.
     """
     n = len(pts)
     rows = max(1, _NN_BLOCK_ELEMS // max(n, 1))
     order = np.empty((n, 2), dtype=np.intp)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        d2 = np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        d2 = pts[lo:hi, 0, None] - pts[:, 0]
+        d2 *= d2
+        dy = pts[lo:hi, 1, None] - pts[:, 1]
+        dy *= dy
+        d2 += dy
+        del dy  # the argsort's indices take its place
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         order[lo:hi] = np.argsort(d2, axis=1)[:, :2]
     return order
@@ -885,7 +897,11 @@ class _Exponent:
                 # identically
                 win = (xr + delta0, yr, thr + delta0, dthr)
             else:
-                self.twin.step(self.n_seg)
+                # in pieces of at most _CHUNK steps, trimmed between them,
+                # so the twin's buffers do not grow with the leg
+                for left in range(self.n_seg, 0, -_CHUNK):
+                    self.twin.trim()
+                    self.twin.step(min(_CHUNK, left))
                 xc, yc, thc, dthc = self.twin.window()
                 sep = max(float(np.max(np.abs(xc - xr))), float(np.max(np.abs(yc - yr))))
                 if sep == 0.0:

@@ -300,7 +300,7 @@ def test_non_finite_argument_is_json_error(tmp_path, capsys, command, name):
 
 def test_blowup_maps_to_error_with_time(tmp_path, capsys, monkeypatch):
     # with 7-step chunks the streamed export has rows before the blow-up
-    for chunk in (7, 1 << 16):
+    for chunk in (7, nfde_sim._CHUNK, 1 << 16):
         monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
         code = run_cli(
             "simulate", "--alpha1", "495", "--alpha2", "0", "--x0", "1.0",
@@ -499,7 +499,8 @@ def test_trajectory_export_blocks_match_whole_arrays(
 ):
     monkeypatch.setattr(cli, "_ROW_BLOCK", 16)
     # streamed runs: chunk boundaries off the stride and row blocks
-    for chunk in (1 << 16, 7, 40):
+    chunks = (nfde_sim._CHUNK, 1 << 16, 7, 40)
+    for chunk in chunks:
         monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
         assert run_cli(
             "simulate", "--alpha1", "-0.1", "--alpha2", "0.1", "--h-div", "50",
@@ -519,7 +520,7 @@ def test_trajectory_export_blocks_match_whole_arrays(
             traj.y[::stride].tolist(), traj.theta[::stride].tolist(),
             traj.y_delayed()[::stride].tolist()),
     )
-    for chunk in (1 << 16, 7, 40):
+    for chunk in chunks:
         got = tmp_path / f"run{chunk}.trajectory.csv"
         assert got.read_bytes() == whole.read_bytes(), chunk
 

@@ -407,7 +407,8 @@ def test_line_t_scan_records_label_error(hh):
     assert rows[0].label_error == f"InsufficientData: {exc.value}"
 
 
-@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+# the default splits the rows at n = 257, 1 << 20 does not
+@pytest.mark.parametrize("block", [1, 7, nfde_sim._NN_BLOCK_ELEMS, 1 << 20])
 def test_nn_stats_blocks_match_whole_matrix(monkeypatch, block):
     monkeypatch.setattr(nfde_sim, "_NN_BLOCK_ELEMS", block)
     rng = np.random.default_rng(11)
@@ -419,6 +420,19 @@ def test_nn_stats_blocks_match_whole_matrix(monkeypatch, block):
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)
         assert np.array_equal(nfde_sim._nn_stats(pts), np.argsort(d2, axis=1)[:, :2])
+
+
+def test_nn_stats_memory_is_a_block_not_the_matrix():
+    # 4000 points: the whole matrix of squared distances is 128 MB, a block
+    # of the default size two (rows, n) arrays of about 0.5 MB
+    pts = np.random.default_rng(3).uniform(-1, 1, size=(4000, 2))
+    tracemalloc.start()
+    try:
+        nfde_sim._nn_stats(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.fixture
@@ -462,7 +476,8 @@ def _labelled(sec, lam):
         return None, f"InsufficientData: {exc}"
 
 
-@pytest.mark.parametrize("chunk", [7, 99, 101, 1 << 16])  # 7, N - 1, N + 1, 2^16
+# 7, N - 1, N + 1, the default, 2^16
+@pytest.mark.parametrize("chunk", [7, 99, 101, nfde_sim._CHUNK, 1 << 16])
 @pytest.mark.parametrize("t_end", [2200.0, 600.0])
 def test_line_t_scan_steps_its_run_and_the_clone(hh, step_calls, monkeypatch,
                                                  chunk, t_end):
@@ -558,6 +573,26 @@ def test_divergence_exponent_memory_flat_in_the_transient(hh, monkeypatch):
     assert peaks[1] < 1.2 * peaks[0]
 
 
+def test_divergence_exponent_memory_flat_in_the_leg(hh, monkeypatch):
+    # 50 legs of 5 and of 200 time units: a twin stepped one leg at a time
+    # would grow its 5 buffers by 8 bytes per step of a leg, 80 kB at 200
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 64)
+    cfg = cfg_at(hh, 0.25, 0.2025, h_div=50, t_end=101.0, transient=100.0)
+    peaks = []
+    for renorm_T in (5.0, 200.0):
+        tracemalloc.start()
+        try:
+            lam = dh.divergence_exponent(cfg, 1e-9, renorm_T, 50)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
+    # the legs split into 64-step pieces have the bits of unsplit ones
+    assert nfde_sim._leg_steps(cfg, 1e-9, 200.0, 50) > 64
+    monkeypatch.setattr(nfde_sim, "_CHUNK", 1 << 16)
+    assert dh.divergence_exponent(cfg, 1e-9, 200.0, 50).hex() == lam.hex()
+
+
 def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -638,7 +673,7 @@ def _section_hex(sec):
             sec.state_norm_last.hex())
 
 
-@pytest.mark.parametrize("chunk", [7, 64, 1 << 16])
+@pytest.mark.parametrize("chunk", [7, 64, nfde_sim._CHUNK, 1 << 16])
 @pytest.mark.parametrize("transient", [0.0, 60.0])
 def test_streamed_section_matches_stored_run(hh, monkeypatch, chunk, transient):
     monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
@@ -662,7 +697,7 @@ def test_streamed_section_shorter_than_one_delay(hh, monkeypatch):
         assert _section_hex(nfde_sim.stream_section(cfg)) == _section_hex(want)
 
 
-@pytest.mark.parametrize("chunk", [7, 64, 1 << 16])
+@pytest.mark.parametrize("chunk", [7, 64, nfde_sim._CHUNK, 1 << 16])
 @pytest.mark.parametrize("transient", [0.0, 60.0])
 def test_streamed_neutral_section_matches_stored_run(hh, monkeypatch, chunk, transient):
     monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
@@ -771,7 +806,8 @@ _STEPPERS = {"theta_form": "_ThetaStepper", "neutral_form": "_NeutralStepper"}
 
 
 @pytest.mark.parametrize("formulation", sorted(_STEPPERS))
-@pytest.mark.parametrize("chunk", [7, 49, 51, 1 << 16])  # 7, N - 1, N + 1, 2^16
+# 7, N - 1, N + 1, the default, 2^16
+@pytest.mark.parametrize("chunk", [7, 49, 51, nfde_sim._CHUNK, 1 << 16])
 def test_stored_run_matches_one_unsplit_stepper_run(hh, monkeypatch, formulation,
                                                     chunk):
     monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)

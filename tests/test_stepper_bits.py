@@ -393,7 +393,7 @@ def test_streamed_neutral_blowup_raises_like_oracle(monkeypatch, tau):
 
 
 def test_failed_streamed_neutral_simulate_leaves_no_file(tmp_path, capsys, monkeypatch):
-    for chunk in (7, 1 << 16):
+    for chunk in (7, nfde_sim._CHUNK, 1 << 16):
         monkeypatch.setattr(nfde_sim, "_CHUNK", chunk)
         assert main([
             "simulate", "--alpha1", "495", "--alpha2", "0", "--x0", "1.0",
