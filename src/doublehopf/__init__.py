@@ -11,7 +11,6 @@ from .chareq import (
     eval_char,
     hopf_frequencies,
     hopf_ladders,
-    rightmost_roots,
     stability_windows,
     tau_branch,
     transversality_sign,
@@ -41,7 +40,6 @@ from .amplitude import (
     AmplitudeEquilibrium,
     AmplitudeState,
     AttractorPrediction,
-    amplitude_rhs,
     equilibria,
     predict_attractor,
     simulate_amplitude,

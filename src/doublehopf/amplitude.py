@@ -22,8 +22,8 @@ isolated periodic orbit: a periodic orbit must surround the interior
 equilibrium, and there is one only when that trace vanishes, as a center
 family filling the region around a linear center.  predict_attractor
 therefore decides the attractors algebraically in the scaled (c1, c2)
-plane; simulate_amplitude and find_attractor integrate the system and
-serve as its independent oracle.
+plane; simulate_amplitude and the tests' find_attractor (tests/conftest.py)
+integrate the system and serve as its independent oracle.
 """
 
 from __future__ import annotations
@@ -48,24 +48,23 @@ __all__ = [
     "AmplitudeState",
     "AmplitudeEquilibrium",
     "AttractorPrediction",
-    "amplitude_rhs",
     "equilibria",
     "simulate_amplitude",
-    "find_attractor",
     "predict_attractor",
 ]
 
 
 @dataclass(frozen=True)
 class AmplitudeState:
-    """Polar radii of the two modes; both nonnegative."""
+    """Polar radii of the two modes; both finite and nonnegative."""
 
     r1: float
     r2: float
 
     def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError(f"radii must be nonnegative, got {(self.r1, self.r2)}")
+        if not (0 <= self.r1 < math.inf and 0 <= self.r2 < math.inf):
+            raise ValueError(
+                f"radii must be finite and nonnegative, got {(self.r1, self.r2)}")
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,6 @@ class AttractorPrediction:
     kind: str
     mode: Optional[int]
     region: int
-
-
-def amplitude_rhs(
-    s, c1: float, c2: float, b0: float, c0: float, d0: float
-) -> np.ndarray:
-    """Vector field of the truncated amplitude system at ``s`` = (r1, r2)."""
-    r1, r2 = (s.r1, s.r2) if isinstance(s, AmplitudeState) else (s[0], s[1])
-    return np.array(
-        [
-            r1 * (c1 + r1 * r1 + b0 * r2 * r2),
-            r2 * (c2 + c0 * r1 * r1 + d0 * r2 * r2),
-        ]
-    )
 
 
 def _eq(r1_sq: float, r2_sq: float, kind: str, lam1, lam2) -> AmplitudeEquilibrium:
@@ -153,6 +139,7 @@ def equilibria(
     return out
 
 
+# not called in the package; kept while perfbench/tracing.py spans this name
 def simulate_amplitude(
     s0,
     params: Sequence[float],
@@ -161,15 +148,17 @@ def simulate_amplitude(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-step fourth-order integration of the amplitude system.
 
+    ``s0`` is an AmplitudeState or an (r1, r2) pair, checked as one.
     Radii are clamped at zero, keeping both axes exactly invariant.
     Returns (times, path) sampled at every step.
     """
-    if h <= 0 or t_end <= 0:
-        raise ValueError("need h > 0 and t_end > 0")
+    if not (0 < h < math.inf and 0 < t_end < math.inf):
+        raise ValueError(f"need finite h > 0 and t_end > 0, got {h!r}, {t_end!r}")
     # Python floats: numpy scalars warn on the stage overflow before an escape
     c1, c2, b0, c0, d0 = (float(v) for v in params)
-    start = (s0.r1, s0.r2) if isinstance(s0, AmplitudeState) else (s0[0], s0[1])
-    r1, r2 = float(start[0]), float(start[1])
+    if not isinstance(s0, AmplitudeState):
+        s0 = AmplitudeState(s0[0], s0[1])
+    r1, r2 = float(s0.r1), float(s0.r2)
     n = int(round(t_end / h))
     times = np.arange(n + 1) * h
     path = np.empty((n + 1, 2))
@@ -199,38 +188,6 @@ def simulate_amplitude(
         if r1 > 1e6 or r2 > 1e6:
             return times[: i + 1], path[: i + 1]
     return times, path
-
-
-def find_attractor(
-    params: Sequence[float],
-    s0,
-    t_end: float = 2e4,
-    h: float = 0.02,
-    tol: float = 1e-6,
-) -> Tuple[str, Optional[np.ndarray]]:
-    """Classify the omega-limit of one amplitude orbit by simulation.
-
-    Returns ("equilibrium", point), ("cycle", tail samples) when the orbit
-    revisits its state after the transient half without settling, or
-    ("none", None) when it leaves the region of validity.  A cycle is
-    declared when the orbit returns within ``tol`` of a reference state
-    taken at t_end/2 after first moving at least 100*tol away.
-    """
-    times, path = simulate_amplitude(s0, params, t_end, h)
-    if np.max(path[-1]) > 1e3 or len(path) < int(t_end / h):
-        return "none", None
-    eqs = equilibria(*params)
-    end = path[-1]
-    for eq in eqs:
-        if math.hypot(end[0] - eq.state.r1, end[1] - eq.state.r2) < tol:
-            return "equilibrium", np.array([eq.state.r1, eq.state.r2])
-    half = len(path) // 2
-    ref = path[half]
-    dist = np.linalg.norm(path[half:] - ref, axis=1)
-    moved = np.nonzero(dist > 100.0 * tol)[0]
-    if len(moved) > 0 and np.min(dist[moved[0] :]) < tol:
-        return "cycle", path[half:]
-    return "none", None
 
 
 def _probe_params(region: int, u: UnfoldingParams) -> Tuple[float, ...]:

@@ -9,9 +9,8 @@ solutions e^{lam*t} exist when
                  - mu*e^{-lam*tau} + 1 - eps*k*(1-mu) = 0.
 
 ``eval_char`` and ``char_deriv`` are the one implementation of Delta and
-Delta'; both take a complex scalar or a numpy array.  The Newton root
-finder, the Hopf residual oracles and the eigenbasis normalizers of
-``normalform`` all evaluate them.
+Delta'; both take a complex scalar or a numpy array.  The eigenbasis
+normalizers of ``normalform`` and the tests' root oracles evaluate them.
 
 A pure-imaginary root lam = i*omega requires rho = omega^2 to be a root of
 the real quadratic W(rho) = a*rho^2 + b*rho + c.  Under the gain bound (h1)
@@ -58,7 +57,6 @@ __all__ = [
     "tau_branch",
     "transversality_sign",
     "stability_windows",
-    "rightmost_roots",
 ]
 
 _TRANSVERSALITY_TOL = 1e-9  # transversality_sign's bound on |W'(omega^2)|
@@ -136,9 +134,13 @@ class HopfFrequencies:
 
 
 def _check_rung(j: int, name: str = "branch index j") -> None:
-    """j is a ladder index, a nonnegative integer; raises ValueError naming it."""
+    """j is a ladder index, a nonnegative integer below 2**53, where floats
+    still hold every integer, so j*2*pi/omega is rung j; raises ValueError
+    naming it."""
     if not (j >= 0 and j % 1 == 0):  # NaN and inf fail it too
         raise ValueError(f"{name} must be a nonnegative integer, got {j}")
+    if j >= 2**53:
+        raise ValueError(f"{name} must be below 2**53, got {j}")
 
 
 def _check_sign(sign: str) -> None:
@@ -340,8 +342,8 @@ def tau_branch(epsilon: float, mu: float, k: float, sign: str, j: int = 0) -> fl
     """Critical delay tau_j on the fast ('plus') or slow ('minus') branch at gain k.
 
     Raises ValueError for a ladder index that is not a nonnegative integer
-    or an unknown sign, and HypothesisViolated outside the admissible
-    region.
+    below 2**53 or an unknown sign, and HypothesisViolated outside the
+    admissible region.
     """
     _check_rung(j)
     _check_sign(sign)
@@ -389,60 +391,3 @@ def stability_windows(epsilon: float, mu: float, k: float) -> StabilityWindows:
         prev_hi = hi
         j += 1
     return StabilityWindows(tuple(windows))
-
-
-def rightmost_roots(
-    p: SystemParams,
-    re_min: float,
-    re_max: float,
-    im_max: float,
-    grid_n: int = 24,
-) -> List[complex]:
-    """Characteristic roots inside [re_min, re_max] x [0, im_max].
-
-    Newton iteration (60 steps, residual 1e-12) seeded on a grid_n x grid_n
-    grid; non-convergent seeds are dropped and converged roots deduplicated
-    at radius 1e-7.  Returned sorted by descending real part.  The root set
-    of the full equation is closed under conjugation, so the lower half
-    plane carries no extra information.
-
-    The search gives numerical evidence only: no argument-principle count
-    certifies completeness, and near the essential-spectrum abscissa
-    log(mu)/tau (a vertical accumulation line of the neutral part when
-    tau > 0) Newton may fail to converge at desk grid resolutions.
-    """
-    if not re_min < re_max:
-        raise ValueError("re_min must be < re_max")
-    if not im_max > 0:
-        raise ValueError("im_max must be positive")
-    if grid_n < 4:
-        raise ValueError("grid_n must be >= 4")
-
-    res = np.linspace(re_min, re_max, grid_n)
-    ims = np.linspace(0.0, im_max, grid_n)
-    z = (res[:, None] + 1j * ims[None, :]).ravel().astype(complex)
-    for _ in range(60):
-        f = eval_char(z, p)
-        df = char_deriv(z, p)
-        safe = np.abs(df) > 1e-300
-        step = np.zeros_like(z)
-        step[safe] = f[safe] / df[safe]
-        z = z - step
-        np.nan_to_num(z, copy=False, nan=1e9, posinf=1e9, neginf=-1e9)
-
-    resid = np.abs(eval_char(z, p))
-    ok = (
-        (resid < 1e-12)
-        & (z.real >= re_min - 1e-12)
-        & (z.real <= re_max + 1e-12)
-        & (z.imag >= -1e-9)
-        & (z.imag <= im_max + 1e-12)
-    )
-    roots: List[complex] = []
-    for zz in z[ok]:
-        if abs(zz.imag) < 1e-9:
-            zz = complex(zz.real, 0.0)
-        if all(abs(zz - r) > 1e-7 for r in roots):
-            roots.append(complex(zz))
-    roots.sort(key=lambda r: (-r.real, r.imag))
-    return roots

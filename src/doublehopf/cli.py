@@ -453,8 +453,8 @@ class _TrajectoryRows:
 
 
 def cmd_simulate(args) -> int:
-    if args.stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {args.stride}")
+    if not 1 <= args.stride < 2**63:  # numpy's index range
+        raise ValueError(f"stride must be an integer in [1, 2**63), got {args.stride}")
     params = _resolve_point(args).params(args.alpha1, args.alpha2)
     cfg = nfde_sim.SimConfig(params, args.x0, args.y0, args.h_div, args.t_end,
                              args.transient, args.formulation)

@@ -138,7 +138,7 @@ def find_hopf_hopf(
     BIT 11, 1971), with a bisection step wherever the bracket has not
     halved over the two steps before, until the gap is 0 or the ends are
     adjacent floats.  k0 is the end with the smaller |gap|.  Raises
-    ValueError for a ladder index that is not a nonnegative integer, a
+    ValueError for a ladder index that is not an integer in [0, 2**53), a
     non-finite k_lo or k_lo >= k_hi, NoSignChange when the gap has
     constant sign on the bracket,
     HypothesisViolated when the clipped bracket is empty or a scanned gain
@@ -236,8 +236,8 @@ def scan_hopf_curves(
     Gains failing the admissibility conditions are skipped and reported in
     ``skipped_k``.  The table stores the grid's ladders, not its rows: rows
     are formed when read.  Raises ValueError, before any gain is examined,
-    for an instance SystemParams forbids or a j_max that is not a
-    nonnegative integer.
+    for an instance SystemParams forbids or a j_max that is not an integer
+    in [0, 2**53).
     """
     _check_instance(epsilon, mu)
     _check_rung(j_max, "j_max")

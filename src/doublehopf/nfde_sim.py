@@ -95,9 +95,9 @@ _BLOWUP_SQ = 1e16  # |state|^2 guard; ~1e8 per component
 class SimConfig:
     """Integration protocol: parameters, constant initial data, grid, horizon.
 
-    The grid is h = tau/h_div with ``h_div`` an integer >= 4 of any integer
-    type, stored as an int (a float, even 2000.0, is rejected), so the
-    delay is exactly h_div steps.
+    The grid is h = tau/h_div with ``h_div`` an integer in [4, 2**63), numpy's
+    index range, of any integer type, stored as an int (a float, even
+    2000.0, is rejected), so the delay is exactly h_div steps.
     """
 
     params: SystemParams
@@ -111,8 +111,9 @@ class SimConfig:
     def __post_init__(self):
         is_int = hasattr(type(self.h_div), "__index__")
         h_div = operator.index(self.h_div) if is_int else 0
-        if h_div < 4:
-            raise ValueError(f"h_div must be an integer >= 4, got {self.h_div!r}")
+        if not 4 <= h_div < 2**63:
+            raise ValueError(
+                f"h_div must be an integer >= 4 and < 2**63, got {self.h_div!r}")
         object.__setattr__(self, "h_div", h_div)
         if not self.h > 0:
             raise ValueError(f"h = tau/h_div must be positive, got {self.h!r}")
@@ -595,6 +596,7 @@ def simulate_neutral(cfg: SimConfig) -> Trajectory:
     return _stored(cfg)
 
 
+# not called in the package; kept while perfbench/tracing.py spans this name
 def simulate(cfg: SimConfig) -> Trajectory:
     """Dispatch on cfg.formulation."""
     return _stored(cfg)
@@ -856,8 +858,9 @@ def _leg_steps(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int) ->
     arguments."""
     if not 1e-10 <= delta0 <= 1e-6:
         raise ValueError(f"delta0 must lie in [1e-10, 1e-6], got {delta0}")
-    if not (n_renorm >= 50 and n_renorm % 1 == 0):
-        raise ValueError(f"n_renorm must be an integer >= 50, got {n_renorm}")
+    if not (50 <= n_renorm < 2**63 and n_renorm % 1 == 0):
+        raise ValueError(
+            f"n_renorm must be an integer >= 50 and < 2**63, got {n_renorm}")
     if not cfg.h <= renorm_T < math.inf:
         raise ValueError(f"renorm_T must be finite and >= h, got {renorm_T!r}")
     return max(1, int(round(renorm_T / cfg.h)))
@@ -881,15 +884,16 @@ class _Exponent:
         self.cfg, self.delta0 = cfg, delta0
         n_tr = _transient_steps(cfg)
         self.end = n_tr + int(n_renorm) * n_seg
-        self.pending = list(range(self.end, n_tr - 1, -n_seg))  # popped from the end
+        self.next = n_tr  # the next leg end, up to self.end
         self.twin: Optional[_ThetaStepper] = None
         self.rates: List[float] = []
 
     def __call__(self, base, x, y, dy, theta, dtheta) -> None:
         cfg, delta0 = self.cfg, self.delta0
         last = base + len(x) - 1
-        while self.pending and self.pending[-1] <= last:
-            j = self.pending.pop()
+        while self.next <= min(last, self.end):
+            j = self.next
+            self.next += self.n_seg
             a = j - cfg.h_div - base
             xr, yr, thr, dthr = (c[a : j + 1 - base] for c in (x, y, theta, dtheta))
             if self.twin is None:

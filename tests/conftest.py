@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import doublehopf as dh
+from doublehopf.amplitude import AmplitudeState
+from doublehopf.chareq import char_deriv, eval_char
 from doublehopf.normalform import ViaLine, ViaLines
 
 # the worked instance used throughout: epsilon = 0.1, mu = 0.5
@@ -239,3 +241,89 @@ def covector_via_lines(u):
             slope, half = float(d[1] / d[0]), "alpha1>0" if d[0] > 0 else "alpha1<0"
         lines.append(ViaLine(name, slope, half, angle, name == "L4"))
     return ViaLines(tuple(lines))
+
+
+# Evaluators that only tests call: each is kept here, frozen, as an oracle
+# of the package code it checks, and is not shipped in the package.
+
+
+def amplitude_rhs(s, c1, c2, b0, c0, d0):
+    """Vector field of the truncated amplitude system at ``s`` = (r1, r2),
+    an AmplitudeState or a pair: the field simulate_amplitude inlines."""
+    r1, r2 = (s.r1, s.r2) if isinstance(s, AmplitudeState) else (s[0], s[1])
+    return np.array(
+        [
+            r1 * (c1 + r1 * r1 + b0 * r2 * r2),
+            r2 * (c2 + c0 * r1 * r1 + d0 * r2 * r2),
+        ]
+    )
+
+
+def find_attractor(params, s0, t_end=2e4, h=0.02, tol=1e-6):
+    """Classify the omega-limit of one amplitude orbit by simulation: the
+    oracle of the closed-form predict_attractor.
+
+    Returns ("equilibrium", point), ("cycle", tail samples) when the orbit
+    revisits its state after the transient half without settling, or
+    ("none", None) when it leaves the region of validity.  A cycle is
+    declared when the orbit returns within ``tol`` of a reference state
+    taken at t_end/2 after first moving at least 100*tol away.
+    """
+    _, path = dh.simulate_amplitude(s0, params, t_end, h)
+    if np.max(path[-1]) > 1e3 or len(path) < int(t_end / h):
+        return "none", None
+    end = path[-1]
+    for eq in dh.equilibria(*params):
+        if math.hypot(end[0] - eq.state.r1, end[1] - eq.state.r2) < tol:
+            return "equilibrium", np.array([eq.state.r1, eq.state.r2])
+    half = len(path) // 2
+    ref = path[half]
+    dist = np.linalg.norm(path[half:] - ref, axis=1)
+    moved = np.nonzero(dist > 100.0 * tol)[0]
+    if len(moved) > 0 and np.min(dist[moved[0] :]) < tol:
+        return "cycle", path[half:]
+    return "none", None
+
+
+def rightmost_roots(p, re_min, re_max, im_max, grid_n=24):
+    """Characteristic roots inside [re_min, re_max] x [0, im_max].
+
+    Newton iteration (60 steps, residual 1e-12) seeded on a grid_n x grid_n
+    grid; non-convergent seeds are dropped and converged roots deduplicated
+    at radius 1e-7.  Returned sorted by descending real part.  The root set
+    of the full equation is closed under conjugation, so the lower half
+    plane carries no extra information.
+
+    The search gives numerical evidence only: no argument-principle count
+    certifies completeness, and near the essential-spectrum abscissa
+    log(mu)/tau (a vertical accumulation line of the neutral part when
+    tau > 0) Newton may fail to converge at desk grid resolutions.
+    """
+    res = np.linspace(re_min, re_max, grid_n)
+    ims = np.linspace(0.0, im_max, grid_n)
+    z = (res[:, None] + 1j * ims[None, :]).ravel().astype(complex)
+    for _ in range(60):
+        f = eval_char(z, p)
+        df = char_deriv(z, p)
+        safe = np.abs(df) > 1e-300
+        step = np.zeros_like(z)
+        step[safe] = f[safe] / df[safe]
+        z = z - step
+        np.nan_to_num(z, copy=False, nan=1e9, posinf=1e9, neginf=-1e9)
+
+    resid = np.abs(eval_char(z, p))
+    ok = (
+        (resid < 1e-12)
+        & (z.real >= re_min - 1e-12)
+        & (z.real <= re_max + 1e-12)
+        & (z.imag >= -1e-9)
+        & (z.imag <= im_max + 1e-12)
+    )
+    roots = []
+    for zz in z[ok]:
+        if abs(zz.imag) < 1e-9:
+            zz = complex(zz.real, 0.0)
+        if all(abs(zz - r) > 1e-7 for r in roots):
+            roots.append(complex(zz))
+    roots.sort(key=lambda r: (-r.real, r.imag))
+    return roots

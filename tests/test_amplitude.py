@@ -6,10 +6,12 @@ import pytest
 
 import doublehopf as dh
 from doublehopf import amplitude
-from doublehopf.amplitude import AmplitudeState, find_attractor
+from doublehopf.amplitude import AmplitudeState
 from doublehopf.errors import DegenerateDet, OnBoundary, WrongCase
 
-from conftest import EPS, MU, draw_amplitude_params, grid_scan_oracle
+from conftest import (
+    EPS, MU, amplitude_rhs, draw_amplitude_params, find_attractor, grid_scan_oracle,
+)
 
 # (j_plus, j_minus) of the four case-VIa double-Hopf points of the worked
 # instance inside the admissible gain interval 2.72 < k < 9.99
@@ -82,12 +84,12 @@ def ladder_unfoldings():
 
 
 def test_rhs_origin_fixed():
-    assert np.all(dh.amplitude_rhs(AmplitudeState(0.0, 0.0), 1.0, -2.0, 3.0, 4.0, -1.0) == 0.0)
+    assert np.all(amplitude_rhs(AmplitudeState(0.0, 0.0), 1.0, -2.0, 3.0, 4.0, -1.0) == 0.0)
 
 
 def test_rhs_axis_equilibrium():
     c1 = -0.8
-    out = dh.amplitude_rhs((math.sqrt(-c1), 0.0), c1, 0.3, 1.0, 2.0, -1.0)
+    out = amplitude_rhs((math.sqrt(-c1), 0.0), c1, 0.3, 1.0, 2.0, -1.0)
     assert out[1] == 0.0
     assert abs(out[0]) < 1e-15
 
@@ -97,7 +99,7 @@ def test_rhs_matches_term_by_term():
     for _ in range(30):
         r1, r2 = rng.uniform(0, 2, 2)
         c1, c2, b0, c0, d0 = rng.uniform(-3, 3, 5)
-        got = dh.amplitude_rhs((r1, r2), c1, c2, b0, c0, d0)
+        got = amplitude_rhs((r1, r2), c1, c2, b0, c0, d0)
         expect = np.array(
             [c1 * r1 + r1**3 + b0 * r1 * r2**2, c2 * r2 + c0 * r1**2 * r2 + d0 * r2**3]
         )
@@ -121,7 +123,7 @@ def test_equilibria_reside_on_vector_field_zeros():
     for _ in range(25):
         params = draw_amplitude_params(rng)
         for eq in dh.equilibria(*params):
-            res = dh.amplitude_rhs(eq.state, *params)
+            res = amplitude_rhs(eq.state, *params)
             assert np.max(np.abs(res)) < 1e-10
             jac_re = [ev.real for ev in eq.eigenvalues]
             assert eq.stable == (max(jac_re) < 0)
@@ -268,7 +270,6 @@ def test_predict_attractor_closed_form_at_ladder_points(
         raise AssertionError("predict_attractor integrated the amplitude system")
 
     monkeypatch.setattr(amplitude, "simulate_amplitude", no_simulation)
-    monkeypatch.setattr(amplitude, "find_attractor", no_simulation)
     # the reversing points included: a label never sees the map's orientation
     got, want = {}, {}
     for point, u in ladder_unfoldings.items():
@@ -399,6 +400,27 @@ def test_bad_probe_input_raises_value_error(unfolding, lines, probe):
 def test_amplitude_state_validation():
     with pytest.raises(ValueError):
         AmplitudeState(-0.1, 0.0)
+
+
+_PARAMS_D8 = (-0.6, -0.8, 0.5, -2.0, -1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: AmplitudeState(math.nan, 0.0),
+    lambda: AmplitudeState(0.1, math.inf),
+    lambda: dh.simulate_amplitude((-0.3, 0.1), _PARAMS_D8, 1.0, 0.01),
+    lambda: dh.simulate_amplitude((math.nan, 0.1), _PARAMS_D8, 1.0, 0.01),
+    lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, math.inf, 0.01),
+    lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, math.nan, 0.01),
+    lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, 1.0, math.inf),
+    lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, 1.0, math.nan),
+], ids=["state-nan", "state-inf", "start-negative", "start-nan", "t_end-inf",
+        "t_end-nan", "h-inf", "h-nan"])
+def test_bad_amplitude_input_raises_value_error(call):
+    # a start is a state, checked as one, and the run a finite horizon at a
+    # finite step: each is refused before a step, not integrated as given
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 def test_origin_stability_flips_simply_across_rays(unfolding, lines):

@@ -11,6 +11,7 @@ from doublehopf.errors import DegenerateRoot, HypothesisViolated
 
 from conftest import (
     EPS, MU, REF_K0, REF_TAU0, REF_OM1, REF_OM2, draw_admissible, mp_ladders,
+    rightmost_roots,
 )
 
 
@@ -238,6 +239,10 @@ def test_tau_branch_rejects_bad_arguments():
         dh.tau_branch(EPS, MU, 4.6, "up", 0)
     with pytest.raises(ValueError):
         dh.tau_branch(EPS, MU, 4.6, "plus", -1)
+    # from 2**53 on, floats no longer hold every integer
+    with pytest.raises(ValueError, match="below 2"):
+        dh.tau_branch(EPS, MU, 4.6, "plus", 2**53)
+    assert dh.tau_branch(EPS, MU, 4.6, "plus", 2**53 - 1) > 0
 
 
 def test_transversality_signs():
@@ -285,7 +290,7 @@ def test_stability_windows_spectral_oracle():
             if tau <= 0:
                 continue
             p = SystemParams(EPS, MU, k, tau)
-            roots = dh.rightmost_roots(p, -0.5, 0.5, 12.0, grid_n=28)
+            roots = rightmost_roots(p, -0.5, 0.5, 12.0, grid_n=28)
             assert roots, f"no roots found at tau={tau}"
             max_re = max(r.real for r in roots)
             if expect_stable:
@@ -296,7 +301,7 @@ def test_stability_windows_spectral_oracle():
 
 def test_rightmost_roots_at_critical_point(hh):
     p = SystemParams(EPS, MU, hh.k0, hh.tau0)
-    roots = dh.rightmost_roots(p, -0.05, 0.05, 10.0, grid_n=24)
+    roots = rightmost_roots(p, -0.05, 0.05, 10.0, grid_n=24)
     oscillatory = sorted((r for r in roots if r.imag > 0.1), key=lambda z: z.imag)
     assert len(oscillatory) == 2
     assert abs(oscillatory[0] - 1j * hh.omega1) < 1e-9
@@ -310,7 +315,7 @@ def test_rightmost_roots_at_critical_point(hh):
 def test_rightmost_roots_zero_delay_quadratic():
     # at tau = 0 the equation reduces to lam^2 - eps*lam + 1 - eps*k
     p = SystemParams(0.1, 0.5, 0.0, 0.0)
-    roots = dh.rightmost_roots(p, -1.0, 1.0, 2.0, grid_n=16)
+    roots = rightmost_roots(p, -1.0, 1.0, 2.0, grid_n=16)
     disc = 0.1**2 - 4.0 * (1.0 - 0.0)
     expect = 0.05 + 0.5j * math.sqrt(-disc)
     assert len(roots) == 1
@@ -319,8 +324,8 @@ def test_rightmost_roots_zero_delay_quadratic():
 
 def test_rightmost_roots_deterministic_and_deduplicated():
     p = SystemParams(EPS, MU, 4.6, 5.0)
-    a = dh.rightmost_roots(p, -0.5, 0.3, 8.0, grid_n=20)
-    b = dh.rightmost_roots(p, -0.5, 0.3, 8.0, grid_n=20)
+    a = rightmost_roots(p, -0.5, 0.3, 8.0, grid_n=20)
+    b = rightmost_roots(p, -0.5, 0.3, 8.0, grid_n=20)
     assert a == b
     for i, r in enumerate(a):
         for s in a[i + 1 :]:
@@ -329,7 +334,7 @@ def test_rightmost_roots_deterministic_and_deduplicated():
 
 def test_rightmost_roots_conjugate_symmetry():
     p = SystemParams(EPS, MU, 4.6, 5.0)
-    for r in dh.rightmost_roots(p, -0.5, 0.3, 8.0, grid_n=20):
+    for r in rightmost_roots(p, -0.5, 0.3, 8.0, grid_n=20):
         assert abs(dh.eval_char(r.conjugate(), p)) < 1e-10
 
 

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -33,6 +34,31 @@ def write_rows(path, header, rows):
     """The row-by-row CSV writer: each float by format(v, ".17g")."""
     with open(path, "w", newline="\n") as fh:
         cli._csv_rows(fh, header, rows)
+
+
+PUBLIC_NAMES = [
+    "AmplitudeEquilibrium", "AmplitudeState", "AttractorPrediction", "EigenBasis",
+    "HopfFrequencies", "HopfHopfPoint", "HopfLadders", "NormalFormCoeffs",
+    "PoincareSection", "SimConfig", "StabilityWindows", "SystemParams",
+    "Trajectory", "UnfoldingParams", "ViaLines", "WPoly", "bilinear_form",
+    "classify_section", "classify_unfolding", "divergence_exponent",
+    "duality_residual", "eigenbasis", "equilibria", "eval_char",
+    "find_hopf_hopf", "hopf_frequencies", "hopf_ladders", "line_T_scan",
+    "nf_coefficients", "poincare", "predict_attractor", "region_of",
+    "resonance_check", "scan_hopf_curves", "simulate_amplitude",
+    "simulate_neutral", "simulate_theta", "stability_windows", "tau_branch",
+    "transversality_sign", "unfolding_params", "via_lines", "w_poly",
+]
+
+
+def test_public_api_is_pinned():
+    # the package ships what its commands run; an evaluator only the tests
+    # call lives in tests/conftest.py, and adding a name updates this list
+    names = sorted(k for k, v in vars(dh).items()
+                   if not k.startswith("_") and not inspect.ismodule(v))
+    assert names == PUBLIC_NAMES
+    for module in (dh.amplitude, dh.chareq, dh.hopf_hopf, dh.nfde_sim, dh.normalform):
+        assert set(module.__all__) <= set(vars(module)), module.__name__
 
 
 def test_analyze_report(tmp_path):
@@ -128,7 +154,7 @@ def test_hopf_curves_rejects_forbidden_instance(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("stride", ["0", "-3"])
+@pytest.mark.parametrize("stride", ["0", "-3", str(10**30)], ids=["0", "-3", "1e30"])
 def test_simulate_rejects_non_positive_stride(tmp_path, capsys, stride):
     assert run_cli("simulate", "--alpha1", "0.1", "--alpha2", "0.085",
                    "--stride", stride, "--out", str(tmp_path / "s")) == 2
@@ -679,6 +705,18 @@ def test_inadmissible_instance_is_json_error(tmp_path, capsys, command, flag, va
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ValueError"
     assert err["message"].startswith(flag[2:])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "line-t"])
+def test_rung_beyond_float_range_is_json_error(tmp_path, capsys, command):
+    # from 2**53 on, floats no longer hold every integer, so j*2*pi/omega is
+    # no rung: the index is refused as an argument, not met as an overflow
+    assert run_cli(*_COMMANDS[command], "--j-plus", str(10**400),
+                   "--out", str(tmp_path / "z")) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("branch index j must be below 2**53")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -16,7 +16,7 @@ from doublehopf.chareq import SystemParams
 from doublehopf.errors import DoubleHopfError, InsufficientData, NonFiniteState
 from doublehopf.nfde_sim import PoincareSection, Trajectory
 
-from conftest import EPS, MU, memory_recursion
+from conftest import EPS, MU, memory_recursion, rightmost_roots
 
 
 def cfg_at(hh, a1, a2, x0=0.1, y0=0.0, h_div=500, t_end=100.0, transient=0.0,
@@ -36,8 +36,10 @@ def test_from_divisor_rejects_small_divisor(hh):
 def test_config_validation(hh):
     params = SystemParams(EPS, MU, hh.k0, hh.tau0)
     # the grid is an integer divisor of tau: a float, even a whole one, is
-    # a call written for the step h and is refused
-    for bad in (params.tau / 2000, 2000.5, 2000.0, math.nan, math.inf):
+    # a call written for the step h and is refused, and so is one numpy's
+    # 64-bit indices cannot reach
+    for bad in (params.tau / 2000, 2000.5, 2000.0, math.nan, math.inf,
+                2**63, 10**30):
         with pytest.raises(ValueError, match="^h_div must be an integer >= 4"):
             dh.SimConfig(params, 0.1, 0.0, bad, 10.0)
     with pytest.raises(ValueError):
@@ -350,7 +352,7 @@ def test_divergence_exponent_unstable_origin_rate(hh):
     # at the rightmost characteristic root's rate
     k, tau = hh.k0 + 0.3, hh.tau0
     params = SystemParams(EPS, MU, k, tau)
-    roots = dh.rightmost_roots(params, -0.1, 0.3, 4.0, grid_n=24)
+    roots = rightmost_roots(params, -0.1, 0.3, 4.0, grid_n=24)
     growth = max(r.real for r in roots)
     assert growth > 0
     cfg = dh.SimConfig(params, 0.0, 0.0, 400, 600.0)
@@ -593,6 +595,19 @@ def test_divergence_exponent_memory_flat_in_the_leg(hh, monkeypatch):
     assert dh.divergence_exponent(cfg, 1e-9, 200.0, 50).hex() == lam.hex()
 
 
+def test_exponent_reader_keeps_no_list_of_leg_ends(hh):
+    # a million legs: the reader holds the next leg end, not every one of
+    # them as an int (38 MiB)
+    cfg = cfg_at(hh, 0.25, 0.2025, h_div=50, t_end=101.0, transient=100.0)
+    tracemalloc.start()
+    try:
+        nfde_sim._Exponent(cfg, 1e-9, 1.0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
+
+
 def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -630,7 +645,7 @@ def test_traced_line_t_scan_matches_untraced():
 
 
 @pytest.mark.parametrize("kw", [
-    dict(delta0=1e-4), dict(delta0=math.nan), dict(n_renorm=10),
+    dict(delta0=1e-4), dict(delta0=math.nan), dict(n_renorm=10), dict(n_renorm=10**30),
     dict(renorm_T=0.01), dict(renorm_T=math.inf), dict(renorm_T=math.nan),
     dict(iota_list=[2.0, math.nan]), dict(iota_list=[2.0, math.inf]),
     dict(iota_list=[2.0, -math.inf]),
