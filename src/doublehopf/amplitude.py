@@ -117,6 +117,7 @@ def equilibria(
     Origin always; (sqrt(-c1), 0) when c1 < 0; (0, sqrt(-c2/d0)) when
     -c2/d0 > 0; and the interior point with r1^2 = (b0*c2 - d0*c1)/det,
     r2^2 = (c0*c1 - c2)/det when both radicands are positive.  Raises
+    ValueError, naming it, for a parameter that is not finite, and
     DegenerateDet when det = d0 - b0*c0 vanishes (interior branch
     undefined).
 
@@ -124,6 +125,9 @@ def equilibria(
     and (c1 + b0*r2^2, -2*c2) on the axes, and q +- sqrt(q^2 -
     4*r1^2*r2^2*det) with q = r1^2 + d0*r2^2 at the interior point.
     """
+    for name, v in zip(("c1", "c2", "b0", "c0", "d0"), (c1, c2, b0, c0, d0)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     out = [_eq(0.0, 0.0, "origin", c1, c2)]
     if c1 < 0.0:
         out.append(_eq(-c1, 0.0, "r1_axis", -2.0 * c1, c2 - c0 * c1))
@@ -234,15 +238,18 @@ def predict_attractor(region: int, u: UnfoldingParams) -> AttractorPrediction:
     probed on the shared L4/L5 ray itself, where the center family stands
     in for the amplitude limit cycle.  No amplitude orbit is integrated.
 
-    Raises ValueError for a region that is not one of the integers 1..8,
-    and WrongCase outside case VIa.
+    The prediction's region is the one probed, as an int.  Raises
+    ValueError for a region that is not one of the integers 1..8,
+    BoundaryCase where classify_unfolding does, and WrongCase outside case
+    VIa.
     """
     if region not in range(1, 9):
         raise ValueError(f"region must be an integer in 1..8, got {region!r}")
+    region = int(region)
     case = normalform.classify_unfolding(u)
     if case != "VIa":
         raise WrongCase(f"attractor map defined for case VIa, not {case}")
-    params = _probe_params(int(region), u)
+    params = _probe_params(region, u)
     eqs = {e.kind: e for e in equilibria(*params)}
     if "interior" in eqs:
         r1_sq, r2_sq, det = _interior(*params)

@@ -29,7 +29,8 @@ class DegenerateCubic(DoubleHopfError):
 
 
 class BoundaryCase(DoubleHopfError):
-    """A classification quantity sits on a sign boundary within tolerance."""
+    """A classification quantity sits on a sign boundary within tolerance,
+    or is not finite, so it has no sign."""
 
 
 class WrongCase(DoubleHopfError):

@@ -184,6 +184,7 @@ def _fill_memory(m: np.ndarray, src: np.ndarray, lo: int, mu: float, nd: int,
         lo = hi
 
 
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniform-grid solution samples with cubic Hermite dense output.
 
@@ -194,14 +195,12 @@ class Trajectory:
     for bit.
     """
 
-    def __init__(self, params: SystemParams, h_div: int, x: np.ndarray,
-                 y: np.ndarray, dy: np.ndarray, theta: np.ndarray):
-        self.params = params
-        self.h_div = h_div
-        self.x = x
-        self.y = y
-        self.dy = dy
-        self.theta = theta
+    params: SystemParams
+    h_div: int
+    x: np.ndarray
+    y: np.ndarray
+    dy: np.ndarray
+    theta: np.ndarray
 
     def __len__(self) -> int:
         return len(self.x)
@@ -293,14 +292,12 @@ class _Stepper:
                 for name in self._BUFFERS]
 
     def trim(self) -> None:
-        """Drop all but the trailing N + 3 samples: the delay window, and the
-        two before it that the neutral y' stencil and a section's delayed
-        values read."""
-        a = self.j - self.N - 2
-        if a <= 0:
-            return
+        """Replace each buffer by a copy of its trailing N + 3 samples (all,
+        if fewer): the delay window, and the two before it that the neutral
+        y' stencil and a section's delayed values read."""
+        a = max(self.j - self.N - 2, 0)
         for name in self._BUFFERS:
-            setattr(self, name, array("d", getattr(self, name)[a:]))
+            setattr(self, name, getattr(self, name)[a:])
         self.j -= a
         self.base += a
 
@@ -523,45 +520,31 @@ def _transient_steps(cfg: SimConfig) -> int:
     return max(int(math.ceil(cfg.transient / cfg.h)), cfg.h_div)
 
 
-class _Store:
-    """Run reader that copies every chunk into the whole-run columns x, y,
-    y' and theta, preallocated for n samples (see _stream)."""
-
-    def __init__(self, n: int):
-        self.cols = [np.empty(n) for _ in range(4)]
-        self.next = 0  # first run sample not yet copied
-
-    def __call__(self, base, x, y, dy, theta, dtheta) -> None:
-        lo, hi = self.next, base + len(x)
-        for dst, src in zip(self.cols, (x, y, dy, theta)):
-            dst[lo:hi] = src[lo - base :]
-        self.next = hi
-
-
 # steps per chunk of a run: a theta-form stepper then holds 5*8*(N + 3 +
 # _CHUNK) bytes, 0.74 MB at N = 2000, and each reader's per-chunk
 # temporaries are of the chunk's length
 _CHUNK = 1 << 14
 
 
-def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
-    """Integrate cfg in chunks of _CHUNK steps, keeping only the last one.
+def _stream(cfg: SimConfig, readers: Sequence[Callable],
+            n_steps: Optional[int] = None) -> None:
+    """Integrate n_steps steps of cfg (default: to cfg.t_end) in chunks of
+    _CHUNK steps, keeping only the last one.
 
     The stepper is cfg.formulation's.  After each chunk every reader is
     called as ``reader(base, x, y, dy, theta, dtheta)``: numpy views of the
     samples base, base + 1, ... up to the last step so far.  theta is the
     memory recursion of x from node 0 in either formulation (see _Stepper);
     a neutral run has no dtheta (None).  A reader that needs the run's end
-    works it out from its own sample count.  A reader must copy what it
-    keeps, because the stepper then drops all but the trailing N + 3
-    samples (see _Stepper.trim), which every later block starts with, and
-    grows its buffers again.  The steps are those of one unsplit stepper
-    run, bit for bit, and a blow-up raises at the same time with the same
-    message.
+    works it out from its own sample count.  The stepper then keeps copies
+    of the trailing N + 3 samples (see _Stepper.trim), which every later
+    block starts with, so a view that a reader keeps is a snapshot.  The
+    steps are those of one unsplit stepper run, bit for bit, and a blow-up
+    raises at the same time with the same message.
     """
     stepper = _NeutralStepper if cfg.formulation == "neutral_form" else _ThetaStepper
     st = stepper(cfg.params, cfg.x0, cfg.y0, cfg.h_div)
-    left = _n_steps(cfg)
+    left = _n_steps(cfg) if n_steps is None else n_steps
     while True:
         n = min(_CHUNK, left)
         st.step(n)
@@ -569,17 +552,22 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable]) -> None:
         cols = (st._columns() + [None])[:5]  # a neutral run has no dtheta
         for read in readers:
             read(st.base, *cols)
-        del cols  # views block the buffers' next growth
         if left == 0:
             return
         st.trim()
 
 
 def _stored(cfg: SimConfig) -> Trajectory:
-    """cfg's whole run: _stream with a _Store reader."""
-    store = _Store(_n_steps(cfg) + 1)
+    """cfg's whole run: _stream into the columns x, y, y' and theta.  Each
+    chunk rewrites the trailing window it starts with, with the same bits."""
+    cols = [np.empty(_n_steps(cfg) + 1) for _ in range(4)]
+
+    def store(base, *run) -> None:
+        for dst, src in zip(cols, run):
+            dst[base : base + len(src)] = src
+
     _stream(cfg, [store])
-    return Trajectory(cfg.params, cfg.h_div, *store.cols)
+    return Trajectory(cfg.params, cfg.h_div, *cols)
 
 
 def simulate_theta(cfg: SimConfig) -> Trajectory:
@@ -649,7 +637,6 @@ class _Crossings:
         self.j0 = min(int(math.ceil(transient / h)), n - 1)
         self.next = self.j0  # first interval and node not yet examined
         self.cross: List[Tuple[float, float, float, int]] = []
-        self.zeros: List[Tuple[float, float, float, int]] = []
         self.norm_first = self.norm_last = 0.0
 
     def __call__(self, base, x, y, dy, theta, dtheta) -> None:
@@ -689,16 +676,16 @@ class _Crossings:
             ))
         for i in zeros:
             t_star = i * h
-            self.zeros.append((
+            self.cross.append((
                 t_star, float(x[i - base]),
                 _dense(y, dy, self.y0, t_star - self.tau, h, n, base),
                 1 if y[i + 1 - base] > y[i - 1 - base] else -1,
             ))
 
     def section(self, direction: str) -> PoincareSection:
-        rec = self.cross + self.zeros
-        rec.sort(key=lambda r: r[0])
-        arr = np.array(rec, dtype=float).reshape(-1, 4)
+        # a grid-node zero never shares its time with an interval's crossing
+        self.cross.sort(key=lambda r: r[0])
+        arr = np.array(self.cross, dtype=float).reshape(-1, 4)
         sec = PoincareSection(
             arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(int),
             state_norm_first=self.norm_first, state_norm_last=self.norm_last,
@@ -946,7 +933,7 @@ def divergence_exponent(
     result, bit for bit.
     """
     ex = _Exponent(cfg, delta0, renorm_T, n_renorm)
-    _stream(replace(cfg, t_end=ex.end * cfg.h, formulation="theta_form"), [ex])
+    _stream(replace(cfg, formulation="theta_form"), [ex], ex.end)
     return ex.rate()
 
 
@@ -977,7 +964,7 @@ def _scale_run(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int,
         return stream_section(cfg, "both"), None
     ex = _Exponent(cfg, delta0, renorm_T, n_renorm)
     sec = _Crossings(cfg.h, cfg.params.tau, _n_steps(cfg) + 1, cfg.transient, cfg.y0)
-    _stream(replace(cfg, t_end=max(_n_steps(cfg), ex.end) * cfg.h), [sec, ex])
+    _stream(cfg, [sec, ex], max(_n_steps(cfg), ex.end))
     return sec.section("both"), ex.rate()
 
 

@@ -414,8 +414,10 @@ def unfolding_params(coeffs: NormalFormCoeffs) -> UnfoldingParams:
 
 def classify_unfolding(u: UnfoldingParams) -> str:
     """Case label from the signs of (d0, b0, c0, d0 - b0*c0); BoundaryCase
-    when one lies within ``_SIGN_TOL`` of zero."""
+    when one is not finite or lies within ``_SIGN_TOL`` of zero."""
     for name, val in (("d0", u.d0), ("b0", u.b0), ("c0", u.c0), ("det", u.det)):
+        if not math.isfinite(val):
+            raise BoundaryCase(f"{name} = {val!r} is not finite")
         if abs(val) < _SIGN_TOL:
             raise BoundaryCase(f"{name} = {val:.3e} within {_SIGN_TOL} of zero")
     key = (
@@ -466,7 +468,8 @@ def via_lines(u: UnfoldingParams) -> ViaLines:
     plane; L4 carries the L5 slope and is flagged (tangent_correction_omitted).
     Each c-plane direction d maps to adj(A) d / copysign(|adj(A) d|, det A),
     A = [c1_map; c2_map], so the rays run clockwise exactly when det A < 0.
-    Raises WrongCase outside case VIa, DegenerateCubic for a singular map.
+    Raises BoundaryCase where classify_unfolding does, WrongCase outside
+    case VIa, DegenerateCubic for a singular map.
     """
     case = classify_unfolding(u)
     if case != "VIa":

@@ -254,13 +254,16 @@ def test_find_attractor_cycle_on_degenerate_ray(unfolding, lines):
         (6, "torus2", None),
         (7, "periodic", 2),
         (8, "trivial_eq", None),
+        # an integral float or numpy integer is probed, and returned, as int
+        (1.0, "none_stable", None),
+        (np.int64(6), "torus2", None),
     ],
 )
 def test_predict_attractor_by_region(unfolding, region, kind, mode):
     pred = dh.predict_attractor(region, unfolding)
     assert pred.kind == kind
     assert pred.mode == mode
-    assert pred.region == region
+    assert type(pred.region) is int and pred.region == region
 
 
 def test_predict_attractor_closed_form_at_ladder_points(
@@ -405,21 +408,35 @@ def test_amplitude_state_validation():
 _PARAMS_D8 = (-0.6, -0.8, 0.5, -2.0, -1.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: AmplitudeState(math.nan, 0.0),
-    lambda: AmplitudeState(0.1, math.inf),
-    lambda: dh.simulate_amplitude((-0.3, 0.1), _PARAMS_D8, 1.0, 0.01),
-    lambda: dh.simulate_amplitude((math.nan, 0.1), _PARAMS_D8, 1.0, 0.01),
-    lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, math.inf, 0.01),
-    lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, math.nan, 0.01),
-    lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, 1.0, math.inf),
-    lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, 1.0, math.nan),
+def _d8_with(name, value):
+    """The D8 amplitude parameters with one replaced."""
+    names = ("c1", "c2", "b0", "c0", "d0")
+    return [value if n == name else v for n, v in zip(names, _PARAMS_D8)]
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: AmplitudeState(math.nan, 0.0), "finite"),
+    (lambda: AmplitudeState(0.1, math.inf), "finite"),
+    (lambda: dh.simulate_amplitude((-0.3, 0.1), _PARAMS_D8, 1.0, 0.01), "finite"),
+    (lambda: dh.simulate_amplitude((math.nan, 0.1), _PARAMS_D8, 1.0, 0.01), "finite"),
+    (lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, math.inf, 0.01), "finite"),
+    (lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, math.nan, 0.01), "finite"),
+    (lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, 1.0, math.inf), "finite"),
+    (lambda: dh.simulate_amplitude((0.3, 0.1), _PARAMS_D8, 1.0, math.nan), "finite"),
+    (lambda: dh.equilibria(*_d8_with("c1", math.nan)), "^c1 must be finite"),
+    (lambda: dh.equilibria(*_d8_with("c1", -math.inf)), "^c1 must be finite"),
+    (lambda: dh.equilibria(*_d8_with("c2", math.inf)), "^c2 must be finite"),
+    (lambda: dh.equilibria(*_d8_with("b0", math.nan)), "^b0 must be finite"),
+    (lambda: dh.equilibria(*_d8_with("c0", -math.inf)), "^c0 must be finite"),
+    (lambda: dh.equilibria(*_d8_with("d0", math.nan)), "^d0 must be finite"),
 ], ids=["state-nan", "state-inf", "start-negative", "start-nan", "t_end-inf",
-        "t_end-nan", "h-inf", "h-nan"])
-def test_bad_amplitude_input_raises_value_error(call):
+        "t_end-nan", "h-inf", "h-nan", "c1-nan", "c1-neg-inf", "c2-inf", "b0-nan",
+        "c0-neg-inf", "d0-nan"])
+def test_bad_amplitude_input_raises_value_error(call, match):
     # a start is a state, checked as one, and the run a finite horizon at a
-    # finite step: each is refused before a step, not integrated as given
-    with pytest.raises(ValueError, match="finite"):
+    # finite step: each is refused before a step, not integrated as given;
+    # an equilibrium parameter is refused by name before any equilibrium
+    with pytest.raises(ValueError, match=match):
         call()
 
 

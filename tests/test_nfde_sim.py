@@ -712,6 +712,25 @@ def test_streamed_section_shorter_than_one_delay(hh, monkeypatch):
         assert _section_hex(nfde_sim.stream_section(cfg)) == _section_hex(want)
 
 
+def test_streamed_reader_may_keep_views(hh):
+    # a grid finer than one chunk: the first trim keeps every sample, and a
+    # view a reader keeps neither blocks the next chunk nor changes
+    cfg = cfg_at(hh, 0.2, 0.164, h_div=20000, t_end=30.0, transient=10.0)
+    assert cfg.h_div > nfde_sim._CHUNK
+    kept = []
+
+    def keep(base, x, y, dy, theta, dtheta):
+        kept.append((base + len(x), x[-5:]))
+
+    got = nfde_sim.stream_section(cfg, "both", [keep])
+    traj = dh.simulate_theta(cfg)
+    want = dh.poincare(traj, "both", cfg.transient)
+    assert len(want) > 2 and len(kept) > 2
+    assert _section_hex(got) == _section_hex(want)
+    for end, tail in kept:
+        assert tail.tobytes() == traj.x[end - 5 : end].tobytes()
+
+
 @pytest.mark.parametrize("chunk", [7, 64, nfde_sim._CHUNK, 1 << 16])
 @pytest.mark.parametrize("transient", [0.0, 60.0])
 def test_streamed_neutral_section_matches_stored_run(hh, monkeypatch, chunk, transient):

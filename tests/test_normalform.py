@@ -302,7 +302,7 @@ def _mk_unfolding(d0, b0, c0):
         eps1=1, eps2=d0, b0=b0, c0=c0,
         c1_map=np.array([1.0, 0.0]), c2_map=np.array([0.0, 1.0]),
     )
-    assert u.det == d0 - b0 * c0
+    np.testing.assert_equal(u.det, d0 - b0 * c0)  # NaN equals NaN here
     return u
 
 
@@ -334,13 +334,21 @@ def test_unfolding_stores_no_derived_value():
         (-1, -1.0, -1.0, "VIII"),
         (1, 2.0, -1.0, "II"),
         (-1, -0.5, 1.0, "VIIb"),
+        # a non-finite coupling has no sign: not VIIb, VIII, VIb, IVb or VIa
+        (-1, math.nan, 1.0, None),
+        (-1, math.nan, -1.0, None),
+        (-1, 1.0, math.nan, None),
+        (1, math.nan, math.nan, None),
+        (-1, math.inf, -1.0, None),
     ],
 )
 def test_classification_table(d0, b0, c0, label):
     u = _mk_unfolding(d0, b0, c0)
     if label is None:
-        with pytest.raises(BoundaryCase):
-            dh.classify_unfolding(u)
+        for call in (dh.classify_unfolding, dh.via_lines,
+                     lambda u: dh.predict_attractor(1, u)):
+            with pytest.raises(BoundaryCase):
+                call(u)
     else:
         assert dh.classify_unfolding(u) == label
 
