@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import normalform
-from .errors import DegenerateDet, WrongCase
+from .errors import DegenerateDet, WrongCase, index, real
 from .normalform import UnfoldingParams
 
 # Relative tolerance of the zero-trace test for a center at the interior
@@ -43,6 +43,7 @@ from .normalform import UnfoldingParams
 # points |trace|/scale stays below 4e-15; every other region with an
 # interior equilibrium has at least 0.33.
 _CENTER_TOL = 1e-9
+_PARAMS = ("c1", "c2", "b0", "c0", "d0")  # the amplitude parameters, in order
 
 __all__ = [
     "AmplitudeState",
@@ -62,7 +63,7 @@ class AmplitudeState:
     r2: float
 
     def __post_init__(self):
-        if not (0 <= self.r1 < math.inf and 0 <= self.r2 < math.inf):
+        if not (real("r1", self.r1) >= 0 and real("r2", self.r2) >= 0):
             raise ValueError(
                 f"radii must be finite and nonnegative, got {(self.r1, self.r2)}")
 
@@ -125,9 +126,8 @@ def equilibria(
     and (c1 + b0*r2^2, -2*c2) on the axes, and q +- sqrt(q^2 -
     4*r1^2*r2^2*det) with q = r1^2 + d0*r2^2 at the interior point.
     """
-    for name, v in zip(("c1", "c2", "b0", "c0", "d0"), (c1, c2, b0, c0, d0)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+    for name, v in zip(_PARAMS, (c1, c2, b0, c0, d0)):
+        real(name, v)
     out = [_eq(0.0, 0.0, "origin", c1, c2)]
     if c1 < 0.0:
         out.append(_eq(-c1, 0.0, "r1_axis", -2.0 * c1, c2 - c0 * c1))
@@ -156,10 +156,11 @@ def simulate_amplitude(
     Radii are clamped at zero, keeping both axes exactly invariant.
     Returns (times, path) sampled at every step.
     """
-    if not (0 < h < math.inf and 0 < t_end < math.inf):
+    h, t_end = real("h", h), real("t_end", t_end)
+    if not (h > 0 and t_end > 0):
         raise ValueError(f"need finite h > 0 and t_end > 0, got {h!r}, {t_end!r}")
     # Python floats: numpy scalars warn on the stage overflow before an escape
-    c1, c2, b0, c0, d0 = (float(v) for v in params)
+    c1, c2, b0, c0, d0 = (real(n, v) for n, v in zip(_PARAMS, params, strict=True))
     if not isinstance(s0, AmplitudeState):
         s0 = AmplitudeState(s0[0], s0[1])
     r1, r2 = float(s0.r1), float(s0.r2)
@@ -243,9 +244,7 @@ def predict_attractor(region: int, u: UnfoldingParams) -> AttractorPrediction:
     BoundaryCase where classify_unfolding does, and WrongCase outside case
     VIa.
     """
-    if region not in range(1, 9):
-        raise ValueError(f"region must be an integer in 1..8, got {region!r}")
-    region = int(region)
+    region = index("region", region, 1, 9)
     case = normalform.classify_unfolding(u)
     if case != "VIa":
         raise WrongCase(f"attractor map defined for case VIa, not {case}")

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateRoot, HypothesisViolated
+from .errors import DegenerateRoot, HypothesisViolated, index, real
 
 __all__ = [
     "SystemParams",
@@ -63,10 +63,10 @@ _TRANSVERSALITY_TOL = 1e-9  # transversality_sign's bound on |W'(omega^2)|
 
 
 def _check_instance(epsilon: float, mu: float) -> None:
-    """epsilon > 0 and 0 < mu < 1, NaN rejected; raises ValueError."""
-    if not epsilon > 0:
+    """epsilon > 0 and 0 < mu < 1, both errors.real; raises ValueError."""
+    if not real("epsilon", epsilon) > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < mu < 1:
+    if not 0 < real("mu", mu) < 1:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
 
 
@@ -100,9 +100,8 @@ class SystemParams:
 
     def __post_init__(self):
         _check_instance(self.epsilon, self.mu)
-        if not math.isfinite(self.k):
-            raise ValueError(f"k must be finite, got {self.k}")
-        if not 0 <= self.tau < math.inf:
+        real("k", self.k)
+        if not real("tau", self.tau) >= 0:
             raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
 
 
@@ -133,14 +132,11 @@ class HopfFrequencies:
     omega_plus: float
 
 
-def _check_rung(j: int, name: str = "branch index j") -> None:
-    """j is a ladder index, a nonnegative integer below 2**53, where floats
-    still hold every integer, so j*2*pi/omega is rung j; raises ValueError
-    naming it."""
-    if not (j >= 0 and j % 1 == 0):  # NaN and inf fail it too
-        raise ValueError(f"{name} must be a nonnegative integer, got {j}")
-    if j >= 2**53:
-        raise ValueError(f"{name} must be below 2**53, got {j}")
+def _check_rung(j: int, name: str = "branch index j") -> int:
+    """j as an int when it is a ladder index: by the one integer rule
+    (errors.index: any integer type but bool, never a float) in [0, 2**53),
+    where floats still hold every integer, so j*2*pi/omega is rung j."""
+    return index(name, j, 0, 2**53)
 
 
 def _check_sign(sign: str) -> None:
@@ -203,14 +199,25 @@ class StabilityWindows:
         return len(self.windows) or None
 
 
+def _array(name: str, v, dtype, copy=None) -> np.ndarray:
+    """v as a C-contiguous array of dtype, a scalar as 1 element; an int
+    beyond float range is refused as errors.real refuses it."""
+    try:
+        return np.array(v, dtype=dtype, ndmin=1, order="C", copy=copy)
+    except OverflowError:
+        real(name, v)  # raises
+        raise
+
+
 def eval_char(lam, p: SystemParams):
     """Characteristic function Delta(lam) of the linearized neutral system.
 
-    ``lam`` is a complex scalar or a numpy array.  A scalar is evaluated as
-    a 1-element contiguous array, so it runs through the same vectorized
+    ``lam`` is a finite complex scalar or numpy array.  A scalar is evaluated
+    as a 1-element contiguous array, so it runs through the same vectorized
     numpy loops as an array's elements and gets the same bits.
     """
-    z = np.ascontiguousarray(lam, dtype=complex)
+    z = _array("lam", lam, complex)
+    real("lam", float(np.abs(z.view(float)).max(initial=0.0)))  # largest part
     e = np.exp(-z * p.tau)
     z2 = z * z
     val = (
@@ -227,7 +234,8 @@ def eval_char(lam, p: SystemParams):
 
 def char_deriv(lam, p: SystemParams):
     """Derivative Delta'(lam), for the same arguments as ``eval_char``."""
-    z = np.ascontiguousarray(lam, dtype=complex)
+    z = _array("lam", lam, complex)
+    real("lam", float(np.abs(z.view(float)).max(initial=0.0)))
     e = np.exp(-z * p.tau)
     mu, eps, tau = p.mu, p.epsilon, p.tau
     val = (
@@ -260,7 +268,10 @@ def w_poly(epsilon: float, mu: float, k: float) -> WPoly:
     c = (1 - eps*k)*(1 + mu - eps*k*(1 - mu)) is u*(2*mu + (1 - mu)*u), with
     u = 1 - eps*k rounded once from the exact eps*k, so it keeps its
     relative precision as it vanishes at k = 1/eps.  Elementwise in k: an
-    array of gains gives a WPoly of arrays."""
+    array of gains gives a WPoly of arrays; (epsilon, mu) as in gain_bound."""
+    _check_instance(epsilon, mu)
+    if isinstance(k, int):  # a bool, or an int beyond float range, is refused
+        k = real("k", k)
     a = 1.0 + mu
     b = 2.0 * epsilon * k - 2.0 * (1.0 + mu) + epsilon * epsilon * (1.0 + mu)
     p_hi, p_lo = _two_product(epsilon, k)
@@ -302,7 +313,7 @@ def hopf_ladders(epsilon: float, mu: float, ks) -> HopfLadders:
     unless (epsilon, mu) is an instance SystemParams allows; inadmissible
     gains are only masked.
     """
-    k = np.array(ks, dtype=float, ndmin=1)
+    k = _array("k", ks, float, copy=True)
     # inadmissible gains (NaN, +-inf, h2 failing) make NaN here, masked below
     with np.errstate(all="ignore"):
         h1 = k < gain_bound(epsilon, mu)
@@ -345,7 +356,7 @@ def tau_branch(epsilon: float, mu: float, k: float, sign: str, j: int = 0) -> fl
     below 2**53 or an unknown sign, and HypothesisViolated outside the
     admissible region.
     """
-    _check_rung(j)
+    j = _check_rung(j)
     _check_sign(sign)
     lad = hopf_ladders(epsilon, mu, k)
     lad.require_admissible()

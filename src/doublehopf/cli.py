@@ -39,8 +39,8 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from . import hopf_hopf, nfde_sim, normalform
-from .chareq import _two_product
-from .errors import DoubleHopfError, NonFiniteState
+from .chareq import _check_rung, _two_product
+from .errors import DoubleHopfError, NonFiniteState, index, real
 
 __all__ = ["main", "build_parser"]
 
@@ -411,10 +411,8 @@ def _resolve_point(args) -> hopf_hopf.HopfHopfPoint:
         )
     rep = json.loads(Path(args.report).read_text())
     try:
-        fields = {
-            key: (int if key.startswith("j_") else float)(rep[key])
-            for key in _REPORT_POINT
-        }
+        fields = {key: _check_rung(rep[key], key) if key.startswith("j_")
+                  else real(key, rep[key]) for key in _REPORT_POINT}
     except (KeyError, TypeError) as exc:
         raise ValueError(
             f"report {args.report} is not an analyze JSON object with "
@@ -453,8 +451,7 @@ class _TrajectoryRows:
 
 
 def cmd_simulate(args) -> int:
-    if not 1 <= args.stride < 2**63:  # numpy's index range
-        raise ValueError(f"stride must be an integer in [1, 2**63), got {args.stride}")
+    index("stride", args.stride, 1, 2**63)  # numpy's index range
     params = _resolve_point(args).params(args.alpha1, args.alpha2)
     cfg = nfde_sim.SimConfig(params, args.x0, args.y0, args.h_div, args.t_end,
                              args.transient, args.formulation)

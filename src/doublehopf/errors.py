@@ -1,4 +1,39 @@
-"""Exception types shared across the toolkit."""
+"""Exception types and the two argument checks shared across the toolkit.
+
+A bad argument raises ValueError naming it (the CLI exits 2); a failure of
+the mathematics raises a DoubleHopfError subclass (the CLI exits 1, and
+NonFiniteState also carries ``time``).  No call returns a silent NaN or
+raises an untyped error from inside.  A scalar argument is checked by one
+of two rules, ``real`` or ``index``."""
+
+import math
+import numbers
+import operator
+
+
+def real(name: str, v) -> float:
+    """v as a float when it is a finite real number; else (a bool, a str,
+    an array, NaN, +-inf, an int beyond float range) ValueError naming it."""
+    if isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool):
+        try:
+            if math.isfinite(f := float(v)):
+                return f
+        except OverflowError:  # an int beyond float range
+            pass
+    raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def index(name: str, v, lo: int, hi: int) -> int:
+    """v as an int when it is an integer in [lo, hi) of any __index__ type
+    but bool; else (a float too, even 2.0) ValueError naming it."""
+    if not isinstance(v, bool):
+        try:
+            if lo <= (i := operator.index(v)) < hi:
+                return i
+        except TypeError:  # no __index__, or an array of more than one
+            pass
+    top = f"2**{hi.bit_length() - 1}" if hi > 1024 and hi & hi - 1 == 0 else hi
+    raise ValueError(f"{name} must be an integer >= {lo} and < {top}, got {v!r}")
 
 
 class DoubleHopfError(Exception):

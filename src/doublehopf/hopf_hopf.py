@@ -26,7 +26,7 @@ from .chareq import (
     hopf_ladders,
     tau_branch,  # not called here; perfbench/tracing.py counts calls through this name
 )
-from .errors import HypothesisViolated, NoSignChange
+from .errors import HypothesisViolated, NoSignChange, real
 
 __all__ = [
     "HopfHopfPoint",
@@ -147,11 +147,8 @@ def find_hopf_hopf(
     frequencies are read from the ladders of the call at k0, so they are
     the bits of ``tau_branch`` and ``hopf_frequencies``.
     """
-    _check_rung(j_plus)
-    _check_rung(j_minus)
-    if not math.isfinite(k_lo):
-        raise ValueError(f"k_lo must be finite, got {k_lo!r}")
-    if not k_lo < k_hi:
+    j_plus, j_minus = _check_rung(j_plus), _check_rung(j_minus)
+    if not real("k_lo", k_lo) < k_hi:
         raise ValueError("need k_lo < k_hi")
     k_max = math.nextafter(gain_bound(epsilon, mu), -math.inf)
     k_hi = min(k_hi, k_max)
@@ -208,7 +205,7 @@ def resonance_check(omega1: float, omega2: float, tol: float = 1e-3) -> dict:
     ``tol`` from both 1/2 and 1/3), the closer of the two ratios, and the
     ratio itself.  A NaN or negative ``tol`` raises ValueError.
     """
-    if not 0 < omega1 < omega2:
+    if not 0 < real("omega1", omega1) < real("omega2", omega2):
         raise ValueError("need 0 < omega1 < omega2")
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -240,7 +237,7 @@ def scan_hopf_curves(
     in [0, 2**53).
     """
     _check_instance(epsilon, mu)
-    _check_rung(j_max, "j_max")
+    j_max = _check_rung(j_max, "j_max")
     if not isinstance(k_values, np.ndarray):
         k_values = list(k_values)
-    return HopfCurveTable(hopf_ladders(epsilon, mu, k_values), int(j_max))
+    return HopfCurveTable(hopf_ladders(epsilon, mu, k_values), j_max)

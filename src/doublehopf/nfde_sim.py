@@ -59,7 +59,6 @@ the labels are assigned in the calling process.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from array import array
 from dataclasses import dataclass, replace
@@ -70,7 +69,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chareq import SystemParams, _ValueEq, hopf_ladders
-from .errors import HypothesisViolated, InsufficientData, NonFiniteState
+from .errors import HypothesisViolated, InsufficientData, NonFiniteState, index, real
 from .hopf_hopf import HopfHopfPoint
 
 __all__ = [
@@ -95,9 +94,10 @@ _BLOWUP_SQ = 1e16  # |state|^2 guard; ~1e8 per component
 class SimConfig:
     """Integration protocol: parameters, constant initial data, grid, horizon.
 
-    The grid is h = tau/h_div with ``h_div`` an integer in [4, 2**63), numpy's
-    index range, of any integer type, stored as an int (a float, even
-    2000.0, is rejected), so the delay is exactly h_div steps.
+    The grid is h = tau/h_div, so the delay is exactly h_div steps.  h_div
+    follows the one integer rule (errors.index) on [4, 2**63), numpy's index
+    range: any integer type but bool, stored as an int; a float, even 2000.0,
+    is refused.  x0, y0, t_end and transient are errors.real.
     """
 
     params: SystemParams
@@ -109,18 +109,11 @@ class SimConfig:
     formulation: str = "theta_form"
 
     def __post_init__(self):
-        is_int = hasattr(type(self.h_div), "__index__")
-        h_div = operator.index(self.h_div) if is_int else 0
-        if not 4 <= h_div < 2**63:
-            raise ValueError(
-                f"h_div must be an integer >= 4 and < 2**63, got {self.h_div!r}")
-        object.__setattr__(self, "h_div", h_div)
+        object.__setattr__(self, "h_div", index("h_div", self.h_div, 4, 2**63))
         if not self.h > 0:
             raise ValueError(f"h = tau/h_div must be positive, got {self.h!r}")
-        for name in ("x0", "y0", "t_end"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        for name in ("x0", "y0", "t_end", "transient"):
+            real(name, getattr(self, name))
         if not 0 <= self.transient < self.t_end:
             raise ValueError("need 0 <= transient < t_end")
         if self.formulation not in ("theta_form", "neutral_form"):
@@ -711,7 +704,7 @@ def poincare(
     section").  ``transient`` must be finite and >= 0, as in SimConfig.
     """
     _check_direction(direction)
-    if not 0 <= transient < math.inf:
+    if not real("transient", transient) >= 0:
         raise ValueError(f"transient must be finite and >= 0, got {transient!r}")
     sec = _Crossings(traj.h, traj.params.tau, len(traj), transient, traj.y[0])
     sec(0, traj.x, traj.y, traj.dy, None, None)
@@ -845,9 +838,7 @@ def _leg_steps(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int) ->
     arguments."""
     if not 1e-10 <= delta0 <= 1e-6:
         raise ValueError(f"delta0 must lie in [1e-10, 1e-6], got {delta0}")
-    if not (50 <= n_renorm < 2**63 and n_renorm % 1 == 0):
-        raise ValueError(
-            f"n_renorm must be an integer >= 50 and < 2**63, got {n_renorm}")
+    index("n_renorm", n_renorm, 50, 2**63)
     if not cfg.h <= renorm_T < math.inf:
         raise ValueError(f"renorm_T must be finite and >= h, got {renorm_T!r}")
     return max(1, int(round(renorm_T / cfg.h)))
@@ -1035,9 +1026,7 @@ def line_T_scan(
     """
     todo = []
     for iota in iota_list:
-        if not math.isfinite(iota):
-            raise ValueError(f"iota must be finite, got {iota!r}")
-        if iota == 0.0:
+        if real("iota", iota) == 0.0:
             todo.append((iota, None))
             continue
         params = hh.params(0.1 * iota, 0.081 * iota)

@@ -41,6 +41,7 @@ from .errors import (
     OnBoundary,
     SingularNormalizer,
     WrongCase,
+    real,
 )
 from .hopf_hopf import HopfHopfPoint
 
@@ -392,7 +393,10 @@ def unfolding_params(coeffs: NormalFormCoeffs) -> UnfoldingParams:
     r -> r*sqrt(|Re c|), t -> eps1*t produces coefficients
     b0 = eps1*eps2*Re c12/Re c22, c0 = Re c21/Re c11, d0 = eps1*eps2 and
     the parameter maps c_i = eps1*(Re a_i1*alpha1 + Re a_i2*alpha2).
+    Raises ValueError, naming it, for a real part that is not finite.
     """
+    for name in ("a11", "a12", "c11", "a21", "a22", "c22"):
+        real(f"Re {name}", getattr(coeffs, name).real)
     re11, re22 = coeffs.c11.real, coeffs.c22.real
     if abs(re11) < 1e-12 or abs(re22) < 1e-12:
         raise DegenerateCubic(
@@ -469,12 +473,14 @@ def via_lines(u: UnfoldingParams) -> ViaLines:
     Each c-plane direction d maps to adj(A) d / copysign(|adj(A) d|, det A),
     A = [c1_map; c2_map], so the rays run clockwise exactly when det A < 0.
     Raises BoundaryCase where classify_unfolding does, WrongCase outside
-    case VIa, DegenerateCubic for a singular map.
+    case VIa, ValueError for a map entry that is not finite, DegenerateCubic
+    for a singular map.
     """
     case = classify_unfolding(u)
     if case != "VIa":
         raise WrongCase(f"bifurcation rays defined for case VIa, not {case}")
-    (p, q), (r, s) = map(float, u.c1_map), map(float, u.c2_map)
+    p, q = (real("c1_map", v) for v in u.c1_map)
+    r, s = (real("c2_map", v) for v in u.c2_map)
     det = p * s - q * r
     if det == 0.0:
         raise DegenerateCubic("parameter map is singular; rays undefined")
@@ -502,8 +508,7 @@ def region_of(alpha1: float, alpha2: float, lines: ViaLines) -> int:
     Raises ValueError for a non-finite point, the origin, or rays in
     neither cyclic order.
     """
-    if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
-        raise ValueError(f"alpha must be finite, got {(alpha1, alpha2)}")
+    alpha1, alpha2 = real("alpha1", alpha1), real("alpha2", alpha2)
     if alpha1 == 0.0 and alpha2 == 0.0:
         raise ValueError("region undefined at the origin")
     theta = math.atan2(alpha2, alpha1)

@@ -254,8 +254,9 @@ def test_find_attractor_cycle_on_degenerate_ray(unfolding, lines):
         (6, "torus2", None),
         (7, "periodic", 2),
         (8, "trivial_eq", None),
-        # an integral float or numpy integer is probed, and returned, as int
-        (1.0, "none_stable", None),
+        # a numpy integer is probed, and returned, as int; a float, even
+        # 1.0, is refused (tests/test_nfde_sim.py's index table)
+        (np.int32(1), "none_stable", None),
         (np.int64(6), "torus2", None),
     ],
 )
@@ -429,9 +430,12 @@ def _d8_with(name, value):
     (lambda: dh.equilibria(*_d8_with("b0", math.nan)), "^b0 must be finite"),
     (lambda: dh.equilibria(*_d8_with("c0", -math.inf)), "^c0 must be finite"),
     (lambda: dh.equilibria(*_d8_with("d0", math.nan)), "^d0 must be finite"),
+    (lambda: dh.equilibria(*_d8_with("c1", 2**1100)), "^c1 must be finite, got 1"),
+    (lambda: dh.simulate_amplitude((0.3, 0.1), _d8_with("c1", math.nan), 1.0, 0.01),
+     "^c1 must be finite, got nan$"),
 ], ids=["state-nan", "state-inf", "start-negative", "start-nan", "t_end-inf",
         "t_end-nan", "h-inf", "h-nan", "c1-nan", "c1-neg-inf", "c2-inf", "b0-nan",
-        "c0-neg-inf", "d0-nan"])
+        "c0-neg-inf", "d0-nan", "c1-beyond-float", "params-c1-nan"])
 def test_bad_amplitude_input_raises_value_error(call, match):
     # a start is a state, checked as one, and the run a finite horizon at a
     # finite step: each is refused before a step, not integrated as given;

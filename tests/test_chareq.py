@@ -240,7 +240,7 @@ def test_tau_branch_rejects_bad_arguments():
     with pytest.raises(ValueError):
         dh.tau_branch(EPS, MU, 4.6, "plus", -1)
     # from 2**53 on, floats no longer hold every integer
-    with pytest.raises(ValueError, match="below 2"):
+    with pytest.raises(ValueError, match=r"< 2\*\*53"):
         dh.tau_branch(EPS, MU, 4.6, "plus", 2**53)
     assert dh.tau_branch(EPS, MU, 4.6, "plus", 2**53 - 1) > 0
 
@@ -345,8 +345,11 @@ def test_system_params_validation():
         SystemParams(0.1, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         SystemParams(0.1, 0.5, 1.0, -1.0)
-    # a non-finite offset is the input's fault, not the integrator's
-    for bad in (math.nan, math.inf, -math.inf):
+    with pytest.raises(ValueError, match="^epsilon must be finite, got inf$"):
+        SystemParams(math.inf, 0.5, 4.8, 8.8)
+    # a non-finite offset is the input's fault, not the integrator's, and so
+    # are a bool and an int beyond float range
+    for bad in (math.nan, math.inf, -math.inf, True, 2**1100):
         with pytest.raises(ValueError, match="^k must be finite"):
             SystemParams(0.1, 0.5, bad, 1.0)
         with pytest.raises(ValueError, match="^tau must be finite"):

@@ -223,6 +223,27 @@ def test_malformed_report_is_json_error(tmp_path, capsys, text, missing):
     assert list(tmp_path.iterdir()) == [rep_path]
 
 
+@pytest.mark.parametrize("key,text", [
+    ("j_plus", "1e400"), ("j_plus", "1.5"), ("j_plus", "true"), ("j_minus", "-1"),
+    ("k0", "1" + "0" * 400), ("k0", "true"), ("tau0", "NaN"), ("epsilon", '"0.1"'),
+])
+def test_bad_report_field_is_json_error(tmp_path, capsys, key, text):
+    # each field is read by the rule its argument has (errors.real or
+    # errors.index), so a bad one exits 2 naming it: not an OverflowError
+    # traceback, and not a truncated or converted value
+    hh = dh.find_hopf_hopf(EPS, MU, 1, 1, 4.5, 5.2)
+    rep = {k: getattr(hh, k) for k in cli._REPORT_POINT}
+    rep_path = tmp_path / "r.json"
+    rep_path.write_text(json.dumps({**rep, key: "@"}).replace('"@"', text))
+    assert run_cli("simulate", "--alpha1", "0.1", "--alpha2", "0.085",
+                   "--report", str(rep_path), "--out", str(tmp_path / "z")) == 2
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{key} must be ")
+    assert list(tmp_path.iterdir()) == [rep_path]
+
+
 @pytest.mark.parametrize("argv,message", [
     (("simulate", "--alpha1", "0.1"), "required: --alpha2"),
     (("simulate", "--alpha1", "0.1", "--alpha2", "-inf"),
@@ -716,7 +737,8 @@ def test_rung_beyond_float_range_is_json_error(tmp_path, capsys, command):
                    "--out", str(tmp_path / "z")) == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ValueError"
-    assert err["message"].startswith("branch index j must be below 2**53")
+    assert err["message"].startswith(
+        "branch index j must be an integer >= 0 and < 2**53")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -124,12 +124,12 @@ BAD_ARGUMENTS = [
     (dh.tau_branch, (EPS, MU, 4.6, "up", 0), ValueError,
      "sign must be 'plus' or 'minus', got 'up'"),
     (dh.tau_branch, (EPS, MU, 4.6, "plus", -1), ValueError,
-     "branch index j must be a nonnegative integer, got -1"),
+     "branch index j must be an integer >= 0 and < 2**53, got -1"),
     (dh.tau_branch, (EPS, MU, 4.6, "plus", 1.5), ValueError,
-     "branch index j must be a nonnegative integer, got 1.5"),
+     "branch index j must be an integer >= 0 and < 2**53, got 1.5"),
     # the ladder index is checked before the sign, both before the gain
     (dh.tau_branch, (EPS, MU, 50.0, "up", -1), ValueError,
-     "branch index j must be a nonnegative integer, got -1"),
+     "branch index j must be an integer >= 0 and < 2**53, got -1"),
     (dh.tau_branch, (EPS, MU, 50.0, "up", 0), ValueError,
      "sign must be 'plus' or 'minus', got 'up'"),
     (dh.tau_branch, (0.0, MU, 4.6, "up", 0), ValueError,
@@ -154,6 +154,9 @@ BAD_ARGUMENTS = [
      "(epsilon=0.1, mu=0.5, k=50.0) fails h1=False, h2=True"),
     (dh.stability_windows, (EPS, MU, math.nan), HypothesisViolated,
      "(epsilon=0.1, mu=0.5, k=nan) fails h1=False, h2=False"),
+    # the instance is an argument, not a hypothesis of the mathematics
+    (dh.stability_windows, (math.inf, MU, 4.8), ValueError,
+     "epsilon must be finite, got inf"),
 ]
 
 

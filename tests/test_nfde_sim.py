@@ -47,7 +47,7 @@ def test_config_validation(hh):
     with pytest.raises(ValueError):
         dh.SimConfig(params, 0.1, 0.0, 2000, 10.0, formulation="implicit")
     for name in ("x0", "y0"):
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, True, 2**1100):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
                 dh.SimConfig(params, **{"x0": 0.1, "y0": 0.0, name: bad},
                              h_div=2000, t_end=10.0)
@@ -659,27 +659,44 @@ def test_line_t_scan_checks_exponent_arguments_before_any_run(hh, step_calls, kw
     assert step_calls == [] and pools == []
 
 
+# Every index argument: the call with the index v, and a valid index.  The
+# calls of a run use h_div 100 and run in this process once the bad
+# indices are refused.
 _NON_INTEGER_INDEX_CALLS = {
-    "predict_attractor": lambda hh, u: dh.predict_attractor(2.5, u),
+    "predict_attractor": (lambda hh, u, v: dh.predict_attractor(v, u), 6),
     # the table is formed lazily, so the check must come at the call
-    "scan_hopf_curves": lambda hh, u: dh.scan_hopf_curves(EPS, MU, [4.6, 4.7], 1.5),
-    "divergence_exponent": lambda hh, u: dh.divergence_exponent(
+    "scan_hopf_curves": (
+        lambda hh, u, v: dh.scan_hopf_curves(EPS, MU, [4.6, 4.7], v).rows, 1),
+    "divergence_exponent": (lambda hh, u, v: dh.divergence_exponent(
         cfg_at(hh, 0.2, 0.162, h_div=100, t_end=2200.0, transient=400.0),
-        1e-9, 1.0, 50.5),
-    "line_T_scan": lambda hh, u: dh.line_T_scan(
-        [2.0, 2.6], hh, h_div=100, t_end=2200.0, transient=400.0, n_renorm=50.5),
+        1e-9, 1.0, v), 50),
+    "line_T_scan": (lambda hh, u, v: dh.line_T_scan(
+        [2.0, 2.6], hh, h_div=100, t_end=2200.0, transient=400.0, n_renorm=v), 50),
+    "tau_branch": (lambda hh, u, v: dh.tau_branch(EPS, MU, 4.6, "plus", v), 2),
+    "find_hopf_hopf_j_plus": (
+        lambda hh, u, v: dh.find_hopf_hopf(EPS, MU, v, 1, 4.5, 5.2), 1),
+    "find_hopf_hopf_j_minus": (
+        lambda hh, u, v: dh.find_hopf_hopf(EPS, MU, 1, v, 4.5, 5.2), 1),
+    "SimConfig": (lambda hh, u, v: cfg_at(hh, 0.2, 0.162, h_div=v), 100),
 }
 
 
 @pytest.mark.parametrize("name", list(_NON_INTEGER_INDEX_CALLS))
 def test_non_integer_index_raises_value_error_at_the_call(
         hh, unfolding, step_calls, pools, monkeypatch, name):
-    # a region, a ladder index or a leg count of 1.5 is no index; it fails
-    # as an argument, before any step, not as a TypeError deep inside
+    # one integer rule for every index (errors.index): a bool, a float, even
+    # an integral one, and an index past its bounds fail as an argument,
+    # before any step or pool, not as a TypeError deep inside or a
+    # truncated index; a numpy integer is the plain int, bit for bit
+    call, valid = _NON_INTEGER_INDEX_CALLS[name]
     monkeypatch.setattr(nfde_sim, "_usable_cpus", lambda: 2)
-    with pytest.raises(ValueError, match="integer"):
-        _NON_INTEGER_INDEX_CALLS[name](hh, unfolding)
+    for bad in (True, 2.0, 1.5, -1, 2**63, float(valid)):
+        with pytest.raises(ValueError, match=r"^[\w ]+ must be an integer >= "):
+            call(hh, unfolding, bad)
     assert step_calls == [] and pools == []
+    monkeypatch.setattr(nfde_sim, "_usable_cpus", lambda: 1)
+    want = repr(call(hh, unfolding, valid))
+    assert repr(call(hh, unfolding, np.int64(valid))) == want
 
 
 def _section_hex(sec):
@@ -883,5 +900,5 @@ def test_poincare_rejects_a_transient_not_finite_and_nonnegative(hh, transient):
     # a negative transient would read the section past the end of the run
     # and before its start, as SimConfig refuses it for a streamed run
     traj = dh.simulate_theta(dh.SimConfig(hh.params(-0.1, 0.1), 0.1, 0.0, 100, 300.0))
-    with pytest.raises(ValueError, match="^transient must be finite and >= 0"):
+    with pytest.raises(ValueError, match="^transient must be finite"):
         dh.poincare(traj, "both", transient)
