@@ -209,43 +209,55 @@ def _array(name: str, v, dtype, copy=None) -> np.ndarray:
         raise
 
 
+def _delta(lam, p: SystemParams, form):
+    """form(z, exp(-z*tau)) for lam as a complex array z, a scalar as one
+    element; ValueError naming lam and tau where a value overflows."""
+    z = _array("lam", lam, complex)
+    real("lam", float(np.abs(z.view(float)).max(initial=0.0)))  # largest part
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = form(z, np.exp(-z * p.tau))
+    if not (finite := np.isfinite(val)).all():
+        at = complex(z[np.argmin(finite)])
+        raise ValueError(
+            f"lam = {at} and tau = {p.tau} overflow exp(-lam*tau) or its products")
+    return val if np.ndim(lam) else val[0]
+
+
 def eval_char(lam, p: SystemParams):
     """Characteristic function Delta(lam) of the linearized neutral system.
 
     ``lam`` is a finite complex scalar or numpy array.  A scalar is evaluated
     as a 1-element contiguous array, so it runs through the same vectorized
-    numpy loops as an array's elements and gets the same bits.
+    numpy loops as an array's elements and gets the same bits.  Where
+    exp(-lam*tau) or a term with it overflows, ValueError names lam and tau.
     """
-    z = _array("lam", lam, complex)
-    real("lam", float(np.abs(z.view(float)).max(initial=0.0)))  # largest part
-    e = np.exp(-z * p.tau)
-    z2 = z * z
-    val = (
-        z2
-        - p.mu * z2 * e
-        - p.epsilon * z
-        + p.epsilon * p.mu * z * e
-        - p.mu * e
-        + 1.0
-        - p.epsilon * p.k * (1.0 - p.mu)
-    )
-    return val if np.ndim(lam) else val[0]
+    def form(z, e):
+        z2 = z * z
+        return (
+            z2
+            - p.mu * z2 * e
+            - p.epsilon * z
+            + p.epsilon * p.mu * z * e
+            - p.mu * e
+            + 1.0
+            - p.epsilon * p.k * (1.0 - p.mu)
+        )
+    return _delta(lam, p, form)
 
 
 def char_deriv(lam, p: SystemParams):
     """Derivative Delta'(lam), for the same arguments as ``eval_char``."""
-    z = _array("lam", lam, complex)
-    real("lam", float(np.abs(z.view(float)).max(initial=0.0)))
-    e = np.exp(-z * p.tau)
     mu, eps, tau = p.mu, p.epsilon, p.tau
-    val = (
-        2.0 * z
-        - eps
-        - mu * (2.0 * z - tau * z * z) * e
-        + eps * mu * (1.0 - tau * z) * e
-        + mu * tau * e
-    )
-    return val if np.ndim(lam) else val[0]
+
+    def form(z, e):
+        return (
+            2.0 * z
+            - eps
+            - mu * (2.0 * z - tau * z * z) * e
+            + eps * mu * (1.0 - tau * z) * e
+            + mu * tau * e
+        )
+    return _delta(lam, p, form)
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant

@@ -289,10 +289,8 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _analyze_payload(args) -> dict:
-    hh = hopf_hopf.find_hopf_hopf(
-        args.epsilon, args.mu, args.j_plus, args.j_minus, *args.bracket
-    )
+def cmd_analyze(args) -> int:
+    hh = _resolve_point(args)
     res = hopf_hopf.resonance_check(hh.omega1, hh.omega2, args.resonance_tol)
     coeffs = normalform.nf_coefficients(hh, hh.epsilon, hh.mu)
     basis = normalform.eigenbasis(hh, hh.epsilon, hh.mu)
@@ -328,11 +326,6 @@ def _analyze_payload(args) -> dict:
         "duality_residual": resid,
         "lines": [asdict(ln) for ln in lines],
     }
-    return payload
-
-
-def cmd_analyze(args) -> int:
-    payload = _analyze_payload(args)
     _write_json(args.out, payload)
     return 0
 
@@ -404,8 +397,9 @@ _REPORT_POINT = ("k0", "tau0", "epsilon", "mu", "omega1", "omega2", "j_plus", "j
 
 def _resolve_point(args) -> hopf_hopf.HopfHopfPoint:
     """The double-Hopf point, instance included: rebuilt from a cached
-    analyze report, or located from the instance and point options."""
-    if not args.report:
+    analyze report (simulate's --report), or located from the instance and
+    point options."""
+    if not getattr(args, "report", None):
         return hopf_hopf.find_hopf_hopf(
             args.epsilon, args.mu, args.j_plus, args.j_minus, *args.bracket
         )
@@ -494,12 +488,9 @@ def cmd_simulate(args) -> int:
 def cmd_line_t(args) -> int:
     iotas = [float(s) for s in args.iota.split(",") if s.strip() != ""]
     with _fresh_output(args.out) as fh:
-        hh = hopf_hopf.find_hopf_hopf(
-            args.epsilon, args.mu, args.j_plus, args.j_minus, *args.bracket
-        )
         rows = nfde_sim.line_T_scan(
             iotas,
-            hh=hh,
+            hh=_resolve_point(args),
             x0=args.x0,
             y0=args.y0,
             h_div=args.h_div,
@@ -688,19 +679,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             _apply_config(parser, path)
         args = parser.parse_args(argv)
         return args.func(args)
-    except NonFiniteState as exc:
-        print(
-            json.dumps(
-                {"error": "NonFiniteState", "message": str(exc), "time": exc.time}
-            )
-        )
-        return 1
-    except DoubleHopfError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
+    except (DoubleHopfError, ValueError, OSError) as exc:
+        reply = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NonFiniteState):
+            reply["time"] = exc.time
+        print(json.dumps(reply))
+        return 1 if isinstance(exc, DoubleHopfError) else 2
 
 
 if __name__ == "__main__":

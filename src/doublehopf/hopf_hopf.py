@@ -62,7 +62,13 @@ class HopfHopfPoint:
     def params(self, alpha1: float = 0.0, alpha2: float = 0.0) -> SystemParams:
         """The system at the offset (alpha1, alpha2) from the point:
         k = k0 + alpha1 and tau = tau0 + alpha2 of the point's instance."""
-        return SystemParams(self.epsilon, self.mu, self.k0 + alpha1, self.tau0 + alpha2)
+        try:
+            return SystemParams(self.epsilon, self.mu, self.k0 + alpha1,
+                                self.tau0 + alpha2)
+        except OverflowError:  # an int offset beyond float range
+            real("alpha1", alpha1)
+            real("alpha2", alpha2)
+            raise
 
 
 class CurveRow(NamedTuple):

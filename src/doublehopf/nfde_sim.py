@@ -203,19 +203,6 @@ class Trajectory:
         """The step, tau/h_div: SimConfig.h's bits."""
         return self.params.tau / self.h_div
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(len(self.x)) * self.h
-
-    def y_delayed(self) -> np.ndarray:
-        """Grid samples of y(t - tau); exact buffer reads plus history fill."""
-        nd = self.h_div
-        out = np.empty_like(self.y)
-        out[:nd] = self.y[0]
-        if len(out) > nd:
-            out[nd:] = self.y[: len(out) - nd]
-        return out
-
 
 class _Stepper:
     """Sample buffers of an incremental integrator on the grid t = 0, h, ...

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -418,18 +419,17 @@ def unfolding_params(coeffs: NormalFormCoeffs) -> UnfoldingParams:
 
 def classify_unfolding(u: UnfoldingParams) -> str:
     """Case label from the signs of (d0, b0, c0, d0 - b0*c0); BoundaryCase
-    when one is not finite or lies within ``_SIGN_TOL`` of zero."""
-    for name, val in (("d0", u.d0), ("b0", u.b0), ("c0", u.c0), ("det", u.det)):
-        if not math.isfinite(val):
+    when one is not finite (an int beyond float range included) or lies
+    within ``_SIGN_TOL`` of zero."""
+    key = []
+    for name in ("d0", "b0", "c0", "det"):
+        val = getattr(u, name)  # det is formed once b0 and c0 are finite
+        if not abs(val) <= sys.float_info.max:  # NaN, inf, an int beyond it
             raise BoundaryCase(f"{name} = {val!r} is not finite")
         if abs(val) < _SIGN_TOL:
             raise BoundaryCase(f"{name} = {val:.3e} within {_SIGN_TOL} of zero")
-    key = (
-        1 if u.d0 > 0 else -1,
-        1 if u.b0 > 0 else -1,
-        1 if u.c0 > 0 else -1,
-        1 if u.det > 0 else -1,
-    )
+        key.append(1 if val > 0 else -1)
+    key = tuple(key)
     label = UNFOLDING_TABLE.get(key)
     if label is None:
         # sign pattern incompatible with det = d0 - b0*c0

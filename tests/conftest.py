@@ -259,6 +259,23 @@ def amplitude_rhs(s, c1, c2, b0, c0, d0):
     )
 
 
+def grid_times(traj):
+    """The sample times t = 0, h, 2h, ... of a stored run: the t column the
+    trajectory CSV writes."""
+    return np.arange(len(traj.x)) * traj.h
+
+
+def delayed_y(traj):
+    """Grid samples of y(t - tau) of a stored run, exact buffer reads plus
+    the history y[0]: the y_delayed column the trajectory CSV writes."""
+    nd = traj.h_div
+    out = np.empty_like(traj.y)
+    out[:nd] = traj.y[0]
+    if len(out) > nd:
+        out[nd:] = traj.y[: len(out) - nd]
+    return out
+
+
 def find_attractor(params, s0, t_end=2e4, h=0.02, tol=1e-6):
     """Classify the omega-limit of one amplitude orbit by simulation: the
     oracle of the closed-form predict_attractor.

@@ -15,7 +15,8 @@ from doublehopf import cli, nfde_sim
 from doublehopf.chareq import SystemParams
 from doublehopf.cli import main
 
-from conftest import EPS, MU, REF_B0, REF_C0, REF_K0, REF_TAU0, format_cases
+from conftest import (EPS, MU, REF_B0, REF_C0, REF_K0, REF_TAU0, delayed_y,
+                      format_cases, grid_times)
 
 
 def run_cli(*argv):
@@ -563,9 +564,9 @@ def test_trajectory_export_blocks_match_whole_arrays(
     write_rows(
         whole,
         ["t", "x", "y", "theta", "y_delayed"],
-        zip(traj.t[::stride].tolist(), traj.x[::stride].tolist(),
+        zip(grid_times(traj)[::stride].tolist(), traj.x[::stride].tolist(),
             traj.y[::stride].tolist(), traj.theta[::stride].tolist(),
-            traj.y_delayed()[::stride].tolist()),
+            delayed_y(traj)[::stride].tolist()),
     )
     for chunk in chunks:
         got = tmp_path / f"run{chunk}.trajectory.csv"

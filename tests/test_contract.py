@@ -9,12 +9,15 @@ RuntimeWarnings are errors.  A call that succeeds returns no NaN, except
 where a gain is elementwise and NaN marks an inadmissible one.
 
 The integers are 2**63 and 2**64 + 1, past every index bound, and 2**1100,
-beyond float range.  A real argument gets only the last: a delay or a
-coefficient of 2**63 is a valid real whose arithmetic may overflow, which
-is float range, not the argument contract.  A record (HopfHopfPoint,
-UnfoldingParams, NormalFormCoeffs) stores what it is given, so the type mix
-goes to the scalar arguments and a record field is replaced by non-finite
-floats only.  Runs are short, and line_T_scan runs in this process.
+beyond float range.  A real argument gets only the last.  A record
+(HopfHopfPoint, UnfoldingParams, NormalFormCoeffs) stores what it is given,
+so the type mix goes to the scalar arguments and a record field is replaced
+by non-finite floats only, and by 2**1100 for an unfolding's b0 and c0.
+eval_char's delay is drawn up to 1e300, where exp(-lam*tau) overflows.  Not
+drawn: other large valid reals, such as a gain, a run's delay or an
+amplitude coefficient of 1e300, whose arithmetic may overflow, which is
+float range, not the argument contract.  Runs are short, and line_T_scan
+runs in this process.
 """
 
 import dataclasses
@@ -29,7 +32,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import doublehopf as dh  # noqa: E402
 from doublehopf import nfde_sim  # noqa: E402
-from doublehopf.errors import DoubleHopfError  # noqa: E402
+from doublehopf.errors import BoundaryCase, DoubleHopfError  # noqa: E402
 from doublehopf.normalform import NormalFormCoeffs, UnfoldingParams  # noqa: E402
 
 from conftest import EPS, MU  # noqa: E402
@@ -119,12 +122,14 @@ def _unfolding(eps1, b0, c0, p, q, r, s):
 def _unfolding_args():
     """A case-VIa unfolding much as tests/test_ray_properties.py draws one:
     b0 >= 1 and c0 <= -1, so c0 <= -1/b0, and map entries of either sign
-    over eight decades, each field mixed as a record's."""
+    over eight decades, each field mixed as a record's; b0 and c0 may also
+    be an int beyond float range."""
     entry = _Arg(st.builds(lambda m, sign: sign * m, st.floats(1e-4, 1e4),
                            st.sampled_from([1.0, -1.0])),
                  st.sampled_from(_NON_FINITE))
-    return [_fixed(1), _Arg(st.floats(1.0, 1e3), st.sampled_from(_NON_FINITE)),
-            _Arg(st.floats(-1e3, -1.0), st.sampled_from(_NON_FINITE))] + [entry] * 4
+    coupling = st.sampled_from(_NON_FINITE + _BIG[-1:])
+    return [_fixed(1), _Arg(st.floats(1.0, 1e3), coupling),
+            _Arg(st.floats(-1e3, -1.0), coupling)] + [entry] * 4
 
 
 def _run(hh):
@@ -168,7 +173,7 @@ def _cases(hh, basis, lines, traj, sec):
                             *_point(hh), _field(EPS), _field(MU)),
         "equilibria": _case(dh.equilibria, *[_real(-2, 2)] * 5),
         "eval_char": _case(lambda lam, *p: dh.eval_char(lam, dh.SystemParams(*p)),
-                           _LAM, _EPS, _MU, _GAIN, _real(0, 12)),
+                           _LAM, _EPS, _MU, _GAIN, _real(0, 1e300)),
         "find_hopf_hopf": _case(dh.find_hopf_hopf, _EPS, _MU, _index(0, 2),
                                 _index(0, 2), _real(4.0, 4.6), _real(5.0, 5.3)),
         "hopf_frequencies": _case(dh.hopf_frequencies, _EPS, _MU, _GAIN),
@@ -287,11 +292,14 @@ def _va_unfolding(c1_map, c2_map):
     return UnfoldingParams(1, -1, 1.0, -2.0, np.array(c1_map), np.array(c2_map))
 
 
-# Inputs that were accepted, or failed with an untyped error, before the
-# two checkers, and that no table of bad arguments elsewhere takes: each
-# is now a ValueError that names the argument and its value.  (The index
-# table is tests/test_nfde_sim.py's _NON_INTEGER_INDEX_CALLS.)
+# Inputs that were accepted, or failed with an untyped error or a numpy
+# warning, and that no table of bad arguments elsewhere takes: each is now
+# a ValueError that names the argument and its value.  (The index table is
+# tests/test_nfde_sim.py's _NON_INTEGER_INDEX_CALLS.)
 _PROBES = {
+    "HopfHopfPoint.params-alpha1-2**1100": (
+        lambda hh, u: hh.params(2**1100, 0.0),
+        "^alpha1 must be finite, got 1"),
     "find_hopf_hopf-k_lo-2**1100": (
         lambda hh, u: dh.find_hopf_hopf(0.1, 0.5, 1, 1, 2**1100, 5.2),
         "^k_lo must be finite, got 1"),
@@ -331,6 +339,13 @@ _PROBES = {
     "char_deriv-nan": (
         lambda hh, u: dh.chareq.char_deriv(complex(math.nan, 1.0), hh.params()),
         "^lam must be finite, got nan$"),
+    "eval_char-exp-overflow": (
+        lambda hh, u: dh.eval_char(-0.5, dh.SystemParams(0.1, 0.5, 0.0, 2**63)),
+        r"^lam = \(-0\.5\+0j\) and tau = 9223372036854775808 overflow"),
+    "char_deriv-exp-overflow": (
+        lambda hh, u: dh.chareq.char_deriv(
+            np.array([1j, -0.5]), dh.SystemParams(0.1, 0.5, 0.0, 2**63)),
+        r"^lam = \(-0\.5\+0j\) and tau = 9223372036854775808 overflow"),
 }
 
 
@@ -340,3 +355,16 @@ def test_probe_raises_a_value_error_naming_it(hh, unfolding, name):
     call, match = _PROBES[name]
     with pytest.raises(ValueError, match=match):
         call(hh, unfolding)
+
+
+@pytest.mark.parametrize("field", ["b0", "c0"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unfolding_field_beyond_float_range_is_a_boundary_case(field):
+    # an int b0 or c0 beyond float range has no sign, as a NaN one has not;
+    # tests/test_normalform.py's classification table forms det itself
+    u = dataclasses.replace(_va_unfolding([1.0, 0.0], [0.0, 1.0]),
+                            **{field: 2**1100})
+    for call in (dh.classify_unfolding, dh.via_lines,
+                 lambda u: dh.predict_attractor(1, u)):
+        with pytest.raises(BoundaryCase, match=f"^{field} = 1"):
+            call(u)

@@ -16,7 +16,7 @@ from doublehopf.chareq import SystemParams
 from doublehopf.errors import DoubleHopfError, InsufficientData, NonFiniteState
 from doublehopf.nfde_sim import PoincareSection, Trajectory
 
-from conftest import EPS, MU, memory_recursion, rightmost_roots
+from conftest import EPS, MU, delayed_y, memory_recursion, rightmost_roots
 
 
 def cfg_at(hh, a1, a2, x0=0.1, y0=0.0, h_div=500, t_end=100.0, transient=0.0,
@@ -156,7 +156,7 @@ def test_determinism_bitwise(hh):
 def test_delayed_samples_are_exact_buffer_reads(hh):
     cfg = cfg_at(hh, -0.1, 0.1, h_div=300, t_end=80.0)
     traj = dh.simulate_theta(cfg)
-    ydel = traj.y_delayed()
+    ydel = delayed_y(traj)
     nd = traj.h_div
     assert np.array_equal(ydel[nd:], traj.y[:-nd])
     assert np.all(ydel[:nd] == cfg.y0)
@@ -176,14 +176,14 @@ def test_delayed_samples_of_a_run_shorter_than_one_delay(hh):
     # y[:len - nd] is a nonempty slice from the end; the history is y[0]
     syn = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 10,
                      np.zeros(7), np.ones(7), np.zeros(7), np.zeros(7))
-    assert np.array_equal(syn.y_delayed(), np.ones(7))
+    assert np.array_equal(delayed_y(syn), np.ones(7))
     syn = Trajectory(SystemParams(EPS, MU, 0.0, 0.4), 4,
                      np.zeros(7), np.arange(-1.0, 6.0), np.zeros(7), np.zeros(7))
-    assert np.array_equal(syn.y_delayed(), [-1.0] * 4 + [-1.0, 0.0, 1.0])
+    assert np.array_equal(delayed_y(syn), [-1.0] * 4 + [-1.0, 0.0, 1.0])
     cfg = cfg_at(hh, -0.1, 0.1, y0=0.25, h_div=50, t_end=0.6 * (hh.tau0 + 0.1))
     traj = dh.simulate_theta(cfg)
     assert cfg.h_div / 2 < len(traj) < cfg.h_div
-    assert np.array_equal(traj.y_delayed(), _shifted(traj.y, cfg.h_div, 0.25))
+    assert np.array_equal(delayed_y(traj), _shifted(traj.y, cfg.h_div, 0.25))
 
 
 def test_blowup_raises_with_time():
