@@ -154,7 +154,8 @@ def simulate_amplitude(
 
     ``s0`` is an AmplitudeState or an (r1, r2) pair, checked as one.
     Radii are clamped at zero, keeping both axes exactly invariant.
-    Returns (times, path) sampled at every step.
+    Returns (times, path) sampled at every step.  An escaping path stops at
+    its first sample with a radius above 1e6, which may be inf.
     """
     h, t_end = real("h", h), real("t_end", t_end)
     if not (h > 0 and t_end > 0):

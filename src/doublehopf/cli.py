@@ -453,12 +453,7 @@ def cmd_simulate(args) -> int:
         rows = _TrajectoryRows(fh, cfg, args.stride)
         # streamed: neither the run nor the CSV text is held
         sec = nfde_sim.stream_section(cfg, args.direction, [rows])
-    label_error = None
-    try:
-        label = nfde_sim.classify_section(sec)
-    except DoubleHopfError as exc:
-        label = None
-        label_error = f"{type(exc).__name__}: {exc}"
+    label, label_error = nfde_sim._label(sec)
 
     with open(f"{args.out}.section.csv", "w", newline="\n") as fh:
         fh.write("t,x,y_delayed,direction\n")

@@ -65,9 +65,10 @@ class HopfHopfPoint:
         try:
             return SystemParams(self.epsilon, self.mu, self.k0 + alpha1,
                                 self.tau0 + alpha2)
-        except OverflowError:  # an int offset beyond float range
-            real("alpha1", alpha1)
-            real("alpha2", alpha2)
+        except OverflowError:  # an int offset or field beyond float range
+            for name, v in (("alpha1", alpha1), ("alpha2", alpha2),
+                            ("k0", self.k0), ("tau0", self.tau0)):
+                real(name, v)
             raise
 
 

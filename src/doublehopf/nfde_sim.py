@@ -47,8 +47,8 @@ per block, so every reader gets it from either formulation.  A streamed run
 holds at most N + 3 + _CHUNK samples of each stepper buffer however long
 it is: 8 bytes each in five buffers for the theta form (0.74 MB at N =
 2000) and four for the neutral form; a stored run (simulate_theta,
-simulate_neutral) is the stream plus a store of the four columns x, y, y'
-and theta in either formulation, so it needs 32 bytes per step plus that.
+simulate_neutral) is the stream plus a store of three columns, x, y and
+y', 24 bytes per step plus that; theta is the memory recursion of its x.
 Either way the samples are those of one unsplit stepper run, bit for bit.
 
 The scales of a line_T_scan are independent runs, so _map_runs runs them
@@ -181,11 +181,10 @@ def _fill_memory(m: np.ndarray, src: np.ndarray, lo: int, mu: float, nd: int,
 class Trajectory:
     """Uniform-grid solution samples with cubic Hermite dense output.
 
-    ``params`` is the system the samples solve.  Arrays x, y, dy (= y') and
-    theta (the feedback memory) live on t = 0, h, 2h, ... (h = tau/h_div),
-    the same four columns in either formulation.  The history before t = 0
-    is constant and equal to the first sample: y[0] is the run's y0, bit
-    for bit.
+    ``params`` is the system the samples solve.  Arrays x, y and dy (= y')
+    live on t = 0, h, 2h, ... (h = tau/h_div): three columns, 24 bytes per
+    step, in either formulation.  The history before t = 0 is constant and
+    equal to the first sample: y[0] is the run's y0, bit for bit.
     """
 
     params: SystemParams
@@ -193,7 +192,6 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
     dy: np.ndarray
-    theta: np.ndarray
 
     def __len__(self) -> int:
         return len(self.x)
@@ -538,9 +536,9 @@ def _stream(cfg: SimConfig, readers: Sequence[Callable],
 
 
 def _stored(cfg: SimConfig) -> Trajectory:
-    """cfg's whole run: _stream into the columns x, y, y' and theta.  Each
-    chunk rewrites the trailing window it starts with, with the same bits."""
-    cols = [np.empty(_n_steps(cfg) + 1) for _ in range(4)]
+    """cfg's whole run: _stream into the columns x, y and y'.  Each chunk
+    rewrites the trailing window it starts with, with the same bits."""
+    cols = [np.empty(_n_steps(cfg) + 1) for _ in range(3)]
 
     def store(base, *run) -> None:
         for dst, src in zip(cols, run):
@@ -820,6 +818,14 @@ def classify_section(
     return "curve_family" if collinearity >= 0.8 else "scattered"
 
 
+def _label(sec: PoincareSection, lam: Optional[float] = None) -> tuple:
+    """(label, None) of classify_section, or (None, "<Type>: <message>")."""
+    try:
+        return classify_section(sec, lam), None
+    except InsufficientData as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _leg_steps(cfg: SimConfig, delta0: float, renorm_T: float, n_renorm: int) -> int:
     """Steps per leg of divergence_exponent(cfg, ...), after checking its
     arguments."""
@@ -1033,10 +1039,6 @@ def line_T_scan(
             rows.append(LineTRow(0.0, hh.k0, hh.tau0, "skipped_origin", None))
             continue
         sec, lam = next(runs)
-        label = error = None
-        try:
-            label = classify_section(sec, divergence_exponent=lam)
-        except InsufficientData as exc:
-            error = f"{type(exc).__name__}: {exc}"
+        label, error = _label(sec, lam)
         rows.append(LineTRow(iota, cfg.params.k, cfg.params.tau, label, lam, error))
     return rows

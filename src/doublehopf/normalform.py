@@ -184,8 +184,8 @@ class UnfoldingParams(_ValueEq):
 
     @property
     def det(self) -> float:
-        """d0 - b0*c0, the fourth sign quantity of the classification."""
-        return self.d0 - self.b0 * self.c0
+        """d0 - b0*c0 in Python floats, which overflow to inf with no warning."""
+        return self.d0 - float(self.b0) * float(self.c0)
 
 
 @dataclass(frozen=True)

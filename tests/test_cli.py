@@ -16,7 +16,7 @@ from doublehopf.chareq import SystemParams
 from doublehopf.cli import main
 
 from conftest import (EPS, MU, REF_B0, REF_C0, REF_K0, REF_TAU0, delayed_y,
-                      format_cases, grid_times)
+                      format_cases, grid_times, memory_recursion)
 
 
 def run_cli(*argv):
@@ -565,7 +565,8 @@ def test_trajectory_export_blocks_match_whole_arrays(
         whole,
         ["t", "x", "y", "theta", "y_delayed"],
         zip(grid_times(traj)[::stride].tolist(), traj.x[::stride].tolist(),
-            traj.y[::stride].tolist(), traj.theta[::stride].tolist(),
+            traj.y[::stride].tolist(),
+            memory_recursion(traj.x, 0.1, 50)[::stride].tolist(),
             delayed_y(traj)[::stride].tolist()),
     )
     for chunk in chunks:

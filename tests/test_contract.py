@@ -300,6 +300,12 @@ _PROBES = {
     "HopfHopfPoint.params-alpha1-2**1100": (
         lambda hh, u: hh.params(2**1100, 0.0),
         "^alpha1 must be finite, got 1"),
+    "HopfHopfPoint.params-k0-2**1100": (
+        lambda hh, u: dh.HopfHopfPoint(0.1, 0.5, 2**1100, 8.8, 0.7, 0.9, 1, 1).params(),
+        "^k0 must be finite, got 1"),
+    "HopfHopfPoint.params-tau0-2**1100": (
+        lambda hh, u: dh.HopfHopfPoint(0.1, 0.5, 4.8, 2**1100, 0.7, 0.9, 1, 1).params(),
+        "^tau0 must be finite, got 1"),
     "find_hopf_hopf-k_lo-2**1100": (
         lambda hh, u: dh.find_hopf_hopf(0.1, 0.5, 1, 1, 2**1100, 5.2),
         "^k_lo must be finite, got 1"),
@@ -357,14 +363,19 @@ def test_probe_raises_a_value_error_naming_it(hh, unfolding, name):
         call(hh, unfolding)
 
 
-@pytest.mark.parametrize("field", ["b0", "c0"])
+@pytest.mark.parametrize("fields,match", [
+    ({"b0": 2**1100}, "^b0 = 1"),
+    ({"c0": 2**1100}, "^c0 = 1"),
+    # numpy floats, as unfolding_params builds b0 and c0, whose product
+    # leaves float range: det is inf, with no numpy warning
+    ({"b0": np.float64(1e200), "c0": np.float64(-1e200)}, "^det = inf is not finite$"),
+], ids=["b0", "c0", "det-numpy-product"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_unfolding_field_beyond_float_range_is_a_boundary_case(field):
+def test_unfolding_field_beyond_float_range_is_a_boundary_case(fields, match):
     # an int b0 or c0 beyond float range has no sign, as a NaN one has not;
     # tests/test_normalform.py's classification table forms det itself
-    u = dataclasses.replace(_va_unfolding([1.0, 0.0], [0.0, 1.0]),
-                            **{field: 2**1100})
+    u = dataclasses.replace(_va_unfolding([1.0, 0.0], [0.0, 1.0]), **fields)
     for call in (dh.classify_unfolding, dh.via_lines,
                  lambda u: dh.predict_attractor(1, u)):
-        with pytest.raises(BoundaryCase, match=f"^{field} = 1"):
+        with pytest.raises(BoundaryCase, match=match):
             call(u)

@@ -84,10 +84,11 @@ def test_feedback_memory_continuous_at_start(hh):
     # constant history puts the memory at its recursion fixed point
     cfg = cfg_at(hh, -0.1, 0.1, x0=0.3, y0=0.0, h_div=200, t_end=30.0)
     traj = dh.simulate_theta(cfg)
-    assert traj.theta[0] == 0.3
+    theta = memory_recursion(traj.x, cfg.x0, cfg.h_div)
+    assert theta[0] == 0.3
     mu = MU
     for j in (1, 5, 50):
-        assert traj.theta[j] == pytest.approx(
+        assert theta[j] == pytest.approx(
             (1 - mu) * traj.x[j] + mu * 0.3, abs=1e-15
         )
 
@@ -98,18 +99,26 @@ def test_neutral_memory_reconstruction_matches_theta(hh):
                    formulation="neutral_form")
     tr_t = dh.simulate_theta(cfg_t)
     tr_n = dh.simulate_neutral(cfg_n)
-    assert np.max(np.abs(tr_t.theta - tr_n.theta)) < 1e-8
+    th_t, th_n = (memory_recursion(tr.x, cfg_t.x0, cfg_t.h_div) for tr in (tr_t, tr_n))
+    assert np.max(np.abs(th_t - th_n)) < 1e-8
 
 
 @pytest.mark.parametrize("y0", [0.0, -0.0])
 @pytest.mark.parametrize("formulation", ["theta_form", "neutral_form"])
 def test_stored_theta_is_the_memory_recursion(hh, formulation, y0):
-    # node 0 is x0 in theta form and (1-mu)*x0 + mu*x0 in neutral form, the
-    # same float at mu = 1/2
+    # a stored run keeps no theta: its x gives the stream's theta column bit
+    # for bit.  Node 0 is x0 in theta form and (1-mu)*x0 + mu*x0 in neutral
+    # form, the same float at mu = 1/2
     cfg = cfg_at(hh, -0.1, 0.1, y0=y0, h_div=50, t_end=30.0, formulation=formulation)
     traj = nfde_sim.simulate(cfg)
+    streamed = []  # one chunk: the whole run's theta
+
+    def read(base, x, y, dy, theta, dtheta):
+        streamed.append(theta)
+
+    nfde_sim.stream_section(cfg, "both", [read])
     want = memory_recursion(traj.x, cfg.x0, cfg.h_div)
-    assert traj.theta.tobytes() == want.tobytes()
+    assert len(streamed) == 1 and streamed[0].tobytes() == want.tobytes()
 
 
 def test_decay_toward_stable_equilibrium(hh):
@@ -175,10 +184,10 @@ def test_delayed_samples_of_a_run_shorter_than_one_delay(hh):
     # samples of systems with delay h_div * h; more than half a delay, so
     # y[:len - nd] is a nonempty slice from the end; the history is y[0]
     syn = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 10,
-                     np.zeros(7), np.ones(7), np.zeros(7), np.zeros(7))
+                     np.zeros(7), np.ones(7), np.zeros(7))
     assert np.array_equal(delayed_y(syn), np.ones(7))
     syn = Trajectory(SystemParams(EPS, MU, 0.0, 0.4), 4,
-                     np.zeros(7), np.arange(-1.0, 6.0), np.zeros(7), np.zeros(7))
+                     np.zeros(7), np.arange(-1.0, 6.0), np.zeros(7))
     assert np.array_equal(delayed_y(syn), [-1.0] * 4 + [-1.0, 0.0, 1.0])
     cfg = cfg_at(hh, -0.1, 0.1, y0=0.25, h_div=50, t_end=0.6 * (hh.tau0 + 0.1))
     traj = dh.simulate_theta(cfg)
@@ -218,7 +227,7 @@ def test_poincare_synthetic_circle():
     h = 0.01  # tau/100 at tau = 1
     t = np.arange(0.0, 20.0 + h / 2, h)
     traj = Trajectory(SystemParams(EPS, MU, 0.0, 1.0), 100,
-                      np.cos(t), -np.sin(t), -np.cos(t), np.cos(t))
+                      np.cos(t), -np.sin(t), -np.cos(t))
     sec = dh.poincare(traj, "both", 0.0)
     expect = np.arange(1, 7) * math.pi
     assert len(sec) == len(expect)
@@ -774,9 +783,10 @@ def test_streamed_neutral_section_shorter_than_one_delay(hh, monkeypatch):
 
 def _replay(run):
     """A stepper class whose steps append the samples of a stored run, with
-    theta' the memory of its y."""
-    cols = (run.x, run.y, run.dy, run.theta,
-            memory_recursion(run.y, 0.0, run.h_div, run.params.mu))
+    theta the memory of its x and theta' that of its y."""
+    mu = run.params.mu
+    cols = (run.x, run.y, run.dy, memory_recursion(run.x, run.x[0], run.h_div, mu),
+            memory_recursion(run.y, 0.0, run.h_div, mu))
 
     class Replay(nfde_sim._ThetaStepper):
         def step(self, n):
@@ -837,7 +847,7 @@ def test_streamed_blowup_matches_stored_run(monkeypatch):
 
 def test_line_t_scan_memory_flat_in_the_transient(hh, monkeypatch):
     # the same 1800 time units measured after a transient of 400 and 7000:
-    # a stored run would add 4 arrays of 8 bytes per step
+    # a stored run would add 3 arrays of 8 bytes per step
     monkeypatch.setattr(nfde_sim, "_CHUNK", 1024)
     peaks = []
     for t_end, transient in ((2200.0, 400.0), (8800.0, 7000.0)):
@@ -848,7 +858,7 @@ def test_line_t_scan_memory_flat_in_the_transient(hh, monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    stored = 4 * 8 * _n_steps(cfg_at(hh, 0.2, 0.162, h_div=50, t_end=8800.0))
+    stored = 3 * 8 * _n_steps(cfg_at(hh, 0.2, 0.162, h_div=50, t_end=8800.0))
     assert peaks[1] < 0.25 * stored
     assert peaks[1] < 1.2 * peaks[0]
 
@@ -868,8 +878,10 @@ def test_stored_run_matches_one_unsplit_stepper_run(hh, monkeypatch, formulation
     traj = nfde_sim.simulate(cfg)
     st = getattr(nfde_sim, _STEPPERS[formulation])(cfg.params, cfg.x0, cfg.y0, cfg.h_div)
     st.step(_n_steps(cfg))
-    # the first four buffers of either stepper are x, y, y' and theta
-    for got, name in zip((traj.x, traj.y, traj.dy, traj.theta), st._BUFFERS[:4]):
+    # the first four buffers of either stepper are x, y, y' and theta; the
+    # stored run keeps the first three, and its x gives the fourth
+    theta = memory_recursion(traj.x, cfg.x0, cfg.h_div)
+    for got, name in zip((traj.x, traj.y, traj.dy, theta), st._BUFFERS[:4]):
         assert got.tobytes() == getattr(st, name).tobytes(), name
 
 
@@ -887,9 +899,9 @@ def test_stored_run_memory_is_its_columns_plus_a_chunk(hh, monkeypatch, formulat
     finally:
         tracemalloc.stop()
     cols = {k: v for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
-    assert sorted(cols) == ["dy", "theta", "x", "y"]
+    assert sorted(cols) == ["dy", "x", "y"]
     stored = sum(c.nbytes for c in cols.values())
-    assert stored == 4 * 8 * (_n_steps(cfg) + 1)
+    assert stored == 3 * 8 * (_n_steps(cfg) + 1)
     # the stepper's chunk of at most five columns, twice over, plus 64 KiB
     # for the interpreter's free lists and the recorded window
     assert peak < stored + 2 * 5 * 8 * 512 + (1 << 16)
